@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-full bench-profile benchdiff benchgate experiments examples serve smoke smoke-cluster clean
+.PHONY: all build test vet lint race fuzz bench bench-full bench-profile benchdiff benchgate experiments examples serve smoke smoke-cluster clean
 
 all: build vet lint test
 
@@ -24,6 +24,14 @@ test:
 # Race-detector pass over the model packages.
 race:
 	$(GO) test -race ./internal/...
+
+# Native fuzzing of the ivoryd request identity: respelled requests (shuffled
+# sets, elided vs explicit defaults, other top/timeout/async) must share one
+# normalized engine input and one key, and arbitrary bodies must get a 400 or
+# a response. The committed seed corpus (internal/server/testdata/fuzz) also
+# runs under plain `go test`.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzRequestIdentity -fuzztime=20s ./internal/server
 
 # Benchmark smoke run over the root harness (Explore serial/parallel/
 # cluster, PlaceIVRs, per-figure regeneration, MNA kernel Transient/AC

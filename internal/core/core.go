@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -198,6 +199,13 @@ func (s *Spec) defaults() error {
 	}
 	if len(s.Kinds) == 0 {
 		s.Kinds = []Kind{KindSC, KindBuck, KindLDO}
+	} else {
+		// Canonical family list: enumeration order, no repeats, on a copy so
+		// the caller's slice is untouched. ["SC","SC"] explores exactly what
+		// ["SC"] does, and listing order never reaches the result echo.
+		kinds := slices.Clone(s.Kinds)
+		slices.Sort(kinds)
+		s.Kinds = slices.Compact(kinds)
 	}
 	// Per-kind accounting indexes arrays by Kind, so unknown kinds are an
 	// input error now rather than a silent no-op (the old nested switch
@@ -221,7 +229,7 @@ func (s *Spec) defaults() error {
 // validation error Explore would return for it. Serving layers key caches
 // on the normalized spec so requests that differ only in elided defaults
 // (RippleMax 0 vs the derived 1% of VOut, an empty vs explicit Kinds list)
-// coalesce onto one computation.
+// or in Kinds order and repeats coalesce onto one computation.
 func (s Spec) Normalized() (Spec, error) {
 	if err := (&s).defaults(); err != nil {
 		return Spec{}, err

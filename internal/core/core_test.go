@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,30 @@ func TestKindsRestriction(t *testing.T) {
 		if c.Kind != KindLDO {
 			t.Fatalf("unexpected %v candidate with LDO-only restriction", c.Kind)
 		}
+	}
+
+	// Kinds is a set: repeats and listing order normalize away, so a
+	// repeated family explores exactly the single-family space and the echo
+	// comes back in enumeration order (SC < buck < LDO), not string order.
+	sp.Kinds = []Kind{KindLDO, KindLDO}
+	dup, err := Explore(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dup.Candidates) != len(res.Candidates) || dup.Rejected != res.Rejected {
+		t.Errorf("[LDO LDO] explored %d+%d configurations, [LDO] %d+%d",
+			len(dup.Candidates), dup.Rejected, len(res.Candidates), res.Rejected)
+	}
+	listed := []Kind{KindLDO, KindSC, KindBuck, KindSC}
+	norm, err := Spec{NodeName: "45nm", VIn: 1.8, VOut: 0.9, IMax: 1, AreaMax: 2e-6, Kinds: listed}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Kind{KindSC, KindBuck, KindLDO}; !slices.Equal(norm.Kinds, want) {
+		t.Errorf("Normalized kinds %v, want %v", norm.Kinds, want)
+	}
+	if listed[0] != KindLDO || listed[3] != KindSC {
+		t.Errorf("Normalized reordered the caller's slice: %v", listed)
 	}
 }
 

@@ -11,6 +11,13 @@ import (
 	"ivory/internal/pds"
 )
 
+// DefaultT and DefaultDt are the case-study span and step a zero
+// TransientOptions.T / Dt selects.
+const (
+	DefaultT  = 20e-6
+	DefaultDt = 1e-9
+)
+
 // TransientOptions controls the parallel transient case-study engine shared
 // by Fig10/Fig11 (noise + waveforms), Fig13 (power breakdown), Fig12 (area
 // sweep), GridScale, and the ablations.

@@ -149,10 +149,10 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 	}
 	T, dt := opt.T, opt.Dt
 	if T <= 0 {
-		T = 20e-6
+		T = DefaultT
 	}
 	if dt <= 0 {
-		dt = 1e-9
+		dt = DefaultDt
 	}
 	cells, configs, err := fig10Cells(opt)
 	if err != nil {

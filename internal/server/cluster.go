@@ -281,13 +281,18 @@ func (c *Cluster) checkHealth(w *workerState) {
 func (c *Cluster) healthyCount() int {
 	n := 0
 	for _, w := range c.workers {
-		w.mu.Lock()
-		if w.healthy || !w.checked {
+		if w.usable() {
 			n++
 		}
-		w.mu.Unlock()
 	}
 	return n
+}
+
+// usable reports a worker passing health checks or not yet probed.
+func (w *workerState) usable() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.healthy || !w.checked
 }
 
 // pickWorker returns the next replica in round-robin order, preferring
@@ -304,11 +309,7 @@ func (c *Cluster) pickWorker() *workerState {
 	// with a negative start.
 	start := int((c.rr.Add(1) - 1) % uint64(n))
 	for i := 0; i < n; i++ {
-		w := c.workers[(start+i)%n]
-		w.mu.Lock()
-		ok := w.healthy || !w.checked
-		w.mu.Unlock()
-		if ok {
+		if w := c.workers[(start+i)%n]; w.usable() {
 			return w
 		}
 	}
@@ -357,84 +358,68 @@ func splitChunks(n, parts int) []shardChunk {
 	return out
 }
 
-// retryableShardError marks shard attempts worth reassigning (timeouts,
-// 5xx, 429, transport failures) as opposed to fatal disagreements (409
-// version skew, 4xx invalid slices).
-type retryableShardError struct{ err error }
-
-func (e *retryableShardError) Error() string { return e.err.Error() }
-func (e *retryableShardError) Unwrap() error { return e.err }
-
-// fatalShardError marks shard failures reassignment cannot fix — 409
-// version skew, 4xx invalid slices: the fleet itself is broken or
-// mismatched, so the exploration fails outright instead of degrading to a
-// benign-looking ErrIncomplete partial.
-type fatalShardError struct{ err error }
-
-func (e *fatalShardError) Error() string { return e.err.Error() }
-func (e *fatalShardError) Unwrap() error { return e.err }
-
-// shardSpec is the per-exploration constant block every shard request
-// carries: the wire spec, its canonical hash, and the engine-precision
-// area budget (see ShardRequest.AreaM2).
-type shardSpec struct {
-	dto    SpecDTO
-	hash   string
-	areaM2 float64
+// shardError classifies a failed shard attempt. Retryable failures
+// (timeouts, 5xx, 429, transport errors) are reassigned to the next
+// replica. Fatal ones (409 version skew, 4xx invalid slices) mean the
+// fleet itself is broken or mismatched, so the exploration fails outright
+// instead of degrading to a benign-looking ErrIncomplete partial.
+type shardError struct {
+	err   error
+	fatal bool
 }
 
+func (e *shardError) Error() string { return e.err.Error() }
+func (e *shardError) Unwrap() error { return e.err }
+
 // evaluator returns the core.Evaluator that dispatches each evaluation
-// batch over the cluster. canonical marks the exhaustive path, where the
-// single batch is the full enumeration and slices travel as [lo, hi)
-// index ranges; adaptive stages ship their ref lists explicitly. The
-// returned outcomes slice has zero-valued slots for refs whose shard was
-// lost — exactly the shape a cancelled local run produces — and the error
-// wraps ErrIncomplete when retries were exhausted. Fatal shard failures
-// (version skew, invalid slices) propagate as-is: a broken fleet is a hard
-// error, not a benign incomplete partial.
-func (c *Cluster) evaluator(spec core.Spec, canonical bool) core.Evaluator {
-	ss := shardSpec{dto: SpecDTOFromSpec(spec), hash: SpecHash(spec), areaM2: spec.AreaMax}
+// batch over the cluster. rangeMode marks the exhaustive path, whose
+// single batch is the full canonical enumeration, so positional index ==
+// enumeration index and slices travel as [lo, hi) index ranges; adaptive
+// stages ship their ref lists explicitly. The returned outcomes slice has
+// zero-valued slots for refs whose shard was lost — exactly the shape a
+// cancelled local run produces — and the error wraps ErrIncomplete when
+// retries were exhausted. Fatal shard failures (version skew, invalid
+// slices) propagate as-is: a broken fleet is a hard error, not a benign
+// incomplete partial.
+func (c *Cluster) evaluator(spec core.Spec, rangeMode bool) core.Evaluator {
+	// Every shard request carries the wire spec, the identity the worker's
+	// 409 guard checks, and the engine-precision area budget.
+	base := ShardRequest{
+		Spec:      SpecDTOFromSpec(spec),
+		SpecHash:  SpecHash(spec),
+		AreaM2:    spec.AreaMax,
+		TimeoutMS: int(c.cfg.ShardTimeout / time.Millisecond),
+	}
 	return func(ctx context.Context, refs []core.ConfigRef, done func(int, *core.RefOutcome)) ([]core.RefOutcome, error) {
 		outs := make([]core.RefOutcome, len(refs))
 		if len(refs) == 0 {
 			return outs, nil
 		}
-		// Range mode is only sound when positional index == canonical
-		// enumeration index, which holds for the exhaustive path's single
-		// full-space batch.
-		rangeMode := canonical
 		chunks := splitChunks(len(refs), c.healthyCount()*c.cfg.ShardsPerWorker)
+		errs := make([]error, len(chunks))
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var fatalErr, firstErr error
-		for _, ch := range chunks {
+		for i, ch := range chunks {
 			wg.Add(1)
-			go func(ch shardChunk) {
+			go func(i int, ch shardChunk) {
 				defer wg.Done()
-				err := c.runShard(ctx, ss, rangeMode, refs, ch, outs, done)
-				if err != nil {
-					var fatal *fatalShardError
-					mu.Lock()
-					if errors.As(err, &fatal) {
-						if fatalErr == nil {
-							fatalErr = err
-						}
-					} else if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}(ch)
+				errs[i] = c.runShard(ctx, base, rangeMode, refs, ch, outs, done)
+			}(i, ch)
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
 			return outs, err
 		}
-		if fatalErr != nil {
-			return outs, fatalErr
+		var lost error
+		for _, err := range errs {
+			if se := (*shardError)(nil); errors.As(err, &se) && se.fatal {
+				return outs, err
+			}
+			if lost == nil {
+				lost = err
+			}
 		}
-		if firstErr != nil {
-			return outs, fmt.Errorf("%w: %v", ErrIncomplete, firstErr)
+		if lost != nil {
+			return outs, fmt.Errorf("%w: %v", ErrIncomplete, lost)
 		}
 		return outs, nil
 	}
@@ -444,7 +429,7 @@ func (c *Cluster) evaluator(spec core.Spec, canonical bool) core.Evaluator {
 // the whole slice to the next replica, and only a complete response is
 // merged — at most one attempt is in flight per chunk, so a slice can
 // never be merged twice.
-func (c *Cluster) runShard(ctx context.Context, ss shardSpec, rangeMode bool,
+func (c *Cluster) runShard(ctx context.Context, base ShardRequest, rangeMode bool,
 	refs []core.ConfigRef, ch shardChunk, outs []core.RefOutcome, done func(int, *core.RefOutcome)) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
@@ -468,7 +453,7 @@ func (c *Cluster) runShard(ctx context.Context, ss shardSpec, rangeMode bool,
 		}
 		c.metrics.shardsDispatched.inc(workerLabel(w.url))
 		start := time.Now()
-		resp, err := c.postShard(ctx, w, ss, rangeMode, refs, ch)
+		resp, err := c.postShard(ctx, w, base, rangeMode, refs, ch)
 		w.noteShard(time.Since(start), err == nil)
 		if err == nil {
 			if len(resp.Outcomes) != ch.hi-ch.lo {
@@ -482,11 +467,10 @@ func (c *Cluster) runShard(ctx context.Context, ss shardSpec, rangeMode bool,
 			}
 			return nil
 		}
-		var retryable *retryableShardError
-		if !errors.As(err, &retryable) {
+		if se := (*shardError)(nil); !errors.As(err, &se) {
 			// Version skew / invalid slice: reassignment cannot help, and
 			// the exploration must fail hard rather than degrade.
-			return &fatalShardError{err: err}
+			return &shardError{err: err, fatal: true}
 		}
 		lastErr = err
 	}
@@ -494,16 +478,9 @@ func (c *Cluster) runShard(ctx context.Context, ss shardSpec, rangeMode bool,
 }
 
 // postShard runs one shard attempt against one worker.
-func (c *Cluster) postShard(ctx context.Context, w *workerState, ss shardSpec,
+func (c *Cluster) postShard(ctx context.Context, w *workerState, req ShardRequest,
 	rangeMode bool, refs []core.ConfigRef, ch shardChunk) (*ShardResponse, error) {
-	req := ShardRequest{
-		Spec:      ss.dto,
-		SpecHash:  ss.hash,
-		AreaM2:    ss.areaM2,
-		Lo:        ch.lo,
-		Hi:        ch.hi,
-		TimeoutMS: int(c.cfg.ShardTimeout / time.Millisecond),
-	}
+	req.Lo, req.Hi = ch.lo, ch.hi
 	if rangeMode {
 		req.Total = len(refs)
 	} else {
@@ -522,7 +499,7 @@ func (c *Cluster) postShard(ctx context.Context, w *workerState, ss shardSpec,
 	hreq.Header.Set("Content-Type", "application/json")
 	hresp, err := c.cfg.HTTPClient.Do(hreq)
 	if err != nil {
-		return nil, &retryableShardError{err: err}
+		return nil, &shardError{err: err}
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, hresp.Body)
@@ -535,13 +512,13 @@ func (c *Cluster) postShard(ctx context.Context, w *workerState, ss shardSpec,
 		// transient; 409 and the rest of 4xx mean the request itself is
 		// wrong for this fleet.
 		if hresp.StatusCode >= 500 || hresp.StatusCode == http.StatusTooManyRequests {
-			return nil, &retryableShardError{err: err}
+			return nil, &shardError{err: err}
 		}
 		return nil, err
 	}
 	var out ShardResponse
 	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
-		return nil, &retryableShardError{err: fmt.Errorf("worker %s: bad shard response: %v", w.url, err)}
+		return nil, &shardError{err: fmt.Errorf("worker %s: bad shard response: %v", w.url, err)}
 	}
 	return &out, nil
 }
@@ -551,6 +528,5 @@ func (c *Cluster) postShard(ctx context.Context, w *workerState, ss shardSpec,
 // admission path (cache, singleflight, queue) is untouched — a cache hit
 // short-circuits before any shard is dispatched.
 func (s *Server) clusterExplore(spec core.Spec) (*core.Result, error) {
-	canonical := spec.Search == core.SearchExhaustive
-	return core.ExploreWith(spec, s.cluster.evaluator(spec, canonical))
+	return core.ExploreWith(spec, s.cluster.evaluator(spec, spec.Search == core.SearchExhaustive))
 }

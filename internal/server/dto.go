@@ -7,11 +7,11 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"ivory/internal/core"
@@ -108,43 +108,45 @@ func SpecDTOFromSpec(s core.Spec) SpecDTO {
 	}
 }
 
-// SpecHash returns the canonical identity of a normalized spec: FNV-1a over
-// a fixed-order field string with shortest-round-trip float formatting, so
-// semantically identical specs — regardless of field order, elided
-// defaults, or worker counts — map to one cache/singleflight key. Hash the
-// NORMALIZED spec (core.Spec.Normalized); hashing a raw spec would split
-// "ripple 0 (defaulted)" and "ripple 10 mV (explicit)" into two keys.
+// normalizeSpec converts the DTO into the exact spec the engine explores:
+// parsed, defaults applied, kinds canonical. A positive areaM2 overrides
+// the mm² budget at engine precision (see ShardRequest.AreaM2).
+func normalizeSpec(d SpecDTO, areaM2 float64) (core.Spec, error) {
+	spec, err := d.ToSpec()
+	if err != nil {
+		return core.Spec{}, err
+	}
+	if areaM2 > 0 {
+		spec.AreaMax = areaM2
+	}
+	return spec.Normalized()
+}
+
+// SpecHash returns the canonical identity of a normalized spec
+// (core.Spec.Normalized): FNV-1a over a fixed-order field string with
+// shortest-round-trip float formatting, so semantically identical specs —
+// regardless of field order, elided defaults, or worker counts — map to
+// one cache/singleflight key. It applies no defaults itself: hashing a raw
+// spec would split "ripple 0 (defaulted)" and "ripple 10 mV (explicit)"
+// into two keys.
 func SpecHash(s core.Spec) string {
-	kinds := make([]string, 0, len(s.Kinds))
-	for _, k := range s.Kinds {
-		kinds = append(kinds, k.String())
-	}
+	var f fieldHash
+	f.str("node", s.NodeName)
+	f.float("vin", s.VIn)
+	f.float("vout", s.VOut)
+	f.float("imax", s.IMax)
+	f.float("area", s.AreaMax)
+	f.float("ripple", s.RippleMax)
+	f.float("efloor", s.EfficiencyFloor)
+	f.float("fswmax", s.FSwMax)
+	f.str("obj", s.Objective.String())
+	f.str("search", s.Search.String())
+	// Kind names in string order: the established key encoding, independent
+	// of the canonical enumeration order Normalized leaves in s.Kinds.
+	kinds := SpecDTOFromSpec(s).Kinds
 	sort.Strings(kinds)
-	var b strings.Builder
-	b.WriteString("node=")
-	b.WriteString(s.NodeName)
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"vin", s.VIn}, {"vout", s.VOut}, {"imax", s.IMax}, {"area", s.AreaMax},
-		{"ripple", s.RippleMax}, {"efloor", s.EfficiencyFloor}, {"fswmax", s.FSwMax},
-	} {
-		b.WriteByte(';')
-		b.WriteString(f.name)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(f.v, 'g', -1, 64))
-	}
-	b.WriteString(";obj=")
-	b.WriteString(s.Objective.String())
-	b.WriteString(";search=")
-	b.WriteString(s.Search.String())
-	b.WriteString(";kinds=")
-	b.WriteString(strings.Join(kinds, ","))
-	h := fnv.New64a()
-	// strings.Builder's io.Writer never fails.
-	_, _ = h.Write([]byte(b.String()))
-	return fmt.Sprintf("%016x", h.Sum64())
+	f.str("kinds", strings.Join(kinds, ","))
+	return f.sum()
 }
 
 // ExploreRequest is the body of POST /v1/explore.
@@ -323,15 +325,21 @@ func ExploreResponseFromResult(res *core.Result, runErr error) *ExploreResponse 
 // (0 selects 10; negative keeps all). The cache stores the full response;
 // each request trims its own view.
 func (r *ExploreResponse) Trimmed(top int) *ExploreResponse {
+	out := *r
+	out.Candidates = topN(r.Candidates, top)
+	return &out
+}
+
+// topN bounds a ranked list to its first top entries (0 selects 10;
+// negative keeps all) without copying it.
+func topN[T any](ranked []T, top int) []T {
 	if top == 0 {
 		top = 10
 	}
-	if top < 0 || top >= len(r.Candidates) {
-		return r
+	if top < 0 || top >= len(ranked) {
+		return ranked
 	}
-	out := *r
-	out.Candidates = r.Candidates[:top]
-	return &out
+	return ranked[:top]
 }
 
 // TransientRequest is the body of POST /v1/transient: a scoped run of the
@@ -353,41 +361,53 @@ type TransientRequest struct {
 	Async     bool  `json:"async,omitempty"`
 }
 
-// Hash is the transient request's cache/singleflight key: the engine is
-// deterministic for a given (span, step, benchmark set, config set), so
-// identical sweeps coalesce exactly like explorations do.
-func (t TransientRequest) Hash() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%s;dt=%s",
-		strconv.FormatFloat(t.TUS, 'g', -1, 64), strconv.FormatFloat(t.DtNS, 'g', -1, 64))
-	benches := append([]string(nil), t.Benchmarks...)
-	sort.Strings(benches)
-	b.WriteString(";bench=")
-	b.WriteString(strings.Join(benches, ","))
-	configs := append([]int(nil), t.Configs...)
-	sort.Ints(configs)
-	b.WriteString(";configs=")
-	for i, c := range configs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c))
+// Options converts the request into the exact engine options a transient
+// job runs: span and step defaulted (20 µs, 1 ns), benchmarks and configs
+// sorted and deduped, so cells come back in canonical order. Worker count
+// is the server's to set.
+func (t TransientRequest) Options(workers int) experiments.TransientOptions {
+	// Dividing by the exact power of ten lands on the same float64 as the
+	// engine's SI defaults, so t_us 20 and an elided t_us are one input.
+	o := experiments.TransientOptions{
+		T:          t.TUS / 1e6,
+		Dt:         t.DtNS / 1e9,
+		Workers:    workers,
+		Benchmarks: canonicalSet(t.Benchmarks),
+		Configs:    canonicalSet(t.Configs),
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(b.String()))
-	return fmt.Sprintf("%016x", h.Sum64())
+	if o.T <= 0 {
+		o.T = experiments.DefaultT
+	}
+	if o.Dt <= 0 {
+		o.Dt = experiments.DefaultDt
+	}
+	return o
 }
 
-// Options converts the request into engine options. Worker count is the
-// server's to set.
-func (t TransientRequest) Options(workers int) experiments.TransientOptions {
-	return experiments.TransientOptions{
-		T:          t.TUS * 1e-6,
-		Dt:         t.DtNS * 1e-9,
-		Workers:    workers,
-		Benchmarks: t.Benchmarks,
-		Configs:    t.Configs,
+// Hash is the transient request's cache/singleflight key, hashed from its
+// normalized options: the engine is deterministic for a given (span,
+// step, benchmark set, config set), so identical sweeps coalesce exactly
+// like explorations do.
+func (t TransientRequest) Hash() string { return transientKey(t.Options(0)) }
+
+func transientKey(o experiments.TransientOptions) string {
+	var f fieldHash
+	f.float("t", o.T)
+	f.float("dt", o.Dt)
+	f.str("bench", fmt.Sprintf("%q", o.Benchmarks))
+	f.str("configs", fmt.Sprint(o.Configs))
+	return f.sum()
+}
+
+// canonicalSet returns a sorted, deduplicated copy of a set-valued field;
+// an empty set is nil, however it was spelled.
+func canonicalSet[T cmp.Ordered](in []T) []T {
+	if len(in) == 0 {
+		return nil
 	}
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // TransientCellDTO is one benchmark × configuration noise summary.

@@ -2,10 +2,6 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
-	"strconv"
-	"strings"
 
 	"ivory/internal/pdn"
 	"ivory/internal/soc"
@@ -75,22 +71,39 @@ const hybridRetain = 1000
 // experiments.
 const defaultHybridSeed = 20170618
 
-// ToSpec converts the request into a sweep spec (rails parsed and
-// canonicalized, floorplan built and validated). Worker count, retention,
-// and context are the server's to set.
+// ToSpec converts the request into the exact sweep spec a hybrid job runs:
+// rails parsed and canonicalized, span and step defaulted
+// (soc.DefaultT/DefaultDt), a custom floorplan built and validated with
+// its supply and seed defaults. Worker count, retention, and context are
+// the server's to set.
 func (h HybridRequest) ToSpec() (soc.SweepSpec, error) {
 	if h.TUS < 0 || h.DtNS < 0 {
 		return soc.SweepSpec{}, fmt.Errorf("t_us and dt_ns must be >= 0")
 	}
-	rails, err := parseRails(h.Rails)
+	rails := make([]soc.Rail, len(h.Rails))
+	for i, t := range h.Rails {
+		r, err := soc.ParseRail(t)
+		if err != nil {
+			return soc.SweepSpec{}, err
+		}
+		rails[i] = r
+	}
+	rails, err := soc.NormalizeRails(rails)
 	if err != nil {
 		return soc.SweepSpec{}, err
 	}
+	// Exact powers of ten: t_us 10 and an elided t_us give one float64.
 	spec := soc.SweepSpec{
 		Rails:         rails,
 		AreaBudgetMM2: h.AreaBudgetMM2,
-		T:             h.TUS * 1e-6,
-		Dt:            h.DtNS * 1e-9,
+		T:             h.TUS / 1e6,
+		Dt:            h.DtNS / 1e9,
+	}
+	if spec.T == 0 {
+		spec.T = soc.DefaultT
+	}
+	if spec.Dt == 0 {
+		spec.Dt = soc.DefaultDt
 	}
 	if len(h.Domains) > 0 {
 		fl, err := h.floorplan()
@@ -141,63 +154,41 @@ func (h HybridRequest) floorplan() (*soc.Floorplan, error) {
 	return fl, nil
 }
 
-func parseRails(tokens []string) ([]soc.Rail, error) {
-	var rails []soc.Rail
-	for _, t := range tokens {
-		r, err := soc.ParseRail(t)
-		if err != nil {
-			return nil, err
-		}
-		rails = append(rails, r)
+// Hash is the hybrid request's cache/singleflight key, hashed from its
+// normalized sweep spec (ToSpec): semantically identical sweeps —
+// regardless of rail listing order, elided defaults, Top, or timeouts —
+// map to one key. It returns "" for a request ToSpec rejects.
+func (h HybridRequest) Hash() string {
+	spec, err := h.ToSpec()
+	if err != nil {
+		return ""
 	}
-	return soc.NormalizeRails(rails)
+	return hybridKey(spec)
 }
 
-// Hash is the hybrid request's cache/singleflight key: FNV-1a over a
-// fixed-order canonical field string, so semantically identical sweeps —
-// regardless of rail listing order, elided defaults, Top, or timeouts —
-// map to one key. Call only after ToSpec succeeded (rail tokens must
-// parse).
-func (h HybridRequest) Hash() string {
-	var b strings.Builder
-	fv := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	fmt.Fprintf(&b, "budget=%s;t=%s;dt=%s", fv(h.AreaBudgetMM2), fv(h.TUS), fv(h.DtNS))
-	rails, err := parseRails(h.Rails)
-	if err != nil {
-		// Unreachable after a successful ToSpec; keep the key stable anyway.
-		tokens := append([]string(nil), h.Rails...)
-		sort.Strings(tokens)
-		b.WriteString(";rails-raw=" + strings.Join(tokens, ","))
-	} else {
-		b.WriteString(";rails=")
-		for i, r := range rails {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(r.String())
-		}
+func hybridKey(sp soc.SweepSpec) string {
+	var f fieldHash
+	f.float("budget", sp.AreaBudgetMM2)
+	f.float("t", sp.T)
+	f.float("dt", sp.Dt)
+	f.str("rails", fmt.Sprint(sp.Rails))
+	fl := sp.Floorplan
+	if fl == nil {
+		f.str("floorplan", "default")
+		return f.sum()
 	}
-	if len(h.Domains) > 0 {
-		vSource := h.VSourceV
-		if vSource == 0 {
-			vSource = 3.3
-		}
-		seed := h.Seed
-		if seed == 0 {
-			seed = defaultHybridSeed
-		}
-		fmt.Fprintf(&b, ";vsource=%s;seed=%d", fv(vSource), seed)
-		for _, d := range h.Domains {
-			fmt.Fprintf(&b, ";dom=%s,%d,%s,%s,%s,%s,%s,%d",
-				d.Name, d.Cores, fv(d.TDPPerCoreW), fv(d.VNominalV),
-				fv(d.GridROhm), fv(d.GridLH), d.Benchmark, d.Seed)
-		}
-	} else {
-		b.WriteString(";floorplan=default")
+	f.float("vsource", fl.VSource)
+	f.int("seed", fl.Seed)
+	for _, d := range fl.Domains {
+		f.str("dom", fmt.Sprintf("%q", []string{d.Name, d.Workload.TraceName()}))
+		f.int("cores", int64(d.Cores))
+		f.float("tdp", d.TDPPerCore)
+		f.float("vnom", d.VNominal)
+		f.float("r", d.GridR)
+		f.float("l", d.GridL)
+		f.int("seed", d.Seed)
 	}
-	hsh := fnv.New64a()
-	_, _ = hsh.Write([]byte(b.String()))
-	return fmt.Sprintf("%016x", hsh.Sum64())
+	return f.sum()
 }
 
 // HybridCellDTO is one domain × rail evaluation.
@@ -316,13 +307,7 @@ func HybridResponseFromResult(hash string, res *soc.SweepResult) *HybridResponse
 // (0 selects 10; negative keeps all retained). The cache stores the full
 // response; each request trims its own view.
 func (r *HybridResponse) Trimmed(top int) *HybridResponse {
-	if top == 0 {
-		top = 10
-	}
-	if top < 0 || top >= len(r.Candidates) {
-		return r
-	}
 	out := *r
-	out.Candidates = r.Candidates[:top]
+	out.Candidates = topN(r.Candidates, top)
 	return &out
 }

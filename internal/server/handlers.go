@@ -4,12 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
-	"ivory/internal/ivr"
+	"ivory/internal/core"
 )
 
 // maxBodyBytes bounds request bodies; specs are a few hundred bytes.
@@ -18,11 +17,11 @@ const maxBodyBytes = 1 << 20
 // Handler returns the ivoryd route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/explore", s.instrument("explore", s.handleExplore))
-	mux.HandleFunc("POST /v1/explore/stream", s.instrument("explore_stream", s.handleExploreStream))
-	mux.HandleFunc("POST /v1/transient", s.instrument("transient", s.handleTransient))
-	mux.HandleFunc("POST /v1/hybrid", s.instrument("hybrid", s.handleHybrid))
-	mux.HandleFunc("POST /v1/shard/explore", s.instrument("shard", s.handleShardExplore))
+	mux.HandleFunc("POST /v1/explore", compute(s, exploreRoute, func(req *ExploreRequest) (*job, error) { return s.exploreJob(req, nil) }))
+	mux.HandleFunc("POST /v1/explore/stream", compute(s, streamRoute, s.streamJob))
+	mux.HandleFunc("POST /v1/transient", compute(s, transientRoute, s.transientJob))
+	mux.HandleFunc("POST /v1/hybrid", compute(s, hybridRoute, s.hybridJob))
+	mux.HandleFunc("POST /v1/shard/explore", compute(s, shardRoute, s.shardJob))
 	mux.HandleFunc("GET /v1/cluster", s.instrument("cluster", s.handleCluster))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJob))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
@@ -85,206 +84,82 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, resp)
 }
 
-// decodeJSON strictly decodes the body into v: unknown fields are a 400,
-// keeping the DTO schema load-bearing instead of advisory.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
+// The normalize steps of the compute routes (see pipeline.go). Each turns
+// a decoded request into the engine input its job runs and hashes that
+// input, and nothing else, into the key.
 
-// submitError maps admission failures to HTTP.
-func (s *Server) submitError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrBusy):
-		s.writeError(w, http.StatusTooManyRequests, "job queue full; retry shortly")
-	case errors.Is(err, errDraining):
-		s.writeError(w, http.StatusServiceUnavailable, "server draining")
-	default:
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// isCancel reports a context-shaped interruption.
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// dispatch runs the shared post-validation flow of the two compute
-// endpoints: admission (cache -> singleflight -> bounded queue), then
-// either a 202 with an async job record or a synchronous wait on the
-// flight. render writes the success body (val may carry a ranked partial
-// alongside a cancel-shaped err); onError maps terminal failures.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, endpoint, hash string, async bool,
-	timeout time.Duration, fn jobFunc, render func(w http.ResponseWriter, val any), onError func(w http.ResponseWriter, err error)) {
-	fl, err := s.execute(endpoint, hash, timeout, fn)
+// exploreJob normalizes an exploration; hook, when non-nil, attaches
+// per-request telemetry callbacks to the run (streams).
+func (s *Server) exploreJob(req *ExploreRequest, hook func(*core.Spec)) (*job, error) {
+	norm, err := normalizeSpec(req.Spec, 0)
 	if err != nil {
-		s.submitError(w, err)
-		return
+		return nil, err
 	}
-	if async {
-		rec := &jobRecord{id: newJobID(), kind: endpoint, hash: hash, status: JobRunning, created: time.Now()}
-		s.jobs.add(rec)
-		go func() {
-			val, ferr := fl.wait()
-			rec.complete(val, ferr)
-		}()
-		writeJSON(w, http.StatusAccepted, rec.snapshot())
-		return
-	}
-	select {
-	case <-fl.done:
-	case <-r.Context().Done():
-		s.writeError(w, http.StatusGatewayTimeout,
-			"request abandoned while the computation runs; retry to pick up the cached result")
-		return
-	}
-	val, ferr := fl.wait()
-	if ferr != nil && val == nil {
-		onError(w, ferr)
-		return
-	}
-	// val != nil with a cancel-shaped ferr is a ranked partial (deadline or
-	// drain): it ships as a 200 with cancelled=true and the error inline.
-	render(w, val)
-}
-
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	var req ExploreRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	spec, err := req.Spec.ToSpec()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	norm, err := spec.Normalized()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	hash := SpecHash(norm)
-	engineWorkers := s.cfg.EngineWorkers
-	fn := func(ctx context.Context) (any, error, bool) {
+	run := func(ctx context.Context) (any, error) {
 		sp := norm
-		sp.Context = ctx
-		sp.Workers = engineWorkers
-		res, xerr := s.explore(sp)
-		if xerr != nil {
-			if res != nil && len(res.Candidates) > 0 && (isCancel(xerr) || errors.Is(xerr, ErrIncomplete)) {
-				// Ranked partial (deadline/drain/lost shards): deliver,
-				// don't cache.
-				s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-				return ExploreResponseFromResult(res, xerr), xerr, false
-			}
-			return nil, xerr, false
+		sp.Context, sp.Workers = ctx, s.cfg.EngineWorkers
+		if hook != nil {
+			hook(&sp)
+		}
+		res, err := s.explore(sp)
+		// A ranked partial (deadline, drain, lost shards) ships with its error.
+		interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrIncomplete)
+		if err != nil && !(interrupted && res != nil && len(res.Candidates) > 0) {
+			return nil, err
 		}
 		s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-		return ExploreResponseFromResult(res, nil), nil, true
+		return ExploreResponseFromResult(res, err), err
 	}
-	s.dispatch(w, r, "explore", hash, req.Async, s.timeoutFor(req.TimeoutMS), fn,
-		func(w http.ResponseWriter, val any) {
-			writeJSON(w, http.StatusOK, val.(*ExploreResponse).Trimmed(req.Top))
-		},
-		func(w http.ResponseWriter, err error) {
-			var inf *ivr.InfeasibleError
-			switch {
-			case errors.As(err, &inf):
-				// The space was swept and nothing fits the budget: a valid
-				// question with an unwelcome answer, not a server fault.
-				s.writeError(w, http.StatusUnprocessableEntity, err.Error())
-			case errors.Is(err, context.DeadlineExceeded):
-				s.writeError(w, http.StatusGatewayTimeout, "exploration exceeded its deadline before any candidate completed")
-			case errors.Is(err, context.Canceled):
-				s.writeError(w, http.StatusServiceUnavailable, "exploration cancelled (server draining)")
-			default:
-				s.writeError(w, http.StatusInternalServerError, err.Error())
-			}
-		})
+	return &job{
+		key:       SpecHash(norm),
+		run:       run,
+		view:      func(v any) any { return v.(*ExploreResponse).Trimmed(req.Top) },
+		timeoutMS: req.TimeoutMS,
+		async:     req.Async,
+	}, nil
 }
 
-func (s *Server) handleTransient(w http.ResponseWriter, r *http.Request) {
-	var req TransientRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) transientJob(req *TransientRequest) (*job, error) {
 	if req.TUS < 0 || req.DtNS < 0 {
-		s.writeError(w, http.StatusBadRequest, "t_us and dt_ns must be >= 0")
-		return
+		return nil, errors.New("t_us and dt_ns must be >= 0")
 	}
-	hash := req.Hash()
 	opts := req.Options(s.cfg.EngineWorkers)
-	fn := func(ctx context.Context) (any, error, bool) {
-		res, terr := s.transient(ctx, opts)
-		if terr != nil {
-			return nil, terr, false
+	key := transientKey(opts)
+	run := func(ctx context.Context) (any, error) {
+		res, err := s.transient(ctx, opts)
+		if err != nil {
+			return nil, err
 		}
-		return TransientResponseFromResult(hash, res), nil, true
+		return TransientResponseFromResult(key, res), nil
 	}
-	s.dispatch(w, r, "transient", hash, req.Async, s.timeoutFor(req.TimeoutMS), fn,
-		func(w http.ResponseWriter, val any) {
-			writeJSON(w, http.StatusOK, val)
-		},
-		func(w http.ResponseWriter, err error) {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				s.writeError(w, http.StatusGatewayTimeout, "transient sweep exceeded its deadline")
-			case errors.Is(err, context.Canceled):
-				s.writeError(w, http.StatusServiceUnavailable, "transient sweep cancelled (server draining)")
-			default:
-				// The engine validates inputs (benchmark names, IVR counts)
-				// before simulating; those surface as client errors.
-				s.writeError(w, http.StatusBadRequest, err.Error())
-			}
-		})
+	return &job{key: key, run: run, timeoutMS: req.TimeoutMS, async: req.Async}, nil
 }
 
-func (s *Server) handleHybrid(w http.ResponseWriter, r *http.Request) {
-	var req HybridRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
+func (s *Server) hybridJob(req *HybridRequest) (*job, error) {
 	spec, err := req.ToSpec()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, err
 	}
-	hash := req.Hash()
-	engineWorkers := s.cfg.EngineWorkers
-	fn := func(ctx context.Context) (any, error, bool) {
+	key := hybridKey(spec)
+	// Retain the full rankable view once; every Top trims from it.
+	spec.Workers, spec.Top = s.cfg.EngineWorkers, hybridRetain
+	run := func(ctx context.Context) (any, error) {
 		sp := spec
 		sp.Context = ctx
-		sp.Workers = engineWorkers
-		// Retain the full rankable view once; every Top trims from it.
-		sp.Top = hybridRetain
-		res, herr := s.hybrid(sp)
-		if herr != nil {
-			return nil, herr, false
+		res, err := s.hybrid(sp)
+		if err != nil {
+			return nil, err
 		}
 		s.metrics.noteHybrid(res.Stats)
-		return HybridResponseFromResult(hash, res), nil, true
+		return HybridResponseFromResult(key, res), nil
 	}
-	s.dispatch(w, r, "hybrid", hash, req.Async, s.timeoutFor(req.TimeoutMS), fn,
-		func(w http.ResponseWriter, val any) {
-			writeJSON(w, http.StatusOK, val.(*HybridResponse).Trimmed(req.Top))
-		},
-		func(w http.ResponseWriter, err error) {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				s.writeError(w, http.StatusGatewayTimeout, "hybrid sweep exceeded its deadline")
-			case errors.Is(err, context.Canceled):
-				s.writeError(w, http.StatusServiceUnavailable, "hybrid sweep cancelled (server draining)")
-			default:
-				// The sweep validates its inputs (floorplan, rails, span)
-				// before simulating; those surface as client errors.
-				s.writeError(w, http.StatusBadRequest, err.Error())
-			}
-		})
+	return &job{
+		key:       key,
+		run:       run,
+		view:      func(v any) any { return v.(*HybridResponse).Trimmed(req.Top) },
+		timeoutMS: req.TimeoutMS,
+		async:     req.Async,
+	}, nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -110,6 +110,18 @@ func TestHybridHashSemantics(t *testing.T) {
 	if base.Hash() != same.Hash() {
 		t.Error("Top/TimeoutMS/Async/rail-order must not change the hash")
 	}
+	// Elided vs explicit defaults: the span/step defaults and a custom
+	// floorplan's supply and seed hash as the values the sweep runs.
+	dom := []HybridDomainDTO{{Name: "a", Cores: 1, TDPPerCoreW: 4, VNominalV: 0.85,
+		GridROhm: 3e-3, GridLH: 50e-12, Benchmark: "CFD"}}
+	for name, pair := range map[string][2]HybridRequest{
+		"span/step": {base, {AreaBudgetMM2: 25, Rails: []string{"vrm", "ivr4"}, TUS: 10, DtNS: 5}},
+		"floorplan": {{Domains: dom}, {Domains: dom, VSourceV: 3.3, Seed: 20170618}},
+	} {
+		if pair[0].Hash() == "" || pair[0].Hash() != pair[1].Hash() {
+			t.Errorf("%s: elided defaults hash %q, explicit %q", name, pair[0].Hash(), pair[1].Hash())
+		}
+	}
 	for name, other := range map[string]HybridRequest{
 		"budget": {AreaBudgetMM2: 26, Rails: []string{"vrm", "ivr4"}},
 		"rails":  {AreaBudgetMM2: 25, Rails: []string{"vrm", "ivr2"}},

@@ -31,7 +31,12 @@ func newCounterVec() *counterVec { return &counterVec{m: map[string]int64{}} }
 
 func (c *counterVec) inc(labels string) { c.add(labels, 1) }
 
+// add counts n more events; n <= 0 leaves the family untouched, so a
+// label appears once something actually happened.
 func (c *counterVec) add(labels string, n int64) {
+	if n <= 0 {
+		return
+	}
 	c.mu.Lock()
 	c.m[labels] += n
 	c.mu.Unlock()
@@ -122,27 +127,17 @@ func newMetrics() *metrics {
 // counter. Cache hits do not recount: the counter tracks configurations
 // actually skipped by compute jobs.
 func (m *metrics) notePruned(bound, halving int) {
-	if bound > 0 {
-		m.candidatesPruned.add(`strategy="bound"`, int64(bound))
-	}
-	if halving > 0 {
-		m.candidatesPruned.add(`strategy="halving"`, int64(halving))
-	}
+	m.candidatesPruned.add(`strategy="bound"`, int64(bound))
+	m.candidatesPruned.add(`strategy="halving"`, int64(halving))
 }
 
 // noteHybrid folds one finished hybrid sweep's enumeration telemetry into
 // the counter. Cache hits do not recount: the counter tracks assignments
 // actually examined by compute jobs.
 func (m *metrics) noteHybrid(s soc.SweepStats) {
-	if s.Ranked > 0 {
-		m.hybridCandidates.add(`outcome="ranked"`, int64(s.Ranked))
-	}
-	if s.RejectedInfeasible > 0 {
-		m.hybridCandidates.add(`outcome="rejected_infeasible"`, int64(s.RejectedInfeasible))
-	}
-	if s.RejectedArea > 0 {
-		m.hybridCandidates.add(`outcome="rejected_area"`, int64(s.RejectedArea))
-	}
+	m.hybridCandidates.add(`outcome="ranked"`, int64(s.Ranked))
+	m.hybridCandidates.add(`outcome="rejected_infeasible"`, int64(s.RejectedInfeasible))
+	m.hybridCandidates.add(`outcome="rejected_area"`, int64(s.RejectedArea))
 }
 
 // endpointCode renders the label pair for the request counter.

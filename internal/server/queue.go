@@ -54,17 +54,12 @@ func (j *jobRecord) complete(val any, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
+	// A drain can resolve a flight with both a partial result and an error;
+	// keep the partial so the poller still gets the ranked prefix.
+	j.status, j.result = JobDone, val
 	if err != nil {
-		j.status = JobError
-		j.err = err.Error()
-		// A drain can resolve a flight with both a partial result and an
-		// error; keep the partial so the poller still gets the ranked
-		// prefix.
-		j.result = val
-		return
+		j.status, j.err = JobError, err.Error()
 	}
-	j.status = JobDone
-	j.result = val
 }
 
 func (j *jobRecord) snapshot() JobStatus {

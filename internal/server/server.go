@@ -166,28 +166,28 @@ func New(cfg Config) *Server {
 // drainEstimator keeps an exponentially weighted moving average of
 // completed job wall times. The 429/503 Retry-After hint is derived from
 // it: how long until a queue slot plausibly frees up at the observed
-// drain rate, rather than a constant guess.
+// drain rate, rather than a constant guess. Zero means no job has
+// completed yet.
 type drainEstimator struct {
-	mu     sync.Mutex
-	avg    time.Duration
-	seeded bool
+	mu  sync.Mutex
+	avg time.Duration
 }
 
 func (d *drainEstimator) note(dt time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.seeded {
-		d.avg, d.seeded = dt, true
+	if d.avg == 0 {
+		d.avg = dt
 		return
 	}
 	// α = 1/4: a few recent jobs dominate, one outlier does not.
 	d.avg += (dt - d.avg) / 4
 }
 
-func (d *drainEstimator) estimate() (time.Duration, bool) {
+func (d *drainEstimator) estimate() time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.avg, d.seeded
+	return d.avg
 }
 
 // retryAfterSeconds converts the observed drain rate into the Retry-After
@@ -195,11 +195,7 @@ func (d *drainEstimator) estimate() (time.Duration, bool) {
 // shed request can land. Bounded to [1, 60] — never so low a client
 // hot-loops, never so high one transient spike parks clients for minutes.
 func (s *Server) retryAfterSeconds() int {
-	avg, ok := s.drainEst.estimate()
-	if !ok {
-		return 1
-	}
-	wait := avg * time.Duration(s.pool.Depth()+1) / time.Duration(s.cfg.Workers)
+	wait := s.drainEst.estimate() * time.Duration(s.pool.Depth()+1) / time.Duration(s.cfg.Workers)
 	secs := int((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
 		return 1
@@ -210,22 +206,25 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// jobFunc computes one response. cacheable=false keeps partial or failed
-// results out of the LRU so a later identical request recomputes.
-type jobFunc func(ctx context.Context) (val any, err error, cacheable bool)
+// jobFunc computes one response. A non-nil err alongside a non-nil val is
+// a ranked partial: delivered, never cached.
+type jobFunc func(ctx context.Context) (val any, err error)
 
-// execute is the single admission path for both endpoints, sync and async:
-// result cache, then singleflight join, then bounded queue submission.
-// The returned flight is already resolved on a cache hit. ErrBusy means
-// the queue shed the job; errDraining means admission is closed.
-func (s *Server) execute(endpoint, hash string, timeout time.Duration, fn jobFunc) (*flight, error) {
+// execute is the single admission path for every compute route, sync,
+// async and streamed: result cache (cacheable routes only), then
+// singleflight join, then bounded queue submission. The returned flight is
+// already resolved on a cache hit. ErrBusy means the queue shed the job;
+// errDraining means admission is closed.
+func (s *Server) execute(rt *route, hash string, timeout time.Duration, fn jobFunc) (*flight, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
-	if v, ok := s.cache.Get(hash); ok {
-		f := &flight{done: make(chan struct{}), val: v}
-		close(f.done)
-		return f, nil
+	if rt.cacheable {
+		if v, ok := s.cache.Get(hash); ok {
+			f := &flight{done: make(chan struct{}), val: v}
+			close(f.done)
+			return f, nil
+		}
 	}
 	f, leader := s.flights.join(hash)
 	if !leader {
@@ -239,9 +238,8 @@ func (s *Server) execute(endpoint, hash string, timeout time.Duration, fn jobFun
 		ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 		defer cancel()
 		var (
-			val       any
-			err       error
-			cacheable bool
+			val any
+			err error
 		)
 		// Contain job panics here so the flight always resolves; a waiter
 		// blocked on a flight whose job died would otherwise hang forever.
@@ -249,23 +247,23 @@ func (s *Server) execute(endpoint, hash string, timeout time.Duration, fn jobFun
 			defer func() {
 				if r := recover(); r != nil {
 					s.panics.Add(1)
-					err = fmt.Errorf("server: %s job panicked: %v", endpoint, r)
+					err = fmt.Errorf("server: %s job panicked: %v", rt.name, r)
 				}
 			}()
-			val, err, cacheable = fn(ctx)
+			val, err = fn(ctx)
 		}()
-		if err == nil && cacheable {
+		if err == nil && rt.cacheable {
 			s.cache.Put(hash, val)
 		}
 		s.flights.finish(hash, f, val, err)
 	})
 	if !submitted {
 		s.inflight.Done()
-		s.metrics.jobsRejected.inc(endpointLabel(endpoint))
+		s.metrics.jobsRejected.inc(endpointLabel(rt.name))
 		s.flights.abort(hash, f, ErrBusy)
 		return nil, ErrBusy
 	}
-	s.metrics.jobsSubmitted.inc(endpointLabel(endpoint))
+	s.metrics.jobsSubmitted.inc(endpointLabel(rt.name))
 	return f, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"net/http"
 	"strconv"
 
 	"ivory/internal/core"
@@ -127,93 +126,51 @@ func refsHash(refs []core.ConfigRef) string {
 // cannot help, so the coordinator fails the shard immediately.
 var errShardSkew = errors.New("server: shard version skew")
 
-// handleShardExplore serves one shard evaluation on a worker replica. The
-// request passes the same admission path as full explorations — bounded
-// queue with 429/Retry-After, singleflight per (hash, slice) — but its
-// result is never cached: shard fragments must not shadow the full-result
-// cache entry of the same spec hash, and the coordinator retries are
-// cheaper than cache coherence across partial keys.
-func (s *Server) handleShardExplore(w http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	spec, err := req.Spec.ToSpec()
+// shardJob normalizes one shard evaluation on a worker replica. The
+// request passes the same pipeline as full explorations — bounded queue
+// with 429/Retry-After, singleflight per (hash, slice) — but its result is
+// never cached: shard fragments must not shadow the full-result cache entry
+// of the same spec hash, and the coordinator retries are cheaper than cache
+// coherence across partial keys. The 409 version guard compares the
+// coordinator's hash with the worker's hash of the same normalized spec.
+func (s *Server) shardJob(req *ShardRequest) (*job, error) {
+	norm, err := normalizeSpec(req.Spec, req.AreaM2)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.AreaM2 > 0 {
-		spec.AreaMax = req.AreaM2
-	}
-	norm, err := spec.Normalized()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, err
 	}
 	hash := SpecHash(norm)
 	if req.SpecHash != "" && req.SpecHash != hash {
-		s.writeError(w, http.StatusConflict,
-			fmt.Sprintf("spec hash mismatch: coordinator sent %s, worker computed %s (version skew?)", req.SpecHash, hash))
-		return
+		return nil, fmt.Errorf("%w: spec hash mismatch: coordinator sent %s, worker computed %s", errShardSkew, req.SpecHash, hash)
 	}
 	key := "shard:" + hash + ":" + strconv.Itoa(req.Lo) + "-" + strconv.Itoa(req.Hi)
 	if len(req.Refs) > 0 {
 		key += ":" + refsHash(req.Refs)
 	}
-	engineWorkers := s.cfg.EngineWorkers
-	fn := func(ctx context.Context) (any, error, bool) {
+	run := func(ctx context.Context) (any, error) {
 		sp := norm
-		sp.Context = ctx
-		sp.Workers = engineWorkers
+		sp.Context, sp.Workers = ctx, s.cfg.EngineWorkers
 		var rr *core.RangeResult
-		var xerr error
+		var err error
 		if len(req.Refs) > 0 {
-			rr, xerr = core.EvalRefs(sp, req.Refs)
+			rr, err = core.EvalRefs(sp, req.Refs)
 		} else {
-			rr, xerr = core.ExploreRange(sp, req.Lo, req.Hi)
+			rr, err = core.ExploreRange(sp, req.Lo, req.Hi)
 		}
 		// All-or-nothing: a cancelled or failed slice returns an error
 		// status so the coordinator retries the whole slice; partial shard
-		// outcomes never ship.
-		if xerr != nil {
-			return nil, xerr, false
+		// outcomes never ship. Bad ranges and invalid refs surface here
+		// (the engine validates before evaluating).
+		if err != nil {
+			return nil, err
 		}
 		if req.Total > 0 && rr.Total != req.Total {
-			return nil, fmt.Errorf("%w: coordinator enumerated %d configurations, worker %d", errShardSkew, req.Total, rr.Total), false
+			return nil, fmt.Errorf("%w: coordinator enumerated %d configurations, worker %d", errShardSkew, req.Total, rr.Total)
 		}
 		resp := &ShardResponse{SpecHash: hash, Lo: req.Lo, Hi: req.Hi, Total: rr.Total}
 		for _, o := range rr.Outcomes {
 			resp.Outcomes = append(resp.Outcomes, shardOutcomeDTO(o))
 		}
-		return resp, nil, false
+		return resp, nil
 	}
-	fl, err := s.execute("shard", key, s.timeoutFor(req.TimeoutMS), fn)
-	if err != nil {
-		s.submitError(w, err)
-		return
-	}
-	select {
-	case <-fl.done:
-	case <-r.Context().Done():
-		s.writeError(w, http.StatusGatewayTimeout, "shard request abandoned while the slice runs")
-		return
-	}
-	val, ferr := fl.wait()
-	if ferr != nil {
-		switch {
-		case errors.Is(ferr, errShardSkew):
-			s.writeError(w, http.StatusConflict, ferr.Error())
-		case isCancel(ferr):
-			// Deadline or drain mid-slice: the coordinator should retry the
-			// whole slice on another replica.
-			s.writeError(w, http.StatusServiceUnavailable, "shard evaluation interrupted: "+ferr.Error())
-		default:
-			// Bad ranges and invalid refs surface here (the engine validates
-			// before evaluating).
-			s.writeError(w, http.StatusBadRequest, ferr.Error())
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, val)
+	return &job{key: key, run: run, timeoutMS: req.TimeoutMS}, nil
 }

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"ivory/internal/core"
 )
@@ -27,9 +25,10 @@ import (
 // Exactly one terminal event (result | error) ends every stream. The
 // telemetry events are best-effort: a slow reader sheds progress/best
 // events rather than stalling the engine, so consumers must treat them as
-// a sampled view. The final result is also published to the result cache,
-// so a later synchronous POST /v1/explore with the same spec hash returns
-// the identical body without recomputing.
+// a sampled view. A stream shares its spec hash, flight, and cache entry
+// with POST /v1/explore: a later synchronous request returns the identical
+// body without recomputing, and a stream that joins a cached or in-flight
+// computation receives only the terminal event.
 
 // progressStride samples the per-job progress callback down to one event
 // every N completed jobs; the final job always emits.
@@ -71,42 +70,41 @@ func jsonEvent(name string, v any) sseEvent {
 	return sseEvent{name: name, data: data}
 }
 
-// submitStream admits one streaming exploration: result cache first, then
-// the bounded queue — the same backpressure as the synchronous path (a
-// full queue sheds the stream with 429 before any event is written).
-// Telemetry arrives on events until it closes; exactly one terminal event
-// then arrives on final. The compute job never blocks on the consumer:
-// telemetry sends are lossy and the final channel is buffered, so an
-// abandoned stream drains and caches like a normal job.
-func (s *Server) submitStream(hash string, timeout time.Duration, norm core.Spec) (<-chan sseEvent, <-chan sseEvent, error) {
-	if s.draining.Load() {
-		return nil, nil, errDraining
+// openStream commits a text/event-stream response and returns its event
+// writer.
+func openStream(w http.ResponseWriter) func(sseEvent) {
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	return func(ev sseEvent) {
+		// The stream is committed; a write failure means the client left,
+		// which the terminal-event guarantee does not extend to.
+		_, _ = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
+// streamJob normalizes a stream exactly like an exploration — same spec,
+// same key, same cached full-length result — and hooks this request's
+// telemetry into the run. The run never blocks on the consumer: sends are
+// lossy, so an abandoned stream drains and caches like a normal job.
+func (s *Server) streamJob(req *ExploreRequest) (*job, error) {
+	if req.Async {
+		return nil, errors.New("stream and async are mutually exclusive: the stream is the progress feed")
 	}
 	events := make(chan sseEvent, 64)
-	final := make(chan sseEvent, 1)
-	if v, ok := s.cache.Get(hash); ok {
-		close(events)
-		final <- jsonEvent("result", v)
-		return events, final, nil
-	}
-	engineWorkers := s.cfg.EngineWorkers
-	s.inflight.Add(1)
-	submitted := s.pool.TrySubmit(func() {
-		defer s.inflight.Done()
-		start := time.Now()
-		defer func() { s.drainEst.note(time.Since(start)) }()
-		ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-		defer cancel()
-
-		push := func(ev sseEvent) {
-			select {
-			case events <- ev:
-			default: // slow or gone consumer: shed telemetry, never stall
-			}
+	push := func(ev sseEvent) {
+		select {
+		case events <- ev:
+		default: // slow or gone consumer: shed telemetry, never stall
 		}
-		sp := norm
-		sp.Context = ctx
-		sp.Workers = engineWorkers
+	}
+	j, err := s.exploreJob(req, func(sp *core.Spec) {
 		sp.Progress = func(st core.Stats) {
 			if st.Done%progressStride == 0 || st.Done == st.Jobs {
 				push(jsonEvent("progress", StreamProgressEvent{
@@ -124,104 +122,10 @@ func (s *Server) submitStream(hash string, timeout time.Duration, norm core.Spec
 				FrontSize: st.FrontSize,
 			}))
 		}
-
-		var ev sseEvent
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.panics.Add(1)
-					ev = jsonEvent("error", ErrorResponse{Error: fmt.Sprintf("server: explore_stream job panicked: %v", r)})
-				}
-			}()
-			res, err := s.explore(sp)
-			switch {
-			case err == nil:
-				resp := ExploreResponseFromResult(res, nil)
-				s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-				// Publish so a later synchronous request for the same spec
-				// hash returns this exact body from the cache.
-				s.cache.Put(hash, resp)
-				ev = jsonEvent("result", resp)
-			case res != nil && len(res.Candidates) > 0 && (isCancel(err) || errors.Is(err, ErrIncomplete)):
-				// Ranked partial (deadline/drain/lost shards): terminal
-				// result with cancelled=true, not cached.
-				s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-				ev = jsonEvent("result", ExploreResponseFromResult(res, err))
-			default:
-				ev = jsonEvent("error", ErrorResponse{Error: err.Error()})
-			}
-		}()
-		// Telemetry closes before the terminal event is offered, so the
-		// handler can drain events fully and still write the terminal last.
-		close(events)
-		final <- ev
 	})
-	if !submitted {
-		s.inflight.Done()
-		s.metrics.jobsRejected.inc(endpointLabel("explore_stream"))
-		return nil, nil, ErrBusy
-	}
-	s.metrics.jobsSubmitted.inc(endpointLabel("explore_stream"))
-	return events, final, nil
-}
-
-func (s *Server) handleExploreStream(w http.ResponseWriter, r *http.Request) {
-	var req ExploreRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if req.Async {
-		s.writeError(w, http.StatusBadRequest, "stream and async are mutually exclusive: the stream is the progress feed")
-		return
-	}
-	spec, err := req.Spec.ToSpec()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, err
 	}
-	norm, err := spec.Normalized()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	hash := SpecHash(norm)
-	events, final, err := s.submitStream(hash, s.timeoutFor(req.TimeoutMS), norm)
-	if err != nil {
-		s.submitError(w, err)
-		return
-	}
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	writeEvent := func(ev sseEvent) {
-		// The stream is committed; a write failure means the client left,
-		// which the terminal-event guarantee does not extend to.
-		_, _ = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				// Telemetry done; exactly one terminal event follows.
-				select {
-				case tev := <-final:
-					writeEvent(tev)
-				case <-r.Context().Done():
-				}
-				return
-			}
-			writeEvent(ev)
-		case <-r.Context().Done():
-			// Client gone: the job keeps computing and caches its result;
-			// only this subscription ends.
-			return
-		}
-	}
+	j.events, j.view = events, nil
+	return j, nil
 }
