@@ -57,8 +57,9 @@ type TransientStats struct {
 	// TraceCacheHits/Misses are the pds core-current trace memo lookups
 	// this run performed.
 	TraceCacheHits, TraceCacheMisses int64
-	// ExploreWall is time spent in static design-space exploration
-	// (selecting the IVR design) before any cell ran; SimWall is the
+	// ExploreWall is time spent getting the IVR design before any cell
+	// ran: the static design-space exploration on the first run in a
+	// process, about 0 afterwards (the design is memoized). SimWall is the
 	// transient fan-out; Wall the total.
 	ExploreWall, SimWall, Wall time.Duration
 	// CellsPerSec is Done/SimWall.

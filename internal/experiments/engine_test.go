@@ -33,17 +33,8 @@ func TestFig10RunDeterministicAcrossWorkers(t *testing.T) {
 			ref = r
 			continue
 		}
-		if !reflect.DeepEqual(ref.Cells, r.Cells) {
-			t.Errorf("workers=%d: Cells diverge from the serial run", w)
-		}
-		if !reflect.DeepEqual(ref.NoiseByConfig, r.NoiseByConfig) {
-			t.Errorf("workers=%d: NoiseByConfig diverges: %v vs %v", w, r.NoiseByConfig, ref.NoiseByConfig)
-		}
-		if !reflect.DeepEqual(ref.DroopByConfig, r.DroopByConfig) {
-			t.Errorf("workers=%d: DroopByConfig diverges", w)
-		}
-		if !reflect.DeepEqual(ref.CFDTimes, r.CFDTimes) || !reflect.DeepEqual(ref.CFDTraces, r.CFDTraces) {
-			t.Errorf("workers=%d: CFD waveforms diverge", w)
+		if err := sameFig10(ref, r); err != nil {
+			t.Errorf("workers=%d: diverges from the serial run: %v", w, err)
 		}
 	}
 	// Only CFD cells retain waveforms; box-plot cells must not drag the full

@@ -78,13 +78,18 @@ func FastDVFS() (*DVFSResult, error) {
 }
 
 // FastDVFSContext is FastDVFS with run control threaded into the
-// case-study exploration that picks the IVR design.
+// case-study exploration that picks the IVR design (searched once per
+// process; a cancelled context fails the call even when the design is
+// already known).
 func FastDVFSContext(ctx context.Context) (*DVFSResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	cs, err := NewCaseSystem()
 	if err != nil {
 		return nil, err
 	}
-	design, err := caseIVRDesign(ctx, cs)
+	design, err := caseIVRDesign(ctx)
 	if err != nil {
 		return nil, err
 	}

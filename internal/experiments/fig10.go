@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"ivory/internal/core"
@@ -58,10 +59,42 @@ type Fig10Result struct {
 	RunStats TransientStats
 }
 
-// caseIVRDesign builds the chip-level SC converter the static exploration
-// selects for the case study (best SC candidate of Table 2), re-sized to
-// totals and with generous interleaving for the dynamic analysis.
-func caseIVRDesign(ctx context.Context, cs *CaseSystem) (*sc.Design, error) {
+// caseDesign is the memoized case-study IVR design. Only a successful
+// search is stored, so a cancelled or failed one leaves it empty for the
+// next caller (a sync.Once would keep the cancellation forever). It is never
+// invalidated: the case-study inputs are constants.
+var caseDesign atomic.Pointer[sc.Design]
+
+// caseIVRDesign returns the process-wide case-study IVR design, searching
+// for it on first use. Concurrent cold callers each search under their own
+// context; the search is deterministic, so whichever result is stored is
+// identical. The context is checked even when the memo is warm, so a
+// cancelled caller gets its context error rather than a design. The
+// returned design is shared: sc.Design is read-only after construction.
+func caseIVRDesign(ctx context.Context) (*sc.Design, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if d := caseDesign.Load(); d != nil {
+		return d, nil
+	}
+	d, err := searchCaseIVRDesign(ctx)
+	if err != nil {
+		return nil, err
+	}
+	caseDesign.CompareAndSwap(nil, d)
+	return caseDesign.Load(), nil
+}
+
+// searchCaseIVRDesign builds the chip-level SC converter the static
+// exploration selects for the case study (best SC candidate of Table 2),
+// re-sized to totals and with generous interleaving for the dynamic
+// analysis. It always searches; caseIVRDesign is the memoized entry point.
+func searchCaseIVRDesign(ctx context.Context) (*sc.Design, error) {
+	cs, err := NewCaseSystem()
+	if err != nil {
+		return nil, err
+	}
 	spec := cs.Spec
 	spec.Context = ctx
 	res, err := core.Explore(spec)
@@ -163,7 +196,7 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 		return nil, err
 	}
 	exploreStart := time.Now()
-	design, err := caseIVRDesign(ctx, cs)
+	design, err := caseIVRDesign(ctx)
 	if err != nil {
 		return nil, err
 	}

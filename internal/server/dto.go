@@ -424,6 +424,9 @@ type TransientCellDTO struct {
 }
 
 // TransientStatsDTO is the wire form of experiments.TransientStats.
+// explore_wall_ms is the time spent getting the case-study IVR design: the
+// static exploration on the first transient run in the process, about 0
+// once the design is memoized.
 type TransientStatsDTO struct {
 	Cells            int     `json:"cells"`
 	Done             int     `json:"done"`
