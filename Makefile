@@ -25,13 +25,16 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# Native fuzzing of the ivoryd request identity: respelled requests (shuffled
-# sets, elided vs explicit defaults, other top/timeout/async) must share one
-# normalized engine input and one key, and arbitrary bodies must get a 400 or
-# a response. The committed seed corpus (internal/server/testdata/fuzz) also
-# runs under plain `go test`.
+# Native fuzzing, 20 s per target. FuzzRequestIdentity: respelled ivoryd
+# requests (shuffled sets, elided vs explicit defaults, other
+# top/timeout/async) must share one normalized engine input and one key, and
+# arbitrary bodies must get a 400 or a response. FuzzNetlist: any text that
+# parses as a SPICE netlist must come back from OP, AC and Tran with a
+# result or an error, never a panic. The committed seed corpora
+# (testdata/fuzz in each package) also run under plain `go test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRequestIdentity -fuzztime=20s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzNetlist -fuzztime=20s ./internal/spice
 
 # Benchmark smoke run over the root harness (Explore serial/parallel/
 # cluster, PlaceIVRs, per-figure regeneration, MNA kernel Transient/AC
@@ -69,7 +72,9 @@ bench-full:
 	$(GO) test -bench=. -benchmem ./...
 
 # CPU + heap profile capture over the simulation kernels: the circuit-level
-# Transient/AC benchmarks and the numeric LU microbenchmarks. Emits pprof
+# Transient/AC benchmarks and the numeric LU microbenchmarks (the production
+# SparseLU/ComplexLU refactor paths, plus the dense test-oracle LU as the
+# unstructured reference point). Emits pprof
 # artifacts under profiles/ (uploaded from CI); the trailing `go tool pprof
 # -top` both prints the hot spots and fails the target if a profile is
 # unreadable. Flame graph: `go tool pprof -http=: profiles/kernel.test

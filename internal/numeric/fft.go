@@ -21,28 +21,7 @@ func FFT(x []complex128) []complex128 {
 		fftRadix2(out, false)
 		return out
 	}
-	return bluestein(out, false)
-}
-
-// IFFT returns the inverse discrete Fourier transform of x, normalized by
-// 1/n so that IFFT(FFT(x)) == x.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	copy(out, x)
-	if n <= 1 {
-		return out
-	}
-	if n&(n-1) == 0 {
-		fftRadix2(out, true)
-	} else {
-		out = bluestein(out, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
+	return bluestein(out)
 }
 
 // fftRadix2 computes an in-place radix-2 DIT FFT. inverse selects the
@@ -82,22 +61,18 @@ func fftRadix2(a []complex128, inverse bool) {
 
 // bluestein computes an arbitrary-length DFT as a convolution, using
 // radix-2 FFTs of length >= 2n-1 rounded up to a power of two.
-func bluestein(x []complex128, inverse bool) []complex128 {
+func bluestein(x []complex128) []complex128 {
 	n := len(x)
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: w[k] = exp(sign * i*pi*k^2/n)
+	// Chirp: w[k] = exp(-i*pi*k^2/n)
 	w := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// k^2 mod 2n avoids precision loss for large k.
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		ang := sign * math.Pi * float64(kk) / float64(n)
+		ang := -math.Pi * float64(kk) / float64(n)
 		w[k] = cmplx.Rect(1, ang)
 	}
 	a := make([]complex128, m)
@@ -150,18 +125,4 @@ func RealFFTMagnitude(x []float64, dt float64) (freq, amp []float64) {
 		amp[k] = a
 	}
 	return freq, amp
-}
-
-// Hann applies a Hann window to x in place and returns x. Windowing reduces
-// spectral leakage when the analysis interval does not hold an integer
-// number of periods of the dominant tones.
-func Hann(x []float64) []float64 {
-	n := len(x)
-	if n < 2 {
-		return x
-	}
-	for i := range x {
-		x[i] *= 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return x
 }

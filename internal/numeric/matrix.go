@@ -1,9 +1,14 @@
-// Package numeric provides the dense linear algebra, spectral, ODE, and
-// statistics routines Ivory needs. Everything is implemented from scratch on
-// top of the standard library: the tool must run in environments without
-// numerical dependencies, and the problem sizes (tens of nodes, thousands of
-// time steps) are small enough that straightforward O(n^3) dense algorithms
-// with partial pivoting are both fast and robust.
+// Package numeric provides the linear algebra, spectral, ODE, and
+// statistics routines Ivory needs, implemented from scratch on top of the
+// standard library so the tool runs without numerical dependencies.
+//
+// Matrix is a small dense row-major container. Every production
+// factorization goes through the structure-aware SparseLU (ComplexLU for
+// AC sweeps) in sparselu.go: its first factorization is plain partial
+// pivoting, and later refactorizations of the same pattern rerun only
+// the numeric sweep over the recorded fill pattern. The remaining solvers
+// are the banded Cholesky (band.go) and conjugate gradients (sparse.go)
+// for the symmetric grid systems.
 package numeric
 
 import (
@@ -134,129 +139,9 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddMatrix returns m + b as a new matrix.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("numeric: shape mismatch in AddMatrix")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
 // ErrSingular is returned when a linear system has no unique solution within
 // the pivot tolerance.
 var ErrSingular = errors.New("numeric: matrix is singular to working precision")
-
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
-type LU struct {
-	n    int
-	lu   []float64 // packed L (unit diagonal, below) and U (on/above)
-	perm []int     // row permutation
-	sign int
-}
-
-// Factorize computes the LU factorization of the square matrix a. The input
-// is not modified.
-func Factorize(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("numeric: Factorize needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), perm: make([]int, n), sign: 1}
-	copy(f.lu, a.Data)
-	for i := range f.perm {
-		f.perm[i] = i
-	}
-	for k := 0; k < n; k++ {
-		// Partial pivot: largest magnitude in column k at/below the diagonal.
-		p, maxAbs := k, math.Abs(f.lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if ab := math.Abs(f.lu[i*n+k]); ab > maxAbs {
-				p, maxAbs = i, ab
-			}
-		}
-		if maxAbs < 1e-300 {
-			return nil, ErrSingular
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
-			}
-			f.perm[p], f.perm[k] = f.perm[k], f.perm[p]
-			f.sign = -f.sign
-		}
-		piv := f.lu[k*n+k]
-		for i := k + 1; i < n; i++ {
-			l := f.lu[i*n+k] / piv
-			f.lu[i*n+k] = l
-			if l == 0 {
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				f.lu[i*n+j] -= l * f.lu[k*n+j]
-			}
-		}
-	}
-	return f, nil
-}
-
-// Solve solves A*x = b using the factorization. b is not modified.
-func (f *LU) Solve(b []float64) []float64 {
-	return f.SolveInto(make([]float64, f.n), b)
-}
-
-// SolveInto solves A*x = b into x (len n) and returns x. b is not modified;
-// x must not alias b. It allocates nothing.
-func (f *LU) SolveInto(x, b []float64) []float64 {
-	if len(b) != f.n {
-		panic("numeric: rhs length mismatch in LU.Solve")
-	}
-	if len(x) != f.n {
-		panic("numeric: solution length mismatch in LU.SolveInto")
-	}
-	n := f.n
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
-	}
-	// Forward substitution with unit-diagonal L.
-	for i := 1; i < n; i++ {
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= f.lu[i*n+j] * x[j]
-		}
-		x[i] = s
-	}
-	// Back substitution with U.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= f.lu[i*n+j] * x[j]
-		}
-		x[i] = s / f.lu[i*n+i]
-	}
-	return x
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveLinear solves the square system a*x = b in one call.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
 
 // LeastSquares solves min ||A*x - b||_2 via the normal equations
 // (A^T A + ridge*I) x = A^T b. A small ridge keeps rank-deficient systems
@@ -273,30 +158,11 @@ func LeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
 			ata.Add(i, i, ridge)
 		}
 	}
-	atb := at.MulVec(b)
-	return SolveLinear(ata, atb)
-}
-
-// Inverse returns the matrix inverse of a.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
+	f, err := NewSparseLU(ata)
 	if err != nil {
 		return nil, err
 	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
+	return f.Solve(at.MulVec(b)), nil
 }
 
 // Norm2 returns the Euclidean norm of v.

@@ -2,75 +2,6 @@ package numeric
 
 import "fmt"
 
-// DerivFunc computes dx/dt = f(t, x) into dst. dst and x have the same
-// length; implementations must not retain either slice.
-type DerivFunc func(t float64, x, dst []float64)
-
-// RK4Step advances the ODE dx/dt = f(t, x) by one classical Runge-Kutta step
-// of size h, writing the result into x in place. scratch must provide at
-// least 5*len(x) float64s of workspace (allocated by the caller so that tight
-// simulation loops stay allocation-free).
-func RK4Step(f DerivFunc, t float64, x []float64, h float64, scratch []float64) {
-	n := len(x)
-	if len(scratch) < 5*n {
-		panic(fmt.Sprintf("numeric: RK4Step scratch too small: %d < %d", len(scratch), 5*n))
-	}
-	k1 := scratch[0*n : 1*n]
-	k2 := scratch[1*n : 2*n]
-	k3 := scratch[2*n : 3*n]
-	k4 := scratch[3*n : 4*n]
-	tmp := scratch[4*n : 5*n]
-
-	f(t, x, k1)
-	for i := 0; i < n; i++ {
-		tmp[i] = x[i] + 0.5*h*k1[i]
-	}
-	f(t+0.5*h, tmp, k2)
-	for i := 0; i < n; i++ {
-		tmp[i] = x[i] + 0.5*h*k2[i]
-	}
-	f(t+0.5*h, tmp, k3)
-	for i := 0; i < n; i++ {
-		tmp[i] = x[i] + h*k3[i]
-	}
-	f(t+h, tmp, k4)
-	for i := 0; i < n; i++ {
-		x[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-	}
-}
-
-// IntegrateRK4 integrates dx/dt = f(t, x) from t0 to t1 with fixed step h,
-// starting from x0. It returns the sampled times and a snapshot of the state
-// at each time (including t0). The final step is shortened to land exactly
-// on t1.
-func IntegrateRK4(f DerivFunc, t0, t1, h float64, x0 []float64) (ts []float64, xs [][]float64) {
-	if h <= 0 {
-		panic("numeric: IntegrateRK4 requires h > 0")
-	}
-	n := len(x0)
-	x := make([]float64, n)
-	copy(x, x0)
-	scratch := make([]float64, 5*n)
-	t := t0
-	snapshot := func() {
-		s := make([]float64, n)
-		copy(s, x)
-		ts = append(ts, t)
-		xs = append(xs, s)
-	}
-	snapshot()
-	for t < t1-1e-15*(t1-t0) {
-		step := h
-		if t+step > t1 {
-			step = t1 - t
-		}
-		RK4Step(f, t, x, step, scratch)
-		t += step
-		snapshot()
-	}
-	return ts, xs
-}
-
 // LinearSystem describes the LTI state-space system
 //
 //	dx/dt = A*x + B*u(t)
@@ -83,7 +14,6 @@ type LinearSystem struct {
 	A *Matrix
 	B *Matrix
 
-	h float64
 	// Precomputed trapezoidal propagators: one step is
 	//
 	//	x_{k+1} = prop·x_k + bprop·u_k + bprop·u_{k+1}
@@ -122,13 +52,13 @@ func NewLinearSystem(a, b *Matrix, h float64) (*LinearSystem, error) {
 			rhs.Add(i, j, h/2*a.At(i, j))
 		}
 	}
-	f, err := Factorize(lhs)
+	f, err := NewSparseLU(lhs)
 	if err != nil {
 		return nil, fmt.Errorf("numeric: trapezoidal LHS singular (step %g too large?): %w", h, err)
 	}
 	bh := b.Clone().Scale(h / 2)
 	s := &LinearSystem{
-		A: a, B: b, h: h,
+		A: a, B: b,
 		prop:  NewMatrix(n, n),
 		bprop: NewMatrix(n, b.Cols),
 		rhs:   make([]float64, n),
@@ -171,6 +101,3 @@ func (s *LinearSystem) Step(x, u0, u1 []float64) {
 		x[i] = s.rhs[i] + s.bu0[i] + s.bu1[i]
 	}
 }
-
-// StepSize returns the fixed step the system was prepared with.
-func (s *LinearSystem) StepSize() float64 { return s.h }

@@ -5,40 +5,12 @@ import (
 	"testing"
 )
 
-func TestRK4ExponentialDecay(t *testing.T) {
-	// dx/dt = -x, x(0) = 1 => x(t) = e^-t.
-	f := func(t float64, x, dst []float64) { dst[0] = -x[0] }
-	ts, xs := IntegrateRK4(f, 0, 1, 1e-3, []float64{1})
-	got := xs[len(xs)-1][0]
-	want := math.Exp(-1)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("x(1) = %v, want %v", got, want)
-	}
-	if !ApproxEqual(ts[len(ts)-1], 1, 0) {
-		t.Errorf("final time %v, want 1", ts[len(ts)-1])
-	}
-}
-
-func TestRK4Oscillator(t *testing.T) {
-	// Harmonic oscillator: energy conservation over 10 periods.
-	f := func(t float64, x, dst []float64) {
-		dst[0] = x[1]
-		dst[1] = -x[0]
-	}
-	_, xs := IntegrateRK4(f, 0, 20*math.Pi, 1e-3, []float64{1, 0})
-	last := xs[len(xs)-1]
-	e := last[0]*last[0] + last[1]*last[1]
-	if math.Abs(e-1) > 1e-6 {
-		t.Errorf("energy drifted to %v", e)
-	}
-}
-
 func TestTrapezoidalRCDischarge(t *testing.T) {
 	// RC discharge: dv/dt = -v/(RC), compare against analytic solution.
-	rc := 1e-6
+	rc, h := 1e-6, 1e-8
 	a := NewMatrixFrom([][]float64{{-1 / rc}})
 	b := NewMatrix(1, 1)
-	sys, err := NewLinearSystem(a, b, 1e-8)
+	sys, err := NewLinearSystem(a, b, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +20,7 @@ func TestTrapezoidalRCDischarge(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		sys.Step(x, u, u)
 	}
-	tEnd := float64(steps) * sys.StepSize()
+	tEnd := float64(steps) * h
 	want := math.Exp(-tEnd / rc)
 	if math.Abs(x[0]-want) > 1e-4 {
 		t.Errorf("v = %v, want %v", x[0], want)

@@ -1,10 +1,5 @@
 package numeric
 
-import (
-	"fmt"
-	"math"
-)
-
 // Polynomial represents a polynomial by its coefficients in ascending order:
 // c[0] + c[1]*x + c[2]*x^2 + ...
 type Polynomial []float64
@@ -16,45 +11,6 @@ func (p Polynomial) Eval(x float64) float64 {
 		s = s*x + p[i]
 	}
 	return s
-}
-
-// Derivative returns the derivative polynomial.
-func (p Polynomial) Derivative() Polynomial {
-	if len(p) <= 1 {
-		return Polynomial{0}
-	}
-	d := make(Polynomial, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		d[i-1] = float64(i) * p[i]
-	}
-	return d
-}
-
-// PolyFit fits a polynomial of the given degree to the points (x[i], y[i])
-// in the least-squares sense. It is used, e.g., to capture the
-// frequency-dependent inductance coefficient of integrated inductors from
-// tabulated characterization data.
-func PolyFit(x, y []float64, degree int) (Polynomial, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("numeric: PolyFit needs matching slices, got %d and %d", len(x), len(y))
-	}
-	if len(x) < degree+1 {
-		return nil, fmt.Errorf("numeric: PolyFit degree %d needs at least %d points, got %d", degree, degree+1, len(x))
-	}
-	// Vandermonde matrix.
-	a := NewMatrix(len(x), degree+1)
-	for i, xi := range x {
-		v := 1.0
-		for j := 0; j <= degree; j++ {
-			a.Set(i, j, v)
-			v *= xi
-		}
-	}
-	c, err := LeastSquares(a, y, 0)
-	if err != nil {
-		return nil, err
-	}
-	return Polynomial(c), nil
 }
 
 // Interp1 performs piecewise-linear interpolation of the tabulated function
@@ -87,25 +43,4 @@ func Interp1(xs, ys []float64, x float64) float64 {
 	}
 	t := (x - xs[lo]) / (xs[hi] - xs[lo])
 	return ys[lo] + t*(ys[hi]-ys[lo])
-}
-
-// LogInterp1 interpolates linearly in log10(x) space, which suits quantities
-// tabulated per decade of frequency.
-func LogInterp1(xs, ys []float64, x float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	lx := make([]float64, n)
-	for i, v := range xs {
-		lx[i] = log10(v)
-	}
-	return Interp1(lx, ys, log10(x))
-}
-
-func log10(x float64) float64 {
-	if x <= 0 {
-		return -300
-	}
-	return math.Log10(x)
 }

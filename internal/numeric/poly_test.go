@@ -2,7 +2,6 @@ package numeric
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -13,64 +12,6 @@ func TestPolyEval(t *testing.T) {
 	}
 	if !ApproxEqual(p.Eval(2), 17, 0) {
 		t.Errorf("Eval(2) = %v, want 17", p.Eval(2))
-	}
-}
-
-func TestPolyDerivative(t *testing.T) {
-	p := Polynomial{5, 3, 2} // 5 + 3x + 2x^2 -> 3 + 4x
-	d := p.Derivative()
-	if len(d) != 2 || !ApproxEqual(d[0], 3, 0) || !ApproxEqual(d[1], 4, 0) {
-		t.Errorf("Derivative = %v", d)
-	}
-	if len(Polynomial{7}.Derivative()) != 1 {
-		t.Error("constant derivative should be {0}")
-	}
-}
-
-func TestPolyFitExact(t *testing.T) {
-	// Exact quadratic recovery.
-	want := Polynomial{1, -2, 0.5}
-	var xs, ys []float64
-	for i := 0; i < 10; i++ {
-		x := float64(i) * 0.3
-		xs = append(xs, x)
-		ys = append(ys, want.Eval(x))
-	}
-	got, err := PolyFit(xs, ys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-8 {
-			t.Errorf("coef %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestPolyFitErrors(t *testing.T) {
-	if _, err := PolyFit([]float64{1, 2}, []float64{1}, 1); err == nil {
-		t.Error("expected mismatch error")
-	}
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, 5); err == nil {
-		t.Error("expected underdetermined error")
-	}
-}
-
-func TestPolyFitNoisyStability(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	truth := Polynomial{2, 1}
-	var xs, ys []float64
-	for i := 0; i < 200; i++ {
-		x := rng.Float64() * 10
-		xs = append(xs, x)
-		ys = append(ys, truth.Eval(x)+0.01*rng.NormFloat64())
-	}
-	got, err := PolyFit(xs, ys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-2) > 0.05 || math.Abs(got[1]-1) > 0.01 {
-		t.Errorf("noisy fit = %v", got)
 	}
 }
 
@@ -88,15 +29,5 @@ func TestInterp1(t *testing.T) {
 		if got := Interp1(xs, ys, c.x); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Interp1(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestLogInterp1(t *testing.T) {
-	// Table at 1e6 and 1e8; value at 1e7 should be the midpoint in log space.
-	xs := []float64{1e6, 1e8}
-	ys := []float64{10, 20}
-	got := LogInterp1(xs, ys, 1e7)
-	if math.Abs(got-15) > 1e-9 {
-		t.Errorf("LogInterp1 = %v, want 15", got)
 	}
 }

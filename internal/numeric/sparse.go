@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -84,6 +85,10 @@ func (m *SparseMatrix) MulVec(x, dst []float64) {
 		dst[i] = s
 	}
 }
+
+// ErrNoConverge is returned when an iterative method exhausts its iteration
+// budget without meeting the tolerance.
+var ErrNoConverge = errors.New("numeric: iteration did not converge")
 
 // SolveCG solves M*x = b with Jacobi-preconditioned conjugate gradients to
 // relative residual tol (on ||b||). M must be symmetric positive definite

@@ -57,10 +57,11 @@ func TestSolveCGAgainstLU(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	want, err := SolveLinear(dense, b)
+	lu, err := Factorize(dense)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := lu.Solve(b)
 	got, iters, err := sp.SolveCG(b, 1e-12, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -26,8 +26,14 @@ import (
 // symbolic phase. Results are therefore always as accurate as a fresh
 // partial-pivoted factorization — the symbolic reuse is purely a fast
 // path. When the frozen order matches what partial pivoting would pick,
-// the numeric sweep performs bit-for-bit the same arithmetic as the dense
-// Factorize/Solve pair.
+// the numeric sweep performs bit-for-bit the same arithmetic as a dense
+// partial-pivoted LU and its substitution pair (the reference kept in
+// denseref_test.go).
+//
+// SparseLU is the only real factorization in production: the circuit
+// simulator's operating point, transient start and per-switch-state
+// matrices, the PDN trapezoidal stepper (NewLinearSystem) and the
+// normal equations of LeastSquares all go through it.
 //
 // Storage is dense row-major (the MNA systems are tens of rows, where
 // index-list pruning pays but compressed storage overhead does not);
@@ -41,7 +47,7 @@ import (
 // stability (growth bound) and order reuse.
 const pivotTau = 1e-3
 
-// pivotTiny is the absolute singularity floor, matching dense Factorize.
+// pivotTiny is the absolute singularity floor of the pivot search.
 const pivotTiny = 1e-300
 
 // Symbolic is the shared, immutable structure of an LU factorization:
@@ -51,7 +57,6 @@ const pivotTiny = 1e-300
 type Symbolic struct {
 	n    int
 	perm []int  // row permutation: factored row i holds input row perm[i]
-	sign int    // determinant sign of the permutation
 	mask []bool // mask[i*n+j]: position (i,j) is inside the L+U pattern
 
 	// Index lists driving the pruned loops, all in post-permutation row
@@ -77,11 +82,11 @@ func (s *Symbolic) NNZ() int {
 }
 
 // buildSymbolic assembles the index lists from a completed structural
-// elimination: B is the final L+U pattern (post-permutation), perm/sign
-// the recorded pivot outcome.
-func buildSymbolic(n int, B []bool, perm []int, sign int) *Symbolic {
+// elimination: B is the final L+U pattern (post-permutation), perm the
+// recorded pivot order.
+func buildSymbolic(n int, B []bool, perm []int) *Symbolic {
 	s := &Symbolic{
-		n: n, perm: perm, sign: sign, mask: B,
+		n: n, perm: perm, mask: B,
 		lcol: make([][]int32, n),
 		urow: make([][]int32, n),
 		lrow: make([][]int32, n),
@@ -114,8 +119,8 @@ type SparseLU struct {
 	repivots int
 }
 
-// NewSparseLU factorizes a (dense partial pivoting, bit-identical to
-// Factorize) and records the symbolic structure for later Refactor calls.
+// NewSparseLU factorizes a by partial pivoting and records the symbolic
+// structure for later Refactor calls.
 // The input is not modified.
 func NewSparseLU(a *Matrix) (*SparseLU, error) {
 	if a.Rows != a.Cols {
@@ -132,8 +137,8 @@ func NewSparseLU(a *Matrix) (*SparseLU, error) {
 
 // pivotingFactor runs the full dense partial-pivoted factorization over
 // f.lu (which holds the matrix values) and rebuilds f.sym from scratch.
-// It performs exactly the arithmetic of Factorize, plus a structural
-// shadow pass that records the fill pattern.
+// It performs exactly the arithmetic of a dense partial-pivoted LU, plus
+// a structural shadow pass that records the fill pattern.
 func (f *SparseLU) pivotingFactor(n int) error {
 	B := make([]bool, n*n)
 	for i, v := range f.lu {
@@ -143,7 +148,6 @@ func (f *SparseLU) pivotingFactor(n int) error {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	lu := f.lu
 	for k := 0; k < n; k++ {
 		p, maxAbs := k, math.Abs(lu[k*n+k])
@@ -161,7 +165,6 @@ func (f *SparseLU) pivotingFactor(n int) error {
 				B[p*n+j], B[k*n+j] = B[k*n+j], B[p*n+j]
 			}
 			perm[p], perm[k] = perm[k], perm[p]
-			sign = -sign
 		}
 		piv := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -182,7 +185,7 @@ func (f *SparseLU) pivotingFactor(n int) error {
 			}
 		}
 	}
-	f.sym = buildSymbolic(n, B, perm, sign)
+	f.sym = buildSymbolic(n, B, perm)
 	return nil
 }
 
@@ -310,16 +313,6 @@ func (f *SparseLU) SolveInto(x, b []float64) []float64 {
 	return x
 }
 
-// Det returns the determinant from the last refactorization.
-func (f *SparseLU) Det() float64 {
-	d := float64(f.sym.sign)
-	n := f.sym.n
-	for i := 0; i < n; i++ {
-		d *= f.lu[i*n+i]
-	}
-	return d
-}
-
 // ComplexLU is the complex-valued twin of SparseLU, sharing the same
 // symbolic machinery. The MNA AC sweep has one pattern across all
 // frequencies (admittance values move, positions do not), so the kernel
@@ -358,7 +351,6 @@ func (f *ComplexLU) pivotingFactor(n int) error {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	lu := f.lu
 	for k := 0; k < n; k++ {
 		p, maxAbs := k, cmplx.Abs(lu[k*n+k])
@@ -376,7 +368,6 @@ func (f *ComplexLU) pivotingFactor(n int) error {
 				B[p*n+j], B[k*n+j] = B[k*n+j], B[p*n+j]
 			}
 			perm[p], perm[k] = perm[k], perm[p]
-			sign = -sign
 		}
 		piv := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -397,7 +388,7 @@ func (f *ComplexLU) pivotingFactor(n int) error {
 			}
 		}
 	}
-	f.sym = buildSymbolic(n, B, perm, sign)
+	f.sym = buildSymbolic(n, B, perm)
 	return nil
 }
 

@@ -1,9 +1,6 @@
 package numeric
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds descriptive statistics of a sample, matching what the
 // paper's box plots (Fig. 10) display.
@@ -188,38 +185,6 @@ func selectKth(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	n := len(s)
-	if n == 1 {
-		return s[0]
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return s[n-1]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -258,18 +223,6 @@ func PeakToPeak(xs []float64) float64 {
 	}
 	mn, mx := MinMax(xs)
 	return mx - mn
-}
-
-// RMS returns the root-mean-square of xs.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range xs {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Clamp limits v to [lo, hi].

@@ -37,28 +37,30 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
+// TestQuantileEdges pins the selection quantile at the ends of the range
+// and on a single sample.
 func TestQuantileEdges(t *testing.T) {
+	quant := func(xs []float64, q float64) float64 {
+		return quantileSelect(append([]float64(nil), xs...), q)
+	}
 	xs := []float64{3, 1, 2}
-	if !ApproxEqual(Quantile(xs, 0), 1, 0) || !ApproxEqual(Quantile(xs, 1), 3, 0) {
+	if !ApproxEqual(quant(xs, 0), 1, 0) || !ApproxEqual(quant(xs, 1), 3, 0) {
 		t.Error("quantile edge cases wrong")
 	}
-	if !ApproxEqual(Quantile(xs, 0.5), 2, 0) {
+	if !ApproxEqual(quant(xs, 0.5), 2, 0) {
 		t.Error("median wrong")
 	}
-	if !ApproxEqual(Quantile([]float64{7}, 0.3), 7, 0) {
+	if !ApproxEqual(quant([]float64{7}, 0.3), 7, 0) {
 		t.Error("single-element quantile wrong")
 	}
 }
 
-func TestPeakToPeakAndRMS(t *testing.T) {
+func TestPeakToPeak(t *testing.T) {
 	xs := []float64{-1, 0, 3}
 	if !ApproxEqual(PeakToPeak(xs), 4, 0) {
 		t.Error("PeakToPeak wrong")
 	}
-	if math.Abs(RMS([]float64{3, 4})-math.Sqrt(12.5)) > 1e-12 {
-		t.Error("RMS wrong")
-	}
-	if PeakToPeak(nil) != 0 || RMS(nil) != 0 {
+	if PeakToPeak(nil) != 0 {
 		t.Error("empty-slice behavior wrong")
 	}
 }
@@ -107,42 +109,6 @@ func TestPeakToPeakInvariance(t *testing.T) {
 	}
 }
 
-func TestBisectAndBrent(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	r1, err := Bisect(f, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r1-math.Sqrt2) > 1e-10 {
-		t.Errorf("Bisect = %v", r1)
-	}
-	r2, err := Brent(f, 0, 2, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r2-math.Sqrt2) > 1e-10 {
-		t.Errorf("Brent = %v", r2)
-	}
-	if _, err := Bisect(f, 5, 6, 1e-9); err == nil {
-		t.Error("expected ErrNoBracket")
-	}
-	if _, err := Brent(f, 5, 6, 1e-9); err == nil {
-		t.Error("expected ErrNoBracket")
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	// Minimum of (x-3)^2 + 1.
-	xm := GoldenSectionMin(func(x float64) float64 { return (x-3)*(x-3) + 1 }, 0, 10, 1e-9)
-	if math.Abs(xm-3) > 1e-6 {
-		t.Errorf("GoldenSectionMin = %v", xm)
-	}
-	xM := GoldenSectionMax(func(x float64) float64 { return -(x - 4) * (x - 4) }, 0, 10, 1e-9)
-	if math.Abs(xM-4) > 1e-6 {
-		t.Errorf("GoldenSectionMax = %v", xM)
-	}
-}
-
 // sortedSummary is the pre-selection reference implementation: full sort,
 // then quantile interpolation on the sorted data. SummarizeInPlace must
 // reproduce its order statistics exactly.
@@ -174,6 +140,28 @@ func sortedSummary(xs []float64) Summary {
 		}
 	}
 	return out
+}
+
+// quantileSorted is the q-quantile of the sorted sample s, interpolating
+// linearly between adjacent order statistics.
+func quantileSorted(s []float64, q float64) float64 {
+	n := len(s)
+	if n == 1 {
+		return s[0]
+	}
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[n-1]
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	frac := pos - float64(lo)
+	if lo+1 >= n {
+		return s[n-1]
+	}
+	return s[lo] + frac*(s[lo+1]-s[lo])
 }
 
 // TestSummarizeSelectionMatchesSort checks the selection-based summary
@@ -283,7 +271,7 @@ func TestMulVecSolveIntoMatchAllocating(t *testing.T) {
 			t.Fatalf("MulVecInto[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
-	f, err := Factorize(m)
+	f, err := NewSparseLU(m)
 	if err != nil {
 		t.Fatal(err)
 	}

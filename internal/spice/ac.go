@@ -64,18 +64,11 @@ func (c *Circuit) AC(freqs []float64, acSource string) (*ACResult, error) {
 	if !found {
 		return nil, fmt.Errorf("spice: AC source %q not found", acSource)
 	}
+	dim, err := c.numberBranches()
+	if err != nil {
+		return nil, err
+	}
 	n := len(c.nodeName)
-	nb := 0
-	for _, e := range c.elems {
-		if e.kind == kindV || e.kind == kindVCVS {
-			e.branch = n + nb
-			nb++
-		}
-	}
-	dim := n + nb
-	if dim == 0 {
-		return nil, fmt.Errorf("spice: empty circuit")
-	}
 	res := &ACResult{Freqs: append([]float64(nil), freqs...), V: map[string][]complex128{}}
 	cols := make([][]complex128, n)
 	for i, name := range c.nodeName {
@@ -85,13 +78,22 @@ func (c *Circuit) AC(freqs []float64, acSource string) (*ACResult, error) {
 
 	// The sweep shares one sparsity pattern: only the C/L admittance
 	// values move with frequency. Assemble the frequency-invariant stamps
-	// (R, frozen switches, source incidence, controlled sources, Gmin, and
-	// the excitation vector) once into a base matrix, then per frequency
+	// (R, frozen switches, source incidence, controlled sources, Gmin)
+	// once into a real base matrix, lift it to complex, then per frequency
 	// restamp the reactive admittances on a copy and renumerate the one
 	// complex factorization — the pattern is analyzed at the first point
 	// and only the numeric sweep runs thereafter (numeric.ComplexLU).
+	inv := numeric.NewMatrix(dim, dim)
+	c.stampMatrix(inv, func(e *element) float64 {
+		if e.kind == kindSW {
+			return e.switchG(0)
+		}
+		return 0
+	})
 	base := make([]complex128, dim*dim)
-	rhs := make([]complex128, dim)
+	for i, v := range inv.Data {
+		base[i] = complex(v, 0)
+	}
 	stampY := func(m []complex128, a, b int, y complex128) {
 		if a >= 0 {
 			m[a*dim+a] += y
@@ -104,66 +106,23 @@ func (c *Circuit) AC(freqs []float64, acSource string) (*ACResult, error) {
 			m[b*dim+a] -= y
 		}
 	}
-	// Reactive stamp plan: node pairs and values of the elements restamped
-	// per frequency.
+	// Reactive stamp plan (node pairs and values of the elements
+	// restamped per frequency) and the unit excitation of acSource.
 	type reactive struct {
 		a, b int
 		val  float64 // capacitance (F) or inductance (H)
 		isL  bool
 	}
 	var reactives []reactive
+	rhs := make([]complex128, dim)
 	for _, e := range c.elems {
 		switch e.kind {
-		case kindR:
-			stampY(base, e.a, e.b, complex(1/e.value, 0))
-		case kindC:
-			reactives = append(reactives, reactive{a: e.a, b: e.b, val: e.value})
-		case kindL:
-			reactives = append(reactives, reactive{a: e.a, b: e.b, val: e.value, isL: true})
-		case kindSW:
-			r := e.roff
-			if e.ctrl(0) {
-				r = e.ron
-			}
-			stampY(base, e.a, e.b, complex(1/r, 0))
+		case kindC, kindL:
+			reactives = append(reactives, reactive{a: e.a, b: e.b, val: e.value, isL: e.kind == kindL})
 		case kindV:
-			if e.a >= 0 {
-				base[e.a*dim+e.branch] += 1
-				base[e.branch*dim+e.a] += 1
-			}
-			if e.b >= 0 {
-				base[e.b*dim+e.branch] -= 1
-				base[e.branch*dim+e.b] -= 1
-			}
 			if e.name == acSource {
 				rhs[e.branch] = 1
 			}
-		case kindVCVS:
-			if e.a >= 0 {
-				base[e.a*dim+e.branch] += 1
-				base[e.branch*dim+e.a] += 1
-			}
-			if e.b >= 0 {
-				base[e.b*dim+e.branch] -= 1
-				base[e.branch*dim+e.b] -= 1
-			}
-			if e.cp >= 0 {
-				base[e.branch*dim+e.cp] -= complex(e.gain, 0)
-			}
-			if e.cn >= 0 {
-				base[e.branch*dim+e.cn] += complex(e.gain, 0)
-			}
-		case kindVCCS:
-			g := complex(e.gain, 0)
-			addAt := func(row, col int, v complex128) {
-				if row >= 0 && col >= 0 {
-					base[row*dim+col] += v
-				}
-			}
-			addAt(e.a, e.cp, g)
-			addAt(e.a, e.cn, -g)
-			addAt(e.b, e.cp, -g)
-			addAt(e.b, e.cn, g)
 		case kindI:
 			if e.name == acSource {
 				// Unit AC current driven from b into a (so that the
@@ -177,9 +136,6 @@ func (c *Circuit) AC(freqs []float64, acSource string) (*ACResult, error) {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		base[i*dim+i] += 1e-12
-	}
 
 	m := make([]complex128, dim*dim)
 	x := make([]complex128, dim)
@@ -192,12 +148,11 @@ func (c *Circuit) AC(freqs []float64, acSource string) (*ACResult, error) {
 			case !r.isL:
 				stampY(m, r.a, r.b, complex(0, omega*r.val))
 			case omega == 0:
-				stampY(m, r.a, r.b, complex(1e9, 0)) // DC short
+				stampY(m, r.a, r.b, complex(gShort, 0)) // DC short
 			default:
 				stampY(m, r.a, r.b, complex(0, -1/(omega*r.val)))
 			}
 		}
-		var err error
 		if lu == nil {
 			lu, err = numeric.NewComplexLU(m, dim)
 		} else {

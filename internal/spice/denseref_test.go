@@ -1,11 +1,13 @@
 package spice
 
 // Reference implementations of the transient and AC analyses as they were
-// before the structure-aware kernel overhaul: per-state dense rebuild +
-// numeric.Factorize for Tran, a fresh dense complex Gaussian elimination
-// per frequency for AC. The equivalence suite pins the production paths
-// against these — they are the ground truth the optimized kernels must
-// reproduce within 1e-9 relative tolerance.
+// before the structure-aware kernel overhaul: a per-state dense rebuild
+// for Tran and a fresh dense complex matrix per frequency for AC, each
+// stamped element by element and solved by the plain pivoted Gaussian
+// elimination in refSolve. They share neither the production assembler
+// (mna.go) nor numeric.SparseLU. The equivalence suite pins the
+// production paths against these — they are the ground truth the
+// optimized kernels must reproduce within 1e-9 relative tolerance.
 
 import (
 	"fmt"
@@ -15,9 +17,9 @@ import (
 	"ivory/internal/numeric"
 )
 
-// tranDenseRef is the pre-overhaul Tran: rebuilds and densely factorizes
-// the full MNA matrix per switch state (cached by state-vector string) and
-// allocates a fresh solution per step.
+// tranDenseRef is the pre-overhaul Tran: rebuilds the full MNA matrix per
+// switch state (cached by state-vector string) and eliminates it afresh
+// at every step.
 func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -61,7 +63,7 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 			res.SourceI[e.name] = make([]float64, 0, steps+1)
 		}
 	}
-	cache := map[string]*numeric.LU{}
+	cache := map[string]*numeric.Matrix{}
 	stateKey := func(t float64) string {
 		key := make([]byte, 0, 8)
 		for _, e := range c.elems {
@@ -75,7 +77,7 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 		}
 		return string(key)
 	}
-	build := func(t float64) (*numeric.LU, error) {
+	build := func(t float64) *numeric.Matrix {
 		m := numeric.NewMatrix(dim, dim)
 		stamp := func(a, b int, g float64) {
 			if a >= 0 {
@@ -128,18 +130,14 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 					m.Add(e.branch, e.cn, e.gain)
 				}
 			case kindVCCS:
-				stampVCCS(m, e)
+				refStampVCCS(m, e)
 			}
 		}
 		for i := 0; i < n; i++ {
 			m.Add(i, i, 1e-12)
 		}
 		res.Refactorizations++
-		f, err := numeric.Factorize(m)
-		if err != nil {
-			return nil, fmt.Errorf("spice: singular MNA matrix: %w", err)
-		}
-		return f, nil
+		return m
 	}
 	rhs := make([]float64, dim)
 	x := make([]float64, dim)
@@ -155,7 +153,7 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 		}
 	}
 	// Initial backward-Euler step from ICs, identical to the production
-	// path (which kept this dense one-shot).
+	// path.
 	{
 		m := numeric.NewMatrix(dim, dim)
 		stamp := func(a, b int, g float64) {
@@ -225,7 +223,7 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 					m.Add(e.branch, e.cn, e.gain)
 				}
 			case kindVCCS:
-				stampVCCS(m, e)
+				refStampVCCS(m, e)
 			case kindI:
 				addI(e.a, e.b, -e.wave(0))
 			}
@@ -233,11 +231,11 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 		for i := 0; i < n; i++ {
 			m.Add(i, i, 1e-12)
 		}
-		f, err := numeric.Factorize(m)
+		x0, err := refSolve(m.Data, rhs, dim, math.Abs)
 		if err != nil {
 			return nil, fmt.Errorf("spice: singular matrix at t=0: %w", err)
 		}
-		copy(x, f.Solve(rhs))
+		copy(x, x0)
 		vAt := func(i int) float64 {
 			if i < 0 {
 				return 0
@@ -255,21 +253,17 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 		}
 	}
 	record(0)
-	var lu *numeric.LU
+	var lu *numeric.Matrix
 	curKey := ""
 	for s := 1; s <= steps; s++ {
 		t := float64(s) * h
 		key := stateKey(t)
 		if lu == nil || key != curKey {
-			if f, ok := cache[key]; ok {
-				lu = f
+			if m, ok := cache[key]; ok {
+				lu = m
 			} else {
-				f, err := build(t)
-				if err != nil {
-					return nil, err
-				}
-				cache[key] = f
-				lu = f
+				lu = build(t)
+				cache[key] = lu
 			}
 			curKey = key
 		}
@@ -298,7 +292,11 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 				addI(e.a, e.b, -e.wave(t))
 			}
 		}
-		copy(x, lu.Solve(rhs))
+		xs, err := refSolve(lu.Data, rhs, dim, math.Abs)
+		if err != nil {
+			return nil, fmt.Errorf("spice: singular MNA matrix: %w", err)
+		}
+		copy(x, xs)
 		res.Steps++
 		vAt := func(i int) float64 {
 			if i < 0 {
@@ -448,7 +446,7 @@ func acDenseRef(c *Circuit, freqs []float64, acSource string) (*ACResult, error)
 		for i := 0; i < n; i++ {
 			m[i*dim+i] += 1e-12
 		}
-		x, err := refSolveComplex(m, rhs, dim)
+		x, err := refSolve(m, rhs, dim, cmplx.Abs)
 		if err != nil {
 			return nil, fmt.Errorf("spice: AC solve failed at %g Hz: %w", f, err)
 		}
@@ -459,20 +457,36 @@ func acDenseRef(c *Circuit, freqs []float64, acSource string) (*ACResult, error)
 	return res, nil
 }
 
-func refSolveComplex(m []complex128, b []complex128, n int) ([]complex128, error) {
-	a := make([]complex128, len(m))
+// refStampVCCS stamps a voltage-controlled current source: current
+// gain*(v_cp - v_cn) flows from a to b.
+func refStampVCCS(m *numeric.Matrix, e *element) {
+	add := func(row, col int, v float64) {
+		if row >= 0 && col >= 0 {
+			m.Add(row, col, v)
+		}
+	}
+	add(e.a, e.cp, e.gain)
+	add(e.a, e.cn, -e.gain)
+	add(e.b, e.cp, -e.gain)
+	add(e.b, e.cn, e.gain)
+}
+
+// refSolve solves the dense row-major n-by-n system m*x = b by Gaussian
+// elimination with partial pivoting on abs, carrying b along.
+func refSolve[T float64 | complex128](m, b []T, n int, abs func(T) float64) ([]T, error) {
+	a := make([]T, len(m))
 	copy(a, m)
-	x := make([]complex128, n)
+	x := make([]T, n)
 	copy(x, b)
 	for k := 0; k < n; k++ {
-		p, mx := k, cmplx.Abs(a[k*n+k])
+		p, mx := k, abs(a[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if ab := cmplx.Abs(a[i*n+k]); ab > mx {
+			if ab := abs(a[i*n+k]); ab > mx {
 				p, mx = i, ab
 			}
 		}
 		if mx < 1e-300 {
-			return nil, fmt.Errorf("singular complex matrix")
+			return nil, fmt.Errorf("singular matrix")
 		}
 		if p != k {
 			for j := 0; j < n; j++ {

@@ -10,6 +10,7 @@ package spice
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 )
 
@@ -169,6 +170,61 @@ func TestTranEquivalenceWideSwitchMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareTran(t, got, want)
+}
+
+// buildControlledCircuit mixes every element kind, with both terminals of
+// the E and G sources off ground so each of their stamps counts.
+func buildControlledCircuit(t *testing.T) *Circuit {
+	t.Helper()
+	c, err := ParseNetlist(strings.NewReader(`
+V1 in 0 PULSE 0 1 100n 0.3
+E1 amp m in 0 3
+Rm m 0 5
+G1 o3 o2 in m 5m
+R1 amp x 10
+L1 x out 1u ic=0.1
+C1 out 0 10n ic=0.2
+R2 out 0 50
+C2 o2 0 1n
+R3 o2 0 1k
+R4 o3 0 2k
+I1 out 0 PWL 0 0 1u 0.1 2u 0.05
+S1 x 0 1 DUTY 5meg 0.4
+S2 o2 out 2 CLK 5meg 2
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// The controlled sources stamp off-diagonal, sign-sensitive entries that
+// the converter netlists never exercise; the production assembler and the
+// reference's own stamps must agree on every one of them.
+func TestTranEquivalenceControlledSources(t *testing.T) {
+	h, T := 1e-9, 4e-6
+	want, err := tranDenseRef(buildControlledCircuit(t), h, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := buildControlledCircuit(t).Tran(h, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareTran(t, got, want)
+}
+
+func TestACEquivalenceControlledSources(t *testing.T) {
+	freqs := acSweepFreqs()
+	want, err := acDenseRef(buildControlledCircuit(t), freqs, "V1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := buildControlledCircuit(t).AC(freqs, "V1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareAC(t, got, want)
 }
 
 func nameOf(prefix string, i int) string {

@@ -23,90 +23,23 @@ func (c *Circuit) OP() (*OPResult, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	n := len(c.nodeName)
-	nb := 0
-	for _, e := range c.elems {
-		if e.kind == kindV || e.kind == kindVCVS {
-			e.branch = n + nb
-			nb++
-		}
-	}
-	dim := n + nb
-	if dim == 0 {
-		return nil, fmt.Errorf("spice: empty circuit")
+	dim, err := c.numberBranches()
+	if err != nil {
+		return nil, err
 	}
 	m := numeric.NewMatrix(dim, dim)
-	rhs := make([]float64, dim)
-	stamp := func(a, b int, g float64) {
-		if a >= 0 {
-			m.Add(a, a, g)
-		}
-		if b >= 0 {
-			m.Add(b, b, g)
-		}
-		if a >= 0 && b >= 0 {
-			m.Add(a, b, -g)
-			m.Add(b, a, -g)
-		}
-	}
-	addI := func(a, b int, i float64) {
-		if a >= 0 {
-			rhs[a] += i
-		}
-		if b >= 0 {
-			rhs[b] -= i
-		}
-	}
-	const gShort = 1e9
-	for _, e := range c.elems {
+	c.stampMatrix(m, func(e *element) float64 {
 		switch e.kind {
-		case kindR:
-			stamp(e.a, e.b, 1/e.value)
 		case kindC:
-			// open: nothing (Gmin below keeps nodes defined)
+			return 0 // open; Gmin keeps the nodes defined
 		case kindL:
-			stamp(e.a, e.b, gShort)
-		case kindSW:
-			r := e.roff
-			if e.ctrl(0) {
-				r = e.ron
-			}
-			stamp(e.a, e.b, 1/r)
-		case kindV:
-			if e.a >= 0 {
-				m.Add(e.a, e.branch, 1)
-				m.Add(e.branch, e.a, 1)
-			}
-			if e.b >= 0 {
-				m.Add(e.b, e.branch, -1)
-				m.Add(e.branch, e.b, -1)
-			}
-			rhs[e.branch] = e.wave(0)
-		case kindVCVS:
-			if e.a >= 0 {
-				m.Add(e.a, e.branch, 1)
-				m.Add(e.branch, e.a, 1)
-			}
-			if e.b >= 0 {
-				m.Add(e.b, e.branch, -1)
-				m.Add(e.branch, e.b, -1)
-			}
-			if e.cp >= 0 {
-				m.Add(e.branch, e.cp, -e.gain)
-			}
-			if e.cn >= 0 {
-				m.Add(e.branch, e.cn, e.gain)
-			}
-		case kindVCCS:
-			stampVCCS(m, e)
-		case kindI:
-			addI(e.a, e.b, -e.wave(0))
+			return gShort
 		}
-	}
-	for i := 0; i < n; i++ {
-		m.Add(i, i, 1e-12)
-	}
-	f, err := numeric.Factorize(m)
+		return e.switchG(0)
+	})
+	rhs := make([]float64, dim)
+	c.stampRHS(rhs, 0, nil)
+	f, err := numeric.NewSparseLU(m)
 	if err != nil {
 		return nil, fmt.Errorf("spice: singular DC matrix: %w", err)
 	}

@@ -307,6 +307,13 @@ type rhsStamp struct {
 	e    *element
 }
 
+// maxTranSamples caps the samples (ceil(T/h) + 1) one Tran may record.
+// Every node and voltage source keeps a float64 column of that length, so
+// the cap turns a mistyped step or span into an error instead of an
+// out-of-range allocation. The largest paper run (Fig. 4 at 500 MHz)
+// records about 1.6e5 samples.
+const maxTranSamples = 1 << 24
+
 // Tran runs a transient simulation with fixed step h over [0, T]. Initial
 // conditions come from the declared element ICs (nodes start at the voltage
 // implied by capacitor ICs where determined, 0 otherwise, via one backward-
@@ -321,22 +328,18 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if h <= 0 || T <= 0 || T < h {
-		return nil, fmt.Errorf("spice: need 0 < h <= T (h=%g, T=%g)", h, T)
+	if !(h > 0 && T >= h) || math.IsInf(T, 0) {
+		return nil, fmt.Errorf("spice: need finite 0 < h <= T (h=%g, T=%g)", h, T)
+	}
+	if samples := math.Ceil(T/h) + 1; samples > maxTranSamples {
+		return nil, fmt.Errorf("spice: T/h asks for %.3g samples, more than the %d limit (h=%g, T=%g)",
+			samples, maxTranSamples, h, T)
+	}
+	dim, err := c.numberBranches()
+	if err != nil {
+		return nil, err
 	}
 	n := len(c.nodeName)
-	// Assign branch indices to voltage sources.
-	nb := 0
-	for _, e := range c.elems {
-		if e.kind == kindV || e.kind == kindVCVS {
-			e.branch = n + nb
-			nb++
-		}
-	}
-	dim := n + nb
-	if dim == 0 {
-		return nil, fmt.Errorf("spice: empty circuit")
-	}
 
 	// Initialize companion states from ICs and gather the per-kind stamp
 	// plans that drive the allocation-free inner loop.
@@ -385,51 +388,15 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 	// conductances, source/controlled-source incidence, Gmin). Switch
 	// conductances are restamped per cached state into work.
 	base := numeric.NewMatrix(dim, dim)
-	stampG := func(m *numeric.Matrix, a, b int, g float64) {
-		if a >= 0 {
-			m.Add(a, a, g)
-		}
-		if b >= 0 {
-			m.Add(b, b, g)
-		}
-		if a >= 0 && b >= 0 {
-			m.Add(a, b, -g)
-			m.Add(b, a, -g)
-		}
-	}
-	for _, e := range c.elems {
+	c.stampMatrix(base, func(e *element) float64 {
 		switch e.kind {
-		case kindR:
-			stampG(base, e.a, e.b, 1/e.value)
 		case kindC:
-			stampG(base, e.a, e.b, 2*e.value/h)
+			return 2 * e.value / h
 		case kindL:
-			stampG(base, e.a, e.b, h/(2*e.value))
-		case kindV, kindVCVS:
-			if e.a >= 0 {
-				base.Add(e.a, e.branch, 1)
-				base.Add(e.branch, e.a, 1)
-			}
-			if e.b >= 0 {
-				base.Add(e.b, e.branch, -1)
-				base.Add(e.branch, e.b, -1)
-			}
-			if e.kind == kindVCVS {
-				if e.cp >= 0 {
-					base.Add(e.branch, e.cp, -e.gain)
-				}
-				if e.cn >= 0 {
-					base.Add(e.branch, e.cn, e.gain)
-				}
-			}
-		case kindVCCS:
-			stampVCCS(base, e)
+			return h / (2 * e.value)
 		}
-	}
-	// Ground leak on every node guards against floating subcircuits.
-	for i := 0; i < n; i++ {
-		base.Add(i, i, 1e-12)
-	}
+		return 0
+	})
 	work := numeric.NewMatrix(dim, dim)
 
 	// Factorization cache keyed by the switch-state bitmask. The first
@@ -502,6 +469,12 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 
 	rhs := make([]float64, dim)
 	x := make([]float64, dim)
+	vAt := func(i int) float64 {
+		if i < 0 {
+			return 0
+		}
+		return x[i]
+	}
 	record := func(s int, t float64) {
 		res.Times[s] = t
 		for i := range vcols {
@@ -519,122 +492,37 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 	// dynamic range of the regular stamps, keeping the matrix well
 	// conditioned; capacitor voltages relax by at most one step from their
 	// ICs, which the warm-up cycles absorb.
-	hInit := h
-	{
-		m := numeric.NewMatrix(dim, dim)
-		stamp := func(a, b int, g float64) {
-			if a >= 0 {
-				m.Add(a, a, g)
-			}
-			if b >= 0 {
-				m.Add(b, b, g)
-			}
-			if a >= 0 && b >= 0 {
-				m.Add(a, b, -g)
-				m.Add(b, a, -g)
-			}
+	m0 := numeric.NewMatrix(dim, dim)
+	c.stampMatrix(m0, func(e *element) float64 {
+		switch e.kind {
+		case kindC:
+			return e.value / h
+		case kindL:
+			return h / e.value
 		}
-		for i := range rhs {
-			rhs[i] = 0
+		return e.switchG(0)
+	})
+	c.stampRHS(rhs, 0, func(e *element) float64 {
+		if e.kind == kindC {
+			return e.value / h * e.aux // pins v_ab ~ ic
 		}
-		addI := func(a, b int, i float64) {
-			if a >= 0 {
-				rhs[a] += i
-			}
-			if b >= 0 {
-				rhs[b] -= i
-			}
-		}
-		for _, e := range c.elems {
-			switch e.kind {
-			case kindR:
-				stamp(e.a, e.b, 1/e.value)
-			case kindC:
-				g := e.value / hInit
-				stamp(e.a, e.b, g)
-				addI(e.a, e.b, g*e.aux) // pins v_ab ~ ic
-			case kindL:
-				g := hInit / e.value
-				stamp(e.a, e.b, g)
-				addI(e.a, e.b, -e.state)
-			case kindSW:
-				r := e.roff
-				if e.ctrl(0) {
-					r = e.ron
-				}
-				stamp(e.a, e.b, 1/r)
-			case kindV:
-				if e.a >= 0 {
-					m.Add(e.a, e.branch, 1)
-					m.Add(e.branch, e.a, 1)
-				}
-				if e.b >= 0 {
-					m.Add(e.b, e.branch, -1)
-					m.Add(e.branch, e.b, -1)
-				}
-				rhs[e.branch] = e.wave(0)
-			case kindVCVS:
-				if e.a >= 0 {
-					m.Add(e.a, e.branch, 1)
-					m.Add(e.branch, e.a, 1)
-				}
-				if e.b >= 0 {
-					m.Add(e.b, e.branch, -1)
-					m.Add(e.branch, e.b, -1)
-				}
-				if e.cp >= 0 {
-					m.Add(e.branch, e.cp, -e.gain)
-				}
-				if e.cn >= 0 {
-					m.Add(e.branch, e.cn, e.gain)
-				}
-			case kindVCCS:
-				stampVCCS(m, e)
-			case kindI:
-				addI(e.a, e.b, -e.wave(0))
-			}
-		}
-		for i := 0; i < n; i++ {
-			m.Add(i, i, 1e-12)
-		}
-		f, err := numeric.Factorize(m)
-		if err != nil {
-			return nil, fmt.Errorf("spice: singular matrix at t=0: %w", err)
-		}
-		f.SolveInto(x, rhs)
-		// Seed companion states from the t=0 solution.
-		vAt := func(i int) float64 {
-			if i < 0 {
-				return 0
-			}
-			return x[i]
-		}
-		for _, e := range c.elems {
-			switch e.kind {
-			case kindC:
-				e.aux = vAt(e.a) - vAt(e.b)
-				e.state = 0
-			case kindL:
-				e.aux = 0
-			}
-		}
+		return -e.state
+	})
+	f0, err := numeric.NewSparseLU(m0)
+	if err != nil {
+		return nil, fmt.Errorf("spice: singular matrix at t=0: %w", err)
+	}
+	f0.SolveInto(x, rhs)
+	// Seed companion states from the t=0 solution.
+	for i := range caps {
+		caps[i].e.aux = vAt(caps[i].a) - vAt(caps[i].b)
+		caps[i].e.state = 0
+	}
+	for i := range inds {
+		inds[i].e.aux = 0
 	}
 	record(0, 0)
 
-	addI := func(a, b int, i float64) {
-		if a >= 0 {
-			rhs[a] += i
-		}
-		if b >= 0 {
-			rhs[b] -= i
-		}
-	}
-	vAt := func(i int) float64 {
-		if i < 0 {
-			return 0
-		}
-		return x[i]
-	}
 	var lu *numeric.SparseLU
 	for s := 1; s <= steps; s++ {
 		t := float64(s) * h
@@ -672,18 +560,18 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 		for i := range caps {
 			// Trapezoidal companion: Ieq = g*v + i (into node a).
 			st := &caps[i]
-			addI(st.a, st.b, st.g*st.e.aux+st.e.state)
+			addI(rhs, st.a, st.b, st.g*st.e.aux+st.e.state)
 		}
 		for i := range inds {
 			// Norton companion: Ieq = -(i + g*v).
 			st := &inds[i]
-			addI(st.a, st.b, -(st.e.state + st.g*st.e.aux))
+			addI(rhs, st.a, st.b, -(st.e.state + st.g*st.e.aux))
 		}
 		for _, e := range vsrcs {
 			rhs[e.branch] = e.wave(t)
 		}
 		for _, e := range isrcs {
-			addI(e.a, e.b, -e.wave(t))
+			addI(rhs, e.a, e.b, -e.wave(t))
 		}
 		lu.SolveInto(x, rhs)
 		res.Steps++
@@ -705,18 +593,4 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 		record(s, t)
 	}
 	return res, nil
-}
-
-// stampVCCS stamps a voltage-controlled current source into the MNA matrix:
-// current gain*(v_cp - v_cn) flows from a to b.
-func stampVCCS(m *numeric.Matrix, e *element) {
-	add := func(row, col int, v float64) {
-		if row >= 0 && col >= 0 {
-			m.Add(row, col, v)
-		}
-	}
-	add(e.a, e.cp, e.gain)
-	add(e.a, e.cn, -e.gain)
-	add(e.b, e.cp, -e.gain)
-	add(e.b, e.cn, e.gain)
 }

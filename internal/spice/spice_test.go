@@ -191,6 +191,17 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := c3.Tran(0, 1e-6); err == nil {
 		t.Error("zero step must fail")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, hT := range [][2]float64{
+		{nan, 1e-6}, {1e-9, nan}, {nan, nan}, // NaN gets past h <= 0 and T < h
+		{1e-9, inf}, {inf, inf}, {-inf, 1e-6},
+		{1e-15, 1},          // 1e15 samples: would not fit in a slice
+		{1, maxTranSamples}, // ceil(T/h)+1 = cap+1
+	} {
+		if _, err := c3.Tran(hT[0], hT[1]); err == nil {
+			t.Errorf("Tran(h=%g, T=%g) must fail", hT[0], hT[1])
+		}
+	}
 }
 
 func TestEnergyConservationRC(t *testing.T) {
