@@ -442,38 +442,36 @@ func geomspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// evalSC sizes and evaluates the two allocation-policy candidates of one
-// (topology, cap kind, cap share) cell. Both conductance-allocation
-// policies are candidates: the cost-aware split wins when gate drive
-// dominates, the plain a_r split when the FSL budget is tight (it keeps
-// C·f_sw — and bottom-plate loss — lower).
-func evalSC(out *shard, spec Spec, node *tech.Node, an *topology.Analysis,
-	capKind tech.CapacitorKind, capOpt tech.CapacitorOption, capShare, usable float64) {
-	for _, uniform := range []bool{false, true} {
-		evalSCPolicy(out, spec, node, an, capKind, capOpt, capShare, usable, uniform)
-	}
-}
-
 // evalSCPolicy sizes and evaluates one (topology, cap kind, cap share,
 // allocation policy) configuration — the unit the adaptive search counts
-// and prunes individually.
-func evalSCPolicy(out *shard, spec Spec, node *tech.Node, an *topology.Analysis,
-	capKind tech.CapacitorKind, capOpt tech.CapacitorOption, capShare, usable float64, uniform bool) {
+// and prunes individually. Both conductance-allocation policies are
+// candidates: the cost-aware split wins when gate drive dominates, the
+// plain a_r split when the FSL budget is tight (it keeps C·f_sw — and
+// bottom-plate loss — lower). Sizing runs against the topology's switch
+// plan, built once per exploration.
+func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
+	spec, an, plan := ec.spec, ec.topos[ref.Topo], ec.plans[ref.Topo]
+	capKind, capOpt := scCapKinds[ref.Cap], ec.capOpts[ref.Cap]
+	capShare, usable := scCapShares[ref.Axis], ec.usable
+	if plan == nil {
+		out.rejected++
+		return
+	}
 	cTot := capOpt.DensityFPerM2 * usable * capShare * 0.9 // 10% to decap
 	cDecap := capOpt.DensityFPerM2 * usable * capShare * 0.1
-	gTot, err := sc.GTotalForSwitchArea(an, node, spec.VIn, usable*(1-capShare))
+	gTot, err := plan.GTotalForArea(usable * (1 - capShare))
 	if err != nil {
 		out.rejected++
 		return
 	}
 	cfg := sc.Config{
-		Analysis: an, Node: node, CapKind: capKind,
+		Analysis: an, Node: ec.node, CapKind: capKind,
 		VIn: spec.VIn, VOut: spec.VOut,
 		CTotal: cTot, GTotal: gTot, CDecap: cDecap,
 		FSwMax:                  spec.FSwMax,
-		UniformSwitchAllocation: uniform,
+		UniformSwitchAllocation: ref.Pol == PolUniform,
 	}
-	d, err := sc.New(cfg)
+	d, err := plan.New(cfg)
 	if err != nil {
 		out.rejected++
 		return
@@ -492,8 +490,7 @@ func evalSCPolicy(out *shard, spec Spec, node *tech.Node, an *topology.Analysis,
 		if n > 64 {
 			n = 64
 		}
-		cfg.Interleave = n
-		d2, err := sc.New(cfg)
+		d2, err := d.WithInterleave(n)
 		if err != nil {
 			out.rejected++
 			return

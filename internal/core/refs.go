@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"ivory/internal/parallel"
+	"ivory/internal/sc"
 	"ivory/internal/tech"
 	"ivory/internal/topology"
 )
@@ -81,6 +82,7 @@ type evalContext struct {
 
 	// SC axes (resolved only when KindSC is explored).
 	topos   []*topology.Analysis // scRatios order; nil = analysis failed (pre-rejected)
+	plans   []*sc.SwitchPlan     // aligned with topos; nil = switch mapping failed (rejected per configuration)
 	capOpts []tech.CapacitorOption
 	capOK   []bool
 
@@ -101,9 +103,15 @@ func newEvalContext(spec Spec, node *tech.Node) *evalContext {
 				an, err := top.Analyze()
 				if err != nil {
 					ec.topos = append(ec.topos, nil)
+					ec.plans = append(ec.plans, nil)
 					continue
 				}
+				// A failed switch mapping leaves a nil plan: each of the
+				// topology's configurations is then rejected, as it was when
+				// every configuration mapped its own switches.
+				plan, _ := sc.PlanSwitches(an, node, spec.VIn)
 				ec.topos = append(ec.topos, an)
+				ec.plans = append(ec.plans, plan)
 			}
 			ec.capOpts = make([]tech.CapacitorOption, len(scCapKinds))
 			ec.capOK = make([]bool, len(scCapKinds))
@@ -223,14 +231,14 @@ func (ec *evalContext) validate(ref ConfigRef) error {
 func (ec *evalContext) eval(ref ConfigRef, out *shard) {
 	switch ref.Kind {
 	case KindSC:
-		an := ec.topos[ref.Topo]
-		capKind, capOpt := scCapKinds[ref.Cap], ec.capOpts[ref.Cap]
-		share := scCapShares[ref.Axis]
 		if ref.Pol == PolBoth {
-			evalSC(out, ec.spec, ec.node, an, capKind, capOpt, share, ec.usable)
+			for _, pol := range [...]int{PolCostAware, PolUniform} {
+				ref.Pol = pol
+				ec.evalSCPolicy(out, ref)
+			}
 			return
 		}
-		evalSCPolicy(out, ec.spec, ec.node, an, capKind, capOpt, share, ec.usable, ref.Pol == PolUniform)
+		ec.evalSCPolicy(out, ref)
 	case KindBuck:
 		evalBuck(out, ec.spec, ec.node, ec.ind, ec.outCapKind, ec.phasePlans[ref.Topo], buckFreqs[ref.Axis])
 	case KindLDO:

@@ -98,16 +98,24 @@ func (m Metrics) String() string {
 }
 
 // InfeasibleError reports that a design cannot meet its operating point.
+// The reason is formatted only when read: a design-space sweep rejects
+// most of the configurations it sizes and never reads why.
 type InfeasibleError struct {
 	Design string
-	Reason string
+	format string
+	args   []any
 }
+
+// Reason describes why the design is infeasible.
+func (e *InfeasibleError) Reason() string { return fmt.Sprintf(e.format, e.args...) }
 
 func (e *InfeasibleError) Error() string {
-	return fmt.Sprintf("ivr: %s infeasible: %s", e.Design, e.Reason)
+	return fmt.Sprintf("ivr: %s infeasible: %s", e.Design, e.Reason())
 }
 
-// Infeasible constructs an InfeasibleError.
+// Infeasible constructs an InfeasibleError. The args are kept unformatted
+// until the message is read, so they must be values that do not change
+// afterwards.
 func Infeasible(design, format string, args ...any) error {
-	return &InfeasibleError{Design: design, Reason: fmt.Sprintf(format, args...)}
+	return &InfeasibleError{Design: design, format: format, args: args}
 }

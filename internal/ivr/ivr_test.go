@@ -44,10 +44,10 @@ func TestInfeasibleError(t *testing.T) {
 	if inf.Design != "my design" {
 		t.Errorf("design = %q", inf.Design)
 	}
-	if !strings.Contains(err.Error(), "needs 3 more capacitors") {
-		t.Errorf("message = %q", err.Error())
+	if got, want := inf.Reason(), "needs 3 more capacitors"; got != want {
+		t.Errorf("Reason() = %q, want %q", got, want)
 	}
-	if !strings.Contains(err.Error(), "my design") {
-		t.Errorf("message should name the design: %q", err.Error())
+	if got, want := err.Error(), "ivr: my design infeasible: needs 3 more capacitors"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
 	}
 }

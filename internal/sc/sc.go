@@ -14,6 +14,14 @@
 // from the technology database, plus die area. Interleaving divides the
 // converter into N phase-shifted slices, leaving static efficiency
 // essentially unchanged while dividing the output ripple.
+//
+// A design-space sweep sizes many designs of one topology at one input
+// voltage. Their device mapping — the device, stack depth and conductance
+// weight of every switch — depends on neither the capacitance nor the
+// conductance total, so the sweep builds it once with PlanSwitches and
+// sizes each configuration with SwitchPlan.New; New does both steps for a
+// single design. Design.WithInterleave re-slices a sized design without
+// sizing it again.
 package sc
 
 import (
@@ -71,7 +79,8 @@ type Config struct {
 type Design struct {
 	cfg Config
 
-	// Per-switch device mapping.
+	// Per-switch device mapping, shared read-only with the SwitchPlan the
+	// design was sized from.
 	devs   []tech.SwitchDevice
 	stacks []int
 	gShare []float64 // per-switch conductance (S)
@@ -100,6 +109,20 @@ const (
 // loss-optimal split), and maps every switch onto the cheapest technology
 // device able to block its off-state voltage.
 func New(cfg Config) (*Design, error) {
+	d, err := prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, err := PlanSwitches(d.cfg.Analysis, d.cfg.Node, d.cfg.VIn)
+	if err != nil {
+		return nil, err
+	}
+	return p.size(d)
+}
+
+// prepare validates and defaults the configuration and allocates the
+// flying capacitance: every step of New that precedes the switch mapping.
+func prepare(cfg Config) (*Design, error) {
 	if cfg.Analysis == nil {
 		return nil, fmt.Errorf("sc: Config.Analysis is required")
 	}
@@ -165,19 +188,111 @@ func New(cfg Config) (*Design, error) {
 				"capacitor %d holds %.2f V, above the %.2f V rating of %v caps", i, v, capOpt.VMax, cfg.CapKind)
 		}
 	}
-	// Per-switch device selection and conductance allocation.
-	devs, stacks, weights, err := switchPlan(an, cfg.Node, cfg.VIn, cfg.UniformSwitchAllocation)
+	return d, nil
+}
+
+// SwitchPlan is the part of SC sizing that depends only on the topology,
+// the node and the input voltage: the device and stack depth of every
+// switch and the conductance weights of both allocation policies. A plan
+// and the slices it shares with the designs sized from it are never
+// written after PlanSwitches returns, so one plan serves any number of
+// goroutines.
+type SwitchPlan struct {
+	an   *topology.Analysis
+	node *tech.Node
+	vin  float64
+
+	devs   []tech.SwitchDevice
+	stacks []int
+	// costAware and uniform are the normalized per-switch conductance
+	// weights of the two allocation policies (Config.UniformSwitchAllocation).
+	costAware, uniform []float64
+	// costPerG is the switch area per siemens of G_total under the
+	// cost-aware split: Σ w_i · s_i² · RonW_i · AreaPerW_i.
+	costPerG float64
+}
+
+// PlanSwitches maps each switch of the topology onto a technology device
+// (respecting its blocking voltage) and computes the conductance allocation
+// weights. Weights follow the loss-optimal split for heterogeneous
+// switches: G_i ∝ a_r,i / sqrt(κ_i), where κ_i = stack²·RonW·CgW·Vdrive² is
+// the switch's conduction-times-gate-energy cost. For a topology whose
+// switches all use the same device this reduces to the paper's G_i ∝ a_r,i
+// split and reproduces R_FSL = (Σa_r)²/(G_tot·D) exactly. The uniform
+// policy keeps the plain G_i ∝ a_r,i split.
+//
+//lint:ignore nonfinite every design sized from the plan checks its switch widths and GTotalForArea its result
+func PlanSwitches(an *topology.Analysis, node *tech.Node, vin float64) (*SwitchPlan, error) {
+	if an == nil || node == nil {
+		return nil, fmt.Errorf("sc: PlanSwitches needs a topology analysis and a node")
+	}
+	p := &SwitchPlan{
+		an: an, node: node, vin: vin,
+		devs:      make([]tech.SwitchDevice, an.NumSwitches),
+		stacks:    make([]int, an.NumSwitches),
+		costAware: make([]float64, an.NumSwitches),
+		uniform:   make([]float64, an.NumSwitches),
+	}
+	costSum, uniformSum := 0.0, 0.0
+	for i, m := range an.SwitchMultipliers {
+		vBlock := an.SwitchBlockVoltages[i] * vin
+		if vBlock < 0.1*vin {
+			vBlock = 0.1 * vin // floor: every switch sees some stress
+		}
+		dev, stack, err := node.SwitchForVoltage(vBlock)
+		if err != nil {
+			return nil, err
+		}
+		p.devs[i] = dev
+		p.stacks[i] = stack
+		vdr := dev.VDrive
+		kappa := float64(stack*stack) * dev.ROnWidth * dev.CGatePerWidth * vdr * vdr
+		p.costAware[i] = m / math.Sqrt(kappa)
+		p.uniform[i] = m
+		costSum += p.costAware[i]
+		uniformSum += m
+	}
+	if costSum <= 0 || uniformSum <= 0 {
+		return nil, fmt.Errorf("sc: degenerate switch multipliers in %s", an.Name)
+	}
+	for i := range p.devs {
+		p.costAware[i] /= costSum
+		p.uniform[i] /= uniformSum
+		p.costPerG += p.costAware[i] * float64(p.stacks[i]*p.stacks[i]) * p.devs[i].ROnWidth * p.devs[i].AreaPerWidth
+	}
+	return p, nil
+}
+
+// New sizes cfg against the plan: it equals the package-level New(cfg)
+// bit for bit, without re-deriving the switch mapping. cfg must name the
+// plan's topology analysis, node and input voltage.
+func (p *SwitchPlan) New(cfg Config) (*Design, error) {
+	d, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	d.devs = devs
-	d.stacks = stacks
-	d.gShare = make([]float64, an.NumSwitches)
-	d.widths = make([]float64, an.NumSwitches)
-	for i := range devs {
-		d.gShare[i] = cfg.GTotal * weights[i]
+	if cfg.Analysis != p.an || cfg.Node != p.node || math.Float64bits(cfg.VIn) != math.Float64bits(p.vin) {
+		return nil, fmt.Errorf("sc: switch plan for %s on %s at %g V does not match config (%s on %s at %g V)",
+			p.an.Name, p.node.Name, p.vin, cfg.Analysis.Name, cfg.Node.Name, cfg.VIn)
+	}
+	return p.size(d)
+}
+
+// size allocates the conductance total across the plan's switches under
+// the design's allocation policy and derives the switch widths.
+func (p *SwitchPlan) size(d *Design) (*Design, error) {
+	weights := p.costAware
+	if d.cfg.UniformSwitchAllocation {
+		weights = p.uniform
+	}
+	d.devs = p.devs
+	d.stacks = p.stacks
+	d.gShare = make([]float64, len(p.devs))
+	d.widths = make([]float64, len(p.devs))
+	for i := range p.devs {
+		d.gShare[i] = d.cfg.GTotal * weights[i]
 		// Stack of s devices in series: total R = s * RonW/W.
-		d.widths[i] = float64(stacks[i]) * devs[i].ROnWidth * d.gShare[i]
+		d.widths[i] = float64(p.stacks[i]) * p.devs[i].ROnWidth * d.gShare[i]
 	}
 	if err := numeric.AllFinite("sc: capacitor allocation", d.capC...); err != nil {
 		return nil, err
@@ -188,45 +303,22 @@ func New(cfg Config) (*Design, error) {
 	return d, nil
 }
 
-// switchPlan maps each switch of the topology onto a technology device
-// (respecting its blocking voltage) and computes the conductance allocation
-// weights. Weights follow the loss-optimal split for heterogeneous
-// switches: G_i ∝ a_r,i / sqrt(κ_i), where κ_i = stack²·RonW·CgW·Vdrive² is
-// the switch's conduction-times-gate-energy cost. For a topology whose
-// switches all use the same device this reduces to the paper's G_i ∝ a_r,i
-// split and reproduces R_FSL = (Σa_r)²/(G_tot·D) exactly.
-func switchPlan(an *topology.Analysis, node *tech.Node, vin float64, uniform bool) (devs []tech.SwitchDevice, stacks []int, weights []float64, err error) {
-	devs = make([]tech.SwitchDevice, an.NumSwitches)
-	stacks = make([]int, an.NumSwitches)
-	weights = make([]float64, an.NumSwitches)
-	sum := 0.0
-	for i, m := range an.SwitchMultipliers {
-		vBlock := an.SwitchBlockVoltages[i] * vin
-		if vBlock < 0.1*vin {
-			vBlock = 0.1 * vin // floor: every switch sees some stress
-		}
-		dev, stack, err := node.SwitchForVoltage(vBlock)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		devs[i] = dev
-		stacks[i] = stack
-		vdr := dev.VDrive
-		kappa := float64(stack*stack) * dev.ROnWidth * dev.CGatePerWidth * vdr * vdr
-		w := m / math.Sqrt(kappa)
-		if uniform {
-			w = m
-		}
-		weights[i] = w
-		sum += w
+// GTotalForArea returns the total conductance achievable with the given
+// switch area (m²) under the plan's device mapping. Conductance shares
+// follow the cost-aware split, so area relates to G_total through the
+// weighted stack costs: area = G_total · Σ w_i · s_i² · RonW_i · AreaPerW_i.
+func (p *SwitchPlan) GTotalForArea(areaM2 float64) (float64, error) {
+	if areaM2 <= 0 {
+		return 0, fmt.Errorf("sc: switch area must be positive")
 	}
-	if sum <= 0 {
-		return nil, nil, nil, fmt.Errorf("sc: degenerate switch multipliers in %s", an.Name)
+	if p.costPerG <= 0 {
+		return 0, fmt.Errorf("sc: degenerate switch multipliers")
 	}
-	for i := range weights {
-		weights[i] /= sum
+	gTotal := areaM2 / p.costPerG
+	if err := numeric.Finite("sc: G_total for switch area", gTotal); err != nil {
+		return 0, err
 	}
-	return devs, stacks, weights, nil
+	return gTotal, nil
 }
 
 // Config returns the (defaulted) configuration of the design.
@@ -423,6 +515,19 @@ func (d *Design) Area() float64 {
 	return a * routingTax
 }
 
+// WithInterleave returns a copy of the design split into n phase-shifted
+// slices. Interleaving changes only the control loss, the ripple and the
+// area, so the copy shares every sized slice with d and equals New with
+// Config.Interleave = n bit for bit.
+func (d *Design) WithInterleave(n int) (*Design, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("sc: interleave %d must be >= 1", n)
+	}
+	dd := *d
+	dd.cfg.Interleave = n
+	return &dd, nil
+}
+
 // SwitchArea returns only the power-switch area (m²), used by area-split
 // optimization.
 func (d *Design) SwitchArea() float64 {
@@ -431,33 +536,6 @@ func (d *Design) SwitchArea() float64 {
 		a += float64(d.stacks[i]) * d.devs[i].Area(d.widths[i])
 	}
 	return a
-}
-
-// GTotalForSwitchArea returns the total conductance achievable with the
-// given switch area (m²) for this design's topology and voltage mapping.
-// Conductance shares follow the optimal |a_r| split, so area relates to
-// G_total through the multiplier-weighted stack costs.
-func GTotalForSwitchArea(an *topology.Analysis, node *tech.Node, vin, areaM2 float64) (float64, error) {
-	if areaM2 <= 0 {
-		return 0, fmt.Errorf("sc: switch area must be positive")
-	}
-	devs, stacks, weights, err := switchPlan(an, node, vin, false)
-	if err != nil {
-		return 0, err
-	}
-	// area = G_total · Σ w_i · s_i² · RonW_i · AreaPerW_i
-	denom := 0.0
-	for i := range devs {
-		denom += weights[i] * float64(stacks[i]*stacks[i]) * devs[i].ROnWidth * devs[i].AreaPerWidth
-	}
-	if denom <= 0 {
-		return 0, fmt.Errorf("sc: degenerate switch multipliers")
-	}
-	gTotal := areaM2 / denom
-	if err := numeric.Finite("sc: G_total for switch area", gTotal); err != nil {
-		return 0, err
-	}
-	return gTotal, nil
 }
 
 // EfficiencyCurve sweeps the open-loop output voltage from vLo to vHi (by

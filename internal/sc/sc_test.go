@@ -305,7 +305,7 @@ func TestEfficiencyPeaksNearIdealRatio(t *testing.T) {
 	}
 }
 
-func TestGTotalForSwitchAreaRoundTrip(t *testing.T) {
+func TestGTotalForAreaRoundTrip(t *testing.T) {
 	cfg := baseConfig(t)
 	d, err := New(cfg)
 	if err != nil {
@@ -315,14 +315,18 @@ func TestGTotalForSwitchAreaRoundTrip(t *testing.T) {
 	if area <= 0 {
 		t.Fatal("switch area must be positive")
 	}
-	g, err := GTotalForSwitchArea(cfg.Analysis, cfg.Node, cfg.VIn, area)
+	plan, err := PlanSwitches(cfg.Analysis, cfg.Node, cfg.VIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := plan.GTotalForArea(area)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(g-cfg.GTotal)/cfg.GTotal > 1e-9 {
 		t.Errorf("round trip GTotal = %v, want %v", g, cfg.GTotal)
 	}
-	if _, err := GTotalForSwitchArea(cfg.Analysis, cfg.Node, cfg.VIn, 0); err == nil {
+	if _, err := plan.GTotalForArea(0); err == nil {
 		t.Error("zero area must fail")
 	}
 }

@@ -284,13 +284,12 @@ func (n *Node) Inductor(kind InductorKind) (InductorOption, error) {
 // both on-resistance and area by the stack count. Core devices are preferred
 // while the stack stays small because their R·C figure of merit is better.
 func (n *Node) SwitchForVoltage(v float64) (SwitchDevice, int, error) {
-	type cand struct {
-		dev   SwitchDevice
-		stack int
-		fom   float64
-	}
-	var best *cand
-	for _, class := range []DeviceClass{CoreDevice, IODevice} {
+	// The best candidate lives in locals and the classes in an array, so
+	// the lookup allocates nothing on success: it sits under every SC
+	// switch plan and every buck/LDO design.
+	var best SwitchDevice
+	bestStack, bestFOM := 0, 0.0
+	for _, class := range [...]DeviceClass{CoreDevice, IODevice} {
 		dev, ok := n.Switches[class]
 		if !ok {
 			continue
@@ -307,16 +306,14 @@ func (n *Node) SwitchForVoltage(v float64) (SwitchDevice, int, error) {
 		}
 		// Figure of merit: effective Ron*Cg product after stacking.
 		fom := dev.ROnWidth * float64(stack) * dev.CGatePerWidth * float64(stack)
-		c := cand{dev: dev, stack: stack, fom: fom}
-		if best == nil || c.fom < best.fom {
-			bc := c
-			best = &bc
+		if bestStack == 0 || fom < bestFOM {
+			best, bestStack, bestFOM = dev, stack, fom
 		}
 	}
-	if best == nil {
+	if bestStack == 0 {
 		return SwitchDevice{}, 0, fmt.Errorf("tech: node %s has no switch able to block %.2f V", n.Name, v)
 	}
-	return best.dev, best.stack, nil
+	return best, bestStack, nil
 }
 
 var (

@@ -118,6 +118,22 @@ func TestSwitchForVoltage(t *testing.T) {
 	}
 }
 
+// TestSwitchForVoltageAllocFree pins the device lookup at zero heap
+// allocations: every SC switch plan and buck/LDO design calls it.
+func TestSwitchForVoltageAllocFree(t *testing.T) {
+	n := MustLookup("45nm")
+	for _, v := range []float64{0.9, 3.3} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := n.SwitchForVoltage(v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("SwitchForVoltage(%g) allocates %v times per call, want 0", v, allocs)
+		}
+	}
+}
+
 func TestCapacitorOptions(t *testing.T) {
 	n := MustLookup("45nm")
 	mos, err := n.Capacitor(MOSCap)
