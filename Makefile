@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz bench bench-full bench-profile benchdiff benchgate experiments examples serve smoke smoke-cluster clean
+.PHONY: all build test vet lint loc race fuzz bench bench-full bench-profile benchdiff benchgate experiments examples serve smoke smoke-cluster clean
 
 all: build vet lint test
 
@@ -14,9 +14,15 @@ vet:
 
 # Physics- and concurrency-aware static analysis (floatcmp, nonfinite,
 # powsquare, unitsuffix, droppederr, unitflow, ctxflow, locksafe,
-# wgsafe); exits non-zero on any finding or stale //lint:ignore.
+# wgsafe) plus the whole-program deadexport gate (internal/ exports only
+# tests reach); exits non-zero on any finding or stale //lint:ignore.
 lint:
 	$(GO) run ./cmd/ivory-lint ./...
+
+# Non-test Go lines outside bench/ and testdata: the size measure
+# ROADMAP's design-quality aim tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -29,15 +35,19 @@ race:
 # requests (shuffled sets, elided vs explicit defaults, other
 # top/timeout/async) must share one normalized engine input and one key, and
 # arbitrary bodies must get a 400 or a response. FuzzNetlist: any text that
-# parses as a SPICE netlist must come back from OP, AC and Tran with a
-# result or an error, never a panic. The committed seed corpora
-# (testdata/fuzz in each package) also run under plain `go test`.
+# parses as a SPICE netlist must come back from Tran with a result or an
+# error, never a panic. FuzzSparseLU: the production LU must agree with the
+# dense test oracle on generated sparse and near-singular systems, and a
+# pattern-preserving Refactor with a fresh factorization. The committed
+# seed corpora (testdata/fuzz in each package) also run under plain
+# `go test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRequestIdentity -fuzztime=20s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzNetlist -fuzztime=20s ./internal/spice
+	$(GO) test -run='^$$' -fuzz=FuzzSparseLU -fuzztime=20s ./internal/numeric
 
 # Benchmark smoke run over the root harness (Explore serial/parallel/
-# cluster, PlaceIVRs, per-figure regeneration, MNA kernel Transient/AC
+# cluster, PlaceIVRs, per-figure regeneration, MNA kernel Transient
 # sweeps) — one iteration each — plus a focused pass over the transient
 # case-study engine (Fig 10/11/13, grid scaling) and the simulation
 # kernels. The raw `go test -json` streams are condensed through
@@ -47,7 +57,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem -json . > BENCH_explore.raw
 	$(GO) run ./cmd/ivory-benchdiff -compact BENCH_explore.raw > BENCH_explore.json && rm BENCH_explore.raw
 	cat BENCH_explore.json
-	$(GO) test -run '^$$' -bench 'Fig10|Fig11|Fig13|GridScale|Transient|AC' -benchtime=1x -benchmem -json . > BENCH_transient.raw
+	$(GO) test -run '^$$' -bench 'Fig10|Fig11|Fig13|GridScale|Transient' -benchtime=1x -benchmem -json . > BENCH_transient.raw
 	$(GO) run ./cmd/ivory-benchdiff -compact BENCH_transient.raw > BENCH_transient.json && rm BENCH_transient.raw
 	cat BENCH_transient.json
 
@@ -72,8 +82,8 @@ bench-full:
 	$(GO) test -bench=. -benchmem ./...
 
 # CPU + heap profile capture over the simulation kernels: the circuit-level
-# Transient/AC benchmarks and the numeric LU microbenchmarks (the production
-# SparseLU/ComplexLU refactor paths, plus the dense test-oracle LU as the
+# Transient benchmarks and the numeric LU microbenchmarks (the production
+# SparseLU refactor path, plus the dense test-oracle LU as the
 # unstructured reference point). Emits pprof
 # artifacts under profiles/ (uploaded from CI); the trailing `go tool pprof
 # -top` both prints the hot spots and fails the target if a profile is
@@ -81,10 +91,10 @@ bench-full:
 # profiles/kernel_cpu.pprof`.
 bench-profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'Transient|AC' -benchtime=50x \
+	$(GO) test -run '^$$' -bench 'Transient' -benchtime=50x \
 		-cpuprofile profiles/kernel_cpu.pprof -memprofile profiles/kernel_mem.pprof \
 		-o profiles/kernel.test .
-	$(GO) test -run '^$$' -bench 'SparseLU|DenseFactorize|ComplexLU' -benchtime=2000x \
+	$(GO) test -run '^$$' -bench 'SparseLU|DenseFactorize' -benchtime=2000x \
 		-cpuprofile profiles/lu_cpu.pprof -memprofile profiles/lu_mem.pprof \
 		-o profiles/lu.test ./internal/numeric
 	$(GO) tool pprof -top -nodecount=12 profiles/kernel.test profiles/kernel_cpu.pprof

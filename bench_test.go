@@ -7,7 +7,7 @@ package ivory
 // (speedup, efficiency, noise, improvement) in the bench output.
 
 import (
-	"math"
+	"context"
 	"testing"
 
 	"ivory/internal/experiments"
@@ -88,7 +88,7 @@ func BenchmarkFig9TransientValidation(b *testing.B) {
 func BenchmarkTable2Exploration(b *testing.B) {
 	var scEff float64
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table2()
+		t, err := experiments.Table2Context(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func BenchmarkTable2Exploration(b *testing.B) {
 func BenchmarkFig10NoiseAnalysis(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(10e-6, 1e-9)
+		r, err := experiments.Fig10Run(context.Background(), experiments.TransientOptions{T: 10e-6, Dt: 1e-9})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkFig10NoiseAnalysis(b *testing.B) {
 func BenchmarkFig11CFDWaveforms(b *testing.B) {
 	var four float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(10e-6, 1e-9)
+		r, err := experiments.Fig10Run(context.Background(), experiments.TransientOptions{T: 10e-6, Dt: 1e-9})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func BenchmarkFig11CFDWaveforms(b *testing.B) {
 func BenchmarkFig12AreaTradeoff(b *testing.B) {
 	var cross float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig12()
+		r, err := experiments.Fig12Run(context.Background(), experiments.TransientOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,11 +147,11 @@ func BenchmarkFig12AreaTradeoff(b *testing.B) {
 func BenchmarkFig13PowerBreakdown(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		noise, err := experiments.Fig10(10e-6, 1e-9)
+		noise, err := experiments.Fig10Run(context.Background(), experiments.TransientOptions{T: 10e-6, Dt: 1e-9})
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := experiments.Fig13(noise)
+		r, err := experiments.Fig13Run(context.Background(), noise, experiments.TransientOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func BenchmarkFig13PowerBreakdown(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	var recyclingGain float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ablations()
+		r, err := experiments.AblationsRun(context.Background(), experiments.TransientOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkTwoStageExploration(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.TwoStage()
+		r, err := experiments.TwoStageContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkGearEnvelope(b *testing.B) {
 func BenchmarkGridScale(b *testing.B) {
 	var ratio4 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.GridScale()
+		r, err := experiments.GridScaleRun(context.Background(), experiments.TransientOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func BenchmarkFamilyTransients(b *testing.B) {
 func BenchmarkFastDVFS(b *testing.B) {
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.FastDVFS()
+		r, err := experiments.FastDVFSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,12 +245,12 @@ func BenchmarkFastDVFS(b *testing.B) {
 func BenchmarkHybridSweep(b *testing.B) {
 	var bestEff float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Hybrid()
+		r, err := experiments.HybridRun(context.Background(), experiments.TransientOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if best := r.Best(); best != nil {
-			bestEff = best.Efficiency
+		if len(r.Candidates) > 0 {
+			bestEff = r.Candidates[0].Efficiency
 		}
 	}
 	b.ReportMetric(bestEff*100, "best-hybrid-eff-pct")
@@ -341,7 +341,7 @@ func BenchmarkPlaceIVRs(b *testing.B) {
 	cores := m.QuadCores()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.PlaceIVRs(8, cores); err != nil {
+		if _, err := m.PlaceIVRsContext(context.Background(), 8, cores); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,7 +391,7 @@ func maxi(a, b int) int {
 func BenchmarkVariationStudy(b *testing.B) {
 	var std float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Variation(100, 0.10)
+		r, err := experiments.VariationContext(context.Background(), 100, 0.10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func BenchmarkVariationStudy(b *testing.B) {
 func BenchmarkNodeSweep(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.NodeSweep()
+		r, err := experiments.NodeSweepContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -486,25 +486,4 @@ func BenchmarkTransient(b *testing.B) {
 	}
 	b.Run("buck", run(20e6, benchBuckCircuit))
 	b.Run("sc21", run(50e6, benchSC21Circuit))
-}
-
-func BenchmarkAC(b *testing.B) {
-	freqs := make([]float64, 200)
-	for i := range freqs {
-		freqs[i] = 1e3 * math.Pow(10, 6*float64(i)/float64(len(freqs)-1))
-	}
-	run := func(build func(*testing.B) *spice.Circuit) func(*testing.B) {
-		return func(b *testing.B) {
-			ckt := build(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ckt.AC(freqs, "vsrc"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("buck", run(benchBuckCircuit))
-	b.Run("sc21", run(benchSC21Circuit))
 }

@@ -33,6 +33,10 @@ type Analyzer struct {
 	// pass.Reportf. Returning an error aborts the whole lint run (use it
 	// for internal failures, not findings).
 	Run func(pass *Pass) error
+	// Program marks a whole-program analyzer: the runner calls Run once,
+	// with Pass.Pkgs holding every loaded package and Files, Pkg and Info
+	// left nil, and only when a main package is among them.
+	Program bool
 }
 
 // Diagnostic is one finding at one source position.
@@ -61,6 +65,8 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type information recorded during checking.
 	Info *types.Info
+	// Pkgs is every loaded package; set only for Program analyzers.
+	Pkgs []*Package
 
 	diags *[]Diagnostic
 }

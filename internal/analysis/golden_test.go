@@ -26,6 +26,14 @@ var (
 // packages for the runner.
 func fixturePkg(t *testing.T, path string, files map[string]string) *Package {
 	t.Helper()
+	return fixturePkgImporting(t, path, files, nil)
+}
+
+// fixturePkgImporting is fixturePkg with in-memory dependencies: an import
+// of a path in deps resolves to that package, any other to the standard
+// library.
+func fixturePkgImporting(t *testing.T, path string, files map[string]string, deps map[string]*types.Package) *Package {
+	t.Helper()
 	fixtureOnce.Do(func() {
 		fixtureFset = token.NewFileSet()
 		fixtureImp = importer.ForCompiler(fixtureFset, "source", nil)
@@ -49,7 +57,7 @@ func fixturePkg(t *testing.T, path string, files map[string]string) *Package {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: fixtureImp}
+	conf := types.Config{Importer: depImporter{deps, fixtureImp}}
 	pkg, err := conf.Check(path, fixtureFset, astFiles, info)
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", path, err)
@@ -57,12 +65,32 @@ func fixturePkg(t *testing.T, path string, files map[string]string) *Package {
 	return &Package{Path: path, Fset: fixtureFset, Files: astFiles, Types: pkg, Info: info}
 }
 
+// depImporter resolves in-memory fixture packages before falling back.
+type depImporter struct {
+	deps     map[string]*types.Package
+	fallback types.Importer
+}
+
+func (d depImporter) Import(path string) (*types.Package, error) {
+	if p, ok := d.deps[path]; ok {
+		return p, nil
+	}
+	return d.fallback.Import(path)
+}
+
 // runGolden runs one analyzer (through the full runner, so suppression
 // applies) and compares the formatted diagnostics against want.
 func runGolden(t *testing.T, a *Analyzer, pkg *Package, want []string) {
 	t.Helper()
+	runGoldenProgram(t, a, []*Package{pkg}, want)
+}
+
+// runGoldenProgram is runGolden over several packages at once, for the
+// whole-program analyzers.
+func runGoldenProgram(t *testing.T, a *Analyzer, pkgs []*Package, want []string) {
+	t.Helper()
 	r := &Runner{Analyzers: []*Analyzer{a}}
-	diags, err := r.Run([]*Package{pkg})
+	diags, err := r.Run(pkgs)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -4,6 +4,7 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxFlow,
+		DeadExport,
 		DroppedErr,
 		FloatCmp,
 		LockSafe,

@@ -12,7 +12,8 @@ import (
 // //lint:ignore suppression, and returns the surviving diagnostics in
 // position order.
 type Runner struct {
-	// Analyzers are run in order over every package.
+	// Analyzers are run in order over every package; Program analyzers
+	// run once, after the per-package ones, over all packages together.
 	Analyzers []*Analyzer
 	// Disabled names analyzers to skip.
 	Disabled map[string]bool
@@ -32,6 +33,16 @@ type ignoreDirective struct {
 // analyzer name or reason) are themselves reported under the "ignore"
 // analyzer so they cannot silently suppress nothing.
 func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
+	// Program analyzers need a whole program: without a main package
+	// every export's callers may simply not be loaded.
+	program := false
+	for _, pkg := range pkgs {
+		program = program || pkg.Types.Name() == "main"
+	}
+	ran := map[string]bool{}
+	for _, a := range r.Analyzers {
+		ran[a.Name] = !r.Disabled[a.Name] && (!a.Program || program)
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		// A degraded package reports its type errors in place and still
@@ -44,7 +55,7 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 			diags = append(diags, Diagnostic{Pos: pos, Analyzer: "typecheck", Message: te.Msg})
 		}
 		for _, a := range r.Analyzers {
-			if r.Disabled[a.Name] {
+			if !ran[a.Name] || a.Program {
 				continue
 			}
 			pass := &Pass{
@@ -60,7 +71,16 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 			}
 		}
 	}
-	diags = r.suppress(pkgs, diags)
+	for _, a := range r.Analyzers {
+		if !ran[a.Name] || !a.Program {
+			continue
+		}
+		pass := &Pass{Analyzer: a, Fset: pkgs[0].Fset, Pkgs: pkgs, diags: &diags}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
+		}
+	}
+	diags = suppress(pkgs, diags, ran)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -78,8 +98,8 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 }
 
 // suppress applies ignore directives and appends diagnostics for
-// malformed and stale ones.
-func (r *Runner) suppress(pkgs []*Package, diags []Diagnostic) []Diagnostic {
+// malformed and stale ones; ran names the analyzers that ran.
+func suppress(pkgs []*Package, diags []Diagnostic, ran map[string]bool) []Diagnostic {
 	// filename -> line -> directives on that line.
 	byFile := map[string]map[int][]*ignoreDirective{}
 	var all []*ignoreDirective
@@ -121,14 +141,9 @@ func (r *Runner) suppress(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 	// A directive that suppressed nothing is stale — the code it excused
 	// was fixed or moved, and a rotten suppression would hide the next
 	// real finding at its line. A directive naming any analyzer that did
-	// not run (disabled, or absent from this Runner) is exempt: the
+	// not run (disabled, absent from this Runner, or a Program analyzer
+	// without a main package to judge against) is exempt: the
 	// analyzer that might have matched never had the chance.
-	ran := map[string]bool{}
-	for _, a := range r.Analyzers {
-		if !r.Disabled[a.Name] {
-			ran[a.Name] = true
-		}
-	}
 	for _, dir := range all {
 		if dir.broken != "" || dir.used {
 			continue

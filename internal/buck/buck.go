@@ -291,28 +291,3 @@ func (d *Design) OptimizeConductances(iLoad float64) (*Design, error) {
 	}
 	return New(cfg)
 }
-
-// EfficiencyCurve sweeps the regulation target from vLo to vHi at fixed
-// load, returning achieved V_out and efficiency — the buck counterpart of
-// the paper's Fig. 8 validation curves. Infeasible points are omitted.
-func (d *Design) EfficiencyCurve(iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
-	if points < 2 {
-		points = 2
-	}
-	for k := 0; k < points; k++ {
-		target := vLo + (vHi-vLo)*float64(k)/float64(points-1)
-		cfg := d.cfg
-		cfg.VOut = target
-		dd, err := New(cfg)
-		if err != nil {
-			continue
-		}
-		m, err := dd.Evaluate(iLoad)
-		if err != nil {
-			continue
-		}
-		vout = append(vout, m.VOut)
-		eff = append(eff, m.Efficiency)
-	}
-	return vout, eff
-}

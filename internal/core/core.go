@@ -634,27 +634,3 @@ func (r *Result) BestOfKind(k Kind) (Candidate, bool) {
 	}
 	return Candidate{}, false
 }
-
-// ParetoFront returns the candidates not dominated in the
-// (efficiency up, area down) plane, sorted by area then canonical key —
-// the trade-off curve a designer actually chooses from when neither
-// objective is absolute. Rows with non-finite metrics are excluded; the
-// front is built by incremental insertion (see ParetoSet) and is
-// independent of candidate order.
-func (r *Result) ParetoFront() []Candidate {
-	p := NewParetoSet()
-	for _, c := range r.Candidates {
-		p.Insert(c)
-	}
-	return p.Front()
-}
-
-// MultiObjectiveFront is the three-objective flavour of ParetoFront:
-// candidates not dominated in (efficiency up, area down, ripple down).
-func (r *Result) MultiObjectiveFront() []Candidate {
-	p := NewParetoSetNoise()
-	for _, c := range r.Candidates {
-		p.Insert(c)
-	}
-	return p.Front()
-}

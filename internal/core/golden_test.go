@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ivory/internal/numeric"
 )
 
 // goldenExploreDigest is the SHA-256 of the appendOutcome records of
@@ -94,5 +96,49 @@ func TestExploreGoldenDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenExploreDigest {
 		t.Errorf("exploration digest %s, want %s: ranked output, metric bits, rejection counts or error text changed", got, goldenExploreDigest)
+	}
+}
+
+// TestExploreInvariantsOverGoldenSpecs checks physics invariants on every
+// accepted candidate of the generated specs, under both search strategies:
+// each loss term is finite and non-negative, the efficiency is the power
+// balance POut/(POut + ΣLoss), 0 < η ≤ 1, and the die area fits the budget.
+func TestExploreInvariantsOverGoldenSpecs(t *testing.T) {
+	checked := 0
+	for i, base := range goldenSpecs(300) {
+		for _, search := range []SearchStrategy{SearchExhaustive, SearchAdaptive} {
+			spec := base
+			spec.Search = search
+			res, err := Explore(spec)
+			if err != nil {
+				continue
+			}
+			for _, c := range res.Candidates {
+				m := c.Metrics
+				where := fmt.Sprintf("spec %d %v %s", i, search, c.Label)
+				l := m.Loss
+				for name, v := range map[string]float64{
+					"conduction": l.Conduction, "gate drive": l.GateDrive, "parasitic": l.Parasitic,
+					"leakage": l.Leakage, "control": l.Control, "magnetic": l.Magnetic, "dropout": l.Dropout,
+				} {
+					if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+						t.Fatalf("%s: %s loss %v", where, name, v)
+					}
+				}
+				if want := m.POut / (m.POut + l.Total()); !numeric.ApproxEqual(m.Efficiency, want, 1e-12) {
+					t.Fatalf("%s: efficiency %v, power balance gives %v", where, m.Efficiency, want)
+				}
+				if !(m.Efficiency > 0 && m.Efficiency <= 1) {
+					t.Fatalf("%s: efficiency %v outside (0, 1]", where, m.Efficiency)
+				}
+				if m.AreaDie > spec.AreaMax {
+					t.Fatalf("%s: die area %v over the %v budget", where, m.AreaDie, spec.AreaMax)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no accepted candidates to check")
 	}
 }

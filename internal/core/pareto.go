@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -88,40 +87,28 @@ func rankLess(obj Objective, floor float64) func(a, b Candidate) bool {
 	}
 }
 
-// ParetoSet maintains the set of mutually non-dominated candidates
-// incrementally: each Insert is O(front size), so a running exploration
-// can keep the trade-off curve current without the O(n²) recompute over
-// the full candidate list. Dominance requires strictly-better in at least
-// one objective, so exact metric duplicates coexist on the front (matching
-// the batch ParetoFront semantics). Candidates with non-finite metrics are
+// ParetoSet maintains the set of mutually non-dominated candidates in the
+// (efficiency up, area down) plane incrementally: each Insert is O(front
+// size), so a running exploration can keep the trade-off curve current
+// without the O(n²) recompute over the full candidate list. Dominance
+// requires strictly-better in at least one objective, so exact metric
+// duplicates coexist on the front. Candidates with non-finite metrics are
 // rejected at insertion.
 type ParetoSet struct {
-	noise bool // include ripple as a third objective
 	items []Candidate
 }
 
-// NewParetoSet builds the two-objective set: efficiency up, area down.
+// NewParetoSet builds an empty set.
 func NewParetoSet() *ParetoSet { return &ParetoSet{} }
-
-// NewParetoSetNoise builds the three-objective set: efficiency up, area
-// down, static ripple down.
-func NewParetoSetNoise() *ParetoSet { return &ParetoSet{noise: true} }
 
 // dominates reports whether a beats-or-ties c in every objective and
 // strictly beats it in at least one.
-func (p *ParetoSet) dominates(a, c Candidate) bool {
+func dominates(a, c Candidate) bool {
 	am, cm := a.Metrics, c.Metrics
 	if am.Efficiency < cm.Efficiency || am.AreaDie > cm.AreaDie {
 		return false
 	}
-	strict := am.Efficiency > cm.Efficiency || am.AreaDie < cm.AreaDie
-	if p.noise {
-		if am.RippleVpp > cm.RippleVpp {
-			return false
-		}
-		strict = strict || am.RippleVpp < cm.RippleVpp
-	}
-	return strict
+	return am.Efficiency > cm.Efficiency || am.AreaDie < cm.AreaDie
 }
 
 // Insert adds c if no current member dominates it, evicting members c
@@ -133,13 +120,13 @@ func (p *ParetoSet) Insert(c Candidate) bool {
 	// Check domination before filtering: the filter compacts p.items in
 	// place, so it must only run once c is known to join.
 	for _, d := range p.items {
-		if p.dominates(d, c) {
+		if dominates(d, c) {
 			return false
 		}
 	}
 	keep := p.items[:0]
 	for _, d := range p.items {
-		if !p.dominates(c, d) {
+		if !dominates(c, d) {
 			keep = append(keep, d)
 		}
 	}
@@ -149,20 +136,3 @@ func (p *ParetoSet) Insert(c Candidate) bool {
 
 // Size returns the current front cardinality.
 func (p *ParetoSet) Size() int { return len(p.items) }
-
-// Front returns the members sorted by area, ties broken by the canonical
-// candidate key — a deterministic order for any insertion sequence.
-func (p *ParetoSet) Front() []Candidate {
-	out := append([]Candidate(nil), p.items...)
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := out[i].Metrics.AreaDie, out[j].Metrics.AreaDie
-		if ai < aj {
-			return true
-		}
-		if ai > aj {
-			return false
-		}
-		return candidateKey(out[i]) < candidateKey(out[j])
-	})
-	return out
-}

@@ -88,10 +88,9 @@ func TestRankNaNRowsSink(t *testing.T) {
 	}
 }
 
-// batchFront is the quadratic reference the incremental set is checked
+// batchFront is the O(n²) reference the incremental ParetoSet is checked
 // against: keep every candidate no other candidate dominates.
-func batchFront(in []Candidate, noise bool) map[string]int {
-	p := &ParetoSet{noise: noise}
+func batchFront(in []Candidate) map[string]int {
 	out := map[string]int{}
 	for i := range in {
 		if !finiteMetrics(in[i]) {
@@ -99,7 +98,7 @@ func batchFront(in []Candidate, noise bool) map[string]int {
 		}
 		dominated := false
 		for j := range in {
-			if i != j && finiteMetrics(in[j]) && p.dominates(in[j], in[i]) {
+			if i != j && finiteMetrics(in[j]) && dominates(in[j], in[i]) {
 				dominated = true
 				break
 			}
@@ -115,11 +114,10 @@ func batchFront(in []Candidate, noise bool) map[string]int {
 
 // TestParetoSetMatchesBatch drives the incremental front with randomized
 // candidates and insertion orders and checks it always lands on the batch
-// answer, in both the two- and three-objective configurations.
+// answer.
 func TestParetoSetMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
-		noise := trial%2 == 1
 		n := 3 + rng.Intn(30)
 		cands := make([]Candidate, n)
 		for i := range cands {
@@ -129,20 +127,14 @@ func TestParetoSetMatchesBatch(t *testing.T) {
 		if trial%5 == 4 {
 			cands[rng.Intn(n)].Metrics.Efficiency = math.NaN()
 		}
-		var set *ParetoSet
-		if noise {
-			set = NewParetoSetNoise()
-		} else {
-			set = NewParetoSet()
-		}
+		set := NewParetoSet()
 		for _, c := range cands {
 			set.Insert(c)
 		}
-		want := batchFront(cands, noise)
-		front := set.Front()
+		want := batchFront(cands)
 		got := map[string]int{}
 		total := 0
-		for _, c := range front {
+		for _, c := range set.items {
 			if !finiteMetrics(c) {
 				t.Fatalf("trial %d: non-finite candidate on front", trial)
 			}
@@ -151,66 +143,29 @@ func TestParetoSetMatchesBatch(t *testing.T) {
 		for k, n := range want {
 			total += n
 			if got[k] != n {
-				t.Fatalf("trial %d (noise=%v): key %s appears %d times on incremental front, batch says %d", trial, noise, k, got[k], n)
+				t.Fatalf("trial %d: key %s appears %d times on incremental front, batch says %d", trial, k, got[k], n)
 			}
 		}
-		if len(front) != total {
-			t.Fatalf("trial %d (noise=%v): front size %d, want %d", trial, noise, len(front), total)
-		}
-		if set.Size() != len(front) {
-			t.Fatalf("trial %d: Size %d != len(Front) %d", trial, set.Size(), len(front))
+		if set.Size() != total {
+			t.Fatalf("trial %d: front size %d, want %d", trial, set.Size(), total)
 		}
 	}
 }
 
-// TestParetoFrontOrderDeterministic pins Front()'s order: area ascending,
-// canonical key on ties, for any insertion order.
-func TestParetoFrontOrderDeterministic(t *testing.T) {
-	cands := []Candidate{
-		mkCand(KindSC, "a", 0.9, 2e-6, 0.01),
-		mkCand(KindBuck, "b", 0.8, 1e-6, 0.02),
-		mkCand(KindLDO, "c", 0.95, 3e-6, 0.01),
-		mkCand(KindSC, "d", 0.8, 1e-6, 0.02), // ties b on every front metric
-	}
-	var want string
-	for trial := 0; trial < 10; trial++ {
-		cp := append([]Candidate(nil), cands...)
-		rand.New(rand.NewSource(int64(trial))).Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
-		set := NewParetoSet()
-		for _, c := range cp {
-			set.Insert(c)
-		}
-		var keys []string
-		for _, c := range set.Front() {
-			keys = append(keys, candidateKey(c))
-		}
-		got := strings.Join(keys, "\n")
-		if trial == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("trial %d: front order depends on insertion order\ngot:\n%s\nwant:\n%s", trial, got, want)
-		}
-	}
-}
-
-// TestResultFrontsExcludeNonFinite feeds Result.ParetoFront and
-// MultiObjectiveFront a mix of finite and NaN rows.
+// TestResultFrontsExcludeNonFinite feeds the exploration's Pareto front a
+// mix of finite and NaN rows: only the finite ones may join.
 func TestResultFrontsExcludeNonFinite(t *testing.T) {
-	res := Result{Candidates: []Candidate{
+	set := NewParetoSet()
+	for _, c := range []Candidate{
 		mkCand(KindSC, "ok", 0.9, 2e-6, 0.01),
 		mkCand(KindSC, "bad", math.NaN(), 1e-6, 0.01),
 		mkCand(KindBuck, "ok2", 0.5, 1e-6, 0.05),
-	}}
-	for _, front := range [][]Candidate{res.ParetoFront(), res.MultiObjectiveFront()} {
-		if len(front) == 0 {
-			t.Fatal("empty front")
+	} {
+		if joined := set.Insert(c); joined != finiteMetrics(c) {
+			t.Errorf("Insert(%q) = %v, want %v", c.Label, joined, finiteMetrics(c))
 		}
-		for _, c := range front {
-			if !finiteMetrics(c) {
-				t.Fatalf("non-finite candidate %q on front", c.Label)
-			}
-		}
+	}
+	if set.Size() != 2 {
+		t.Fatalf("front size %d, want the 2 finite rows", set.Size())
 	}
 }

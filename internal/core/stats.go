@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"ivory/internal/grid"
 	"ivory/internal/topology"
 )
 
@@ -31,8 +30,8 @@ func (k KindStats) Evaluated() int { return k.Accepted + k.Rejected }
 // record lands on Result.Stats. The per-kind counters are deterministic —
 // identical for every worker count and to the serial path — while the
 // wall-clock and shared-cache fields are measurements, not invariants
-// (the topology and grid counters are package-wide, so a concurrent run
-// can bleed into the diff).
+// (the topology counters are package-wide, so a concurrent run can bleed
+// into the diff).
 type Stats struct {
 	// Jobs is the number of evaluation jobs the enumeration produced;
 	// Done is how many have completed (== Jobs on an uncancelled run).
@@ -42,9 +41,6 @@ type Stats struct {
 	// TopoCacheHits/Misses are the topology analyze-memo lookups this run
 	// performed (hits return a shared Analysis, misses solved KVL/KCL).
 	TopoCacheHits, TopoCacheMisses int64
-	// GridCholesky/GridCG count grid solver contexts built during the run
-	// on the banded direct path vs the conjugate-gradient fallback.
-	GridCholesky, GridCG int64
 	// PrunedBound counts configurations the adaptive search skipped
 	// because their family's analytic efficiency ceiling could not beat
 	// the established winners; PrunedHalving counts configurations skipped
@@ -116,9 +112,8 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, "; %d pruned (%d bound, %d halving)",
 			s.Pruned(), s.PrunedBound, s.PrunedHalving)
 	}
-	fmt.Fprintf(&b, "), topo cache %d hit/%d miss, grid %d chol/%d cg, %s",
-		s.TopoCacheHits, s.TopoCacheMisses, s.GridCholesky, s.GridCG,
-		s.Wall.Round(time.Millisecond))
+	fmt.Fprintf(&b, "), topo cache %d hit/%d miss, %s",
+		s.TopoCacheHits, s.TopoCacheMisses, s.Wall.Round(time.Millisecond))
 	if s.CandidatesPerSec > 0 {
 		fmt.Fprintf(&b, " (%.0f cand/s)", s.CandidatesPerSec)
 	}
@@ -146,7 +141,6 @@ type tracker struct {
 	start      time.Time
 	// Baselines for diffing the package-wide cache counters.
 	topoHits0, topoMisses0 int64
-	gridChol0, gridCG0     int64
 }
 
 func newTracker(spec Spec) *tracker {
@@ -158,7 +152,6 @@ func newTracker(spec Spec) *tracker {
 		start:      time.Now(),
 	}
 	t.topoHits0, t.topoMisses0 = topology.CacheStats()
-	t.gridChol0, t.gridCG0 = grid.SolverStats()
 	return t
 }
 
@@ -167,8 +160,6 @@ func (t *tracker) snapshotLocked() Stats {
 	s := t.stats
 	h, m := topology.CacheStats()
 	s.TopoCacheHits, s.TopoCacheMisses = h-t.topoHits0, m-t.topoMisses0
-	c, g := grid.SolverStats()
-	s.GridCholesky, s.GridCG = c-t.gridChol0, g-t.gridCG0
 	s.FrontSize = t.front.Size()
 	s.Wall = time.Since(t.start)
 	if secs := s.Wall.Seconds(); secs > 0 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ivory/internal/buck"
 	"ivory/internal/ldo"
 	"ivory/internal/numeric"
 	"ivory/internal/sc"
@@ -130,48 +129,6 @@ func TestSCInterleavingReducesRipple(t *testing.T) {
 	r4 := numeric.PeakToPeak(tr4.V[len(tr4.V)/2:])
 	if r4 >= r1 {
 		t.Errorf("interleaving should reduce ripple: %v -> %v", r1, r4)
-	}
-}
-
-func TestSCPIControlRegulates(t *testing.T) {
-	p := scParams()
-	p.Interleave = 8
-	s := &SCSimulator{P: p}
-	vref := 0.9
-	tr, err := s.RunPI(Constant(0.3), Constant(vref), 10e-6, 0.5e-9, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The integrator removes the steady offset: mean of the trailing
-	// quarter sits on the reference.
-	tail := tr.V[3*len(tr.V)/4:]
-	mean := numeric.Mean(tail)
-	if math.Abs(mean-vref) > 0.01 {
-		t.Errorf("PI-regulated mean %v, want %v", mean, vref)
-	}
-	if tr.AvgFSw <= 0 || tr.AvgFSw > s.P.FClk {
-		t.Errorf("avg fsw %v out of range", tr.AvgFSw)
-	}
-	// Load-step recovery.
-	tr2, err := s.RunPI(Step(0.1, 0.5, 4e-6), Constant(vref), 12e-6, 0.5e-9, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := numeric.Mean(tr2.V[9*len(tr2.V)/10:])
-	if math.Abs(final-vref) > 0.015 {
-		t.Errorf("PI did not recover the step: %v", final)
-	}
-}
-
-func TestSCPIValidation(t *testing.T) {
-	s := &SCSimulator{P: scParams()}
-	if _, err := s.RunPI(Constant(0.1), Constant(0.9), 1e-6, 1e-7, 0, 0); err == nil {
-		t.Error("coarse dt must fail")
-	}
-	bad := scParams()
-	bad.COut = 0
-	if _, err := (&SCSimulator{P: bad}).RunPI(Constant(0.1), Constant(0.9), 1e-6, 1e-9, 0, 0); err == nil {
-		t.Error("invalid params must fail")
 	}
 }
 
@@ -315,9 +272,10 @@ func TestLDOProportionalFasterThanBangBang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trP.WorstDroop(1.0) >= trB.WorstDroop(1.0) {
-		t.Errorf("proportional control should cut the droop: %v vs %v",
-			trP.WorstDroop(1.0), trB.WorstDroop(1.0))
+	minP, _ := numeric.MinMax(trP.V)
+	minB, _ := numeric.MinMax(trB.V)
+	if minP <= minB {
+		t.Errorf("proportional control should cut the droop: min %v vs %v", minP, minB)
 	}
 }
 
@@ -352,9 +310,6 @@ func TestZOHProperties(t *testing.T) {
 
 func TestFreqModelRegulationAdvantage(t *testing.T) {
 	m := FreqModel{FSw: 200e6, COut: 1e-9, GLoop: 0.5}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// The paper's Fig. 6 finding: at/above fsw the converter is just a
 	// capacitor (advantage ~ 1); far below, regulation wins.
 	lo := m.RegulationAdvantage(1e6)
@@ -364,10 +319,6 @@ func TestFreqModelRegulationAdvantage(t *testing.T) {
 	}
 	if math.Abs(hi-1) > 0.35 {
 		t.Errorf("above fsw the advantage should be ~1, got %v", hi)
-	}
-	bad := FreqModel{}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero model must fail")
 	}
 }
 
@@ -386,9 +337,6 @@ func TestSignalsAndTrace(t *testing.T) {
 	tr := &Trace{Times: []float64{0, 1e-9, 2e-9}, V: []float64{1, 0.9, 1.1}}
 	if math.Abs(tr.PeakToPeak()-0.2) > 1e-12 {
 		t.Error("PeakToPeak wrong")
-	}
-	if math.Abs(tr.WorstDroop(1.0)-0.1) > 1e-12 {
-		t.Error("WorstDroop wrong")
 	}
 	f, a := tr.Spectrum()
 	if len(f) == 0 || len(a) != len(f) {
@@ -439,15 +387,6 @@ func TestSCLineRegulation(t *testing.T) {
 	if peak > vref+0.15*0.5+0.05 {
 		t.Errorf("line-step overshoot too large: %v", peak)
 	}
-	// And the line-regulation scenario with the PI loop holds too.
-	trPI, err := s.RunPI(Constant(0.3), Constant(vref), 8e-6, 0.5e-9, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := numeric.Mean(trPI.V[9*len(trPI.V)/10:])
-	if math.Abs(tail-vref) > 0.02 {
-		t.Errorf("PI line regulation failed: %v", tail)
-	}
 }
 
 func TestFromDesignMappings(t *testing.T) {
@@ -491,22 +430,6 @@ func TestFromDesignMappings(t *testing.T) {
 	// Unsustainable load errors out.
 	if _, err := SCFromDesignAtLoad(scd, 1e6); err == nil {
 		t.Error("unsustainable load must fail")
-	}
-
-	bkd, err := buck.New(buck.Config{
-		Node: node, Inductor: tech.IntegratedThinFilm, OutCap: tech.DeepTrench,
-		VIn: 1.8, VOut: 0.9, L: 8e-9, COut: 50e-9, FSw: 100e6,
-		GHigh: 5, GLow: 8, Interleave: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := BuckFromDesign(bkd)
-	if !numeric.ApproxEqual(bp.VIn, 1.8, 0) || bp.Interleave != 2 || bp.L <= 0 {
-		t.Errorf("BuckFromDesign fields wrong: %+v", bp)
-	}
-	if err := (&BuckSimulator{P: bp}).Validate(); err != nil {
-		t.Error(err)
 	}
 
 	ld, err := ldo.New(ldo.Config{Node: node, VIn: 1.2, VOut: 0.9, GPass: 10, COut: 10e-9, FSample: 100e6})

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -37,14 +36,6 @@ type FreqModel struct {
 	// GLoop is the DC loop transconductance (A of correction per V of
 	// error, S): controller gain x driver x converter charge rate.
 	GLoop float64
-}
-
-// Validate checks the model.
-func (m FreqModel) Validate() error {
-	if m.FSw <= 0 || m.COut <= 0 || m.GLoop <= 0 {
-		return fmt.Errorf("dynamic: FreqModel fields must be positive")
-	}
-	return nil
 }
 
 // Response returns the interference transfer |V_out/V_noise|(f) of paper

@@ -75,18 +75,6 @@ func TestRunIntoBufferReuse(t *testing.T) {
 		t.Fatal("recycled trace diverges from a fresh run")
 	}
 
-	freshPI, err := sim.RunPI(iLoad, vRef, 2e-6, 0.5e-9, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPI, err := sim.RunPIInto(context.Background(), tr, iLoad, vRef, 2e-6, 0.5e-9, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tracesEqual(freshPI, gotPI) {
-		t.Fatal("RunPIInto over a recycled trace diverges from RunPI")
-	}
-
 	freshCyc, err := sim.CycleByCycle(iLoad, 50e6, 2e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +101,6 @@ func TestRunIntoCancellation(t *testing.T) {
 	}
 	if ctx.calls < 2 {
 		t.Fatalf("RunInto never polled the context mid-run (%d polls)", ctx.calls)
-	}
-	ctx = &cancelAfterN{Context: context.Background(), after: 1}
-	if _, err := sim.RunPIInto(ctx, nil, iLoad, vRef, 2e-6, 0.2e-9, 0, 0); err != context.Canceled {
-		t.Fatalf("RunPIInto: want context.Canceled, got %v", err)
 	}
 	// An already-cancelled stdlib context works the same way.
 	cctx, cancel := context.WithCancel(context.Background())

@@ -197,107 +197,6 @@ func (s *SCSimulator) RunInto(ctx context.Context, tr *Trace, iLoad, vRef Signal
 	return tr, nil
 }
 
-// RunPI simulates the SC converter under proportional-integral
-// frequency-modulation feedback instead of the hysteretic lower-bound
-// loop: the switching frequency follows
-//
-//	f_sw(t) = clamp(Kp·e + Ki·∫e, FClkMin, FClk),  e = vRef - v
-//
-// and every cycle transfers the full Eq. 2 charge for its own period. PI
-// control trades the hysteretic loop's instant response for a smaller
-// limit-cycle ripple and no load-dependent offset (the integrator removes
-// it). Zero gains select defaults scaled to the converter: full-scale
-// frequency at 50 mV of error, integral closing over ~2 µs.
-func (s *SCSimulator) RunPI(iLoad, vRef Signal, T, dt float64, kp, ki float64) (*Trace, error) {
-	return s.RunPIInto(context.Background(), nil, iLoad, vRef, T, dt, kp, ki)
-}
-
-// RunPIInto is RunPI with the same run control and buffer reuse as RunInto.
-func (s *SCSimulator) RunPIInto(ctx context.Context, tr *Trace, iLoad, vRef Signal, T, dt float64, kp, ki float64) (*Trace, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateRun(T, dt); err != nil {
-		return nil, err
-	}
-	p := s.P
-	if dt > 1/p.FClk {
-		return nil, fmt.Errorf("dynamic: dt %g must resolve the maximum switching period %g", dt, 1/p.FClk)
-	}
-	if kp == 0 && ki == 0 {
-		kp = p.FClk / 0.05
-		ki = kp / 2e-6
-	}
-	n := p.Interleave
-	if n == 0 {
-		n = 1
-	}
-	fMin := p.FClk / 1e3
-	ceqSlice := p.CEq / float64(n)
-	steps := int(math.Ceil(T / dt))
-	tr = prepareTrace(tr, steps+1)
-	v := vRef(0)
-	integ := 0.0
-	// Anti-windup bound: the integral term alone may command at most the
-	// full frequency range.
-	integMax := p.FClk / ki
-	tr.Times = append(tr.Times, 0)
-	tr.V = append(tr.V, v)
-	// Frequency-modulation phase accumulator: the controller re-evaluates
-	// every in-cycle step (not just at pump instants — a loop that only
-	// wakes at its own pump cadence can strand itself at the minimum
-	// frequency), and a pump fires whenever the accumulated phase passes 1.
-	phase := 0.0
-	var fswSum float64
-	for k := 1; k <= steps; k++ {
-		if k%runCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		t := float64(k) * dt
-		v -= iLoad(t) * dt / p.COut
-		e := vRef(t) - v
-		integ += e * dt
-		if integ > integMax {
-			integ = integMax
-		}
-		if integ < -integMax {
-			integ = -integMax
-		}
-		fsw := kp*e + ki*integ
-		if fsw < fMin {
-			fsw = fMin
-		}
-		if fsw > p.FClk {
-			fsw = p.FClk
-		}
-		phase += fsw * float64(n) * dt
-		for phase >= 1 {
-			phase -= 1
-			// Pump one interleave slice at the commanded frequency; the
-			// slice's R·C product is interleave-invariant, so the
-			// exponential factor uses the commanded cycle directly.
-			exp := 1 - math.Exp(-1/(fsw*2*p.REq*p.CEq))
-			dq := (p.Ratio*s.vin(t) - v) * ceqSlice * exp
-			if dq > 0 {
-				v += dq / p.COut
-				tr.SwitchEvents++
-				fswSum += fsw
-			}
-		}
-		tr.Times = append(tr.Times, t)
-		tr.V = append(tr.V, v)
-	}
-	if tr.SwitchEvents > 0 {
-		tr.AvgFSw = fswSum / float64(tr.SwitchEvents)
-	}
-	if err := tr.Finite(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // CycleByCycle runs only the discrete-time model of paper Eq. 2 at the
 // converter period (no in-cycle resolution): one sample per switching cycle
 // with a fixed switching frequency — the variant validated against SPICE in

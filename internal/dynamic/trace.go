@@ -118,16 +118,6 @@ func (tr *Trace) Stats() numeric.Summary { return numeric.Summarize(tr.V) }
 // PeakToPeak returns the voltage-noise range max(V)-min(V).
 func (tr *Trace) PeakToPeak() float64 { return numeric.PeakToPeak(tr.V) }
 
-// WorstDroop returns ref - min(V), the depth below the reference that sets
-// the guardband.
-func (tr *Trace) WorstDroop(ref float64) float64 {
-	if len(tr.V) == 0 {
-		return 0
-	}
-	mn, _ := numeric.MinMax(tr.V)
-	return ref - mn
-}
-
 // Spectrum returns the single-sided amplitude spectrum of the waveform
 // (with the mean removed), for regulation-effect analysis à la Fig. 6.
 func (tr *Trace) Spectrum() (freq, amp []float64) {

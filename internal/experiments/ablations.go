@@ -32,21 +32,11 @@ type AblationRow struct {
 	Note string
 }
 
-// Ablations runs all four studies.
-func Ablations() (*AblationResult, error) {
-	return AblationsContext(context.Background())
-}
-
-// AblationsContext is Ablations with run control threaded into the
-// baseline exploration (the dominant cost).
-func AblationsContext(ctx context.Context) (*AblationResult, error) {
-	return AblationsRun(ctx, TransientOptions{})
-}
-
-// AblationsRun runs the baseline exploration serially (studies 1-2 need its
-// best SC candidate), then fans the four independent studies out over
-// opt.Workers into per-index row slots, so the table order matches the
-// serial path for every worker count.
+// AblationsRun runs all four studies. It runs the baseline exploration
+// (the dominant cost, under ctx) serially (studies 1-2 need its best SC
+// candidate), then fans the four independent studies out over opt.Workers
+// into per-index row slots, so the table order matches the serial path for
+// every worker count.
 func AblationsRun(ctx context.Context, opt TransientOptions) (*AblationResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -113,20 +113,6 @@ func searchCaseIVRDesign(ctx context.Context) (*sc.Design, error) {
 	return sc.New(cfg)
 }
 
-// Fig10 runs the workload-driven noise analysis. T and dt control the
-// simulated span per cell; zero selects 20 µs at 1 ns.
-func Fig10(T, dt float64) (*Fig10Result, error) {
-	return Fig10Context(context.Background(), T, dt)
-}
-
-// Fig10Context is Fig10 with run control: the context cancels the
-// underlying exploration and every in-flight simulation cell (the poll sits
-// inside the transient integration loops, so cancellation does not wait for
-// a cell to finish).
-func Fig10Context(ctx context.Context, T, dt float64) (*Fig10Result, error) {
-	return Fig10Run(ctx, TransientOptions{T: T, Dt: dt})
-}
-
 // fig10Cell names one benchmark × configuration simulation.
 type fig10Cell struct {
 	bench string
@@ -171,11 +157,15 @@ func fig10Cells(opt TransientOptions) ([]fig10Cell, []int, error) {
 	return cells, configs, nil
 }
 
-// Fig10Run is the engine entry point: the benchmark × configuration cells
-// fan out over opt.Workers goroutines, each simulating independently into
-// pooled scratch, and the merge walks the enumeration order — so the result
-// is bit-identical to the serial path for every worker count. Only CFD
-// cells retain their waveforms (Fig. 11); the rest carry statistics alone.
+// Fig10Run runs the workload-driven noise analysis. ctx cancels the
+// case-study exploration and every in-flight simulation cell (the poll
+// sits inside the transient integration loops, so cancellation does not
+// wait for a cell to finish). It is the engine entry point: the
+// benchmark × configuration cells fan out over opt.Workers goroutines,
+// each simulating independently into pooled scratch, and the merge walks
+// the enumeration order — so the result is bit-identical to the serial
+// path for every worker count. Only CFD cells retain their waveforms
+// (Fig. 11); the rest carry statistics alone.
 func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

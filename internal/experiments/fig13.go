@@ -69,23 +69,13 @@ func vrmEfficiency(vIn, vOut, pOut float64) (float64, error) {
 	return m.POut / (m.POut + loss), nil
 }
 
-// Fig13 computes the power breakdowns. The noise analysis (Fig. 10) is
+// Fig13Run computes the power breakdowns. The noise analysis (Fig. 10) is
 // re-run at a reduced span to extract guardbands; pass a pre-computed
-// result to reuse it.
-func Fig13(noise *Fig10Result) (*Fig13Result, error) {
-	return Fig13Context(context.Background(), noise)
-}
-
-// Fig13Context is Fig13 with run control threaded into the noise analysis
-// (when not pre-computed) and each margin-aware re-exploration.
-func Fig13Context(ctx context.Context, noise *Fig10Result) (*Fig13Result, error) {
-	return Fig13Run(ctx, noise, TransientOptions{})
-}
-
-// Fig13Run fans the per-configuration work — the off-chip VRM sizing and
-// each margin-aware IVR re-exploration — out over opt.Workers, then merges
-// breakdowns in configuration order, so results match the serial path
-// bit-for-bit at every worker count.
+// result to reuse it. ctx cancels that noise analysis and each
+// margin-aware re-exploration. It fans the per-configuration work — the
+// off-chip VRM sizing and each margin-aware IVR re-exploration — out over
+// opt.Workers, then merges breakdowns in configuration order, so results
+// match the serial path bit-for-bit at every worker count.
 func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*Fig13Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -29,23 +29,13 @@ type GridScaleResult struct {
 	Rows         []GridScaleRow
 }
 
-// GridScale runs the placement study on a 24x24-tile mesh of the
-// case-study die.
-func GridScale() (*GridScaleResult, error) {
-	return GridScaleContext(context.Background())
-}
-
-// GridScaleContext is GridScale with run control threaded into the
-// placement heuristic and the region resistance sweeps.
-func GridScaleContext(ctx context.Context) (*GridScaleResult, error) {
-	return GridScaleRun(ctx, TransientOptions{})
-}
-
-// GridScaleRun fans the per-distribution-count analyses (placement, solver
-// factorization, region sweep) out over opt.Workers. The Ratio column needs
-// the centralized row as its reference, so ratios are derived after the
-// deterministic per-index merge — results are identical for every worker
-// count.
+// GridScaleRun runs the placement study on a 24x24-tile mesh of the
+// case-study die, with ctx threaded into the placement heuristic and the
+// region resistance sweeps. It fans the per-distribution-count analyses
+// (placement, solver factorization, region sweep) out over opt.Workers.
+// The Ratio column needs the centralized row as its reference, so ratios
+// are derived after the deterministic per-index merge — results are
+// identical for every worker count.
 func GridScaleRun(ctx context.Context, opt TransientOptions) (*GridScaleResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -21,11 +21,6 @@ type HybridResult struct {
 	*soc.SweepResult
 }
 
-// Hybrid runs the study with default settings.
-func Hybrid() (*HybridResult, error) {
-	return HybridRun(context.Background(), TransientOptions{})
-}
-
 // HybridRun sweeps per-domain rail assignments for the default SoC
 // floorplan under the default area budget. Cell evaluation fans out over
 // opt.Workers; ranked output is bit-identical at every worker count.

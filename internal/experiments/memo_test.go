@@ -140,11 +140,11 @@ func TestCaseDesignMemoColdWarmIdentical(t *testing.T) {
 		}
 	}
 	resetCaseDesign()
-	cold, err := FastDVFS()
+	cold, err := FastDVFSContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := FastDVFS()
+	warm, err := FastDVFSContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"ivory/internal/core"
 	"ivory/internal/numeric"
@@ -32,12 +33,7 @@ type VariationResult struct {
 	FailFraction float64
 }
 
-// Variation runs the Monte-Carlo study.
-func Variation(samples int, sigma float64) (*VariationResult, error) {
-	return VariationContext(context.Background(), samples, sigma)
-}
-
-// VariationContext is Variation with run control: it cancels the baseline
+// VariationContext runs the Monte-Carlo study. ctx cancels the baseline
 // exploration and is re-checked between Monte-Carlo samples.
 func VariationContext(ctx context.Context, samples int, sigma float64) (*VariationResult, error) {
 	if ctx == nil {
@@ -117,19 +113,33 @@ func perturbNode(n *tech.Node, sigma float64, rng *rand.Rand, k int) *tech.Node 
 	}
 	out := *n
 	out.Name = fmt.Sprintf("%s-mc%d", n.Name, k)
+	// The draws follow a fixed class/kind order: ranging over the maps
+	// would hand each parameter a different draw on every run.
 	out.Switches = map[tech.DeviceClass]tech.SwitchDevice{}
-	for class, sw := range n.Switches {
+	for _, class := range sortedKeys(n.Switches) {
+		sw := n.Switches[class]
 		sw.ROnWidth *= mul()
 		sw.CGatePerWidth *= mul()
 		out.Switches[class] = sw
 	}
 	out.Capacitors = map[tech.CapacitorKind]tech.CapacitorOption{}
-	for kind, c := range n.Capacitors {
+	for _, kind := range sortedKeys(n.Capacitors) {
+		c := n.Capacitors[kind]
 		c.DensityFPerM2 *= mul()
 		out.Capacitors[kind] = c
 	}
 	out.Inductors = n.Inductors
 	return &out
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K ~int, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
 }
 
 // Format renders the study.
@@ -163,13 +173,8 @@ type NodeSweepResult struct {
 	Rows []NodeSweepRow
 }
 
-// NodeSweep runs the per-node exploration.
-func NodeSweep() (*NodeSweepResult, error) {
-	return NodeSweepContext(context.Background())
-}
-
-// NodeSweepContext is NodeSweep with run control threaded into each
-// per-node exploration.
+// NodeSweepContext re-runs the case-study exploration on every built-in
+// node, with ctx threaded into each exploration.
 func NodeSweepContext(ctx context.Context) (*NodeSweepResult, error) {
 	out := &NodeSweepResult{}
 	for _, name := range tech.Nodes() {

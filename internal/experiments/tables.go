@@ -70,14 +70,9 @@ func Table1() (string, error) {
 	return "Table 1 — case-study input parameters\n" + table([]string{"parameter", "value"}, rows), nil
 }
 
-// Table2 runs the design-space exploration across 1/2/4 distributed IVRs
-// (paper Table 2).
-func Table2() (*core.DistributionTable, error) {
-	return Table2Context(context.Background())
-}
-
-// Table2Context is Table2 with run control threaded into every per-count
-// exploration of the distribution sweep.
+// Table2Context runs the design-space exploration across 1/2/4 distributed
+// IVRs (paper Table 2), with ctx threaded into every per-count exploration
+// of the distribution sweep.
 func Table2Context(ctx context.Context) (*core.DistributionTable, error) {
 	cs, err := NewCaseSystem()
 	if err != nil {

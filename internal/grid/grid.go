@@ -176,57 +176,14 @@ func (m *Mesh) bandBase() (*numeric.SymBand, error) {
 	return m.bandLap, nil
 }
 
-// EffectiveResistance returns the small-signal resistance seen by a load at
-// p with all taps regulating: inject 1 A at p, read the potential. One-shot
-// convenience; batch callers should build a Solver and reuse it.
-func (m *Mesh) EffectiveResistance(taps []Point, p Point) (float64, error) {
-	s, err := m.NewSolver(taps)
-	if err != nil {
-		return 0, err
-	}
-	return s.EffectiveResistance(p)
-}
-
-// IRDrop solves the full mesh with per-core load currents and returns each
-// core's voltage drop below the regulated level (V).
-func (m *Mesh) IRDrop(taps []Point, cores []Point, currents []float64) ([]float64, error) {
-	s, err := m.NewSolver(taps)
-	if err != nil {
-		return nil, err
-	}
-	return s.IRDrop(cores, currents)
-}
-
-// WorstCaseResistance returns the largest effective resistance over the
-// given core sites.
-func (m *Mesh) WorstCaseResistance(taps, cores []Point) (float64, error) {
-	return m.WorstCaseResistanceContext(nil, taps, cores)
-}
-
-// WorstCaseResistanceContext is WorstCaseResistance with run control: a
-// cancelled ctx (nil selects the background context) stops the per-core
-// fan-out and returns ctx.Err().
-func (m *Mesh) WorstCaseResistanceContext(ctx context.Context, taps, cores []Point) (float64, error) {
-	s, err := m.NewSolver(taps)
-	if err != nil {
-		return 0, err
-	}
-	return s.WorstCaseResistanceContext(ctx, cores)
-}
-
-// PlaceIVRs picks n tap sites minimizing the worst-case effective
+// PlaceIVRsContext picks n tap sites minimizing the worst-case effective
 // resistance over the core sites, by greedy farthest-point-style selection
 // over a candidate lattice followed by exact evaluation. It is a floorplan
-// heuristic, not an optimizer — good placements, deterministically.
-func (m *Mesh) PlaceIVRs(n int, cores []Point) ([]Point, error) {
-	return m.PlaceIVRsContext(nil, n, cores)
-}
-
-// PlaceIVRsContext is PlaceIVRs with run control: a cancelled ctx (nil
-// selects the background context) stops the candidate scoring fan-out
-// between solves and returns ctx.Err(). Uncancelled, the placement is
-// bit-identical to PlaceIVRs for every worker schedule — candidates are
-// reduced in scan order after the parallel scoring round.
+// heuristic, not an optimizer — good placements, deterministically: the
+// placement is bit-identical for every worker schedule, because candidates
+// are reduced in scan order after the parallel scoring round. A cancelled
+// ctx (nil selects the background context) stops the candidate scoring
+// fan-out between solves and returns ctx.Err().
 func (m *Mesh) PlaceIVRsContext(ctx context.Context, n int, cores []Point) ([]Point, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("grid: need at least one IVR")

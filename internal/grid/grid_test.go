@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,6 +13,31 @@ func mesh(t *testing.T, w, h int) *Mesh {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// effectiveResistance is a one-shot solve of the resistance a load at p
+// sees against taps.
+func effectiveResistance(m *Mesh, taps []Point, p Point) (float64, error) {
+	s, err := m.NewSolver(taps)
+	if err != nil {
+		return 0, err
+	}
+	return s.EffectiveResistance(p)
+}
+
+// worstCase returns the largest effective resistance over cores against
+// taps.
+func worstCase(t *testing.T, m *Mesh, taps, cores []Point) float64 {
+	t.Helper()
+	s, err := m.NewSolver(taps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.WorstCaseResistanceContext(context.Background(), cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestNewMeshValidation(t *testing.T) {
@@ -30,7 +56,7 @@ func TestEffectiveResistanceBasics(t *testing.T) {
 	m := mesh(t, 16, 16)
 	tap := Point{8, 8}
 	// Load at the tap itself: essentially zero resistance.
-	r0, err := m.EffectiveResistance([]Point{tap}, tap)
+	r0, err := effectiveResistance(m, []Point{tap}, tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +64,11 @@ func TestEffectiveResistanceBasics(t *testing.T) {
 		t.Errorf("resistance at the tap should be ~0, got %v", r0)
 	}
 	// Resistance grows with distance from the tap.
-	rNear, err := m.EffectiveResistance([]Point{tap}, Point{9, 8})
+	rNear, err := effectiveResistance(m, []Point{tap}, Point{9, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rFar, err := m.EffectiveResistance([]Point{tap}, Point{15, 15})
+	rFar, err := effectiveResistance(m, []Point{tap}, Point{15, 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +76,13 @@ func TestEffectiveResistanceBasics(t *testing.T) {
 		t.Errorf("resistance should grow with distance: %v, %v, %v", r0, rNear, rFar)
 	}
 	// Bounds checks.
-	if _, err := m.EffectiveResistance([]Point{tap}, Point{99, 0}); err == nil {
+	if _, err := effectiveResistance(m, []Point{tap}, Point{99, 0}); err == nil {
 		t.Error("out-of-bounds load must fail")
 	}
-	if _, err := m.EffectiveResistance([]Point{{99, 99}}, tap); err == nil {
+	if _, err := effectiveResistance(m, []Point{{99, 99}}, tap); err == nil {
 		t.Error("out-of-bounds tap must fail")
 	}
-	if _, err := m.EffectiveResistance(nil, tap); err == nil {
+	if _, err := effectiveResistance(m, nil, tap); err == nil {
 		t.Error("no taps must fail")
 	}
 }
@@ -66,21 +92,11 @@ func TestEffectiveResistanceBasics(t *testing.T) {
 func TestDistributionScaling(t *testing.T) {
 	m := mesh(t, 24, 24)
 	cores := m.QuadCores()
-	center := []Point{{12, 12}}
-	r1, err := m.WorstCaseResistance(center, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := worstCase(t, m, []Point{{12, 12}}, cores)
 	// Two taps on the diagonal.
-	r2, err := m.WorstCaseResistance([]Point{{6, 6}, {18, 18}}, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := worstCase(t, m, []Point{{6, 6}, {18, 18}}, cores)
 	// Four taps at the quadrant centers (co-located with the cores).
-	r4, err := m.WorstCaseResistance(cores, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r4 := worstCase(t, m, cores, cores)
 	t.Logf("R_eff: centralized %.4f, 2 taps %.4f, 4 taps %.4f", r1, r2, r4)
 	if !(r1 > r2 && r2 > r4) {
 		t.Errorf("distribution should reduce grid resistance: %v, %v, %v", r1, r2, r4)
@@ -92,64 +108,58 @@ func TestDistributionScaling(t *testing.T) {
 	}
 }
 
+// TestIRDropSuperposition checks the solver is linear in the injected
+// core currents: doubling every current doubles every IR drop.
 func TestIRDropSuperposition(t *testing.T) {
 	m := mesh(t, 16, 16)
-	taps := []Point{{0, 0}}
+	s, err := m.NewSolver([]Point{{0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cores := []Point{{8, 8}, {15, 15}}
-	// Linearity: doubling all currents doubles every drop.
-	d1, err := m.IRDrop(taps, cores, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
+	drops := func(scale float64) []float64 {
+		b := make([]float64, m.W*m.H)
+		for k, c := range cores {
+			b[s.index(c)] += scale * float64(k+1)
+		}
+		x, err := s.solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []float64{x[s.index(cores[0])], x[s.index(cores[1])]}
 	}
-	d2, err := m.IRDrop(taps, cores, []float64{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1, d2 := drops(1), drops(2)
 	for k := range d1 {
-		if math.Abs(d2[k]-2*d1[k]) > 1e-6*d1[k] {
+		if d1[k] <= 0 || math.Abs(d2[k]-2*d1[k]) > 1e-6*d1[k] {
 			t.Errorf("core %d: drop not linear: %v vs %v", k, d1[k], d2[k])
 		}
-	}
-	// Mismatched lengths.
-	if _, err := m.IRDrop(taps, cores, []float64{1}); err == nil {
-		t.Error("length mismatch must fail")
 	}
 }
 
 func TestPlaceIVRsImproves(t *testing.T) {
 	m := mesh(t, 24, 24)
 	cores := m.QuadCores()
-	taps1, err := m.PlaceIVRs(1, cores)
+	ctx := context.Background()
+	taps1, err := m.PlaceIVRsContext(ctx, 1, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	taps4, err := m.PlaceIVRs(4, cores)
+	taps4, err := m.PlaceIVRsContext(ctx, 4, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := m.WorstCaseResistance(taps1, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := m.WorstCaseResistance(taps4, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r4 := worstCase(t, m, taps1, cores), worstCase(t, m, taps4, cores)
 	if r4 >= r1 {
 		t.Errorf("4 placed IVRs should beat 1: %v vs %v", r4, r1)
 	}
 	// A corner placement must be worse than the heuristic's choice.
-	rCorner, err := m.WorstCaseResistance([]Point{{0, 0}}, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 > rCorner {
+	if rCorner := worstCase(t, m, []Point{{0, 0}}, cores); r1 > rCorner {
 		t.Errorf("heuristic single placement %v worse than a corner %v", r1, rCorner)
 	}
-	if _, err := m.PlaceIVRs(0, cores); err == nil {
+	if _, err := m.PlaceIVRsContext(ctx, 0, cores); err == nil {
 		t.Error("zero IVRs must fail")
 	}
-	if _, err := m.PlaceIVRs(1, nil); err == nil {
+	if _, err := m.PlaceIVRsContext(ctx, 1, nil); err == nil {
 		t.Error("no cores must fail")
 	}
 }

@@ -3,7 +3,6 @@ package grid
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"ivory/internal/numeric"
 	"ivory/internal/parallel"
@@ -18,33 +17,17 @@ const (
 	maxDirectEntries   = 1 << 21
 )
 
-// Package-wide solver telemetry: how many Solver contexts took the banded
-// Cholesky direct path vs the CG fallback. Cumulative; per-run consumers
-// (core.Explore's Stats) snapshot and diff.
-var (
-	solverCholesky atomic.Int64
-	solverCG       atomic.Int64
-)
-
-// SolverStats returns the cumulative count of solver contexts built on the
-// direct banded-Cholesky path and on the conjugate-gradient fallback.
-// Counters are shared across concurrent runs — telemetry, not accounting.
-func SolverStats() (cholesky, cg int64) {
-	return solverCholesky.Load(), solverCG.Load()
-}
-
 // Solver is a per-tap-set solving context. It assembles the grounded mesh
 // Laplacian once — reusing the mesh's cached tapless base, since regulator
 // taps only touch the diagonal — and factors or preconditions it a single
 // time, so every subsequent load point is a cheap solve instead of a full
-// rebuild-and-restart. WorstCaseResistance and PlaceIVRs evaluate many
-// (taps, core) pairs against the same tap set; this context is what makes
-// those loops O(solve) instead of O(assemble + solve).
+// rebuild-and-restart. WorstCaseResistanceContext and PlaceIVRsContext
+// evaluate many (taps, core) pairs against the same tap set; this context
+// is what makes those loops O(solve) instead of O(assemble + solve).
 //
 // A Solver is immutable after construction and safe for concurrent use.
 type Solver struct {
-	m    *Mesh
-	taps []Point
+	m *Mesh
 	// Exactly one of chol (banded direct path) and sm (CG path) is non-nil.
 	chol *numeric.BandCholesky
 	sm   *numeric.SparseMatrix
@@ -63,7 +46,7 @@ func (m *Mesh) NewSolver(taps []Point) (*Solver, error) {
 			return nil, fmt.Errorf("grid: tap %v outside the %dx%d mesh", t, m.W, m.H)
 		}
 	}
-	s := &Solver{m: m, taps: append([]Point(nil), taps...)}
+	s := &Solver{m: m}
 	gTap := 1 / m.RTile * 1e7 // taps are ~ideal vs the mesh links
 	bw := m.W
 	if m.H < m.W {
@@ -80,7 +63,6 @@ func (m *Mesh) NewSolver(taps []Point) (*Solver, error) {
 			}
 			if chol, err := sb.Cholesky(); err == nil {
 				s.chol = chol
-				solverCholesky.Add(1)
 				return s, nil
 			}
 		}
@@ -93,7 +75,6 @@ func (m *Mesh) NewSolver(taps []Point) (*Solver, error) {
 		sm.AddDiag(m.idx(t), gTap)
 	}
 	s.sm = sm
-	solverCG.Add(1)
 	return s, nil
 }
 
@@ -113,9 +94,6 @@ func (s *Solver) index(p Point) int {
 	}
 	return s.m.idx(p)
 }
-
-// Taps returns the tap set this context was built for.
-func (s *Solver) Taps() []Point { return append([]Point(nil), s.taps...) }
 
 // solve returns the node potentials for the given injection vector
 // (indexed per s.index).
@@ -143,40 +121,11 @@ func (s *Solver) EffectiveResistance(p Point) (float64, error) {
 	return x[s.index(p)], nil
 }
 
-// IRDrop solves the mesh with per-core load currents and returns each
-// core's voltage drop below the regulated level (V).
-func (s *Solver) IRDrop(cores []Point, currents []float64) ([]float64, error) {
-	if len(cores) != len(currents) {
-		return nil, fmt.Errorf("grid: %d cores but %d currents", len(cores), len(currents))
-	}
-	n := s.m.W * s.m.H
-	b := make([]float64, n)
-	for k, c := range cores {
-		if !s.m.inBounds(c) {
-			return nil, fmt.Errorf("grid: core %v outside the mesh", c)
-		}
-		b[s.index(c)] += currents[k]
-	}
-	x, err := s.solve(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(cores))
-	for k, c := range cores {
-		out[k] = x[s.index(c)]
-	}
-	return out, nil
-}
-
-// WorstCaseResistance returns the largest effective resistance over the
-// given core sites, fanning the independent per-core solves across CPUs.
-func (s *Solver) WorstCaseResistance(cores []Point) (float64, error) {
-	return s.WorstCaseResistanceContext(nil, cores)
-}
-
-// WorstCaseResistanceContext is WorstCaseResistance with run control: a
-// cancelled ctx (nil selects the background context) stops dispatching
-// per-core solves and returns ctx.Err() once in-flight solves drain.
+// WorstCaseResistanceContext returns the largest effective resistance over
+// the given core sites, fanning the independent per-core solves across
+// CPUs. A cancelled ctx (nil selects the background context) stops
+// dispatching per-core solves and returns ctx.Err() once in-flight solves
+// drain.
 func (s *Solver) WorstCaseResistanceContext(ctx context.Context, cores []Point) (float64, error) {
 	worst, _, err := s.worstMean(ctx, cores, 0)
 	return worst, err

@@ -168,28 +168,3 @@ func (d *Design) Area() float64 {
 	a += float64(ctrlGates*cfg.Interleave) * 40 * f * f * 25
 	return a * routingTax
 }
-
-// EfficiencyCurve sweeps the target output voltage at fixed load; the
-// linear-in-VOut efficiency line (η ≈ η_I·V_out/V_in) is the defining
-// contrast with switching converters.
-func (d *Design) EfficiencyCurve(iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
-	if points < 2 {
-		points = 2
-	}
-	for k := 0; k < points; k++ {
-		target := vLo + (vHi-vLo)*float64(k)/float64(points-1)
-		cfg := d.cfg
-		cfg.VOut = target
-		dd, err := New(cfg)
-		if err != nil {
-			continue
-		}
-		m, err := dd.Evaluate(iLoad)
-		if err != nil {
-			continue
-		}
-		vout = append(vout, m.VOut)
-		eff = append(eff, m.Efficiency)
-	}
-	return vout, eff
-}

@@ -113,12 +113,27 @@ func TestRippleBehaviour(t *testing.T) {
 	}
 }
 
-func TestEfficiencyCurveIsLinear(t *testing.T) {
-	d, err := New(baseConfig())
-	if err != nil {
-		t.Fatal(err)
+// efficiencyCurve sweeps the output target from vLo to vHi at fixed load
+// and returns the achieved V_out and efficiency of every feasible point.
+func efficiencyCurve(cfg Config, iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
+	for k := 0; k < points; k++ {
+		cfg.VOut = vLo + (vHi-vLo)*float64(k)/float64(points-1)
+		d, err := New(cfg)
+		if err != nil {
+			continue
+		}
+		m, err := d.Evaluate(iLoad)
+		if err != nil {
+			continue
+		}
+		vout = append(vout, m.VOut)
+		eff = append(eff, m.Efficiency)
 	}
-	vout, eff := d.EfficiencyCurve(1.0, 0.5, 1.5, 11)
+	return vout, eff
+}
+
+func TestEfficiencyCurveIsLinear(t *testing.T) {
+	vout, eff := efficiencyCurve(baseConfig(), 1.0, 0.5, 1.5, 11)
 	if len(vout) < 10 {
 		t.Fatalf("curve too short: %d", len(vout))
 	}

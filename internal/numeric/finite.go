@@ -40,6 +40,8 @@ func AllFinite(name string, vs ...float64) error {
 // absolute/relative criterion: |a-b| <= tol * max(1, |a|, |b|). A
 // tolerance of 0 demands bit-exact agreement. NaN never compares equal
 // to anything, matching IEEE-754.
+//
+//lint:ignore deadexport floatcmp names it as the fix, and tests across packages compare through it
 func ApproxEqual(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return false

@@ -3,9 +3,8 @@
 // standard library so the tool runs without numerical dependencies.
 //
 // Matrix is a small dense row-major container. Every production
-// factorization goes through the structure-aware SparseLU (ComplexLU for
-// AC sweeps) in sparselu.go: its first factorization is plain partial
-// pivoting, and later refactorizations of the same pattern rerun only
+// factorization goes through the structure-aware SparseLU in
+// sparselu.go: its first factorization is plain partial pivoting, and later refactorizations of the same pattern rerun only
 // the numeric sweep over the recorded fill pattern. The remaining solvers
 // are the banded Cholesky (band.go) and conjugate gradients (sparse.go)
 // for the symmetric grid systems.

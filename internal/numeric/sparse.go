@@ -29,9 +29,6 @@ func NewSparseMatrix(n int) *SparseMatrix {
 	}
 }
 
-// N returns the dimension.
-func (m *SparseMatrix) N() int { return m.n }
-
 // Clone returns an independent deep copy. The grid solver assembles a
 // mesh Laplacian once and clones it per regulator tap set (taps only
 // touch the diagonal), instead of re-assembling the whole matrix.

@@ -2,7 +2,6 @@ package numeric
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -101,8 +100,8 @@ func TestRefactorSameValuesBitIdentical(t *testing.T) {
 	if err := sp.Refactor(m); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Repivots() != 0 {
-		t.Fatalf("same-value refactor re-pivoted %d times", sp.Repivots())
+	if sp.repivots != 0 {
+		t.Fatalf("same-value refactor re-pivoted %d times", sp.repivots)
 	}
 	b := randRHS(rng, m.Rows)
 	x := make([]float64, m.Rows)
@@ -174,7 +173,7 @@ func TestRefactorPatternEscapeFallsBack(t *testing.T) {
 	added := false
 	for i := 0; i < 10 && !added; i++ {
 		for j := 0; j < 10 && !added; j++ {
-			if i != j && m2.At(i, j) == 0 && !sp.Symbolic().mask[i*m2.Cols+j] {
+			if i != j && m2.At(i, j) == 0 && !sp.sym.mask[i*m2.Cols+j] {
 				m2.Set(i, j, 3)
 				m2.Set(j, i, 3)
 				m2.Add(i, i, 3)
@@ -189,7 +188,7 @@ func TestRefactorPatternEscapeFallsBack(t *testing.T) {
 	if err := sp.Refactor(m2); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Repivots() == 0 {
+	if sp.repivots == 0 {
 		t.Fatal("pattern escape did not trigger a re-pivot")
 	}
 	dense, err := Factorize(m2)
@@ -239,7 +238,7 @@ func TestRefactorPivotDegradationRepivots(t *testing.T) {
 	x := make([]float64, 4)
 	sp.SolveInto(x, b)
 	if e := relErr(x, dense.Solve(b)); e > 1e-9 {
-		t.Fatalf("degraded-pivot refactor drifted from dense by %g (repivots %d)", e, sp.Repivots())
+		t.Fatalf("degraded-pivot refactor drifted from dense by %g (repivots %d)", e, sp.repivots)
 	}
 }
 
@@ -277,7 +276,7 @@ func TestForkIndependence(t *testing.T) {
 		}
 	}
 	fork := sp.Fork()
-	if fork.Symbolic() != sp.Symbolic() {
+	if fork.sym != sp.sym {
 		t.Fatal("fork must share the symbolic structure")
 	}
 	if err := fork.Refactor(m2); err != nil {
@@ -324,162 +323,13 @@ func TestSymbolicNNZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nnz := sp.Symbolic().NNZ()
+	nnz := sp.sym.nnz()
 	dim := m.Rows
 	if nnz <= 0 || nnz > dim*dim {
 		t.Fatalf("NNZ = %d out of range (dim %d)", nnz, dim)
 	}
-	if sp.Symbolic().N() != dim {
-		t.Fatalf("N = %d, want %d", sp.Symbolic().N(), dim)
-	}
-}
-
-// --- complex twin -----------------------------------------------------------
-
-// denseComplexSolve is an independent reference: plain complex Gaussian
-// elimination with partial pivoting (the algorithm the AC path used
-// before the structure-aware kernel).
-func denseComplexSolve(t *testing.T, m []complex128, b []complex128, n int) []complex128 {
-	t.Helper()
-	a := append([]complex128(nil), m...)
-	x := append([]complex128(nil), b...)
-	for k := 0; k < n; k++ {
-		p, mx := k, cmplx.Abs(a[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if ab := cmplx.Abs(a[i*n+k]); ab > mx {
-				p, mx = i, ab
-			}
-		}
-		if mx < 1e-300 {
-			t.Fatal("singular reference matrix")
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				a[p*n+j], a[k*n+j] = a[k*n+j], a[p*n+j]
-			}
-			x[p], x[k] = x[k], x[p]
-		}
-		piv := a[k*n+k]
-		for i := k + 1; i < n; i++ {
-			l := a[i*n+k] / piv
-			if l == 0 {
-				continue
-			}
-			a[i*n+k] = 0
-			for j := k + 1; j < n; j++ {
-				a[i*n+j] -= l * a[k*n+j]
-			}
-			x[i] -= l * x[k]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= a[i*n+j] * x[j]
-		}
-		x[i] = s / a[i*n+i]
-	}
-	return x
-}
-
-// acLike assembles an RC-ladder admittance matrix at angular frequency w:
-// the frequency sweep reuses one pattern with drifting values.
-func acLike(n int, w float64) []complex128 {
-	m := make([]complex128, n*n)
-	stamp := func(a, b int, y complex128) {
-		if a >= 0 {
-			m[a*n+a] += y
-		}
-		if b >= 0 {
-			m[b*n+b] += y
-		}
-		if a >= 0 && b >= 0 {
-			m[a*n+b] -= y
-			m[b*n+a] -= y
-		}
-	}
-	for i := 0; i < n; i++ {
-		prev := i - 1
-		stamp(prev, i, complex(1.0/(1.0+float64(i)), 0))
-		stamp(i, -1, complex(0, w*1e-9*float64(i+1)))
-		m[i*n+i] += 1e-12
-	}
-	return m
-}
-
-func TestComplexLUFrequencySweepEquivalence(t *testing.T) {
-	n := 10
-	b := make([]complex128, n)
-	b[0] = 1
-	first := acLike(n, 2*math.Pi*1e3)
-	cf, err := NewComplexLU(first, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First factorization is the dense algorithm: bit-identical solve.
-	got := cf.Solve(b)
-	want := denseComplexSolve(t, first, b, n)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("first-frequency x[%d] = %v, dense %v", i, got[i], want[i])
-		}
-	}
-	// Sweep six decades on the same pattern through the numeric-only path.
-	x := make([]complex128, n)
-	for _, f := range []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9} {
-		m := acLike(n, 2*math.Pi*f)
-		if err := cf.Refactor(m); err != nil {
-			t.Fatal(err)
-		}
-		cf.SolveInto(x, b)
-		want := denseComplexSolve(t, m, b, n)
-		num, den := 0.0, 0.0
-		for i := range x {
-			num += cmplx.Abs(x[i]-want[i]) * cmplx.Abs(x[i]-want[i])
-			den += cmplx.Abs(want[i]) * cmplx.Abs(want[i])
-		}
-		if math.Sqrt(num/den) > 1e-9 {
-			t.Fatalf("f=%g: refactor drifted from dense by %g", f, math.Sqrt(num/den))
-		}
-	}
-}
-
-func TestComplexLUAllocationFree(t *testing.T) {
-	n := 10
-	m := acLike(n, 2*math.Pi*1e6)
-	cf, err := NewComplexLU(m, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]complex128, n)
-	b[0] = 1
-	x := make([]complex128, n)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := cf.Refactor(m); err != nil {
-			t.Fatal(err)
-		}
-		cf.SolveInto(x, b)
-	})
-	if allocs != 0 {
-		t.Fatalf("ComplexLU Refactor+SolveInto allocated %v times per run, want 0", allocs)
-	}
-}
-
-func TestComplexLUSingularAndShape(t *testing.T) {
-	if _, err := NewComplexLU(make([]complex128, 3), 2); err == nil {
-		t.Fatal("wrong-length input must fail")
-	}
-	sing := []complex128{1, 2, 2, 4}
-	if _, err := NewComplexLU(sing, 2); err != ErrSingular {
-		t.Fatalf("singular NewComplexLU err = %v, want ErrSingular", err)
-	}
-	ok := []complex128{1, 2, 2, 5}
-	cf, err := NewComplexLU(ok, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.Refactor(sing); err != ErrSingular {
-		t.Fatalf("singular Refactor err = %v, want ErrSingular", err)
+	if sp.sym.n != dim {
+		t.Fatalf("N = %d, want %d", sp.sym.n, dim)
 	}
 }
 

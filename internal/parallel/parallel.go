@@ -6,8 +6,8 @@
 //
 // ForContext adds the run-control contract on top: a panic inside any job
 // is recovered, tagged with its job index, and re-raised exactly once on
-// the caller's goroutine (a bare For/go panic would kill the process from
-// an anonymous goroutine with no indication of which job died), and
+// the caller's goroutine (a bare go-statement panic would kill the process
+// from an anonymous goroutine with no indication of which job died), and
 // cancelling the context stops the dispatch of new jobs — in-flight jobs
 // drain, then ctx.Err() is returned.
 package parallel
@@ -38,21 +38,13 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job %d panicked: %v", e.Index, e.Value)
 }
 
-// For runs fn(i) for every i in [0, n), spread over min(workers, n)
-// goroutines. workers <= 0 selects runtime.NumCPU(); workers == 1 runs the
-// loop inline with no goroutines (the serial reference path). fn must be
-// safe for concurrent invocation and must confine its writes to data owned
-// by index i. A panic in fn surfaces on the caller's goroutine as a
-// *PanicError (see ForContext).
-func For(n, workers int, fn func(int)) {
-	// context.Background() is never cancelled, so the error is always nil.
-	_ = ForContext(context.Background(), n, workers, fn)
-}
-
-// ForContext is For with run control. Scheduling is identical to For —
-// an atomic index counter feeding min(workers, n) goroutines, workers == 1
-// running inline in ascending order — so results written to per-index
-// slots stay bit-identical to the serial path for every worker count.
+// ForContext runs fn(i) for every i in [0, n), spread over min(workers, n)
+// goroutines fed by an atomic index counter. workers <= 0 selects
+// runtime.NumCPU(); workers == 1 runs the loop inline in ascending order
+// with no goroutines (the serial reference path), so results written to
+// per-index slots stay bit-identical to the serial path for every worker
+// count. fn must be safe for concurrent invocation and must confine its
+// writes to data owned by index i.
 //
 // Two behaviours are layered on top:
 //

@@ -13,7 +13,9 @@ func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		for _, n := range []int{0, 1, 5, 64, 1000} {
 			hits := make([]atomic.Int32, n)
-			For(n, workers, func(i int) { hits[i].Add(1) })
+			if err := ForContext(nil, n, workers, func(i int) { hits[i].Add(1) }); err != nil {
+				t.Fatal(err)
+			}
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
@@ -25,7 +27,9 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForSerialIsInOrder(t *testing.T) {
 	var order []int
-	For(10, 1, func(i int) { order = append(order, i) })
+	if err := ForContext(nil, 10, 1, func(i int) { order = append(order, i) }); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range order {
 		if i != v {
 			t.Fatalf("serial path visited %v, want ascending order", order)
@@ -33,8 +37,8 @@ func TestForSerialIsInOrder(t *testing.T) {
 	}
 }
 
-// TestForContextCoversAllIndices checks the uncancelled path is identical
-// to For: every index visited exactly once, nil error.
+// TestForContextCoversAllIndices checks a live uncancelled context behaves
+// like the nil one: every index visited exactly once, nil error.
 func TestForContextCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		n := 500

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"ivory/internal/dynamic"
-	"ivory/internal/grid"
 	"ivory/internal/ldo"
 	"ivory/internal/numeric"
 	"ivory/internal/pdn"
@@ -48,28 +47,6 @@ type System struct {
 	Network *pdn.Network
 	// Seed makes workload synthesis reproducible.
 	Seed int64
-}
-
-// CalibrateGridFromMesh derives the System's lumped grid resistance from
-// floorplan geometry: the worst-case effective resistance of a centralized
-// regulator placement on the given mesh over the core sites. The dynamic
-// analysis then divides it by the distribution count as before, an
-// approximation the grid-scaling study (ivory-exp gridscale) quantifies.
-func (s *System) CalibrateGridFromMesh(m *grid.Mesh) error {
-	if m == nil {
-		return fmt.Errorf("pds: nil mesh")
-	}
-	cores := m.QuadCores()
-	taps, err := m.PlaceIVRs(1, cores)
-	if err != nil {
-		return err
-	}
-	r, err := m.WorstCaseResistance(taps, cores)
-	if err != nil {
-		return err
-	}
-	s.GridR = r
-	return nil
 }
 
 // Validate checks the system description.
@@ -154,8 +131,8 @@ func gridDrop(vReg, iCore []float64, dt, r, l float64) []float64 {
 // gridDropInto is gridDrop with buffer reuse (dst may be nil).
 //
 // The k=0 sample intentionally carries no inductive term: both transient
-// models enter the trace in steady state at the initial load (pdn.Transient
-// applies a DC initial condition; the SC loop starts settled at its
+// models enter the trace in steady state at the initial load
+// (pdn.TransientContext applies a DC initial condition; the SC loop starts settled at its
 // reference), so the segment current is flat across the first sample
 // boundary — i[-1] ≡ i[0] and di/dt = 0. Differencing against an artificial
 // zero-current prior sample would instead inject a spurious L·i[0]/dt
@@ -382,12 +359,6 @@ func checkTraces(src workload.Source, traces [][]float64, n int) error {
 		}
 	}
 	return nil
-}
-
-// SimulateDigitalLDO produces the core voltage trace for a centralized
-// digital-LDO configuration; see SimulateDigitalLDOContext.
-func (s *System) SimulateDigitalLDO(des *ldo.Design, src workload.Source, T, dt float64) (*NoiseResult, error) {
-	return s.SimulateDigitalLDOContext(context.Background(), des, src, T, dt, SimOptions{KeepTrace: true})
 }
 
 // SimulateDigitalLDOContext runs the fourth delivery style: a centralized

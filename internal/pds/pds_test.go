@@ -3,7 +3,6 @@ package pds
 import (
 	"testing"
 
-	"ivory/internal/grid"
 	"ivory/internal/pdn"
 	"ivory/internal/sc"
 	"ivory/internal/tech"
@@ -220,26 +219,5 @@ func TestPowerBreakdownValidation(t *testing.T) {
 	}
 	if _, err := s.PowerBreakdown(BreakdownParams{VRMEfficiency: 0.9, NumIVRs: 2, IVREfficiency: 0}); err == nil {
 		t.Error("zero IVR efficiency must fail")
-	}
-}
-
-func TestCalibrateGridFromMesh(t *testing.T) {
-	s := testSystem(t)
-	m, err := grid.NewMesh(16, 16, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := s.GridR
-	if err := s.CalibrateGridFromMesh(m); err != nil {
-		t.Fatal(err)
-	}
-	if s.GridR <= 0 {
-		t.Fatal("calibrated grid resistance must be positive")
-	}
-	if numeric.ApproxEqual(s.GridR, old, 0) {
-		t.Error("calibration should change the hand-set value")
-	}
-	if err := s.CalibrateGridFromMesh(nil); err == nil {
-		t.Error("nil mesh must fail")
 	}
 }

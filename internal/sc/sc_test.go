@@ -275,13 +275,28 @@ func TestInterleavingReducesRipple(t *testing.T) {
 	}
 }
 
+// efficiencyCurve sweeps the output target from vLo to vHi at fixed load
+// and returns the achieved V_out and efficiency of every feasible point.
+func efficiencyCurve(cfg Config, iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
+	for k := 0; k < points; k++ {
+		cfg.VOut = vLo + (vHi-vLo)*float64(k)/float64(points-1)
+		d, err := New(cfg)
+		if err != nil {
+			continue
+		}
+		m, err := d.Evaluate(iLoad)
+		if err != nil {
+			continue
+		}
+		vout = append(vout, m.VOut)
+		eff = append(eff, m.Efficiency)
+	}
+	return vout, eff
+}
+
 func TestEfficiencyPeaksNearIdealRatio(t *testing.T) {
 	cfg := baseConfig(t)
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vout, eff := d.EfficiencyCurve(0.4, 0.3, 0.89, 40)
+	vout, eff := efficiencyCurve(cfg, 0.4, 0.3, 0.89, 40)
 	if len(vout) < 10 {
 		t.Fatalf("curve too short: %d points", len(vout))
 	}
@@ -311,7 +326,10 @@ func TestGTotalForAreaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	area := d.SwitchArea()
+	area := 0.0
+	for i := range d.devs {
+		area += float64(d.stacks[i]) * d.devs[i].Area(d.widths[i])
+	}
 	if area <= 0 {
 		t.Fatal("switch area must be positive")
 	}

@@ -68,8 +68,6 @@ func normalizeVolatileStats(r *ExploreResponse) {
 	r.Stats.CandidatesPerSec = 0
 	r.Stats.TopoCacheHits = 0
 	r.Stats.TopoCacheMisses = 0
-	r.Stats.GridCholesky = 0
-	r.Stats.GridCG = 0
 }
 
 // canonicalExploreJSON re-marshals a wire body with volatile stats zeroed.

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"ivory/internal/grid"
 	"ivory/internal/pds"
 	"ivory/internal/soc"
 	"ivory/internal/topology"
@@ -269,9 +268,6 @@ func (m *metrics) write(w io.Writer, g gaugeSnapshot) {
 	th, tm := topology.CacheStats()
 	writeCounter(w, "ivory_topology_cache_hits_total", "Topology analyze-memo hits.", th)
 	writeCounter(w, "ivory_topology_cache_misses_total", "Topology analyze-memo misses.", tm)
-	gc, gcg := grid.SolverStats()
-	writeCounter(w, "ivory_grid_solver_cholesky_total", "Grid solver contexts built on the banded Cholesky path.", gc)
-	writeCounter(w, "ivory_grid_solver_cg_total", "Grid solver contexts built on the conjugate-gradient fallback.", gcg)
 	ph, pm := pds.TraceCacheStats()
 	writeCounter(w, "ivory_pds_trace_cache_hits_total", "PDS core-current trace cache hits.", ph)
 	writeCounter(w, "ivory_pds_trace_cache_misses_total", "PDS core-current trace cache misses.", pm)

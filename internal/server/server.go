@@ -279,9 +279,6 @@ func (s *Server) timeoutFor(timeoutMS int) time.Duration {
 	return d
 }
 
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Serve accepts connections on l until Shutdown. It returns
 // http.ErrServerClosed after a clean shutdown, mirroring net/http.
 func (s *Server) Serve(l net.Listener) error {

@@ -302,7 +302,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	// The draining flag flips synchronously at the head of Shutdown; poll
 	// only for the goroutine to have entered it.
 	deadline := time.Now().Add(10 * time.Second)
-	for !s.Draining() {
+	for !s.draining.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}
@@ -396,7 +396,6 @@ func TestMetricsScrape(t *testing.T) {
 	mustEq(`ivoryd_request_duration_seconds_bucket{endpoint="explore",le="+Inf"}`, 2)
 	for _, engineCounter := range []string{
 		"ivory_topology_cache_hits_total",
-		"ivory_grid_solver_cholesky_total",
 		"ivory_pds_trace_cache_hits_total",
 	} {
 		if _, ok := m[engineCounter]; !ok {

@@ -156,14 +156,6 @@ type SweepResult struct {
 	Stats      SweepStats
 }
 
-// Best returns the top-ranked candidate, or nil when nothing was feasible.
-func (r *SweepResult) Best() *Candidate {
-	if len(r.Candidates) == 0 {
-		return nil
-	}
-	return &r.Candidates[0]
-}
-
 // scratchPool recycles transient-engine buffers across cell evaluations.
 var scratchPool = sync.Pool{New: func() any { return &pds.Scratch{} }}
 

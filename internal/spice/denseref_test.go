@@ -1,9 +1,8 @@
 package spice
 
-// Reference implementations of the transient and AC analyses as they were
-// before the structure-aware kernel overhaul: a per-state dense rebuild
-// for Tran and a fresh dense complex matrix per frequency for AC, each
-// stamped element by element and solved by the plain pivoted Gaussian
+// Reference implementation of the transient analysis as it was before
+// the structure-aware kernel overhaul: a per-state dense rebuild, stamped
+// element by element and solved by the plain pivoted Gaussian
 // elimination in refSolve. They share neither the production assembler
 // (mna.go) nor numeric.SparseLU. The equivalence suite pins the
 // production paths against these — they are the ground truth the
@@ -12,7 +11,6 @@ package spice
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"ivory/internal/numeric"
 )
@@ -231,7 +229,7 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 		for i := 0; i < n; i++ {
 			m.Add(i, i, 1e-12)
 		}
-		x0, err := refSolve(m.Data, rhs, dim, math.Abs)
+		x0, err := refSolve(m.Data, rhs, dim)
 		if err != nil {
 			return nil, fmt.Errorf("spice: singular matrix at t=0: %w", err)
 		}
@@ -292,7 +290,7 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 				addI(e.a, e.b, -e.wave(t))
 			}
 		}
-		xs, err := refSolve(lu.Data, rhs, dim, math.Abs)
+		xs, err := refSolve(lu.Data, rhs, dim)
 		if err != nil {
 			return nil, fmt.Errorf("spice: singular MNA matrix: %w", err)
 		}
@@ -325,138 +323,6 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 	return res, nil
 }
 
-// acDenseRef is the pre-overhaul AC: a fresh dense complex matrix and a
-// full pivoted Gaussian elimination at every frequency.
-func acDenseRef(c *Circuit, freqs []float64, acSource string) (*ACResult, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if len(freqs) == 0 {
-		return nil, fmt.Errorf("spice: AC needs at least one frequency")
-	}
-	found := false
-	for _, e := range c.elems {
-		if (e.kind == kindV || e.kind == kindI) && e.name == acSource {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("spice: AC source %q not found", acSource)
-	}
-	n := len(c.nodeName)
-	nb := 0
-	for _, e := range c.elems {
-		if e.kind == kindV || e.kind == kindVCVS {
-			e.branch = n + nb
-			nb++
-		}
-	}
-	dim := n + nb
-	if dim == 0 {
-		return nil, fmt.Errorf("spice: empty circuit")
-	}
-	res := &ACResult{Freqs: append([]float64(nil), freqs...), V: map[string][]complex128{}}
-	for _, name := range c.nodeName {
-		res.V[name] = make([]complex128, len(freqs))
-	}
-	for fi, f := range freqs {
-		omega := 2 * math.Pi * f
-		m := make([]complex128, dim*dim)
-		rhs := make([]complex128, dim)
-		stamp := func(a, b int, y complex128) {
-			if a >= 0 {
-				m[a*dim+a] += y
-			}
-			if b >= 0 {
-				m[b*dim+b] += y
-			}
-			if a >= 0 && b >= 0 {
-				m[a*dim+b] -= y
-				m[b*dim+a] -= y
-			}
-		}
-		for _, e := range c.elems {
-			switch e.kind {
-			case kindR:
-				stamp(e.a, e.b, complex(1/e.value, 0))
-			case kindC:
-				stamp(e.a, e.b, complex(0, omega*e.value))
-			case kindL:
-				if omega == 0 {
-					stamp(e.a, e.b, complex(1e9, 0))
-				} else {
-					stamp(e.a, e.b, complex(0, -1/(omega*e.value)))
-				}
-			case kindSW:
-				r := e.roff
-				if e.ctrl(0) {
-					r = e.ron
-				}
-				stamp(e.a, e.b, complex(1/r, 0))
-			case kindV:
-				if e.a >= 0 {
-					m[e.a*dim+e.branch] += 1
-					m[e.branch*dim+e.a] += 1
-				}
-				if e.b >= 0 {
-					m[e.b*dim+e.branch] -= 1
-					m[e.branch*dim+e.b] -= 1
-				}
-				if e.name == acSource {
-					rhs[e.branch] = 1
-				}
-			case kindVCVS:
-				if e.a >= 0 {
-					m[e.a*dim+e.branch] += 1
-					m[e.branch*dim+e.a] += 1
-				}
-				if e.b >= 0 {
-					m[e.b*dim+e.branch] -= 1
-					m[e.branch*dim+e.b] -= 1
-				}
-				if e.cp >= 0 {
-					m[e.branch*dim+e.cp] -= complex(e.gain, 0)
-				}
-				if e.cn >= 0 {
-					m[e.branch*dim+e.cn] += complex(e.gain, 0)
-				}
-			case kindVCCS:
-				g := complex(e.gain, 0)
-				addAt := func(row, col int, v complex128) {
-					if row >= 0 && col >= 0 {
-						m[row*dim+col] += v
-					}
-				}
-				addAt(e.a, e.cp, g)
-				addAt(e.a, e.cn, -g)
-				addAt(e.b, e.cp, -g)
-				addAt(e.b, e.cn, g)
-			case kindI:
-				if e.name == acSource {
-					if e.a >= 0 {
-						rhs[e.a] += 1
-					}
-					if e.b >= 0 {
-						rhs[e.b] -= 1
-					}
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			m[i*dim+i] += 1e-12
-		}
-		x, err := refSolve(m, rhs, dim, cmplx.Abs)
-		if err != nil {
-			return nil, fmt.Errorf("spice: AC solve failed at %g Hz: %w", f, err)
-		}
-		for i, name := range c.nodeName {
-			res.V[name][fi] = x[i]
-		}
-	}
-	return res, nil
-}
-
 // refStampVCCS stamps a voltage-controlled current source: current
 // gain*(v_cp - v_cn) flows from a to b.
 func refStampVCCS(m *numeric.Matrix, e *element) {
@@ -473,15 +339,15 @@ func refStampVCCS(m *numeric.Matrix, e *element) {
 
 // refSolve solves the dense row-major n-by-n system m*x = b by Gaussian
 // elimination with partial pivoting on abs, carrying b along.
-func refSolve[T float64 | complex128](m, b []T, n int, abs func(T) float64) ([]T, error) {
-	a := make([]T, len(m))
+func refSolve(m, b []float64, n int) ([]float64, error) {
+	a := make([]float64, len(m))
 	copy(a, m)
-	x := make([]T, n)
+	x := make([]float64, n)
 	copy(x, b)
 	for k := 0; k < n; k++ {
-		p, mx := k, abs(a[k*n+k])
+		p, mx := k, math.Abs(a[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if ab := abs(a[i*n+k]); ab > mx {
+			if ab := math.Abs(a[i*n+k]); ab > mx {
 				p, mx = i, ab
 			}
 		}

@@ -1,7 +1,7 @@
 package spice
 
 // Equivalence suite for the structure-aware kernel overhaul: the
-// production Tran/AC paths (symbolic-once sparse LU, switch-bitmask state
+// production Tran path (symbolic-once sparse LU, switch-bitmask state
 // cache, allocation-free stepping) must reproduce the dense reference
 // implementations in denseref_test.go within 1e-9 relative tolerance on
 // every committed netlist family, including the switch-toggle and
@@ -9,7 +9,6 @@ package spice
 
 import (
 	"math"
-	"math/cmplx"
 	"strings"
 	"testing"
 )
@@ -214,19 +213,6 @@ func TestTranEquivalenceControlledSources(t *testing.T) {
 	compareTran(t, got, want)
 }
 
-func TestACEquivalenceControlledSources(t *testing.T) {
-	freqs := acSweepFreqs()
-	want, err := acDenseRef(buildControlledCircuit(t), freqs, "V1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := buildControlledCircuit(t).AC(freqs, "V1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareAC(t, got, want)
-}
-
 func nameOf(prefix string, i int) string {
 	return prefix + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
@@ -247,81 +233,6 @@ func TestTranSingularMatrix(t *testing.T) {
 	}
 	if _, err := tranDenseRef(build(), 1e-9, 1e-7); err == nil {
 		t.Fatal("reference accepts the singular circuit the kernel rejects")
-	}
-}
-
-func compareAC(t *testing.T, got, want *ACResult) {
-	t.Helper()
-	if len(got.Freqs) != len(want.Freqs) {
-		t.Fatalf("frequency axis %d vs %d", len(got.Freqs), len(want.Freqs))
-	}
-	for name, w := range want.V {
-		g := got.V[name]
-		if len(g) != len(w) {
-			t.Fatalf("node %q response length %d vs %d", name, len(g), len(w))
-		}
-		scale := 0.0
-		for _, v := range w {
-			if a := cmplx.Abs(v); a > scale {
-				scale = a
-			}
-		}
-		if scale == 0 {
-			scale = 1
-		}
-		for k := range g {
-			if cmplx.Abs(g[k]-w[k]) > equivTol*scale {
-				t.Fatalf("node %q diverged at frequency %g: %v vs %v",
-					name, want.Freqs[k], g[k], w[k])
-			}
-		}
-	}
-}
-
-func acSweepFreqs() []float64 {
-	freqs := make([]float64, 120)
-	for i := range freqs {
-		freqs[i] = 1e3 * math.Pow(10, 6*float64(i)/float64(len(freqs)-1))
-	}
-	// Include the DC special case (inductors stamped as shorts).
-	return append([]float64{0}, freqs...)
-}
-
-func TestACEquivalenceBuck(t *testing.T) {
-	freqs := acSweepFreqs()
-	want, err := acDenseRef(buildBuckT(t), freqs, "vsrc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := buildBuckT(t).AC(freqs, "vsrc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareAC(t, got, want)
-}
-
-func TestACEquivalenceSC21(t *testing.T) {
-	freqs := acSweepFreqs()
-	ckt, _ := buildSC21(t, 10e-9, 100.0, 2.0, 50e6, 0.2)
-	want, err := acDenseRef(ckt, freqs, "vsrc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt2, _ := buildSC21(t, 10e-9, 100.0, 2.0, 50e6, 0.2)
-	got, err := ckt2.AC(freqs, "vsrc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareAC(t, got, want)
-}
-
-func TestACSingularMatrix(t *testing.T) {
-	c := NewCircuit()
-	c.V("v1", "a", "0", DC(1))
-	c.V("v2", "a", "0", DC(2))
-	c.C("c1", "a", "0", 1e-9, 0)
-	if _, err := c.AC([]float64{1e3, 1e6}, "v1"); err == nil {
-		t.Fatal("parallel voltage sources must be singular in AC")
 	}
 }
 

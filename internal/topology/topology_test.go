@@ -136,10 +136,23 @@ func TestDoublerRatios(t *testing.T) {
 	}
 }
 
+// fib returns the k-th Fibonacci number, the ratio oracle of
+// TestFibonacciRatios, with fib(1) = fib(2) = 1.
+func fib(k int) int {
+	a, bb := 1, 1
+	for i := 3; i <= k; i++ {
+		a, bb = bb, a+bb
+	}
+	if k <= 0 {
+		return 0
+	}
+	return bb
+}
+
 func TestFibonacciRatios(t *testing.T) {
 	for k := 1; k <= 5; k++ {
 		an := analyze(t, r(Fibonacci(k)))
-		want := 1 / float64(Fib(k+2))
+		want := 1 / float64(fib(k+2))
 		wantClose(t, an.Name+" ratio", an.Ratio, want, 1e-6)
 	}
 	if _, err := Fibonacci(0); err == nil {
@@ -150,8 +163,8 @@ func TestFibonacciRatios(t *testing.T) {
 func TestFibHelper(t *testing.T) {
 	want := []int{0, 1, 1, 2, 3, 5, 8, 13}
 	for k, w := range want {
-		if Fib(k) != w {
-			t.Errorf("Fib(%d) = %d, want %d", k, Fib(k), w)
+		if fib(k) != w {
+			t.Errorf("fib(%d) = %d, want %d", k, fib(k), w)
 		}
 	}
 }
@@ -288,8 +301,8 @@ func TestBuilderNodes(t *testing.T) {
 	}
 	b.AddCap(n1, n2, "c")
 	tp := b.Build()
-	if tp.NumNodes() != numReserved+2 {
-		t.Errorf("NumNodes = %d", tp.NumNodes())
+	if tp.numNodes != numReserved+2 {
+		t.Errorf("numNodes = %d", tp.numNodes)
 	}
 }
 

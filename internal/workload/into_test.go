@@ -27,7 +27,7 @@ func TestCurrentTraceIntoMatchesCurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		power := b.PowerTrace(5, 1e-9, 2048, 42)
+		power := b.PowerTraceInto(nil, 5, 1e-9, 2048, 42)
 		// Include a below-leakage sample so the activity clamp is exercised.
 		power[17] = 0.1
 		for _, v := range []float64{0.80, 0.85, 0.92} {
@@ -58,11 +58,11 @@ func TestPowerTraceIntoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.PowerTrace(5, 1e-9, 4096, 99)
+	want := b.PowerTraceInto(nil, 5, 1e-9, 4096, 99)
 	buf := make([]float64, 0, 4096)
 	got := b.PowerTraceInto(buf, 5, 1e-9, 4096, 99)
 	if !bitsEqual(want, got) {
-		t.Fatal("PowerTraceInto with a donated buffer diverges from PowerTrace")
+		t.Fatal("PowerTraceInto with a donated buffer diverges from a fresh buffer")
 	}
 	// A second call with different parameters overwrites the same backing
 	// array; the PRNG stream restarts from the seed, so equal inputs give

@@ -99,12 +99,6 @@ func (ps PhaseSchedule) segmentSeed(seed int64, occurrence int, bench string) in
 	return seed ^ int64(h)
 }
 
-// PowerTrace synthesizes n samples of the schedule's power draw (W); see
-// PowerTraceInto.
-func (ps PhaseSchedule) PowerTrace(tdp, dt float64, n int, seed int64) []float64 {
-	return ps.PowerTraceInto(nil, tdp, dt, n, seed)
-}
-
 // PowerTraceInto implements Source by stitching per-phase segments: sample
 // k belongs to the occurrence whose [start, start+Duration) window covers
 // k·dt, each occurrence's samples are generated by its benchmark's own

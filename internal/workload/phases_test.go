@@ -47,7 +47,7 @@ func TestPhaseScheduleGolden(t *testing.T) {
 		n    = 1200 // 12 µs: one full 9 µs cycle plus 3 µs of the next
 		seed = 20170618
 	)
-	got := ps.PowerTrace(tdp, dt, n, seed)
+	got := ps.PowerTraceInto(nil, tdp, dt, n, seed)
 	if len(got) != n {
 		t.Fatalf("trace length %d, want %d", len(got), n)
 	}
@@ -89,9 +89,9 @@ const (
 // already-generated samples, and repeated synthesis is bit-identical.
 func TestPhaseSchedulePrefixStable(t *testing.T) {
 	ps := testSchedule()
-	short := ps.PowerTrace(5, 1e-8, 400, 7)
-	long := ps.PowerTrace(5, 1e-8, 1600, 7)
-	again := ps.PowerTrace(5, 1e-8, 1600, 7)
+	short := ps.PowerTraceInto(nil, 5, 1e-8, 400, 7)
+	long := ps.PowerTraceInto(nil, 5, 1e-8, 1600, 7)
+	again := ps.PowerTraceInto(nil, 5, 1e-8, 1600, 7)
 	for k := range short {
 		//lint:ignore floatcmp prefix stability is a bit-exact contract
 		if short[k] != long[k] {
@@ -117,7 +117,7 @@ func TestPhaseScheduleSegmentsMatchBenchmarks(t *testing.T) {
 		n    = 900
 		seed = 99
 	)
-	got := ps.PowerTrace(tdp, dt, n, seed)
+	got := ps.PowerTraceInto(nil, tdp, dt, n, seed)
 	segs := []struct {
 		occ        int
 		bench      string
@@ -133,7 +133,7 @@ func TestPhaseScheduleSegmentsMatchBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := b.PowerTrace(tdp, dt, s.end-s.begin, ps.segmentSeed(seed, s.occ, s.bench))
+		direct := b.PowerTraceInto(nil, tdp, dt, s.end-s.begin, ps.segmentSeed(seed, s.occ, s.bench))
 		for i, v := range direct {
 			//lint:ignore floatcmp segment stitching is a bit-exact contract
 			if want := v * s.scale; got[s.begin+i] != want {
@@ -152,7 +152,7 @@ func TestPhaseScheduleInto(t *testing.T) {
 	if &out[0] != &buf[0] || len(out) != 256 {
 		t.Fatalf("expected in-place reuse of the donated buffer")
 	}
-	fresh := ps.PowerTrace(5, 1e-8, 256, 3)
+	fresh := ps.PowerTraceInto(nil, 5, 1e-8, 256, 3)
 	for k := range fresh {
 		//lint:ignore floatcmp buffer reuse must not change a single bit
 		if out[k] != fresh[k] {

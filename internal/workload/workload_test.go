@@ -28,14 +28,14 @@ func TestNamesAndGet(t *testing.T) {
 
 func TestPowerTraceDeterministic(t *testing.T) {
 	b, _ := Get("CFD")
-	a := b.PowerTrace(5, 1e-8, 2000, 42)
-	c := b.PowerTrace(5, 1e-8, 2000, 42)
+	a := b.PowerTraceInto(nil, 5, 1e-8, 2000, 42)
+	c := b.PowerTraceInto(nil, 5, 1e-8, 2000, 42)
 	for i := range a {
 		if !numeric.ApproxEqual(a[i], c[i], 0) {
 			t.Fatal("same seed must reproduce the trace")
 		}
 	}
-	d := b.PowerTrace(5, 1e-8, 2000, 43)
+	d := b.PowerTraceInto(nil, 5, 1e-8, 2000, 43)
 	same := true
 	for i := range a {
 		if !numeric.ApproxEqual(a[i], d[i], 0) {
@@ -51,7 +51,7 @@ func TestPowerTraceDeterministic(t *testing.T) {
 func TestPowerTraceBounds(t *testing.T) {
 	for _, name := range Names() {
 		b, _ := Get(name)
-		tr := b.PowerTrace(5, 1e-8, 50000, 1)
+		tr := b.PowerTraceInto(nil, 5, 1e-8, 50000, 1)
 		mn, mx := numeric.MinMax(tr)
 		if mn < 0.05*5-1e-9 || mx > 1.25*5+1e-9 {
 			t.Errorf("%s: trace outside clamp: [%v, %v]", name, mn, mx)
@@ -66,8 +66,8 @@ func TestPowerTraceBounds(t *testing.T) {
 func TestPowerTraceMeansDiffer(t *testing.T) {
 	cfd, _ := Get("CFD")
 	bfs, _ := Get("BFS2")
-	mc := numeric.Mean(cfd.PowerTrace(5, 1e-8, 50000, 7))
-	mb := numeric.Mean(bfs.PowerTrace(5, 1e-8, 50000, 7))
+	mc := numeric.Mean(cfd.PowerTraceInto(nil, 5, 1e-8, 50000, 7))
+	mb := numeric.Mean(bfs.PowerTraceInto(nil, 5, 1e-8, 50000, 7))
 	// CFD is the heavier workload.
 	if mc <= mb {
 		t.Errorf("CFD mean %v should exceed BFS2 %v", mc, mb)
@@ -77,7 +77,7 @@ func TestPowerTraceMeansDiffer(t *testing.T) {
 func TestPowerTraceSpectrumHasBurstContent(t *testing.T) {
 	b, _ := Get("CFD")
 	dt := 1e-9
-	tr := b.PowerTrace(5, dt, 1<<16, 3)
+	tr := b.PowerTraceInto(nil, 5, dt, 1<<16, 3)
 	mean := numeric.Mean(tr)
 	x := make([]float64, len(tr))
 	for i, v := range tr {
@@ -104,13 +104,13 @@ func TestPowerTraceSpectrumHasBurstContent(t *testing.T) {
 
 func TestPowerTraceEdgeCases(t *testing.T) {
 	b, _ := Get("LUD")
-	if b.PowerTrace(0, 1e-9, 10, 1) != nil {
+	if b.PowerTraceInto(nil, 0, 1e-9, 10, 1) != nil {
 		t.Error("zero TDP must return nil")
 	}
-	if b.PowerTrace(5, 0, 10, 1) != nil {
+	if b.PowerTraceInto(nil, 5, 0, 10, 1) != nil {
 		t.Error("zero dt must return nil")
 	}
-	if b.PowerTrace(5, 1e-9, 0, 1) != nil {
+	if b.PowerTraceInto(nil, 5, 1e-9, 0, 1) != nil {
 		t.Error("zero samples must return nil")
 	}
 }
@@ -163,7 +163,7 @@ func TestLoadModelCurrent(t *testing.T) {
 func TestCurrentTraceConversion(t *testing.T) {
 	m := LoadModel{PNominal: 5, VNominal: 0.85, LeakFraction: 0.2}
 	b, _ := Get("HOTSP")
-	p := b.PowerTrace(5, 1e-8, 5000, 9)
+	p := b.PowerTraceInto(nil, 5, 1e-8, 5000, 9)
 	i := m.CurrentTrace(p, 0.85)
 	if len(i) != len(p) {
 		t.Fatal("length mismatch")

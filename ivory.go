@@ -369,7 +369,7 @@ type (
 	GridPoint = grid.Point
 	// GridSolver is a per-tap-set solving context: the mesh Laplacian is
 	// assembled and factored once (GridMesh.NewSolver) and reused across
-	// EffectiveResistance / IRDrop / WorstCaseResistance queries.
+	// EffectiveResistance / WorstCaseResistanceContext queries.
 	GridSolver = grid.Solver
 )
 

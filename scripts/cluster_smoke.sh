@@ -84,7 +84,7 @@ for area in 2 0.8; do
     curl -fsS -X POST "$w1/v1/explore" -H 'Content-Type: application/json' \
         -d "$spec" >"$workdir/single.json"
     normalize='del(.stats.wall_ms, .stats.candidates_per_sec, .stats.topo_cache_hits,
-                   .stats.topo_cache_misses, .stats.grid_cholesky, .stats.grid_cg)'
+                   .stats.topo_cache_misses)'
     jq -S "$normalize" "$workdir/cluster.json" >"$workdir/cluster.norm.json"
     jq -S "$normalize" "$workdir/single.json" >"$workdir/single.norm.json"
     if ! diff -q "$workdir/cluster.norm.json" "$workdir/single.norm.json" >/dev/null; then
