@@ -447,8 +447,9 @@ func geomspace(lo, hi float64, n int) []float64 {
 // and prunes individually. Both conductance-allocation policies are
 // candidates: the cost-aware split wins when gate drive dominates, the
 // plain a_r split when the FSL budget is tight (it keeps C·f_sw — and
-// bottom-plate loss — lower). Sizing runs against the topology's switch
-// plan, built once per exploration.
+// bottom-plate loss — lower). The configuration is scored against the
+// topology's switch plan, built once per exploration, without allocating;
+// only an accepted one is materialized as a Design and labelled.
 func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
 	spec, an, plan := ec.spec, ec.topos[ref.Topo], ec.plans[ref.Topo]
 	capKind, capOpt := scCapKinds[ref.Cap], ec.capOpts[ref.Cap]
@@ -471,38 +472,28 @@ func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
 		FSwMax:                  spec.FSwMax,
 		UniformSwitchAllocation: ref.Pol == PolUniform,
 	}
-	d, err := plan.New(cfg)
-	if err != nil {
+	m, ok := plan.Score(cfg, spec.IMax)
+	if !ok {
 		out.rejected++
 		return
 	}
-	m, err := d.Evaluate(spec.IMax)
-	if err != nil {
-		out.rejected++
-		return
-	}
-	// Interleave to meet the ripple target, then re-evaluate. A design
-	// whose interleaved re-evaluation fails is over the ripple target
-	// with no way to fix it — reject it rather than keep the
-	// single-phase version that already missed the spec.
+	// Interleave to meet the ripple target, then re-score. A design whose
+	// interleaved re-score fails is over the ripple target with no way to
+	// fix it — reject it rather than keep the single-phase version that
+	// already missed the spec.
 	if m.RippleVpp > spec.RippleMax {
-		n := int(math.Ceil(m.RippleVpp / spec.RippleMax))
-		if n > 64 {
-			n = 64
-		}
-		d2, err := d.WithInterleave(n)
-		if err != nil {
+		cfg.Interleave = min(int(math.Ceil(m.RippleVpp/spec.RippleMax)), 64)
+		if m, ok = plan.Score(cfg, spec.IMax); !ok {
 			out.rejected++
 			return
 		}
-		m2, err := d2.Evaluate(spec.IMax)
-		if err != nil {
-			out.rejected++
-			return
-		}
-		d, m = d2, m2
 	}
 	if m.AreaDie > spec.AreaMax {
+		out.rejected++
+		return
+	}
+	d, err := plan.New(cfg)
+	if err != nil {
 		out.rejected++
 		return
 	}
@@ -618,10 +609,35 @@ func evalLDO(out *shard, spec Spec, node *tech.Node, fs float64) {
 // rank orders candidates per the objective. The order is total: objective
 // ties fall through to the canonical candidate key and rows with
 // non-finite metrics sort last, so the ranked list is byte-identical for
-// any input permutation (see pareto.go).
+// any input permutation (see pareto.go). It sorts a permutation rather
+// than the candidates themselves and formats each key at most once; the
+// comparisons, and so the order, are rankLess's.
 func (r *Result) rank() {
-	less := rankLess(r.Spec.Objective, r.Spec.EfficiencyFloor)
-	sort.Slice(r.Candidates, func(i, j int) bool { return less(r.Candidates[i], r.Candidates[j]) })
+	cands := r.Candidates
+	less := objectiveLess(r.Spec.Objective, r.Spec.EfficiencyFloor)
+	keys := make([]string, len(cands)) // "" until a tie needs the key; a key is never empty
+	key := func(i int) string {
+		if keys[i] == "" {
+			keys[i] = candidateKey(cands[i])
+		}
+		return keys[i]
+	}
+	perm := make([]int, len(cands))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(x, y int) bool {
+		i, j := perm[x], perm[y]
+		if first, decided := rankTie(less, &cands[i], &cands[j]); decided {
+			return first
+		}
+		return key(i) < key(j)
+	})
+	ranked := make([]Candidate, len(cands))
+	for x, i := range perm {
+		ranked[x] = cands[i]
+	}
+	r.Candidates = ranked
 }
 
 // BestOfKind returns the top-ranked candidate of the given family, or false

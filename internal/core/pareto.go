@@ -11,6 +11,9 @@ import (
 // a label, as can two capacitor shares that land on the same interleave
 // count), so every tie-break in the package goes through candidateKey — a
 // canonical, total identity — rather than input order or map iteration.
+// Comparators take *Candidate so a sort or scan never copies the struct,
+// and sameKey settles key equality without formatting: the policy twins
+// that tie most often are usually bit-identical.
 
 // fmtG renders a float at shortest-round-trip precision, the same
 // formatting the spec hash uses.
@@ -27,12 +30,28 @@ func candidateKey(c Candidate) string {
 	}, "|")
 }
 
+// sameKey reports whether candidateKey(*a) == candidateKey(*b) without
+// formatting either key. Shortest round-trip formatting maps distinct
+// floats to distinct strings, except that every NaN prints "NaN"; and since
+// no float renders a "|", the label is recovered unambiguously from a key.
+func sameKey(a, b *Candidate) bool {
+	am, bm := &a.Metrics, &b.Metrics
+	return a.Kind == b.Kind && a.Label == b.Label &&
+		sameG(am.Efficiency, bm.Efficiency) && sameG(am.AreaDie, bm.AreaDie) &&
+		sameG(am.RippleVpp, bm.RippleVpp) && sameG(am.FSw, bm.FSw) && sameG(am.POut, bm.POut)
+}
+
+// sameG reports whether fmtG(x) == fmtG(y).
+func sameG(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
 // finiteMetrics reports whether the metrics that drive ranking and
 // dominance are all finite. Infeasible evaluations can surface NaN rows;
 // those must never win a comparison (NaN compares false both ways, which
 // under a naive sort leaves them wherever the input order put them).
-func finiteMetrics(c Candidate) bool {
-	for _, v := range []float64{c.Metrics.Efficiency, c.Metrics.AreaDie, c.Metrics.RippleVpp} {
+func finiteMetrics(c *Candidate) bool {
+	for _, v := range [...]float64{c.Metrics.Efficiency, c.Metrics.AreaDie, c.Metrics.RippleVpp} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
@@ -43,10 +62,10 @@ func finiteMetrics(c Candidate) bool {
 // objectiveLess is the raw objective comparison used by rank, the
 // best-so-far tracker, and the adaptive search. It is a strict partial
 // order: ties (and NaN pairs) compare false both ways.
-func objectiveLess(obj Objective, floor float64) func(a, b Candidate) bool {
+func objectiveLess(obj Objective, floor float64) func(a, b *Candidate) bool {
 	switch obj {
 	case MinArea:
-		return func(a, b Candidate) bool {
+		return func(a, b *Candidate) bool {
 			aOK, bOK := a.Metrics.Efficiency >= floor, b.Metrics.Efficiency >= floor
 			if aOK != bOK {
 				return aOK
@@ -54,7 +73,7 @@ func objectiveLess(obj Objective, floor float64) func(a, b Candidate) bool {
 			return a.Metrics.AreaDie < b.Metrics.AreaDie
 		}
 	case MinNoise:
-		return func(a, b Candidate) bool {
+		return func(a, b *Candidate) bool {
 			aOK, bOK := a.Metrics.Efficiency >= floor, b.Metrics.Efficiency >= floor
 			if aOK != bOK {
 				return aOK
@@ -62,7 +81,7 @@ func objectiveLess(obj Objective, floor float64) func(a, b Candidate) bool {
 			return a.Metrics.RippleVpp < b.Metrics.RippleVpp
 		}
 	default:
-		return func(a, b Candidate) bool {
+		return func(a, b *Candidate) bool {
 			return a.Metrics.Efficiency > b.Metrics.Efficiency
 		}
 	}
@@ -71,20 +90,31 @@ func objectiveLess(obj Objective, floor float64) func(a, b Candidate) bool {
 // rankLess extends objectiveLess to a total order: finite rows first, then
 // the objective, then the canonical key. Sorting with it is deterministic
 // under any input permutation.
-func rankLess(obj Objective, floor float64) func(a, b Candidate) bool {
+func rankLess(obj Objective, floor float64) func(a, b *Candidate) bool {
 	less := objectiveLess(obj, floor)
-	return func(a, b Candidate) bool {
-		if af, bf := finiteMetrics(a), finiteMetrics(b); af != bf {
-			return af
+	return func(a, b *Candidate) bool {
+		if first, decided := rankTie(less, a, b); decided {
+			return first
 		}
-		if less(a, b) {
-			return true
-		}
-		if less(b, a) {
-			return false
-		}
-		return candidateKey(a) < candidateKey(b)
+		return candidateKey(*a) < candidateKey(*b)
 	}
+}
+
+// rankTie applies every rankLess criterion short of formatting keys:
+// finite rows first, then the objective, and rows with equal keys are
+// equivalent. decided is false only for distinct rows the objective ties,
+// which rankLess orders by candidateKey.
+func rankTie(less func(a, b *Candidate) bool, a, b *Candidate) (aFirst, decided bool) {
+	if af, bf := finiteMetrics(a), finiteMetrics(b); af != bf {
+		return af, true
+	}
+	if less(a, b) {
+		return true, true
+	}
+	if less(b, a) || sameKey(a, b) {
+		return false, true
+	}
+	return false, false
 }
 
 // ParetoSet maintains the set of mutually non-dominated candidates in the
@@ -95,7 +125,7 @@ func rankLess(obj Objective, floor float64) func(a, b Candidate) bool {
 // duplicates coexist on the front. Candidates with non-finite metrics are
 // rejected at insertion.
 type ParetoSet struct {
-	items []Candidate
+	items []*Candidate
 }
 
 // NewParetoSet builds an empty set.
@@ -103,8 +133,8 @@ func NewParetoSet() *ParetoSet { return &ParetoSet{} }
 
 // dominates reports whether a beats-or-ties c in every objective and
 // strictly beats it in at least one.
-func dominates(a, c Candidate) bool {
-	am, cm := a.Metrics, c.Metrics
+func dominates(a, c *Candidate) bool {
+	am, cm := &a.Metrics, &c.Metrics
 	if am.Efficiency < cm.Efficiency || am.AreaDie > cm.AreaDie {
 		return false
 	}
@@ -112,8 +142,9 @@ func dominates(a, c Candidate) bool {
 }
 
 // Insert adds c if no current member dominates it, evicting members c
-// dominates. It reports whether c joined the front.
-func (p *ParetoSet) Insert(c Candidate) bool {
+// dominates. It reports whether c joined the front. The set keeps c, so
+// the caller must not modify it afterwards.
+func (p *ParetoSet) Insert(c *Candidate) bool {
 	if !finiteMetrics(c) {
 		return false
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -54,7 +56,7 @@ func TestRankDeterministicUnderPermutation(t *testing.T) {
 // rankSliceLess adapts rankLess to sort.Slice for the test.
 func rankSliceLess(cp []Candidate, obj Objective, floor float64) func(i, j int) bool {
 	less := rankLess(obj, floor)
-	return func(i, j int) bool { return less(cp[i], cp[j]) }
+	return func(i, j int) bool { return less(&cp[i], &cp[j]) }
 }
 
 // TestRankNaNRowsSink pins that candidates with non-finite metrics never
@@ -74,13 +76,13 @@ func TestRankNaNRowsSink(t *testing.T) {
 			cp := append([]Candidate(nil), rows...)
 			rand.New(rand.NewSource(int64(trial))).Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
 			sort.Slice(cp, rankSliceLess(cp, obj, 0.25))
-			for i, c := range cp[:2] {
-				if !finiteMetrics(c) {
+			for i := range cp[:2] {
+				if c := &cp[i]; !finiteMetrics(c) {
 					t.Fatalf("%v trial %d: non-finite row %q ranked %d", obj, trial, c.Label, i)
 				}
 			}
-			for _, c := range cp[2:] {
-				if finiteMetrics(c) {
+			for i := range cp[2:] {
+				if c := &cp[2+i]; finiteMetrics(c) {
 					t.Fatalf("%v trial %d: finite row %q sank below NaN rows", obj, trial, c.Label)
 				}
 			}
@@ -93,12 +95,12 @@ func TestRankNaNRowsSink(t *testing.T) {
 func batchFront(in []Candidate) map[string]int {
 	out := map[string]int{}
 	for i := range in {
-		if !finiteMetrics(in[i]) {
+		if !finiteMetrics(&in[i]) {
 			continue
 		}
 		dominated := false
 		for j := range in {
-			if i != j && finiteMetrics(in[j]) && dominates(in[j], in[i]) {
+			if i != j && finiteMetrics(&in[j]) && dominates(&in[j], &in[i]) {
 				dominated = true
 				break
 			}
@@ -128,8 +130,8 @@ func TestParetoSetMatchesBatch(t *testing.T) {
 			cands[rng.Intn(n)].Metrics.Efficiency = math.NaN()
 		}
 		set := NewParetoSet()
-		for _, c := range cands {
-			set.Insert(c)
+		for i := range cands {
+			set.Insert(&cands[i])
 		}
 		want := batchFront(cands)
 		got := map[string]int{}
@@ -138,7 +140,7 @@ func TestParetoSetMatchesBatch(t *testing.T) {
 			if !finiteMetrics(c) {
 				t.Fatalf("trial %d: non-finite candidate on front", trial)
 			}
-			got[candidateKey(c)]++
+			got[candidateKey(*c)]++
 		}
 		for k, n := range want {
 			total += n
@@ -161,11 +163,137 @@ func TestResultFrontsExcludeNonFinite(t *testing.T) {
 		mkCand(KindSC, "bad", math.NaN(), 1e-6, 0.01),
 		mkCand(KindBuck, "ok2", 0.5, 1e-6, 0.05),
 	} {
-		if joined := set.Insert(c); joined != finiteMetrics(c) {
-			t.Errorf("Insert(%q) = %v, want %v", c.Label, joined, finiteMetrics(c))
+		if joined := set.Insert(&c); joined != finiteMetrics(&c) {
+			t.Errorf("Insert(%q) = %v, want %v", c.Label, joined, finiteMetrics(&c))
 		}
 	}
 	if set.Size() != 2 {
 		t.Fatalf("front size %d, want the 2 finite rows", set.Size())
+	}
+}
+
+// keyRankLess is the reference tie-break rankLess must reproduce: every
+// objective tie formats and compares both canonical keys.
+func keyRankLess(obj Objective, floor float64) func(a, b *Candidate) bool {
+	less := objectiveLess(obj, floor)
+	return func(a, b *Candidate) bool {
+		if af, bf := finiteMetrics(a), finiteMetrics(b); af != bf {
+			return af
+		}
+		if less(a, b) {
+			return true
+		}
+		if less(b, a) {
+			return false
+		}
+		return candidateKey(*a) < candidateKey(*b)
+	}
+}
+
+// tieRows builds rows that tie under every objective in as many ways as
+// the key allows: bit-identical twins, near ties that differ in one key
+// field only, signed zeros, NaN rows (two NaN payloads share a key) and
+// rows below the efficiency floor.
+func tieRows() []Candidate {
+	twin := mkCand(KindSC, "a x4", 0.8, 2e-6, 0.01)
+	rows := []Candidate{
+		twin, twin, twin,
+		mkCand(KindSC, "a x4", 0.8, 3e-6, 0.01),
+		mkCand(KindSC, "a x4", 0.8, 2e-6, 0.02),
+		mkCand(KindBuck, "a x4", 0.8, 2e-6, 0.01),
+		mkCand(KindSC, "b x4", 0.8, 2e-6, 0.01),
+		mkCand(KindSC, "z", 0.8, 2e-6, 0),
+		mkCand(KindSC, "z", 0.8, 2e-6, math.Copysign(0, -1)),
+		mkCand(KindSC, "n", math.NaN(), 2e-6, 0.01),
+		mkCand(KindSC, "n", math.Float64frombits(0x7ff8000000000001), 2e-6, 0.01),
+		mkCand(KindLDO, "inf", 0.8, math.Inf(1), 0.01),
+		mkCand(KindSC, "low", 0.1, 1e-6, 0.01),
+		mkCand(KindSC, "low", 0.1, 1e-6, 0.01),
+		mkCand(KindBuck, "low", 0.1, 1e-6, 0.02),
+	}
+	fsw := twin
+	fsw.Metrics.FSw = 2e8
+	pout := twin
+	pout.Metrics.POut = 2
+	return append(rows, fsw, pout)
+}
+
+// rankedTags sorts a copy of in with less and returns the tag each row
+// carries in Metrics.ILoad — a field neither the objective nor the key
+// reads — so two orders compare row for row, twins included.
+func rankedTags(in []Candidate, less func(a, b *Candidate) bool) []float64 {
+	cp := slices.Clone(in)
+	sort.Slice(cp, func(i, j int) bool { return less(&cp[i], &cp[j]) })
+	return candidateTags(cp)
+}
+
+func candidateTags(cands []Candidate) []float64 {
+	tags := make([]float64, len(cands))
+	for i := range cands {
+		tags[i] = cands[i].Metrics.ILoad
+	}
+	return tags
+}
+
+// checkRankMatchesKeyOrder sorts several shuffles of cands with rankLess,
+// with Result.rank and with the reference keyRankLess, and requires the
+// same order from all three.
+func checkRankMatchesKeyOrder(t *testing.T, where string, cands []Candidate, obj Objective, floor float64) {
+	t.Helper()
+	tagged := slices.Clone(cands)
+	for i := range tagged {
+		tagged[i].Metrics.ILoad = float64(i)
+	}
+	rng := rand.New(rand.NewSource(int64(len(cands))))
+	for trial := 0; trial < 3; trial++ {
+		rng.Shuffle(len(tagged), func(i, j int) { tagged[i], tagged[j] = tagged[j], tagged[i] })
+		want := rankedTags(tagged, keyRankLess(obj, floor))
+		if got := rankedTags(tagged, rankLess(obj, floor)); !slices.Equal(got, want) {
+			t.Fatalf("%s %v trial %d: rankLess order %v, key order %v", where, obj, trial, got, want)
+		}
+		res := &Result{Spec: Spec{Objective: obj, EfficiencyFloor: floor}, Candidates: slices.Clone(tagged)}
+		res.rank()
+		if got := candidateTags(res.Candidates); !slices.Equal(got, want) {
+			t.Fatalf("%s %v trial %d: rank order %v, key order %v", where, obj, trial, got, want)
+		}
+	}
+}
+
+// TestRankTieBreakMatchesCandidateKey pins the formatting-free tie-break
+// to the canonical key: sameKey agrees with key equality on every pair of
+// tie rows, and on those rows and on the ranked results of the golden
+// specs, under both search strategies and every objective, rankLess and
+// Result.rank order exactly as comparing candidateKey strings does.
+func TestRankTieBreakMatchesCandidateKey(t *testing.T) {
+	rows := tieRows()
+	for i := range rows {
+		for j := range rows {
+			a, b := &rows[i], &rows[j]
+			if got, want := sameKey(a, b), candidateKey(*a) == candidateKey(*b); got != want {
+				t.Errorf("sameKey(%d, %d) = %v, key equality %v", i, j, got, want)
+			}
+		}
+	}
+	objectives := []Objective{MaxEfficiency, MinArea, MinNoise}
+	for _, obj := range objectives {
+		checkRankMatchesKeyOrder(t, "tie rows", rows, obj, 0.25)
+	}
+	ranked := 0
+	for i, base := range goldenSpecs(40) {
+		for _, search := range []SearchStrategy{SearchExhaustive, SearchAdaptive} {
+			for _, obj := range objectives {
+				spec := base
+				spec.Search, spec.Objective = search, obj
+				res, err := Explore(spec)
+				if err != nil {
+					continue
+				}
+				checkRankMatchesKeyOrder(t, fmt.Sprintf("golden spec %d %v", i, search), res.Candidates, obj, res.Spec.EfficiencyFloor)
+				ranked++
+			}
+		}
+	}
+	if ranked == 0 {
+		t.Fatal("no golden spec ranked any candidate")
 	}
 }

@@ -69,7 +69,9 @@ type RefOutcome struct {
 // for concurrent invocation. On cancellation or partial failure the
 // evaluator returns the outcomes it has (unfinished slots zero-valued)
 // together with the error; the engine merges the completed prefix exactly
-// like a cancelled local run.
+// like a cancelled local run. The engine keeps pointers into each
+// completed outcome's Candidates, so an evaluator must not modify them
+// after calling done.
 type Evaluator func(ctx context.Context, refs []ConfigRef, done func(i int, out *RefOutcome)) ([]RefOutcome, error)
 
 // evalContext resolves the cheap shared context of a spec's design space —

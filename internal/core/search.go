@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -88,26 +89,27 @@ const (
 // when its analytic ceiling cannot displace the board's last entry.
 type winnerBoard struct {
 	k    int
-	less func(a, b Candidate) bool
-	list []Candidate
+	less func(a, b *Candidate) bool
+	list []*Candidate
 }
 
-func (w *winnerBoard) observe(c Candidate) {
+// observe offers c to the board, which keeps c if it places; the caller
+// must not modify it afterwards.
+func (w *winnerBoard) observe(c *Candidate) {
 	i := sort.Search(len(w.list), func(i int) bool { return w.less(c, w.list[i]) })
 	if i >= w.k {
 		return
 	}
-	w.list = append(w.list, Candidate{})
-	copy(w.list[i+1:], w.list[i:])
-	w.list[i] = c
+	w.list = slices.Insert(w.list, i, c)
 	if len(w.list) > w.k {
 		w.list = w.list[:w.k]
 	}
 }
 
-func (w *winnerBoard) contains(key string) bool {
-	for _, c := range w.list {
-		if candidateKey(c) == key {
+// contains reports whether a board entry has c's canonical key.
+func (w *winnerBoard) contains(c *Candidate) bool {
+	for _, b := range w.list {
+		if sameKey(b, c) {
 			return true
 		}
 	}
@@ -152,8 +154,8 @@ func runStage(spec Spec, tr *tracker, res *Result, win *winnerBoard, eval Evalua
 	for i := range outs {
 		res.Candidates = append(res.Candidates, outs[i].Candidates...)
 		res.Rejected += outs[i].Rejected
-		for _, c := range outs[i].Candidates {
-			win.observe(c)
+		for j := range outs[i].Candidates {
+			win.observe(&outs[i].Candidates[j])
 		}
 	}
 	return outs, ferr
@@ -194,7 +196,7 @@ func scEfficiencyBound(spec Spec, an *topology.Analysis) float64 {
 type axisCell struct {
 	key     string       // deterministic tie-break among cells
 	done    map[int]bool // axis indices already evaluated
-	best    *Candidate   // best accepted candidate in the cell so far
+	best    *Candidate   // best accepted candidate in the cell so far (points into a stage's outcomes)
 	bestIdx int          // axis index that produced best
 
 	// SC cell context (unused by buck cells).
@@ -207,11 +209,10 @@ type axisCell struct {
 
 // absorb folds the accepted candidates of one (cell, axis index)
 // evaluation into the cell state.
-func (c *axisCell) absorb(idx int, cands []Candidate, less func(a, b Candidate) bool) {
+func (c *axisCell) absorb(idx int, cands []Candidate, less func(a, b *Candidate) bool) {
 	for i := range cands {
-		if c.best == nil || less(cands[i], *c.best) {
-			cc := cands[i]
-			c.best = &cc
+		if c.best == nil || less(&cands[i], c.best) {
+			c.best = &cands[i]
 			c.bestIdx = idx
 		}
 	}
@@ -372,10 +373,10 @@ func adaptiveSC(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winne
 				return a.best != nil
 			}
 			if a.best != nil && b.best != nil {
-				if win.less(*a.best, *b.best) {
+				if win.less(a.best, b.best) {
 					return true
 				}
-				if win.less(*b.best, *a.best) {
+				if win.less(b.best, a.best) {
 					return false
 				}
 			}
@@ -383,7 +384,7 @@ func adaptiveSC(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winne
 		})
 		kept := ranked[:min(keepCells, len(ranked))]
 		for _, c := range ranked[len(kept):] {
-			if c.best != nil && win.contains(candidateKey(*c.best)) {
+			if c.best != nil && win.contains(c.best) {
 				kept = append(kept, c)
 			}
 		}

@@ -168,7 +168,7 @@ func TestOnImprovedStreamsMonotonicBest(t *testing.T) {
 			t.Fatalf("%v: OnImproved never fired", search)
 		}
 		for i := 1; i < len(seen); i++ {
-			if !less(seen[i], seen[i-1]) {
+			if !less(&seen[i], &seen[i-1]) {
 				t.Errorf("%v: emission %d did not improve on %d", search, i, i-1)
 			}
 		}

@@ -135,8 +135,8 @@ type tracker struct {
 	stats      Stats
 	progress   func(Stats)
 	onImproved func(Candidate, Stats)
-	less       func(a, b Candidate) bool
-	best       *Candidate
+	less       func(a, b *Candidate) bool
+	best       *Candidate // points into a completed job's candidates
 	front      *ParetoSet
 	start      time.Time
 	// Baselines for diffing the package-wide cache counters.
@@ -210,11 +210,10 @@ func (t *tracker) jobDone(kind Kind, cands []Candidate, rejected int) {
 	t.stats.PerKind[kind].Rejected += rejected
 	improved := false
 	for i := range cands {
-		c := cands[i]
+		c := &cands[i]
 		t.front.Insert(c)
-		if t.best == nil || t.less(c, *t.best) {
-			cc := c
-			t.best = &cc
+		if t.best == nil || t.less(c, t.best) {
+			t.best = c
 			improved = true
 		}
 	}

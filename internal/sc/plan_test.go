@@ -1,8 +1,10 @@
 package sc
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ivory/internal/ivr"
@@ -37,11 +39,14 @@ type rawMetrics ivr.Metrics
 
 // outcome renders a sizing-and-evaluation result exactly: every metric's
 // bits, or the full error text.
-func outcome(d *Design, err error) string {
+func outcome(d *Design, err error) string { return outcomeAt(d, err, planLoad) }
+
+// outcomeAt is outcome at load current iLoad.
+func outcomeAt(d *Design, err error, iLoad float64) string {
 	if err != nil {
 		return "new: " + err.Error()
 	}
-	m, err := d.Evaluate(planLoad)
+	m, err := d.Evaluate(iLoad)
 	if err != nil {
 		return "eval: " + err.Error()
 	}
@@ -130,32 +135,246 @@ func TestPlanRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestWithInterleaveMatchesNew: re-slicing a sized design equals sizing it
-// with the interleave set from the start.
-func TestWithInterleaveMatchesNew(t *testing.T) {
+// TestInterleaveMatchesNew: the explorer's ripple fix-up re-scores a
+// configuration with Config.Interleave = n and then sizes it with the
+// plan. Both equal New with the interleave set from the start, and the
+// interleave moves only the control loss, the efficiency, the ripple and
+// the area.
+func TestInterleaveMatchesNew(t *testing.T) {
 	cfg := baseConfig(t)
-	d, err := New(cfg)
+	plan, err := PlanSwitches(cfg.Analysis, cfg.Node, cfg.VIn)
 	if err != nil {
 		t.Fatal(err)
+	}
+	x1, ok := plan.Score(cfg, planLoad)
+	if !ok {
+		t.Fatal("base config rejected")
 	}
 	for _, n := range []int{1, 2, 7, 64} {
 		c := cfg
 		c.Interleave = n
-		dn, err := d.WithInterleave(n)
-		if got, want := outcome(dn, err), outcome(New(c)); got != want {
-			t.Errorf("x%d:\n with %s\n new  %s", n, got, want)
+		want := outcome(New(c))
+		dn, err := plan.New(c)
+		if got := outcome(dn, err); got != want {
+			t.Errorf("x%d:\n plan %s\n new  %s", n, got, want)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dn.Config().Interleave != n || d.Config().Interleave != 1 {
-			t.Errorf("x%d: WithInterleave must change only the copy (copy x%d, original x%d)",
-				n, dn.Config().Interleave, d.Config().Interleave)
+		if dn.Config().Interleave != n {
+			t.Errorf("x%d: sized design has interleave %d", n, dn.Config().Interleave)
+		}
+		m, ok := plan.Score(c, planLoad)
+		if got := scoreOutcome(m, ok); got != want {
+			t.Errorf("x%d:\n score %s\n new   %s", n, got, want)
+		}
+		m.Loss.Control, m.Efficiency, m.RippleVpp, m.AreaDie = x1.Loss.Control, x1.Efficiency, x1.RippleVpp, x1.AreaDie
+		if got, want := scoreOutcome(m, true), scoreOutcome(x1, true); got != want {
+			t.Errorf("x%d: interleaving moved more than control loss, efficiency, ripple and area:\n x%d %s\n x1 %s", n, n, got, want)
 		}
 	}
-	for _, n := range []int{0, -1} {
-		if _, err := d.WithInterleave(n); err == nil {
-			t.Errorf("WithInterleave(%d) must fail", n)
+	c := cfg
+	c.Interleave = -1
+	if _, err := plan.New(c); err == nil {
+		t.Error("interleave -1 must fail")
+	}
+	if _, ok := plan.Score(c, planLoad); ok {
+		t.Error("scorer accepted interleave -1")
+	}
+}
+
+// rejectionBranches maps a fragment of each sizing or evaluation error to
+// the check that raised it.
+var rejectionBranches = []struct{ branch, fragment string }{
+	{"config validation", "sc: Config."},
+	{"config validation", "must be positive"},
+	{"config validation", "outside"},
+	{"ideal output", "not below ideal output"},
+	{"plan/config match", "does not match config"},
+	{"capacitor rating", "rating of"},
+	{"finite capacitance", "capacitor allocation"},
+	{"finite switch width", "switch widths"},
+	{"FSL bound", "below FSL bound"},
+	{"FSwMax", "Hz limit"},
+	{"finite f_sw", "regulation f_sw"},
+	{"finite metrics", "metrics not finite"},
+}
+
+// rejectionBranch names the check behind a failed outcome string.
+func rejectionBranch(t *testing.T, out string) string {
+	t.Helper()
+	for _, b := range rejectionBranches {
+		if strings.Contains(out, b.fragment) {
+			return b.branch
+		}
+	}
+	t.Fatalf("unclassified rejection: %s", out)
+	return ""
+}
+
+// scoreOutcome renders a Score result the way outcomeAt renders New and
+// Evaluate.
+func scoreOutcome(m ivr.Metrics, ok bool) string {
+	if !ok {
+		return "rejected"
+	}
+	return fmt.Sprintf("ok: %x", rawMetrics(m))
+}
+
+// TestScoreMatchesNewEvaluate pins the scorer to the materializing path:
+// over every node × VIn × sweep topology × cap kind × capacitor share ×
+// allocation policy × load, at interleave 1 and at the ripple-driven
+// interleave the explorer would pick, Score accepts exactly what New plus
+// Evaluate accepts, with the same metrics bit for bit. Hand-built configs
+// reach the rejection branches the lattice does not.
+func TestScoreMatchesNewEvaluate(t *testing.T) {
+	const usable = 2e-6 // switch-plus-capacitor area (m²)
+	ans := sweepAnalyses(t)
+	hits := map[string]int{}
+	accepted := 0
+	score := func(plan *SwitchPlan, cfg Config, iLoad float64) (ivr.Metrics, bool) {
+		t.Helper()
+		d, err := plan.New(cfg)
+		want := outcomeAt(d, err, iLoad)
+		m, ok := plan.Score(cfg, iLoad)
+		if got := scoreOutcome(m, ok); ok != strings.HasPrefix(want, "ok:") || (ok && got != want) {
+			t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A:\n score %s\n new   %s",
+				cfg.Analysis.Name, cfg.Node.Name, cfg.VIn, cfg.CapKind, cfg.Interleave, iLoad, got, want)
+		}
+		if ok {
+			accepted++
+		} else {
+			hits[rejectionBranch(t, want)]++
+		}
+		return m, ok
+	}
+	for _, name := range tech.Nodes() {
+		node := tech.MustLookup(name)
+		for _, vin := range []float64{1.2, 1.8, 3.3} {
+			for _, an := range ans {
+				plan, err := PlanSwitches(an, node, vin)
+				if err != nil {
+					continue
+				}
+				for _, kind := range []tech.CapacitorKind{tech.DeepTrench, tech.MOSCap, tech.MIMCap} {
+					capOpt, err := node.Capacitor(kind)
+					if err != nil {
+						continue
+					}
+					for _, share := range []float64{0.5, 0.62, 0.74, 0.86, 0.97} {
+						gTot, err := plan.GTotalForArea(usable * (1 - share))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, uniform := range []bool{false, true} {
+							cfg := Config{
+								Analysis: an, Node: node, CapKind: kind,
+								VIn: vin, VOut: 0.85 * an.Ratio * vin,
+								CTotal:                  capOpt.DensityFPerM2 * usable * share * 0.9,
+								GTotal:                  gTot,
+								CDecap:                  capOpt.DensityFPerM2 * usable * share * 0.1,
+								FSwMax:                  1e9,
+								UniformSwitchAllocation: uniform,
+							}
+							for _, iLoad := range []float64{0.05, 0.5, 5} {
+								m, ok := score(plan, cfg, iLoad)
+								if rippleMax := 0.01 * cfg.VOut; ok && m.RippleVpp > rippleMax {
+									c := cfg
+									c.Interleave = min(int(math.Ceil(m.RippleVpp/rippleMax)), 64)
+									score(plan, c, iLoad)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// Branches the explorer's lattice never reaches.
+	base := baseConfig(t)
+	plan, err := PlanSwitches(base.Analysis, base.Node, base.VIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := topology.SeriesParallel(3, 1)
+	other := mustAnalysis(t, top, err)
+	for name, mut := range map[string]func(*Config){
+		"nil analysis":    func(c *Config) { c.Analysis = nil },
+		"zero VOut":       func(c *Config) { c.VOut = 0 },
+		"zero CTotal":     func(c *Config) { c.CTotal = 0 },
+		"duty":            func(c *Config) { c.Duty = 1.5 },
+		"above ideal":     func(c *Config) { c.VOut = 0.95 },
+		"other analysis":  func(c *Config) { c.Analysis, c.VOut = other, 0.5 },
+		"infinite CTotal": func(c *Config) { c.CTotal = math.Inf(1) },
+		"NaN GTotal":      func(c *Config) { c.GTotal = math.NaN() },
+		"infinite f_sw":   func(c *Config) { c.CTotal, c.FSwMax = 1e-320, math.Inf(1) },
+		"infinite decap":  func(c *Config) { c.CDecap = math.Inf(1) },
+	} {
+		c := base
+		mut(&c)
+		if _, ok := score(plan, c, planLoad); ok {
+			t.Errorf("%s: scorer accepted an invalid config", name)
+		}
+	}
+	t.Logf("%d accepted, rejections by branch: %v", accepted, hits)
+	if accepted == 0 {
+		t.Error("no configuration accepted")
+	}
+	for _, b := range rejectionBranches {
+		if hits[b.branch] == 0 {
+			t.Errorf("no configuration reached the %s check", b.branch)
+		}
+	}
+}
+
+// TestQuietCollapseRejects covers the one check Score cannot reach through
+// regulation: an output that collapses at an explicit frequency. A quiet
+// design rejects it without an error value; a plain one explains it.
+func TestQuietCollapseRejects(t *testing.T) {
+	d, err := New(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inf *ivr.InfeasibleError
+	if _, err := d.EvaluateAt(100, 1e6); !errors.As(err, &inf) || !strings.Contains(err.Error(), "output collapses") {
+		t.Fatalf("EvaluateAt = %v, want an output-collapse InfeasibleError", err)
+	}
+	q := *d
+	q.quiet = true
+	if _, err := q.EvaluateAt(100, 1e6); err != errRejected {
+		t.Fatalf("quiet EvaluateAt = %v, want errRejected", err)
+	}
+}
+
+// TestScoreAllocFree: scoring allocates nothing, whether the configuration
+// is accepted or rejected at the FSL bound, the FSwMax limit or the
+// capacitor rating.
+func TestScoreAllocFree(t *testing.T) {
+	base := baseConfig(t)
+	fsl, fswMax, rating := base, base, base
+	fsl.GTotal = 0.5
+	fswMax.CTotal = 1e-12
+	rating.VIn = 3.3 // MOS caps on a 2:1 stage hold VIn/2
+	for name, tc := range map[string]struct {
+		cfg    Config
+		branch string
+	}{
+		"accepted": {base, ""},
+		"FSL":      {fsl, "below FSL bound"},
+		"FSwMax":   {fswMax, "Hz limit"},
+		"rating":   {rating, "rating of"},
+	} {
+		plan, err := PlanSwitches(tc.cfg.Analysis, tc.cfg.Node, tc.cfg.VIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := plan.New(tc.cfg)
+		out := outcome(d, err)
+		if tc.branch == "" && !strings.HasPrefix(out, "ok:") || tc.branch != "" && !strings.Contains(out, tc.branch) {
+			t.Fatalf("%s: config does not reach its branch: %s", name, out)
+		}
+		if n := testing.AllocsPerRun(100, func() { plan.Score(tc.cfg, planLoad) }); n != 0 {
+			t.Errorf("%s: Score allocates %v times per call, want 0", name, n)
 		}
 	}
 }

@@ -18,13 +18,14 @@
 // A design-space sweep sizes many designs of one topology at one input
 // voltage. Their device mapping — the device, stack depth and conductance
 // weight of every switch — depends on neither the capacitance nor the
-// conductance total, so the sweep builds it once with PlanSwitches and
-// sizes each configuration with SwitchPlan.New; New does both steps for a
-// single design. Design.WithInterleave re-slices a sized design without
-// sizing it again.
+// conductance total, so the sweep builds it once with PlanSwitches. It
+// scores each configuration with SwitchPlan.Score, which allocates
+// nothing, and sizes only the configurations it accepts with
+// SwitchPlan.New; New does both steps for a single design.
 package sc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -76,22 +77,28 @@ type Config struct {
 }
 
 // Design is a validated, device-mapped SC converter ready for evaluation.
+// It stores no per-element slices: each capacitor's capacitance and each
+// switch's conductance share and width are derived from the configuration
+// and the switch plan where they are used, so the allocation-free scorer
+// (SwitchPlan.Score) runs the same arithmetic on a stack-held Design.
 type Design struct {
-	cfg Config
+	cfg  Config
+	plan *SwitchPlan
+	// w is the plan's conductance-weight vector for the design's
+	// allocation policy, shared read-only with the plan.
+	w []float64
 
-	// Per-switch device mapping, shared read-only with the SwitchPlan the
-	// design was sized from.
-	devs   []tech.SwitchDevice
-	stacks []int
-	gShare []float64 // per-switch conductance (S)
-	widths []float64 // per-switch total width (m)
-
-	// Per-cap allocation.
-	capOpt tech.CapacitorOption
-	capC   []float64 // per-cap capacitance (F)
-
+	capOpt   tech.CapacitorOption
 	decapOpt tech.CapacitorOption
+
+	// quiet marks a design held by SwitchPlan.Score: its infeasibility
+	// checks return errRejected instead of building an error nobody reads.
+	quiet bool
 }
+
+// errRejected is what a quiet design returns where an infeasible one
+// would describe why.
+var errRejected = errors.New("sc: configuration rejected")
 
 const (
 	defaultFSwMax    = 2e9
@@ -109,43 +116,49 @@ const (
 // loss-optimal split), and maps every switch onto the cheapest technology
 // device able to block its off-state voltage.
 func New(cfg Config) (*Design, error) {
-	d, err := prepare(cfg)
-	if err != nil {
+	d := &Design{}
+	if err := d.prepare(&cfg); err != nil {
 		return nil, err
 	}
 	p, err := PlanSwitches(d.cfg.Analysis, d.cfg.Node, d.cfg.VIn)
 	if err != nil {
 		return nil, err
 	}
-	return p.size(d)
+	if err := d.size(p); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// prepare validates and defaults the configuration and allocates the
-// flying capacitance: every step of New that precedes the switch mapping.
-func prepare(cfg Config) (*Design, error) {
+// prepare copies the configuration into d, validates and defaults it
+// there, looks up its capacitor options and checks the flying capacitors'
+// voltage rating: every step of New that precedes the switch mapping.
+func (d *Design) prepare(in *Config) error {
+	d.cfg = *in
+	cfg := &d.cfg
 	if cfg.Analysis == nil {
-		return nil, fmt.Errorf("sc: Config.Analysis is required")
+		return fmt.Errorf("sc: Config.Analysis is required")
 	}
 	if cfg.Node == nil {
-		return nil, fmt.Errorf("sc: Config.Node is required")
+		return fmt.Errorf("sc: Config.Node is required")
 	}
 	if cfg.VIn <= 0 || cfg.VOut <= 0 {
-		return nil, fmt.Errorf("sc: voltages must be positive (VIn=%g, VOut=%g)", cfg.VIn, cfg.VOut)
+		return fmt.Errorf("sc: voltages must be positive (VIn=%g, VOut=%g)", cfg.VIn, cfg.VOut)
 	}
 	if cfg.CTotal <= 0 || cfg.GTotal <= 0 {
-		return nil, fmt.Errorf("sc: CTotal and GTotal must be positive")
+		return fmt.Errorf("sc: CTotal and GTotal must be positive")
 	}
 	if cfg.Duty == 0 {
 		cfg.Duty = 0.5
 	}
 	if cfg.Duty <= 0 || cfg.Duty > 1 {
-		return nil, fmt.Errorf("sc: duty cycle %g outside (0, 1]", cfg.Duty)
+		return fmt.Errorf("sc: duty cycle %g outside (0, 1]", cfg.Duty)
 	}
 	if cfg.Interleave == 0 {
 		cfg.Interleave = 1
 	}
 	if cfg.Interleave < 1 {
-		return nil, fmt.Errorf("sc: interleave %d must be >= 1", cfg.Interleave)
+		return fmt.Errorf("sc: interleave %d must be >= 1", cfg.Interleave)
 	}
 	if cfg.FSwMax == 0 {
 		cfg.FSwMax = defaultFSwMax
@@ -157,38 +170,40 @@ func prepare(cfg Config) (*Design, error) {
 		cfg.BottomPlateLossFactor = defaultBPRecycle
 	}
 	if cfg.BottomPlateLossFactor < 0 || cfg.BottomPlateLossFactor > 1 {
-		return nil, fmt.Errorf("sc: BottomPlateLossFactor %g outside [0, 1]", cfg.BottomPlateLossFactor)
+		return fmt.Errorf("sc: BottomPlateLossFactor %g outside [0, 1]", cfg.BottomPlateLossFactor)
 	}
-	ideal := cfg.Analysis.Ratio * cfg.VIn
+	an := cfg.Analysis
+	ideal := an.Ratio * cfg.VIn
 	if cfg.VOut >= ideal {
-		return nil, ivr.Infeasible(cfg.Analysis.Name,
+		if d.quiet {
+			return errRejected
+		}
+		return ivr.Infeasible(an.Name,
 			"target VOut %.3g V not below ideal output %.3g V (= %.3g * %.3g V)",
-			cfg.VOut, ideal, cfg.Analysis.Ratio, cfg.VIn)
+			cfg.VOut, ideal, an.Ratio, cfg.VIn)
 	}
 	capOpt, err := cfg.Node.Capacitor(cfg.CapKind)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d := &Design{cfg: cfg, capOpt: capOpt}
+	d.capOpt = capOpt
 	// Decap uses the densest low-voltage option available: deep trench if
 	// present, MOS otherwise.
-	if dt, err := cfg.Node.Capacitor(tech.DeepTrench); err == nil {
+	d.decapOpt = capOpt
+	if dt, ok := cfg.Node.Capacitors[tech.DeepTrench]; ok {
 		d.decapOpt = dt
-	} else {
-		d.decapOpt = capOpt
 	}
-	an := cfg.Analysis
-	// Capacitance allocation proportional to |a_c| (optimal SSL split).
-	d.capC = make([]float64, an.NumCaps)
-	for i, m := range an.CapMultipliers {
-		d.capC[i] = cfg.CTotal * m / an.SumAC
-		// Voltage-rating check against the capacitor option.
+	// Voltage-rating check against the capacitor option.
+	for i := range an.CapMultipliers {
 		if v := an.CapVoltages[i] * cfg.VIn; v > capOpt.VMax*1.001 {
-			return nil, ivr.Infeasible(an.Name,
+			if d.quiet {
+				return errRejected
+			}
+			return ivr.Infeasible(an.Name,
 				"capacitor %d holds %.2f V, above the %.2f V rating of %v caps", i, v, capOpt.VMax, cfg.CapKind)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // SwitchPlan is the part of SC sizing that depends only on the topology,
@@ -198,9 +213,10 @@ func prepare(cfg Config) (*Design, error) {
 // written after PlanSwitches returns, so one plan serves any number of
 // goroutines.
 type SwitchPlan struct {
-	an   *topology.Analysis
-	node *tech.Node
-	vin  float64
+	an    *topology.Analysis
+	node  *tech.Node
+	vin   float64
+	label string // Metrics.Topology of every design sized from the plan
 
 	devs   []tech.SwitchDevice
 	stacks []int
@@ -228,6 +244,7 @@ func PlanSwitches(an *topology.Analysis, node *tech.Node, vin float64) (*SwitchP
 	}
 	p := &SwitchPlan{
 		an: an, node: node, vin: vin,
+		label:     an.Name + " SC",
 		devs:      make([]tech.SwitchDevice, an.NumSwitches),
 		stacks:    make([]int, an.NumSwitches),
 		costAware: make([]float64, an.NumSwitches),
@@ -267,40 +284,79 @@ func PlanSwitches(an *topology.Analysis, node *tech.Node, vin float64) (*SwitchP
 // bit for bit, without re-deriving the switch mapping. cfg must name the
 // plan's topology analysis, node and input voltage.
 func (p *SwitchPlan) New(cfg Config) (*Design, error) {
-	d, err := prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Analysis != p.an || cfg.Node != p.node || math.Float64bits(cfg.VIn) != math.Float64bits(p.vin) {
-		return nil, fmt.Errorf("sc: switch plan for %s on %s at %g V does not match config (%s on %s at %g V)",
-			p.an.Name, p.node.Name, p.vin, cfg.Analysis.Name, cfg.Node.Name, cfg.VIn)
-	}
-	return p.size(d)
-}
-
-// size allocates the conductance total across the plan's switches under
-// the design's allocation policy and derives the switch widths.
-func (p *SwitchPlan) size(d *Design) (*Design, error) {
-	weights := p.costAware
-	if d.cfg.UniformSwitchAllocation {
-		weights = p.uniform
-	}
-	d.devs = p.devs
-	d.stacks = p.stacks
-	d.gShare = make([]float64, len(p.devs))
-	d.widths = make([]float64, len(p.devs))
-	for i := range p.devs {
-		d.gShare[i] = d.cfg.GTotal * weights[i]
-		// Stack of s devices in series: total R = s * RonW/W.
-		d.widths[i] = float64(p.stacks[i]) * p.devs[i].ROnWidth * d.gShare[i]
-	}
-	if err := numeric.AllFinite("sc: capacitor allocation", d.capC...); err != nil {
-		return nil, err
-	}
-	if err := numeric.AllFinite("sc: switch widths", d.widths...); err != nil {
+	d := &Design{}
+	if err := p.load(d, &cfg); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// Score returns the static metrics of cfg at load current iLoad, sized
+// against the plan, without allocating. ok is false exactly where
+// p.New(cfg) followed by Evaluate(iLoad) returns an error, and on success
+// the metrics equal Evaluate's bit for bit: both run the same checks and
+// arithmetic, Score on a stack-held Design that never formats why it was
+// rejected. A design-space sweep scores every configuration and
+// materializes only the ones it accepts.
+func (p *SwitchPlan) Score(cfg Config, iLoad float64) (m ivr.Metrics, ok bool) {
+	d := Design{quiet: true}
+	if p.load(&d, &cfg) != nil {
+		return ivr.Metrics{}, false
+	}
+	m, err := d.Evaluate(iLoad)
+	return m, err == nil
+}
+
+// load prepares cfg into d and sizes it against the plan.
+func (p *SwitchPlan) load(d *Design, cfg *Config) error {
+	if err := d.prepare(cfg); err != nil {
+		return err
+	}
+	if cfg.Analysis != p.an || cfg.Node != p.node || math.Float64bits(cfg.VIn) != math.Float64bits(p.vin) {
+		return fmt.Errorf("sc: switch plan for %s on %s at %g V does not match config (%s on %s at %g V)",
+			p.an.Name, p.node.Name, p.vin, cfg.Analysis.Name, cfg.Node.Name, cfg.VIn)
+	}
+	return d.size(p)
+}
+
+// size binds the design to the plan's switch mapping under its allocation
+// policy and checks that the capacitor allocation and the switch widths
+// are finite.
+func (d *Design) size(p *SwitchPlan) error {
+	d.plan, d.w = p, p.costAware
+	if d.cfg.UniformSwitchAllocation {
+		d.w = p.uniform
+	}
+	for i := range d.cfg.Analysis.CapMultipliers {
+		if c := d.capC(i); !finite(c) {
+			return numeric.Finite(fmt.Sprintf("sc: capacitor allocation[%d]", i), c)
+		}
+	}
+	for i := range p.devs {
+		if w := d.width(i); !finite(w) {
+			return numeric.Finite(fmt.Sprintf("sc: switch widths[%d]", i), w)
+		}
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// capC is capacitor i's share of the flying capacitance (F), proportional
+// to |a_c,i| (the optimal SSL split).
+func (d *Design) capC(i int) float64 {
+	an := d.cfg.Analysis
+	return d.cfg.CTotal * an.CapMultipliers[i] / an.SumAC
+}
+
+// gShare is switch i's share of the total conductance (S).
+func (d *Design) gShare(i int) float64 { return d.cfg.GTotal * d.w[i] }
+
+// width is switch i's total device width (m): a stack of s devices in
+// series has total R = s * RonW/W.
+func (d *Design) width(i int) float64 {
+	return float64(d.plan.stacks[i]) * d.plan.devs[i].ROnWidth * d.gShare(i)
 }
 
 // GTotalForArea returns the total conductance achievable with the given
@@ -338,10 +394,11 @@ func (d *Design) RFSL() float64 {
 	an := d.cfg.Analysis
 	sum := 0.0
 	for i, m := range an.SwitchMultipliers {
-		if d.gShare[i] <= 0 {
+		g := d.gShare(i)
+		if g <= 0 {
 			continue
 		}
-		sum += m * m / d.gShare[i]
+		sum += m * m / g
 	}
 	return sum / d.cfg.Duty
 }
@@ -359,7 +416,7 @@ func (d *Design) ROut(fsw float64) float64 {
 // feedback loop. It errors when the target is unreachable (droop exceeds
 // the FSL bound) or needs a frequency above FSwMax.
 func (d *Design) RegulationFrequency(iLoad float64) (float64, error) {
-	cfg := d.cfg
+	cfg := &d.cfg
 	an := cfg.Analysis
 	if iLoad <= 0 {
 		return cfg.FSwMin, nil
@@ -367,6 +424,9 @@ func (d *Design) RegulationFrequency(iLoad float64) (float64, error) {
 	rReq := (an.Ratio*cfg.VIn - cfg.VOut) / iLoad
 	rfsl := d.RFSL()
 	if rReq <= rfsl {
+		if d.quiet {
+			return 0, errRejected
+		}
 		return 0, ivr.Infeasible(an.Name,
 			"required output impedance %.3g ohm below FSL bound %.3g ohm at %.3g A — increase GTotal or lower VOut",
 			rReq, rfsl, iLoad)
@@ -374,6 +434,9 @@ func (d *Design) RegulationFrequency(iLoad float64) (float64, error) {
 	rssl := math.Sqrt(rReq*rReq - rfsl*rfsl)
 	fsw := an.SumAC * an.SumAC / (cfg.CTotal * rssl)
 	if fsw > cfg.FSwMax {
+		if d.quiet {
+			return 0, errRejected
+		}
 		return 0, ivr.Infeasible(an.Name,
 			"regulation needs f_sw %.3g Hz above the %.3g Hz limit — increase CTotal", fsw, cfg.FSwMax)
 	}
@@ -399,7 +462,7 @@ func (d *Design) Evaluate(iLoad float64) (ivr.Metrics, error) {
 // EvaluateAt computes the static metrics at an explicit switching frequency
 // (open-loop), exposing the raw efficiency-vs-frequency trade-off.
 func (d *Design) EvaluateAt(iLoad, fsw float64) (ivr.Metrics, error) {
-	cfg := d.cfg
+	cfg := &d.cfg
 	an := cfg.Analysis
 	if fsw <= 0 {
 		return ivr.Metrics{}, fmt.Errorf("sc: fsw must be positive")
@@ -407,39 +470,42 @@ func (d *Design) EvaluateAt(iLoad, fsw float64) (ivr.Metrics, error) {
 	rOut := d.ROut(fsw)
 	vOut := an.Ratio*cfg.VIn - iLoad*rOut
 	if vOut <= 0 {
+		if d.quiet {
+			return ivr.Metrics{}, errRejected
+		}
 		return ivr.Metrics{}, ivr.Infeasible(an.Name, "output collapses (%.3g V) at %.3g A, f_sw %.3g Hz", vOut, iLoad, fsw)
 	}
 	var loss ivr.LossBreakdown
 	// Intrinsic conduction/regulation loss through the output impedance.
 	loss.Conduction = iLoad * iLoad * rOut
 
+	devs := d.plan.devs
 	// Gate drive: per-switch stack gate capacitance cycled each period.
-	for i := range d.devs {
-		dev := d.devs[i]
-		cg := dev.CGate(d.widths[i]) // total gate cap of the stack width
+	for i, dev := range devs {
+		cg := dev.CGate(d.width(i)) // total gate cap of the stack width
 		loss.GateDrive += fsw * cg * dev.VDrive * dev.VDrive
 	}
 	loss.GateDrive *= driverTax
 
 	// Drain-junction parasitics switched across each device's blocking
 	// voltage, plus capacitor bottom-plate parasitics.
-	for i := range d.devs {
+	for i, dev := range devs {
 		vb := an.SwitchBlockVoltages[i] * cfg.VIn
-		loss.Parasitic += fsw * d.devs[i].CDrain(d.widths[i]) * vb * vb
+		loss.Parasitic += fsw * dev.CDrain(d.width(i)) * vb * vb
 	}
-	for i, c := range d.capC {
+	for i := range an.CapMultipliers {
 		swing := an.CapBottomSwing[i] * cfg.VIn
-		loss.Parasitic += cfg.BottomPlateLossFactor * fsw * d.capOpt.BottomPlateRatio * c * swing * swing
+		loss.Parasitic += cfg.BottomPlateLossFactor * fsw * d.capOpt.BottomPlateRatio * d.capC(i) * swing * swing
 	}
 
 	// Leakage: capacitor dielectric leakage plus off-state switch leakage
 	// (each switch is off half the time).
-	for i, c := range d.capC {
-		loss.Leakage += c * d.capOpt.LeakPerFarad * an.CapVoltages[i] * cfg.VIn
+	for i := range an.CapMultipliers {
+		loss.Leakage += d.capC(i) * d.capOpt.LeakPerFarad * an.CapVoltages[i] * cfg.VIn
 	}
-	for i := range d.devs {
+	for i, dev := range devs {
 		vb := an.SwitchBlockVoltages[i] * cfg.VIn
-		loss.Leakage += 0.5 * d.devs[i].Leakage(d.widths[i]) * vb
+		loss.Leakage += 0.5 * dev.Leakage(d.width(i)) * vb
 	}
 
 	// Controller, comparator, and clocking.
@@ -452,7 +518,7 @@ func (d *Design) EvaluateAt(iLoad, fsw float64) (ivr.Metrics, error) {
 		eff = pOut / (pOut + loss.Total())
 	}
 	m := ivr.Metrics{
-		Topology:   an.Name + " SC",
+		Topology:   d.plan.label,
 		VIn:        cfg.VIn,
 		VOut:       vOut,
 		ILoad:      iLoad,
@@ -473,10 +539,13 @@ func (d *Design) EvaluateAt(iLoad, fsw float64) (ivr.Metrics, error) {
 // on-resistances (ohm) of the design — the values a switch-level simulator
 // needs to build the equivalent netlist.
 func (d *Design) ElementValues() (caps, rons []float64) {
-	caps = append([]float64(nil), d.capC...)
-	rons = make([]float64, len(d.gShare))
-	for i, g := range d.gShare {
-		rons[i] = 1 / g
+	caps = make([]float64, len(d.cfg.Analysis.CapMultipliers))
+	for i := range caps {
+		caps[i] = d.capC(i)
+	}
+	rons = make([]float64, len(d.w))
+	for i := range rons {
+		rons[i] = 1 / d.gShare(i)
 	}
 	return caps, rons
 }
@@ -506,24 +575,11 @@ func (d *Design) Ripple(iLoad, fsw float64) float64 {
 func (d *Design) Area() float64 {
 	a := d.capOpt.Area(d.cfg.CTotal)
 	a += d.decapOpt.Area(d.cfg.CDecap)
-	for i := range d.devs {
-		a += float64(d.stacks[i]) * d.devs[i].Area(d.widths[i])
+	for i, dev := range d.plan.devs {
+		a += float64(d.plan.stacks[i]) * dev.Area(d.width(i))
 	}
 	// Controller macro: gate count at 40 F^2 per gate equivalent.
 	f := d.cfg.Node.FeatureM
 	a += float64(ctrlGates+clockGates*d.cfg.Interleave) * 40 * f * f * 25
 	return a * routingTax
-}
-
-// WithInterleave returns a copy of the design split into n phase-shifted
-// slices. Interleaving changes only the control loss, the ripple and the
-// area, so the copy shares every sized slice with d and equals New with
-// Config.Interleave = n bit for bit.
-func (d *Design) WithInterleave(n int) (*Design, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("sc: interleave %d must be >= 1", n)
-	}
-	dd := *d
-	dd.cfg.Interleave = n
-	return &dd, nil
 }

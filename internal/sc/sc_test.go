@@ -327,8 +327,8 @@ func TestGTotalForAreaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	area := 0.0
-	for i := range d.devs {
-		area += float64(d.stacks[i]) * d.devs[i].Area(d.widths[i])
+	for i, dev := range d.plan.devs {
+		area += float64(d.plan.stacks[i]) * dev.Area(d.width(i))
 	}
 	if area <= 0 {
 		t.Fatal("switch area must be positive")
