@@ -255,11 +255,12 @@ func (ec *evalContext) eval(ref ConfigRef, out *shard) {
 func (ec *evalContext) localEvaluator(workers int) Evaluator {
 	return func(ctx context.Context, refs []ConfigRef, done func(int, *RefOutcome)) ([]RefOutcome, error) {
 		outs := make([]RefOutcome, len(refs))
-		err := parallel.ForContext(ctx, len(refs), workers, func(i int) {
+		err := parallel.ForContext(ctx, len(refs), workers, func(_ context.Context, i int) error {
 			var sh shard
 			ec.eval(refs[i], &sh)
 			outs[i] = RefOutcome{Candidates: sh.candidates, Rejected: sh.rejected}
 			done(i, &outs[i])
+			return nil
 		})
 		return outs, err
 	}

@@ -159,23 +159,11 @@ func AblationsRun(ctx context.Context, opt TransientOptions) (*AblationResult, e
 		},
 	}
 	rows := make([]AblationRow, len(studies))
-	errs := make([]error, len(studies))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, len(studies), opt.Workers, func(i int) {
-		row, err := studies[i](runCtx)
-		if err != nil {
-			errs[i] = err
-			cancel()
-			return
-		}
-		rows[i] = row
-	})
-	if err := firstCellError(errs); err != nil {
+	if err := parallel.ForContext(ctx, len(studies), opt.Workers, func(ctx context.Context, i int) (err error) {
+		rows[i], err = studies[i](ctx)
+		return err
+	}); err != nil {
 		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	return &AblationResult{Rows: rows}, nil
 }

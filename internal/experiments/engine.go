@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -137,30 +135,3 @@ func (t *transientTracker) finalize(cancelled bool) TransientStats {
 	s.Cancelled = cancelled
 	return s
 }
-
-// firstCellError picks the error to surface from a cell fan-out: the first
-// real failure in enumeration order. Cancellation-shaped errors are held
-// back — when one cell fails it cancels the shared run context, and sibling
-// cells then fail with context.Canceled; reporting one of those instead of
-// the root cause would hide the actual failing cell.
-func firstCellError(errs []error) error {
-	var cancelErr error
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		if errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded) {
-			if cancelErr == nil {
-				cancelErr = e
-			}
-			continue
-		}
-		return e
-	}
-	return cancelErr
-}
-
-// scratchPool recycles pds simulation scratch across cells and runs. Each
-// in-flight cell holds exactly one Scratch, so the pool's live set is
-// bounded by the worker count.
-var scratchPool = sync.Pool{New: func() any { return new(pds.Scratch) }}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -169,19 +168,5 @@ func TestAblationsRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Rows, par.Rows) {
 		t.Errorf("ablation rows diverge across worker counts:\n%v\nvs\n%v", par.Rows, ref.Rows)
-	}
-}
-
-func TestFirstCellError(t *testing.T) {
-	real1 := fmt.Errorf("cell 3: %w", errors.New("diverged"))
-	canc := fmt.Errorf("cell 1: %w", context.Canceled)
-	if got := firstCellError([]error{nil, canc, nil, real1}); got != real1 {
-		t.Errorf("real failure must outrank sibling cancellations, got %v", got)
-	}
-	if got := firstCellError([]error{nil, canc, nil}); got != canc {
-		t.Errorf("cancellation surfaces when it is the only error, got %v", got)
-	}
-	if got := firstCellError([]error{nil, nil}); got != nil {
-		t.Errorf("no errors must return nil, got %v", got)
 	}
 }

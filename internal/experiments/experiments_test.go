@@ -8,13 +8,28 @@ import (
 	"ivory/internal/numeric"
 )
 
+// TestFig4SpeedupShape times each frequency point as the best of three
+// Fig4 runs: at 10 MHz the 2 µs span is only 20 cycles, so both timings
+// are a few µs and a single run is at the mercy of scheduler noise.
 func TestFig4SpeedupShape(t *testing.T) {
-	r, err := Fig4(2e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) < 4 {
-		t.Fatalf("too few frequency points: %d", len(r.Rows))
+	var r *Fig4Result
+	for run := 0; run < 3; run++ {
+		got, err := Fig4(2e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) < 4 {
+			t.Fatalf("too few frequency points: %d", len(got.Rows))
+		}
+		if r == nil {
+			r = got
+			continue
+		}
+		for i := range r.Rows {
+			r.Rows[i].TSpice = min(r.Rows[i].TSpice, got.Rows[i].TSpice)
+			r.Rows[i].TModel = min(r.Rows[i].TModel, got.Rows[i].TModel)
+			r.Rows[i].Speedup = float64(r.Rows[i].TSpice) / float64(r.Rows[i].TModel)
+		}
 	}
 	for _, row := range r.Rows {
 		if row.Speedup <= 1 {

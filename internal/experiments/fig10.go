@@ -192,41 +192,27 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 	}
 	tracker := newTransientTracker(len(cells), time.Since(exploreStart), opt.Progress)
 	results := make([]*pds.NoiseResult, len(cells))
-	errs := make([]error, len(cells))
-	// A failing cell cancels the run context so sibling cells stop instead
-	// of burning a full simulation each.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, len(cells), opt.Workers, func(i int) {
+	if err := parallel.ForContext(ctx, len(cells), opt.Workers, func(ctx context.Context, i int) error {
 		c := cells[i]
 		bench, err := workload.Get(c.bench)
 		if err != nil {
-			errs[i] = err
-			cancel()
-			return
+			return err
 		}
-		scr := scratchPool.Get().(*pds.Scratch)
-		defer scratchPool.Put(scr)
-		simOpt := pds.SimOptions{KeepTrace: c.bench == "CFD", Scratch: scr}
+		simOpt := pds.SimOptions{KeepTrace: c.bench == "CFD"}
 		var nr *pds.NoiseResult
 		if c.nIVR == 0 {
-			nr, err = cs.System.SimulateOffChipVRMContext(runCtx, bench, T, dt, simOpt)
+			nr, err = cs.System.SimulateOffChipVRMContext(ctx, bench, T, dt, simOpt)
 		} else {
-			nr, err = cs.System.SimulateIVRContext(runCtx, design, c.nIVR, bench, T, dt, simOpt)
+			nr, err = cs.System.SimulateIVRContext(ctx, design, c.nIVR, bench, T, dt, simOpt)
 		}
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s / %s: %w", c.bench, configName(c.nIVR), err)
-			cancel()
-			return
+			return fmt.Errorf("experiments: %s / %s: %w", c.bench, configName(c.nIVR), err)
 		}
 		results[i] = nr
 		tracker.cellDone()
-	})
-	if err := firstCellError(errs); err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	res := &Fig10Result{
 		CFDTraces:     map[string][]float64{},

@@ -43,15 +43,15 @@ func Fig12Run(ctx context.Context, opt TransientOptions) (*Fig12Result, error) {
 	}
 	budgets := []float64{2, 4, 6, 10, 14, 20, 28, 40}
 	points := make([]Fig12Point, len(budgets))
-	ferr := parallel.ForContext(ctx, len(budgets), opt.Workers, func(i int) {
+	if err := parallel.ForContext(ctx, len(budgets), opt.Workers, func(ctx context.Context, i int) error {
 		areaMM2 := budgets[i]
 		spec := cs.Spec
 		spec.AreaMax = areaMM2 * 1e-6
 		spec.Context = ctx
 		pt := Fig12Point{AreaMM2: areaMM2, EffSC: -1, EffBuck: -1, EffLDO: -1}
 		// An exploration error at one budget means the budget is infeasible
-		// (unless the whole run was cancelled, which the post-merge check
-		// below surfaces): the point stays at its "-" sentinel values.
+		// (unless the whole run was cancelled, which ForContext then
+		// reports): the point stays at its "-" sentinel values.
 		if r, err := core.Explore(spec); err == nil {
 			if c, ok := r.BestOfKind(core.KindSC); ok {
 				pt.EffSC = c.Metrics.Efficiency
@@ -64,11 +64,8 @@ func Fig12Run(ctx context.Context, opt TransientOptions) (*Fig12Result, error) {
 			}
 		}
 		points[i] = pt
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	if err := ctx.Err(); err != nil {
+		return nil
+	}); err != nil {
 		// Cancellation, not an infeasible budget: discard the partial sweep.
 		return nil, err
 	}

@@ -96,10 +96,7 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 	// slot is owned by its configuration index; margins are recorded in the
 	// merge below to keep map writes single-goroutine.
 	params := make([]pds.BreakdownParams, len(noiseConfigs))
-	errs := make([]error, len(noiseConfigs))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, len(noiseConfigs), opt.Workers, func(i int) {
+	if err := parallel.ForContext(ctx, len(noiseConfigs), opt.Workers, func(ctx context.Context, i int) error {
 		nIVR := noiseConfigs[i]
 		name := configName(nIVR)
 		margin := noise.DroopByConfig[name]
@@ -110,15 +107,13 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 			// The board VRM must produce the core voltage plus margin.
 			vrmEff, err := vrmEfficiency(cs.System.VSource, cs.System.VNominal+margin, pCore)
 			if err != nil {
-				errs[i] = err
-				cancel()
-				return
+				return err
 			}
 			params[i] = pds.BreakdownParams{
 				Config: name, Margin: margin,
 				VRMEfficiency: vrmEff, NumIVRs: 0,
 			}
-			return
+			return nil
 		}
 		// Re-explore the IVR at its actual regulated level (nominal plus
 		// this configuration's own margin): the margin-aware
@@ -127,18 +122,14 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 		spec := cs.Spec
 		spec.VOut = vOp
 		spec.IMax = cs.System.TDPPerCore * float64(cs.System.Cores) / cs.System.VNominal
-		spec.Context = runCtx
+		spec.Context = ctx
 		expRes, err := core.Explore(spec)
 		if err != nil {
-			errs[i] = err
-			cancel()
-			return
+			return err
 		}
 		cand, ok := expRes.BestOfKind(core.KindSC)
 		if !ok {
-			errs[i] = fmt.Errorf("experiments: no SC design at V_op %.3f", vOp)
-			cancel()
-			return
+			return fmt.Errorf("experiments: no SC design at V_op %.3f", vOp)
 		}
 		params[i] = pds.BreakdownParams{
 			Config: name, Margin: margin,
@@ -148,12 +139,9 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 			VRMEfficiency: 0.97,
 			NumIVRs:       nIVR,
 		}
-	})
-	if err := firstCellError(errs); err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	// Phase 2: breakdowns and aggregates, in enumeration order.
 	var offEff float64

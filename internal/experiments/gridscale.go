@@ -61,38 +61,26 @@ func GridScaleRun(ctx context.Context, opt TransientOptions) (*GridScaleResult, 
 	res := &GridScaleResult{MeshW: m.W, MeshH: m.H, RTile: m.RTile}
 	counts := []int{1, 2, 4, 8}
 	rows := make([]GridScaleRow, len(counts))
-	errs := make([]error, len(counts))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, len(counts), opt.Workers, func(i int) {
+	if err := parallel.ForContext(ctx, len(counts), opt.Workers, func(ctx context.Context, i int) error {
 		n := counts[i]
-		taps, err := m.PlaceIVRsContext(runCtx, n, centers)
+		taps, err := m.PlaceIVRsContext(ctx, n, centers)
 		if err != nil {
-			errs[i] = err
-			cancel()
-			return
+			return err
 		}
 		// One solver context per tap set: the Laplacian is factored once and
 		// reused for every per-tile solve in the region sweep.
 		s, err := m.NewSolver(taps)
 		if err != nil {
-			errs[i] = err
-			cancel()
-			return
+			return err
 		}
-		r, err := s.WorstCaseResistanceContext(runCtx, region)
+		r, err := s.WorstCaseResistanceContext(ctx, region)
 		if err != nil {
-			errs[i] = err
-			cancel()
-			return
+			return err
 		}
 		rows[i] = GridScaleRow{N: n, Taps: taps, REff: r, InvN: 1 / float64(n)}
-	})
-	if err := firstCellError(errs); err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	r1 := rows[0].REff
 	for i := range rows {

@@ -235,7 +235,7 @@ func (m *Mesh) PlaceIVRsContext(ctx context.Context, n int, cores []Point) ([]Po
 	// Each tap set gets one Solver (one Laplacian assembly + factorization
 	// shared by all core sites); the per-core solves run inline because the
 	// candidate scoring loop below is already parallel.
-	evaluate := func(ts []Point) (worst, mean float64, err error) {
+	evaluate := func(ctx context.Context, ts []Point) (worst, mean float64, err error) {
 		s, err := m.NewSolver(ts)
 		if err != nil {
 			return 0, 0, err
@@ -247,20 +247,20 @@ func (m *Mesh) PlaceIVRsContext(ctx context.Context, n int, cores []Point) ([]Po
 		// the chosen tap is identical to the serial scan's.
 		type score struct {
 			w, mn float64
-			err   error
 			ok    bool
 		}
 		scores := make([]score, len(candidates))
-		if err := parallel.ForContext(ctx, len(candidates), 0, func(i int) {
+		if err := parallel.ForContext(ctx, len(candidates), 0, func(ctx context.Context, i int) error {
 			cand := candidates[i]
 			if containsPoint(taps, cand) {
-				return
+				return nil
 			}
 			trial := make([]Point, len(taps)+1)
 			copy(trial, taps)
 			trial[len(taps)] = cand
-			w, mn, err := evaluate(trial)
-			scores[i] = score{w: w, mn: mn, err: err, ok: true}
+			w, mn, err := evaluate(ctx, trial)
+			scores[i] = score{w: w, mn: mn, ok: true}
+			return err
 		}); err != nil {
 			return nil, err
 		}
@@ -269,9 +269,6 @@ func (m *Mesh) PlaceIVRsContext(ctx context.Context, n int, cores []Point) ([]Po
 		for i, sc := range scores {
 			if !sc.ok {
 				continue
-			}
-			if sc.err != nil {
-				return nil, sc.err
 			}
 			if sc.w < bestW-1e-12 || (math.Abs(sc.w-bestW) <= 1e-12 && sc.mn < bestM) {
 				bestW, bestM = sc.w, sc.mn
@@ -287,11 +284,11 @@ func (m *Mesh) PlaceIVRsContext(ctx context.Context, n int, cores []Point) ([]Po
 	// n <= len(cores).
 	aligned := alignByFarthestPoint(cores, n)
 	if len(aligned) == n {
-		wG, _, err := evaluate(taps)
+		wG, _, err := evaluate(ctx, taps)
 		if err != nil {
 			return nil, err
 		}
-		wA, _, err := evaluate(aligned)
+		wA, _, err := evaluate(ctx, aligned)
 		if err != nil {
 			return nil, err
 		}

@@ -142,16 +142,13 @@ func (s *Solver) worstMean(ctx context.Context, cores []Point, workers int) (wor
 		return 0, 0, fmt.Errorf("grid: need at least one core site")
 	}
 	rs := make([]float64, len(cores))
-	errs := make([]error, len(cores))
-	if err := parallel.ForContext(ctx, len(cores), workers, func(i int) {
-		rs[i], errs[i] = s.EffectiveResistance(cores[i])
+	if err := parallel.ForContext(ctx, len(cores), workers, func(_ context.Context, i int) (err error) {
+		rs[i], err = s.EffectiveResistance(cores[i])
+		return err
 	}); err != nil {
 		return 0, 0, err
 	}
-	for i, e := range errs {
-		if e != nil {
-			return 0, 0, e
-		}
+	for i := range rs {
 		if rs[i] > worst {
 			worst = rs[i]
 		}

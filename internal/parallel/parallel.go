@@ -1,19 +1,26 @@
-// Package parallel holds the tiny fan-out helper shared by the design-space
-// exploration engine and the grid placement heuristic. It exists so every
-// hot loop parallelizes the same way: a bounded worker pool pulling indices
-// off an atomic counter, with the caller responsible for writing results
-// into per-index slots so merge order stays deterministic.
+// Package parallel holds the concurrency helpers every hot loop in the tree
+// shares, so each one parallelizes, fails and memoizes the same way.
 //
-// ForContext adds the run-control contract on top: a panic inside any job
-// is recovered, tagged with its job index, and re-raised exactly once on
-// the caller's goroutine (a bare go-statement panic would kill the process
-// from an anonymous goroutine with no indication of which job died), and
-// cancelling the context stops the dispatch of new jobs — in-flight jobs
-// drain, then ctx.Err() is returned.
+// ForContext is the one-shot fan-out behind the exploration engine's batch
+// evaluator, grid placement, the transient case-study cells
+// (internal/experiments) and the hybrid SoC sweep: a bounded worker pool
+// pulling indices off an atomic counter, with the caller writing results
+// into per-index slots so merge order stays deterministic. It owns the
+// run-control contract too. The first failing job stops dispatch and
+// cancels its siblings, and the root cause rather than a sibling's
+// cancellation is reported. A panic inside any job is recovered, tagged
+// with its job index, and re-raised exactly once on the caller's
+// goroutine; a bare go-statement panic would kill the process from an
+// anonymous goroutine with no indication of which job died.
+//
+// Pool is the long-lived counterpart for streams of jobs (ivoryd's request
+// queue), and Memo the size-capped memo behind topology's Analyze cache and
+// pds's trace cache.
 package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -38,26 +45,32 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job %d panicked: %v", e.Index, e.Value)
 }
 
-// ForContext runs fn(i) for every i in [0, n), spread over min(workers, n)
-// goroutines fed by an atomic index counter. workers <= 0 selects
-// runtime.NumCPU(); workers == 1 runs the loop inline in ascending order
-// with no goroutines (the serial reference path), so results written to
-// per-index slots stay bit-identical to the serial path for every worker
+// ForContext runs fn(ctx, i) for every i in [0, n), spread over
+// min(workers, n) goroutines fed by an atomic index counter. workers <= 0
+// selects runtime.NumCPU(); workers == 1 runs the loop inline in ascending
+// order with no goroutines (the serial reference path), so results written
+// to per-index slots stay bit-identical to the serial path for every worker
 // count. fn must be safe for concurrent invocation and must confine its
 // writes to data owned by index i.
 //
-// Two behaviours are layered on top:
+// Three behaviours are layered on top:
 //
-//   - Panic containment: a panic in any fn(i) is recovered and tagged with
-//     its job index; remaining jobs are not dispatched, in-flight jobs
-//     finish, and the first recovered panic is re-raised exactly once on
-//     the caller's goroutine as a *PanicError.
+//   - Failure: the first job to return an error stops the dispatch of new
+//     jobs and cancels the ctx handed to the jobs still in flight. After
+//     they drain, ForContext returns the lowest-index error that is not a
+//     cancellation (context.Canceled or context.DeadlineExceeded), so a
+//     real failure is never masked by the cancellations it caused in its
+//     siblings; failing that, the lowest-index cancellation error.
 //   - Cancellation: when ctx (nil selects context.Background()) is
-//     cancelled, no new jobs are dispatched; after in-flight jobs drain,
-//     ctx.Err() is returned. Jobs that already completed have fully
-//     written their slots — the caller sees a clean prefix-of-work, never
-//     a torn write.
-func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
+//     cancelled, no new jobs are dispatched; with no job error to report,
+//     ctx.Err() is returned once in-flight jobs drain. Jobs that already
+//     completed have fully written their slots — the caller sees a clean
+//     prefix-of-work, never a torn write.
+//   - Panic containment: a panic in any job is recovered and tagged with
+//     its job index; it stops dispatch like a failure, in-flight jobs
+//     drain, and the first recovered panic is re-raised exactly once on
+//     the caller's goroutine as a *PanicError.
+func ForContext(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -70,62 +83,93 @@ func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
 	if workers > n {
 		workers = n
 	}
-	// The first recovered panic wins; later ones (other workers may fail
-	// before they observe stop) are dropped so the caller fails exactly
-	// once.
-	var (
-		panicOnce sync.Once
-		recovered *PanicError
-		stop      atomic.Bool
-	)
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicOnce.Do(func() {
-					recovered = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
-				})
-				stop.Store(true)
-			}
-		}()
-		fn(i)
-	}
 	if workers == 1 {
+		// No job is ever in flight beside the current one, so the first
+		// error is the result and there is nothing to cancel.
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			run(i)
-			if stop.Load() {
-				panic(recovered)
+			pe, err := runJob(ctx, i, fn)
+			if pe != nil {
+				panic(pe)
+			}
+			if err != nil {
+				return err
 			}
 		}
-		// Mirror the pooled path: a cancellation that lands during the
-		// final job still reports ctx.Err(), so both paths agree.
+		// A cancellation that lands during the final job still reports
+		// ctx.Err(), as on the pooled path.
 		return ctx.Err()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		mu sync.Mutex
+		// The first recovered panic wins; later ones (other workers may
+		// panic before they observe stop) are dropped so the caller fails
+		// exactly once.
+		recovered           *PanicError
+		failed, cancelled   error
+		failedI, cancelledI = n, n
+		stop                atomic.Bool
+		next                atomic.Int64
+		wg                  sync.WaitGroup
+	)
+	record := func(i int, pe *PanicError, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case pe != nil:
+			if recovered == nil {
+				recovered = pe
+			}
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			if i < cancelledI {
+				cancelled, cancelledI = err, i
+			}
+		case i < failedI:
+			failed, failedI = err, i
+		}
+		stop.Store(true)
+		cancel()
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				if stop.Load() || ctx.Err() != nil {
-					return
-				}
+			for !stop.Load() && ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				run(i)
+				if pe, err := runJob(runCtx, i, fn); pe != nil || err != nil {
+					record(i, pe, err)
+				}
 			}
 		}()
 	}
 	// wg.Wait is the happens-before edge that makes every worker's writes
-	// (job slots, recovered) visible here.
+	// (job slots, the recorded outcome) visible here.
 	wg.Wait()
-	if recovered != nil {
+	switch {
+	case recovered != nil:
 		panic(recovered)
+	case failed != nil:
+		return failed
+	case cancelled != nil:
+		return cancelled
 	}
 	return ctx.Err()
+}
+
+// runJob runs fn(ctx, i), recovering a panic into a *PanicError tagged
+// with the job index.
+func runJob(ctx context.Context, i int, fn func(context.Context, int) error) (pe *PanicError, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return nil, fn(ctx, i)
 }

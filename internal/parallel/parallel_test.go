@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		for _, n := range []int{0, 1, 5, 64, 1000} {
 			hits := make([]atomic.Int32, n)
-			if err := ForContext(nil, n, workers, func(i int) { hits[i].Add(1) }); err != nil {
+			if err := ForContext(nil, n, workers, func(_ context.Context, i int) error { hits[i].Add(1); return nil }); err != nil {
 				t.Fatal(err)
 			}
 			for i := range hits {
@@ -27,7 +28,7 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForSerialIsInOrder(t *testing.T) {
 	var order []int
-	if err := ForContext(nil, 10, 1, func(i int) { order = append(order, i) }); err != nil {
+	if err := ForContext(nil, 10, 1, func(_ context.Context, i int) error { order = append(order, i); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -43,7 +44,7 @@ func TestForContextCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		n := 500
 		hits := make([]atomic.Int32, n)
-		if err := ForContext(context.Background(), n, workers, func(i int) { hits[i].Add(1) }); err != nil {
+		if err := ForContext(context.Background(), n, workers, func(_ context.Context, i int) error { hits[i].Add(1); return nil }); err != nil {
 			t.Fatalf("workers=%d: unexpected error %v", workers, err)
 		}
 		for i := range hits {
@@ -57,7 +58,7 @@ func TestForContextCoversAllIndices(t *testing.T) {
 // TestForContextNilContext checks nil selects the background context.
 func TestForContextNilContext(t *testing.T) {
 	var ran atomic.Int32
-	if err := ForContext(nil, 3, 2, func(int) { ran.Add(1) }); err != nil {
+	if err := ForContext(nil, 3, 2, func(context.Context, int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
 	if ran.Load() != 3 {
@@ -96,11 +97,12 @@ func TestForContextPanicSurfacesIndex(t *testing.T) {
 				}
 			}()
 			// The call panics before returning, so there is no error to check.
-			_ = ForContext(context.Background(), 64, workers, func(i int) {
+			_ = ForContext(context.Background(), 64, workers, func(_ context.Context, i int) error {
 				if i == 7 {
 					panic("boom")
 				}
 				completed.Add(1)
+				return nil
 			})
 			t.Fatalf("workers=%d: ForContext returned instead of panicking", workers)
 		}()
@@ -124,7 +126,7 @@ func TestForContextPanicFailsExactlyOnce(t *testing.T) {
 			}
 		}()
 		// Panics before returning; no error to check.
-		_ = ForContext(context.Background(), 256, 8, func(i int) { panic(i) })
+		_ = ForContext(context.Background(), 256, 8, func(_ context.Context, i int) error { panic(i) })
 	}()
 	if panics != 1 {
 		t.Fatalf("caller saw %d panics, want exactly 1", panics)
@@ -137,10 +139,11 @@ func TestForContextCancelStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 100000
 	var started atomic.Int32
-	err := ForContext(ctx, n, 4, func(i int) {
+	err := ForContext(ctx, n, 4, func(context.Context, int) error {
 		if started.Add(1) == 8 {
 			cancel()
 		}
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -159,7 +162,7 @@ func TestForContextPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForContext(ctx, 50, workers, func(int) { ran.Add(1) })
+		err := ForContext(ctx, 50, workers, func(context.Context, int) error { ran.Add(1); return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
 		}
@@ -174,8 +177,116 @@ func TestForContextPreCancelled(t *testing.T) {
 func TestForContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	err := ForContext(ctx, 1<<30, 2, func(int) { time.Sleep(10 * time.Microsecond) })
+	err := ForContext(ctx, 1<<30, 2, func(context.Context, int) error { time.Sleep(10 * time.Microsecond); return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// awaitCancel blocks until ctx is cancelled and returns its error wrapped
+// the way a cell does. A ctx that is never cancelled yields a non-
+// cancellation error after a generous guard, which outranks every real
+// failure at a higher index and so fails the calling test.
+func awaitCancel(ctx context.Context, i int) error {
+	select {
+	case <-ctx.Done():
+		return fmt.Errorf("cell %d: %w", i, ctx.Err())
+	case <-time.After(10 * time.Second):
+		return fmt.Errorf("cell %d: in-flight job never saw its ctx cancelled", i)
+	}
+}
+
+// TestForContextErrorPolicy pins the failure contract at the serial and
+// pooled worker counts: which error comes back, that the first failure
+// cancels the jobs in flight, and that no further job is dispatched.
+func TestForContextErrorPolicy(t *testing.T) {
+	real1 := errors.New("diverged")
+	canc := fmt.Errorf("cell 1: %w", context.Canceled)
+	for _, workers := range []int{1, 2, 8} {
+		cases := []struct {
+			name string
+			n    int
+			job  func(ctx context.Context, i int) error
+			want error
+			// maxStarted bounds how many jobs may start (0 = no bound).
+			maxStarted int32
+		}{{
+			// Jobs 0..workers-2 are in flight when job workers-1 fails;
+			// they fail only with the cancellation it causes. The root
+			// cause must outrank their lower-index cancellations, and
+			// none of the n-workers undispatched jobs may start.
+			name: "root cause outranks sibling cancellations",
+			n:    1000,
+			job: func(ctx context.Context, i int) error {
+				if i == workers-1 {
+					return real1
+				}
+				return awaitCancel(ctx, i)
+			},
+			want:       real1,
+			maxStarted: int32(workers),
+		}, {
+			// Job workers fails first; job 0, still in flight, then fails
+			// for real too (not with a cancellation). The lower index wins.
+			name: "lower index wins between two real failures",
+			n:    workers + 1,
+			job: func(ctx context.Context, i int) error {
+				switch {
+				case i == 0 && workers > 1:
+					_ = awaitCancel(ctx, i)
+					return real1
+				case i == 0:
+					return real1
+				case i == workers:
+					return errors.New("higher-index failure")
+				}
+				return nil
+			},
+			want: real1,
+		}, {
+			name: "a cancellation surfaces when it is the only error",
+			n:    3,
+			job: func(_ context.Context, i int) error {
+				if i == 1 {
+					return canc
+				}
+				return nil
+			},
+			want: canc,
+		}, {
+			name: "no errors return nil",
+			n:    64,
+			job:  func(context.Context, int) error { return nil },
+		}}
+		for _, c := range cases {
+			var started atomic.Int32
+			got := ForContext(context.Background(), c.n, workers, func(ctx context.Context, i int) error {
+				started.Add(1)
+				return c.job(ctx, i)
+			})
+			if got != c.want {
+				t.Errorf("workers=%d, %s: got %v, want %v", workers, c.name, got, c.want)
+			}
+			if c.maxStarted > 0 && started.Load() > c.maxStarted {
+				t.Errorf("workers=%d, %s: %d jobs started, want at most %d", workers, c.name, started.Load(), c.maxStarted)
+			}
+		}
+	}
+}
+
+// TestForContextParentCancel checks that a parent cancel, with no job
+// failing, still yields the parent's ctx.Err() at every worker count.
+func TestForContextParentCancel(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := ForContext(ctx, 1000, workers, func(_ context.Context, i int) error {
+			if i == 3 {
+				cancel()
+			}
+			return nil
+		})
+		if err != ctx.Err() || !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: got %v, want the parent's %v", workers, err, ctx.Err())
+		}
 	}
 }

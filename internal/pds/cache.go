@@ -1,10 +1,7 @@
 package pds
 
 import (
-	"math"
-	"sync"
-	"sync/atomic"
-
+	"ivory/internal/parallel"
 	"ivory/internal/workload"
 )
 
@@ -17,12 +14,7 @@ import (
 // count, supply voltage, seed, and the complete load model. Cached traces
 // are shared across callers and goroutines and are strictly read-only,
 // which the engine's determinism tests exercise under the race detector.
-var (
-	traceCache  sync.Map // traceKey -> [][]float64
-	traceCount  atomic.Int64
-	traceHits   atomic.Int64
-	traceMisses atomic.Int64
-)
+var traceMemo = parallel.NewMemo[traceKey, [][]float64](traceCacheLimit)
 
 // traceCacheLimit bounds the memo so streams of one-off systems cannot grow
 // it without bound; past the limit, traces are computed but not stored. One
@@ -42,36 +34,8 @@ type traceKey struct {
 }
 
 // TraceCacheStats returns the cumulative hit/miss counters of the
-// package-wide core-current trace memo. The counters only grow; callers
-// wanting per-run telemetry snapshot before and diff after, with the same
-// caveat as topology.CacheStats: concurrent runs share the counters.
-func TraceCacheStats() (hits, misses int64) {
-	return traceHits.Load(), traceMisses.Load()
-}
-
-// FNV-1a, inlined rather than importing hash/fnv so the digest helpers stay
-// allocation-free and usable on mixed field types.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fnv1aString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-func fnv1aU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-func fnv1aFloat(h uint64, f float64) uint64 { return fnv1aU64(h, math.Float64bits(f)) }
+// package-wide core-current trace memo (see parallel.Memo.Stats).
+func TraceCacheStats() (hits, misses int64) { return traceMemo.Stats() }
 
 // benchStreamSeed derives the PRNG stream seed for one core of one
 // benchmark. The name enters through an FNV-1a hash: the previous
@@ -80,18 +44,14 @@ func fnv1aFloat(h uint64, f float64) uint64 { return fnv1aU64(h, math.Float64bit
 // this). XOR-folding the hash avoids signed-overflow games while keeping the
 // derivation deterministic.
 func benchStreamSeed(base int64, name string, core int) int64 {
-	h := fnv1aString(fnvOffset64, name)
-	h = fnv1aU64(h, uint64(core))
+	h := workload.FNV1aString(workload.FNVOffset64, name)
+	h = workload.FNV1aU64(h, uint64(core))
 	return base ^ int64(h)
 }
 
 // coreCurrentsCached returns the per-core current traces for one benchmark,
 // memoized package-wide. The returned slices are shared: callers must treat
 // them as read-only.
-//
-// The size cap is enforced by reserving a slot before storing (the same CAS
-// discipline as topology's Analyze memo): a plain check-then-store would let
-// N concurrent first-sight misses overshoot the bound by the worker count.
 func (s *System) coreCurrentsCached(src workload.Source, dt float64, n int, v float64) [][]float64 {
 	key := traceKey{
 		benchSig: src.TraceSignature(),
@@ -103,23 +63,5 @@ func (s *System) coreCurrentsCached(src workload.Source, dt float64, n int, v fl
 		seed:     s.Seed,
 		load:     s.Load,
 	}
-	if got, ok := traceCache.Load(key); ok {
-		traceHits.Add(1)
-		return got.([][]float64)
-	}
-	traceMisses.Add(1)
-	out := s.coreCurrents(src, dt, n, v)
-	for {
-		c := traceCount.Load()
-		if c >= traceCacheLimit {
-			return out
-		}
-		if !traceCount.CompareAndSwap(c, c+1) {
-			continue // another goroutine moved the count; re-check the cap
-		}
-		if _, loaded := traceCache.LoadOrStore(key, out); loaded {
-			traceCount.Add(-1) // lost the insert race; give the slot back
-		}
-		return out
-	}
+	return traceMemo.Get(key, func() [][]float64 { return s.coreCurrents(src, dt, n, v) })
 }

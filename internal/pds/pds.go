@@ -19,6 +19,7 @@ package pds
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ivory/internal/dynamic"
 	"ivory/internal/ldo"
@@ -154,12 +155,13 @@ func gridDropInto(dst, vReg, iCore []float64, dt, r, l float64) []float64 {
 	return out
 }
 
-// Scratch holds the reusable buffers of one transient-engine worker: summed
-// load currents, raw simulator output, decimated and derived traces, and the
-// summary workspace. A zero Scratch is ready to use; buffers grow on first
-// use and are recycled afterwards. A Scratch must not be shared between
-// concurrently running simulations — give each worker its own.
-type Scratch struct {
+// scratch holds the reusable buffers of one simulation: summed load
+// currents, raw simulator output, decimated and derived traces, and the
+// summary workspace. A zero scratch is ready to use; buffers grow on first
+// use and are recycled afterwards. The Simulate*Context methods take one
+// from scratchPool for the length of the call and put it back on return;
+// nothing a result holds aliases it, so recycling is safe.
+type scratch struct {
 	total []float64     // summed load current
 	ts    []float64     // PDN sample times
 	vs    []float64     // PDN node voltages
@@ -170,22 +172,17 @@ type Scratch struct {
 	tr    dynamic.Trace // SC simulator waveform
 }
 
+// scratchPool recycles simulation scratch across calls, fan-out cells and
+// runs. Each in-flight simulation holds exactly one scratch, so the live
+// set is bounded by the number of concurrent simulations.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // SimOptions controls one simulation call of the transient engine.
 type SimOptions struct {
 	// KeepTrace retains Times and VCore on the result. When false the
 	// engine still fills VStats/NoiseVpp/WorstDroop but the result holds no
 	// trace, so box-plot cells never retain the full waveform.
 	KeepTrace bool
-	// Scratch recycles buffers across simulations; nil uses per-call
-	// storage.
-	Scratch *Scratch
-}
-
-func (o SimOptions) scratch() *Scratch {
-	if o.Scratch != nil {
-		return o.Scratch
-	}
-	return &Scratch{}
 }
 
 // grow returns a length-n slice backed by buf when its capacity suffices, or
@@ -201,7 +198,7 @@ func grow(buf []float64, n int) []float64 {
 // workspace (SummarizeInPlace permutes its input, so the trace is copied
 // into scr.stats first) and, when requested, copies the trace out so the
 // result never aliases scratch storage.
-func (r *NoiseResult) summarize(scr *Scratch, times, vCore []float64, vNom float64, keepTrace bool) {
+func (r *NoiseResult) summarize(scr *scratch, times, vCore []float64, vNom float64, keepTrace bool) {
 	scr.stats = grow(scr.stats, len(vCore))
 	copy(scr.stats, vCore)
 	r.VStats = numeric.SummarizeInPlace(scr.stats)
@@ -224,8 +221,14 @@ func (s *System) SimulateOffChipVRM(src workload.Source, T, dt float64) (*NoiseR
 // SimulateOffChipVRMContext is SimulateOffChipVRM with cancellation (polled
 // inside the transient integration, so a cancelled run stops mid-cell) and
 // engine options. Returned Times/VCore are freshly allocated, never aliased
-// to opt.Scratch, so results outlive the scratch they were built with.
+// to the pooled scratch the simulation ran on.
 func (s *System) SimulateOffChipVRMContext(ctx context.Context, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	return s.offChipVRM(ctx, scr, src, T, dt, opt)
+}
+
+func (s *System) offChipVRM(ctx context.Context, scr *scratch, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -233,7 +236,6 @@ func (s *System) SimulateOffChipVRMContext(ctx context.Context, src workload.Sou
 	if n < 16 {
 		return nil, fmt.Errorf("pds: trace too short (%d samples)", n)
 	}
-	scr := opt.scratch()
 	cores := s.coreCurrentsCached(src, dt, n, s.VNominal)
 	if err := checkTraces(src, cores, n); err != nil {
 		return nil, err
@@ -271,8 +273,15 @@ func (s *System) SimulateIVR(base *sc.Design, nIVR int, src workload.Source, T, 
 
 // SimulateIVRContext is SimulateIVR with cancellation (polled inside the SC
 // simulator loop, so a cancelled run stops mid-cell) and engine options.
-// Returned Times/VCore are freshly allocated, never aliased to opt.Scratch.
+// Returned Times/VCore are freshly allocated, never aliased to the pooled
+// scratch the simulation ran on.
 func (s *System) SimulateIVRContext(ctx context.Context, base *sc.Design, nIVR int, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	return s.ivr(ctx, scr, base, nIVR, src, T, dt, opt)
+}
+
+func (s *System) ivr(ctx context.Context, scr *scratch, base *sc.Design, nIVR int, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -299,7 +308,6 @@ func (s *System) SimulateIVRContext(ctx context.Context, base *sc.Design, nIVR i
 		return nil, fmt.Errorf("pds: per-IVR design: %w", err)
 	}
 	coresPerIVR := s.Cores / nIVR
-	scr := opt.scratch()
 	all := s.coreCurrentsCached(src, dt, steps, s.VNominal)
 	if err := checkTraces(src, all, steps); err != nil {
 		return nil, err
@@ -385,7 +393,8 @@ func (s *System) SimulateDigitalLDOContext(ctx context.Context, des *ldo.Design,
 	if steps < 16 {
 		return nil, fmt.Errorf("pds: trace too short (%d samples)", steps)
 	}
-	scr := opt.scratch()
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
 	all := s.coreCurrentsCached(src, dt, steps, s.VNominal)
 	if err := checkTraces(src, all, steps); err != nil {
 		return nil, err

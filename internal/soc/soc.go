@@ -141,21 +141,7 @@ func (f *Floorplan) TotalTDP() float64 {
 // domainSeed is the default per-domain seed derivation; Domain.Seed
 // overrides it.
 func domainSeed(base int64, name string) int64 {
-	h := fnv1aString(fnvOffset64, name)
-	return base ^ int64(h)
-}
-
-// FNV-1a constants matching internal/pds and internal/workload.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fnv1aString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
+	return base ^ int64(workload.FNV1aString(workload.FNVOffset64, name))
 }
 
 // system realizes one domain as a pds.System — field-for-field, so a

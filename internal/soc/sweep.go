@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ivory/internal/numeric"
@@ -156,9 +155,6 @@ type SweepResult struct {
 	Stats      SweepStats
 }
 
-// scratchPool recycles transient-engine buffers across cell evaluations.
-var scratchPool = sync.Pool{New: func() any { return &pds.Scratch{} }}
-
 // Sweep evaluates the domain × rail cell grid in parallel (deterministic
 // per-index slots, bit-identical at any worker count), then enumerates
 // per-domain assignments serially in canonical order — domains in
@@ -237,28 +233,13 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 		LDOHeadroomV:  headroomV,
 		Cells:         make([]Cell, D*R),
 	}
-	errs := make([]error, D*R)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, D*R, spec.Workers, func(i int) {
+	if err := parallel.ForContext(ctx, D*R, spec.Workers, func(ctx context.Context, i int) error {
 		di, ri := i/R, i%R
-		scr := scratchPool.Get().(*pds.Scratch)
-		cell, cerr := evaluateCell(runCtx, fl, fl.Domains[di], rails[ri], designs[di], T, dt, headroomV, scr)
-		scratchPool.Put(scr)
-		if cerr != nil {
-			errs[i] = cerr
-			cancel()
-			return
-		}
+		cell, err := evaluateCell(ctx, fl, fl.Domains[di], rails[ri], designs[di], T, dt, headroomV)
 		res.Cells[i] = cell
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	if ferr != nil {
-		return nil, ferr
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	res.Stats.Cells = D * R
 	for _, c := range res.Cells {
@@ -290,10 +271,9 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 // ladder. Domain-level infeasibility (a distribution count that cannot
 // serve the cores, a load beyond a dropout limit) is recorded on the cell;
 // only cancellation and floorplan-level faults return an error.
-func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase *sc.Design, T, dt, headroomV float64, scr *pds.Scratch) (Cell, error) {
+func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase *sc.Design, T, dt, headroomV float64) (Cell, error) {
 	cell := Cell{Domain: d.Name, Rail: r, Config: r.Label()}
 	sys := fl.system(d)
-	opt := pds.SimOptions{Scratch: scr}
 	var nr *pds.NoiseResult
 	var simErr error
 	areaM2 := 0.0
@@ -301,7 +281,7 @@ func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase 
 	efficiency := 0.0 // regulator conversion efficiency where one exists
 	switch r.Kind {
 	case OffChipVRM:
-		nr, simErr = sys.SimulateOffChipVRMContext(ctx, d.Workload, T, dt, opt)
+		nr, simErr = sys.SimulateOffChipVRMContext(ctx, d.Workload, T, dt, pds.SimOptions{})
 	case CentralizedIVR, DistributedIVR:
 		n := 1
 		if r.Kind == DistributedIVR {
@@ -314,7 +294,7 @@ func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase 
 			return cell, nil
 		}
 		efficiency = m.Efficiency
-		nr, simErr = sys.SimulateIVRContext(ctx, ivrBase, n, d.Workload, T, dt, opt)
+		nr, simErr = sys.SimulateIVRContext(ctx, ivrBase, n, d.Workload, T, dt, pds.SimOptions{})
 	case DigitalLDO:
 		des, err := ldoDesignFor(d, headroomV)
 		if err != nil {
@@ -328,7 +308,7 @@ func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase 
 			return cell, nil
 		}
 		efficiency = m.Efficiency
-		nr, simErr = sys.SimulateDigitalLDOContext(ctx, des, d.Workload, T, dt, opt)
+		nr, simErr = sys.SimulateDigitalLDOContext(ctx, des, d.Workload, T, dt, pds.SimOptions{})
 	default:
 		return cell, fmt.Errorf("soc: unknown rail kind %d", int(r.Kind))
 	}

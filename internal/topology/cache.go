@@ -3,8 +3,8 @@ package topology
 import (
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"ivory/internal/parallel"
 )
 
 // Analyze results are memoized package-wide: every Explore call re-derives
@@ -19,22 +19,12 @@ import (
 // shared across callers and goroutines; Analysis is treated as read-only
 // everywhere in the tree, which the determinism tests exercise under the
 // race detector.
-var (
-	analyzeCache sync.Map // canonical key -> cachedAnalysis
-	analyzeCount atomic.Int64
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
-)
+var analyzeMemo = parallel.NewMemo[string, cachedAnalysis](analyzeCacheLimit)
 
 // CacheStats returns the cumulative hit/miss counters of the package-wide
-// Analyze memo. The counters only grow; callers wanting per-run telemetry
-// (core.Explore's Stats does) snapshot before and diff after. Concurrent
-// runs share the counters, so a diff taken while another exploration is in
-// flight attributes its lookups too — the numbers are telemetry, not an
-// accounting invariant.
-func CacheStats() (hits, misses int64) {
-	return cacheHits.Load(), cacheMisses.Load()
-}
+// Analyze memo (see parallel.Memo.Stats); core.Explore's Stats diffs them
+// per run.
+func CacheStats() (hits, misses int64) { return analyzeMemo.Stats() }
 
 // analyzeCacheLimit bounds the memo so adversarial streams of one-off
 // custom netlists cannot grow it without bound; past the limit, analyses
@@ -72,35 +62,10 @@ func (t *Topology) cacheKey() string {
 
 // analyzeCached returns the memoized analysis for t, computing and
 // (size permitting) storing it on first sight.
-//
-// The size cap is enforced by reserving a slot before storing: a plain
-// "check count, then LoadOrStore" lets N concurrent first-sight misses all
-// pass the check at count limit-1 and overshoot the bound by up to the
-// worker count. The CAS increment below admits exactly one storer per free
-// slot; a storer that then loses the LoadOrStore race (another goroutine
-// inserted the same key first) returns its reservation, so analyzeCount
-// always equals the number of entries actually resident.
 func (t *Topology) analyzeCached() (*Analysis, error) {
-	key := t.cacheKey()
-	if v, ok := analyzeCache.Load(key); ok {
-		cacheHits.Add(1)
-		c := v.(cachedAnalysis)
-		return c.an, c.err
-	}
-	cacheMisses.Add(1)
-	an, err := t.analyze()
-	for {
-		n := analyzeCount.Load()
-		if n >= analyzeCacheLimit {
-			// Cache full: computed but not stored, as before.
-			return an, err
-		}
-		if !analyzeCount.CompareAndSwap(n, n+1) {
-			continue // another goroutine moved the count; re-check the cap
-		}
-		if _, loaded := analyzeCache.LoadOrStore(key, cachedAnalysis{an: an, err: err}); loaded {
-			analyzeCount.Add(-1) // lost the insert race; give the slot back
-		}
-		return an, err
-	}
+	c := analyzeMemo.Get(t.cacheKey(), func() cachedAnalysis {
+		an, err := t.analyze()
+		return cachedAnalysis{an: an, err: err}
+	})
+	return c.an, c.err
 }

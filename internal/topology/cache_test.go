@@ -1,9 +1,7 @@
 package topology
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -21,74 +19,6 @@ func TestAnalyzeCacheStatsCount(t *testing.T) {
 	h2, m2 := CacheStats()
 	if h2 != h1+1 || m2 != m1 {
 		t.Fatalf("repeat: hits %d->%d misses %d->%d, want one hit", h1, h2, m1, m2)
-	}
-}
-
-// TestAnalyzeCacheCapConcurrent floods the memo with unique one-off
-// netlists from many goroutines. The reserve-then-store CAS must hold the
-// resident entry count exactly equal to analyzeCount and never let it
-// overshoot analyzeCacheLimit — the old check-then-store version let N
-// concurrent first-sight misses all pass the cap check at limit-1 and
-// overshoot by up to the worker count. Run under -race in CI.
-func TestAnalyzeCacheCapConcurrent(t *testing.T) {
-	// The flood fills the package-global memo to its cap, which would
-	// starve every later test of cache slots; drain it on the way out.
-	// Tests in this package run sequentially, so the reset cannot race.
-	defer func() {
-		analyzeCache.Range(func(k, _ any) bool { analyzeCache.Delete(k); return true })
-		analyzeCount.Store(0)
-	}()
-	const workers = 16
-	const perWorker = 96 // 1536 unique keys, well past the 512-entry cap
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < perWorker; k++ {
-				// Unique name -> unique cache key; the empty netlist makes
-				// the analyze itself trivially cheap (its error is cached).
-				top := NewBuilder(fmt.Sprintf("cap-race-%d-%d", w, k)).Build()
-				if _, err := top.Analyze(); err == nil {
-					t.Error("empty netlist unexpectedly analyzed")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	entries := int64(0)
-	analyzeCache.Range(func(_, _ any) bool { entries++; return true })
-	count := analyzeCount.Load()
-	if count > analyzeCacheLimit {
-		t.Fatalf("analyzeCount %d overshot the %d-entry cap", count, analyzeCacheLimit)
-	}
-	if entries != count {
-		t.Fatalf("cache holds %d entries but analyzeCount says %d", entries, count)
-	}
-	if entries > analyzeCacheLimit {
-		t.Fatalf("cache holds %d entries, over the %d cap", entries, analyzeCacheLimit)
-	}
-}
-
-// TestAnalyzeCacheDuplicateKeyReservesOneSlot hammers one fresh key from
-// many goroutines: however the insert race resolves, at most one slot may
-// stay reserved for it (losers must return theirs).
-func TestAnalyzeCacheDuplicateKeyReservesOneSlot(t *testing.T) {
-	before := analyzeCount.Load()
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = NewBuilder("dup-key-probe").Build().Analyze()
-		}()
-	}
-	wg.Wait()
-	// <= 1, not == 1: the cap-flood test may already have filled the cache,
-	// in which case nothing is stored at all.
-	if d := analyzeCount.Load() - before; d > 1 {
-		t.Fatalf("one key consumed %d slots", d)
 	}
 }
 

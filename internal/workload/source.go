@@ -24,22 +24,26 @@ type Source interface {
 }
 
 // FNV-1a, inlined rather than importing hash/fnv so signature and seed
-// derivation stay allocation-free over mixed field types. The constants and
-// folding match internal/pds's digest helpers, keeping Benchmark
-// fingerprints identical across the two packages.
+// derivation stay allocation-free over mixed field types. It is the one
+// copy in the tree: pds and soc derive their per-core and per-domain
+// stream seeds from these helpers too.
 const (
-	fnvOffset64 uint64 = 14695981039346656037
+	// FNVOffset64 is the FNV-1a 64-bit offset basis, the initial h of a
+	// digest.
+	FNVOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
 
-func fnv1aString(h uint64, s string) uint64 {
+// FNV1aString folds the bytes of s into the FNV-1a digest h.
+func FNV1aString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
 }
 
-func fnv1aU64(h, v uint64) uint64 {
+// FNV1aU64 folds the little-endian bytes of v into the FNV-1a digest h.
+func FNV1aU64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = (h ^ (v & 0xff)) * fnvPrime64
 		v >>= 8
@@ -47,7 +51,7 @@ func fnv1aU64(h, v uint64) uint64 {
 	return h
 }
 
-func fnv1aFloat(h uint64, f float64) uint64 { return fnv1aU64(h, math.Float64bits(f)) }
+func fnv1aFloat(h uint64, f float64) uint64 { return FNV1aU64(h, math.Float64bits(f)) }
 
 // TraceName implements Source.
 func (b Benchmark) TraceName() string { return b.Name }
@@ -56,7 +60,7 @@ func (b Benchmark) TraceName() string { return b.Name }
 // trace-determining benchmark parameter, so a custom Benchmark reusing a
 // builtin name cannot collide with it in a trace memo.
 func (b Benchmark) TraceSignature() uint64 {
-	h := fnv1aString(fnvOffset64, b.Name)
+	h := FNV1aString(FNVOffset64, b.Name)
 	h = fnv1aFloat(h, b.Base)
 	h = fnv1aFloat(h, b.PhaseAmp)
 	h = fnv1aFloat(h, b.PhasePeriod)
