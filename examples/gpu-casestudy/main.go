@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,48 +64,34 @@ func main() {
 		log.Fatal(err)
 	}
 	T, dt := 20e-6, 1e-9
+	ctx := context.Background()
+	deliveries := []ivory.Delivery{{}, {IVRs: 1, SC: design}, {IVRs: 2, SC: design}, {IVRs: 4, SC: design}}
+	noise := make([]*ivory.NoiseResult, len(deliveries))
 	fmt.Printf("\nVoltage noise running %s for %.0f us:\n", bench.Name, T*1e6)
-	off, err := sys.SimulateOffChipVRM(bench, T, dt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  %-22s %5.1f mVpp (worst droop %5.1f mV)\n", off.Config, off.NoiseVpp*1e3, off.WorstDroop*1e3)
-	for _, n := range []int{1, 2, 4} {
-		r, err := sys.SimulateIVR(design, n, bench, T, dt)
+	for i, d := range deliveries {
+		r, err := sys.Simulate(ctx, d, bench, T, dt, ivory.SimOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-22s %5.1f mVpp (worst droop %5.1f mV)\n", r.Config, r.NoiseVpp*1e3, r.WorstDroop*1e3)
+		noise[i] = r
 	}
 
 	// Step 3 — the delivery-efficiency consequence: power breakdowns with
-	// the measured guardbands.
+	// the measured guardbands. The board VRM is charged with its buck
+	// model at the voltage it must produce; the IVRs with the converter's
+	// efficiency at full load.
 	fmt.Println("\nPower-delivery efficiency with measured guardbands:")
-	offB, err := sys.PowerBreakdown(ivory.BreakdownParams{
-		Config: "off-chip VRM", Margin: off.WorstDroop,
-		VRMEfficiency: 0.89, NumIVRs: 0,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  %-22s %.1f%% (P_src %.1f W for %.0f W of compute)\n",
-		offB.Config, offB.Efficiency*100, offB.PSource, offB.PCoreUseful)
 	mIVR, err := design.Evaluate(spec.IMax)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, n := range []int{1, 2, 4} {
-		r, err := sys.SimulateIVR(design, n, bench, T, dt)
+	for i, d := range deliveries {
+		b, err := sys.PowerBreakdown(d, noise[i].WorstDroop, mIVR.Efficiency)
 		if err != nil {
 			log.Fatal(err)
 		}
-		b, err := sys.PowerBreakdown(ivory.BreakdownParams{
-			Config: r.Config, Margin: r.WorstDroop,
-			IVREfficiency: mIVR.Efficiency, VRMEfficiency: 0.97, NumIVRs: n,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-22s %.1f%% (P_src %.1f W)\n", b.Config, b.Efficiency*100, b.PSource)
+		fmt.Printf("  %-22s %.1f%% (P_src %.1f W for %.0f W of compute)\n",
+			b.Config, b.Efficiency*100, b.PSource, b.PCoreUseful)
 	}
 }

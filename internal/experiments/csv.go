@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ivory/internal/pds"
 	"ivory/internal/report"
 )
 
@@ -104,8 +105,9 @@ func (r *Fig10Result) WriteCSV(w *report.Writer) error {
 	header := []string{"t_s"}
 	var configs []string
 	for _, n := range noiseConfigs {
-		configs = append(configs, configName(n))
-		header = append(header, configName(n))
+		name := pds.Delivery{IVRs: n}.Name()
+		configs = append(configs, name)
+		header = append(header, name)
 	}
 	var wave [][]float64
 	for k := range r.CFDTimes {

@@ -62,8 +62,6 @@ type TransientStats struct {
 	ExploreWall, SimWall, Wall time.Duration
 	// CellsPerSec is Done/SimWall.
 	CellsPerSec float64
-	// Cancelled marks a run stopped by the context before completion.
-	Cancelled bool
 }
 
 // String renders the one-line run summary the CLIs print.
@@ -75,9 +73,6 @@ func (s TransientStats) String() string {
 		s.Wall.Round(time.Millisecond))
 	if s.CellsPerSec > 0 {
 		fmt.Fprintf(&b, " (%.1f cells/s)", s.CellsPerSec)
-	}
-	if s.Cancelled {
-		b.WriteString(" [cancelled]")
 	}
 	return b.String()
 }
@@ -128,10 +123,8 @@ func (t *transientTracker) cellDone() {
 }
 
 // finalize returns the completed record.
-func (t *transientTracker) finalize(cancelled bool) TransientStats {
+func (t *transientTracker) finalize() TransientStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.snapshotLocked()
-	s.Cancelled = cancelled
-	return s
+	return t.snapshotLocked()
 }

@@ -7,6 +7,7 @@ import (
 	"ivory/internal/core"
 	"ivory/internal/dynamic"
 	"ivory/internal/numeric"
+	"ivory/internal/pds"
 	"ivory/internal/sc"
 )
 
@@ -29,7 +30,7 @@ func TwoStageContext(ctx context.Context) (*TwoStageResult, error) {
 	spec.VOut = 0.9
 	spec.Context = ctx
 	stage1 := func(vOut, pOut float64) (float64, error) {
-		return vrmEfficiency(cs.System.VSource, vOut, pOut)
+		return pds.BoardVRMEfficiency(cs.System.VSource, vOut, pOut)
 	}
 	inner, err := core.ExploreTwoStage(spec, []float64{1.2, 1.5, 1.8, 2.2, 2.6}, stage1)
 	if err != nil {

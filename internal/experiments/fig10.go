@@ -14,19 +14,9 @@ import (
 	"ivory/internal/workload"
 )
 
-// noiseConfigs are the four PDS configurations of the case study.
-var noiseConfigs = []int{0, 1, 2, 4} // 0 = off-chip VRM
-
-func configName(n int) string {
-	switch n {
-	case 0:
-		return "off-chip VRM"
-	case 1:
-		return "centralized IVR"
-	default:
-		return fmt.Sprintf("%d distributed IVRs", n)
-	}
-}
+// noiseConfigs are the four PDS configurations of the case study, as IVR
+// counts (pds.Delivery.IVRs; 0 = off-chip VRM).
+var noiseConfigs = []int{0, 1, 2, 4}
 
 // Fig10Cell is one benchmark x configuration box-plot entry.
 type Fig10Cell struct {
@@ -198,15 +188,10 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 		if err != nil {
 			return err
 		}
-		simOpt := pds.SimOptions{KeepTrace: c.bench == "CFD"}
-		var nr *pds.NoiseResult
-		if c.nIVR == 0 {
-			nr, err = cs.System.SimulateOffChipVRMContext(ctx, bench, T, dt, simOpt)
-		} else {
-			nr, err = cs.System.SimulateIVRContext(ctx, design, c.nIVR, bench, T, dt, simOpt)
-		}
+		dl := pds.Delivery{IVRs: c.nIVR, SC: design}
+		nr, err := cs.System.Simulate(ctx, dl, bench, T, dt, pds.SimOptions{KeepTrace: c.bench == "CFD"})
 		if err != nil {
-			return fmt.Errorf("experiments: %s / %s: %w", c.bench, configName(c.nIVR), err)
+			return fmt.Errorf("experiments: %s / %s: %w", c.bench, dl.Name(), err)
 		}
 		results[i] = nr
 		tracker.cellDone()
@@ -245,7 +230,7 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 			res.CFDTraces[nr.Config] = nr.VCore
 		}
 	}
-	res.RunStats = tracker.finalize(false)
+	res.RunStats = tracker.finalize()
 	return res, nil
 }
 
@@ -268,7 +253,7 @@ func (r *Fig10Result) Format() string {
 	out += table([]string{"benchmark", "config", "median", "Q1", "Q3", "min", "max", "Vpp(mV)"}, rows)
 	out += "\nWorst-case noise range per configuration:\n"
 	for _, n := range r.configsOrDefault() {
-		name := configName(n)
+		name := pds.Delivery{IVRs: n}.Name()
 		out += fmt.Sprintf("  %-22s %.1f mV (worst droop %.1f mV)\n",
 			name, r.NoiseByConfig[name]*1e3, r.DroopByConfig[name]*1e3)
 	}
@@ -290,7 +275,7 @@ func (r *Fig10Result) FormatFig11() string {
 	cfgList := r.configsOrDefault()
 	configs := make([]string, 0, len(cfgList))
 	for _, n := range cfgList {
-		configs = append(configs, configName(n))
+		configs = append(configs, pds.Delivery{IVRs: n}.Name())
 	}
 	out += "Noise ranges: "
 	for i, cfg := range configs {

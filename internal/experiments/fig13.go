@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"ivory/internal/buck"
 	"ivory/internal/core"
 	"ivory/internal/parallel"
 	"ivory/internal/pds"
-	"ivory/internal/tech"
 )
 
 // Fig13Result reproduces the paper's Fig. 13: the source-to-core power
@@ -27,55 +25,13 @@ type Fig13Result struct {
 	BestConfig string
 }
 
-// vrmEfficiency evaluates an off-chip VRM (surface-mount buck at low
-// frequency) producing vOut at power pOut from the 3.3 V board rail, using
-// the same buck model as on-chip designs — the commensurate-modeling
-// principle of the paper.
-func vrmEfficiency(vIn, vOut, pOut float64) (float64, error) {
-	iLoad := pOut / vOut
-	cfg := buck.Config{
-		Node:       tech.MustLookup("130nm"), // board-class silicon
-		Inductor:   tech.SurfaceMount,
-		OutCap:     tech.MIMCap,
-		VIn:        vIn,
-		VOut:       vOut,
-		L:          300e-9,
-		COut:       20e-6,
-		FSw:        2e6,
-		GHigh:      50,
-		GLow:       80,
-		Interleave: 4,
-	}
-	d, err := buck.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	d, err = d.OptimizeConductances(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	m, err := d.Evaluate(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	// Board-level realities the on-chip model does not include: the input
-	// filter network and sense/trace resistance between the VRM and the
-	// board plane (~1.2 mOhm at the output current), plus the analog
-	// controller's quiescent power.
-	rTrace := 1.2e-3
-	pTrace := iLoad * iLoad * rTrace
-	pCtl := 0.25
-	loss := m.Loss.Total() + pTrace + pCtl
-	return m.POut / (m.POut + loss), nil
-}
-
 // Fig13Run computes the power breakdowns. The noise analysis (Fig. 10) is
 // re-run at a reduced span to extract guardbands; pass a pre-computed
 // result to reuse it. ctx cancels that noise analysis and each
-// margin-aware re-exploration. It fans the per-configuration work — the
-// off-chip VRM sizing and each margin-aware IVR re-exploration — out over
-// opt.Workers, then merges breakdowns in configuration order, so results
-// match the serial path bit-for-bit at every worker count.
+// margin-aware re-exploration. It fans the margin-aware IVR
+// re-explorations out over opt.Workers, then charges the breakdowns in
+// configuration order, so results match the serial path bit-for-bit at
+// every worker count.
 func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*Fig13Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -91,34 +47,23 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 		}
 	}
 	res := &Fig13Result{Margins: map[string]float64{}}
-	pCore := cs.System.TDPPerCore * float64(cs.System.Cores)
-	// Phase 1: per-configuration conversion parameters, fanned out. Each
-	// slot is owned by its configuration index; margins are recorded in the
-	// merge below to keep map writes single-goroutine.
-	params := make([]pds.BreakdownParams, len(noiseConfigs))
+	// margin is a configuration's guardband: its worst droop, clamped at 0.
+	margin := func(name string) float64 {
+		return max(noise.DroopByConfig[name], 0)
+	}
+	// Phase 1: per-configuration IVR efficiency, fanned out. Each slot is
+	// owned by its configuration index; the off-chip VRM has no on-chip
+	// converter and keeps 0.
+	convEff := make([]float64, len(noiseConfigs))
 	if err := parallel.ForContext(ctx, len(noiseConfigs), opt.Workers, func(ctx context.Context, i int) error {
 		nIVR := noiseConfigs[i]
-		name := configName(nIVR)
-		margin := noise.DroopByConfig[name]
-		if margin < 0 {
-			margin = 0
-		}
 		if nIVR == 0 {
-			// The board VRM must produce the core voltage plus margin.
-			vrmEff, err := vrmEfficiency(cs.System.VSource, cs.System.VNominal+margin, pCore)
-			if err != nil {
-				return err
-			}
-			params[i] = pds.BreakdownParams{
-				Config: name, Margin: margin,
-				VRMEfficiency: vrmEff, NumIVRs: 0,
-			}
 			return nil
 		}
 		// Re-explore the IVR at its actual regulated level (nominal plus
 		// this configuration's own margin): the margin-aware
 		// co-optimization the paper's §5.4 describes.
-		vOp := cs.System.VNominal + margin
+		vOp := cs.System.VNominal + margin(pds.Delivery{IVRs: nIVR}.Name())
 		spec := cs.Spec
 		spec.VOut = vOp
 		spec.IMax = cs.System.TDPPerCore * float64(cs.System.Cores) / cs.System.VNominal
@@ -131,14 +76,7 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 		if !ok {
 			return fmt.Errorf("experiments: no SC design at V_op %.3f", vOp)
 		}
-		params[i] = pds.BreakdownParams{
-			Config: name, Margin: margin,
-			IVREfficiency: cand.Metrics.Efficiency,
-			// The board rail reaches the IVRs through the PDN with only
-			// light conditioning (3.3 V pass-through).
-			VRMEfficiency: 0.97,
-			NumIVRs:       nIVR,
-		}
+		convEff[i] = cand.Metrics.Efficiency
 		return nil
 	}); err != nil {
 		return nil, err
@@ -150,9 +88,10 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		name := configName(nIVR)
-		res.Margins[name] = params[i].Margin
-		b, err := cs.System.PowerBreakdown(params[i])
+		dl := pds.Delivery{IVRs: nIVR}
+		name := dl.Name()
+		res.Margins[name] = margin(name)
+		b, err := cs.System.PowerBreakdown(dl, res.Margins[name], convEff[i])
 		if err != nil {
 			return nil, err
 		}

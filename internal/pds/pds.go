@@ -4,7 +4,7 @@
 // per configuration (Figs. 10-11), guardband extraction, and the final
 // source-to-core power breakdown and delivery efficiency (Fig. 13).
 //
-// Configurations compared:
+// Delivery styles compared (Delivery names each one):
 //
 //   - Off-chip VRM: conversion at the board, the full PDN carries the core
 //     current at core voltage — large IR drop and the package-resonance
@@ -14,6 +14,9 @@
 //     distributing N IVRs shrinks the residual on-chip grid impedance per
 //     core by ~1/N — the mechanism behind the paper's finding that four
 //     distributed IVRs minimize noise.
+//   - Digital LDO: a centralized on-chip LDO fed from a board rail just
+//     above core voltage — a fast loop, but dissipative conversion and a
+//     PDN that still carries the chip current near core voltage.
 package pds
 
 import (
@@ -21,11 +24,14 @@ import (
 	"fmt"
 	"sync"
 
+	"ivory/internal/buck"
 	"ivory/internal/dynamic"
+	"ivory/internal/ivr"
 	"ivory/internal/ldo"
 	"ivory/internal/numeric"
 	"ivory/internal/pdn"
 	"ivory/internal/sc"
+	"ivory/internal/tech"
 	"ivory/internal/workload"
 )
 
@@ -72,7 +78,7 @@ func (s *System) Validate() error {
 
 // NoiseResult is the outcome of one configuration x benchmark simulation.
 type NoiseResult struct {
-	// Config names the PDS configuration ("off-chip VRM", "1 IVR", ...).
+	// Config names the delivery style (Delivery.Name).
 	Config string
 	// Benchmark is the workload name.
 	Benchmark string
@@ -158,8 +164,8 @@ func gridDropInto(dst, vReg, iCore []float64, dt, r, l float64) []float64 {
 // scratch holds the reusable buffers of one simulation: summed load
 // currents, raw simulator output, decimated and derived traces, and the
 // summary workspace. A zero scratch is ready to use; buffers grow on first
-// use and are recycled afterwards. The Simulate*Context methods take one
-// from scratchPool for the length of the call and put it back on return;
+// use and are recycled afterwards. Simulate takes one from scratchPool
+// for the length of the call and puts it back on return;
 // nothing a result holds aliases it, so recycling is safe.
 type scratch struct {
 	total []float64     // summed load current
@@ -209,133 +215,221 @@ func (r *NoiseResult) summarize(scr *scratch, times, vCore []float64, vNom float
 	}
 }
 
-// SimulateOffChipVRM produces the core voltage trace for the conventional
-// configuration: regulation at the board, the PDN carrying the summed core
-// current at core voltage. The VRM output is assumed ripple-free (paper
-// §2.2), so all noise comes from PDN impedance. src is any workload.Source
-// — a single Benchmark or a PhaseSchedule.
-func (s *System) SimulateOffChipVRM(src workload.Source, T, dt float64) (*NoiseResult, error) {
-	return s.SimulateOffChipVRMContext(context.Background(), src, T, dt, SimOptions{KeepTrace: true})
+// Delivery selects how a System's cores are regulated. The zero value is
+// the off-chip VRM; IVRs >= 1 with SC is a centralized (1) or distributed
+// (N) IVR configuration; LDO with HeadroomV is a centralized digital LDO.
+type Delivery struct {
+	// IVRs is the on-chip SC instance count: 1 regulates centrally, N >= 2
+	// splits the converter into N instances that each serve Cores/N cores
+	// behind 1/N of the grid span.
+	IVRs int
+	// SC is the chip-level converter (sized for the whole chip) that the IVR
+	// instances split evenly. Simulate requires it when IVRs >= 1.
+	SC *sc.Design
+	// LDO is the centralized digital LDO, fed from a board rail HeadroomV
+	// above the operating voltage. Setting either field selects the LDO
+	// style; PowerBreakdown needs only the headroom.
+	LDO       *ldo.Design
+	HeadroomV float64
 }
 
-// SimulateOffChipVRMContext is SimulateOffChipVRM with cancellation (polled
-// inside the transient integration, so a cancelled run stops mid-cell) and
-// engine options. Returned Times/VCore are freshly allocated, never aliased
-// to the pooled scratch the simulation ran on.
-func (s *System) SimulateOffChipVRMContext(ctx context.Context, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
+func (d Delivery) isLDO() bool { return d.LDO != nil || d.HeadroomV != 0 }
+
+// Name is the configuration label results carry.
+func (d Delivery) Name() string {
+	switch {
+	case d.isLDO():
+		return "digital LDO"
+	case d.IVRs == 0:
+		return "off-chip VRM"
+	case d.IVRs == 1:
+		return "centralized IVR"
+	}
+	return fmt.Sprintf("%d distributed IVRs", d.IVRs)
+}
+
+// check validates the delivery style against the core count.
+func (d Delivery) check(cores int) error {
+	if d.isLDO() {
+		if d.IVRs != 0 {
+			return fmt.Errorf("pds: a delivery takes IVRs or a digital LDO, not both")
+		}
+		if d.HeadroomV <= 0 {
+			return fmt.Errorf("pds: LDO headroom %g must be positive", d.HeadroomV)
+		}
+		return nil
+	}
+	if d.IVRs == 0 {
+		return nil
+	}
+	if d.IVRs < 1 || d.IVRs > cores {
+		return fmt.Errorf("pds: IVR count %d outside [1, %d]", d.IVRs, cores)
+	}
+	if cores%d.IVRs != 0 {
+		return fmt.Errorf("pds: %d IVRs cannot evenly serve %d cores", d.IVRs, cores)
+	}
+	return nil
+}
+
+// share is the number of regulation points the cores are split across: N
+// distributed IVRs divide the grid span and the served cores by N.
+func (d Delivery) share() int { return max(d.IVRs, 1) }
+
+// Regulator returns the on-chip regulator's die area (m²) and conversion
+// efficiency at iLoad; both are zero for the off-chip VRM.
+func (d Delivery) Regulator(iLoad float64) (areaM2, efficiency float64, err error) {
+	var m ivr.Metrics
+	switch {
+	case d.LDO != nil:
+		areaM2 = d.LDO.Area()
+		m, err = d.LDO.Evaluate(iLoad)
+	case d.IVRs > 0 && d.SC != nil:
+		areaM2 = d.SC.Area()
+		m, err = d.SC.Evaluate(iLoad)
+	}
+	return areaM2, m.Efficiency, err
+}
+
+// Simulate produces the worst (first) core's voltage trace under one
+// delivery style; src is any workload.Source — a single Benchmark or a
+// PhaseSchedule. The regulation point's output is the board VRM's PDN
+// node (the VRM itself ripple-free, paper §2.2), the hysteretic SC loop of
+// one IVR instance, or the clocked LDO loop; the core sits behind that
+// point's share of the on-chip grid. Both on-chip feeds (the 3.3 V IVR
+// rail and the LDO input rail) are assumed stiff.
+//
+// ctx is polled inside the PDN and SC integration loops, so a cancelled run
+// stops mid-cell; the LDO simulator is not cancellable and is checked before
+// and after its run. Returned Times/VCore are freshly allocated, never
+// aliased to the pooled scratch the simulation ran on.
+func (s *System) Simulate(ctx context.Context, d Delivery, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
 	scr := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(scr)
-	return s.offChipVRM(ctx, scr, src, T, dt, opt)
+	return s.simulate(ctx, scr, d, src, T, dt, opt)
 }
 
-func (s *System) offChipVRM(ctx context.Context, scr *scratch, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
+func (s *System) simulate(ctx context.Context, scr *scratch, d Delivery, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	n := int(T / dt)
-	if n < 16 {
-		return nil, fmt.Errorf("pds: trace too short (%d samples)", n)
-	}
-	cores := s.coreCurrentsCached(src, dt, n, s.VNominal)
-	if err := checkTraces(src, cores, n); err != nil {
+	if err := d.check(s.Cores); err != nil {
 		return nil, err
 	}
-	scr.total = sumTracesInto(scr.total, cores)
-	load := dynamic.Sampled(scr.total, dt)
-	ts, vs, err := s.Network.TransientContext(ctx, s.VNominal, func(t float64) float64 { return load(t) }, dt, T, scr.ts, scr.vs)
-	if err != nil {
-		return nil, err
+	if d.IVRs > 0 && d.SC == nil {
+		return nil, fmt.Errorf("pds: nil IVR design")
 	}
-	scr.ts, scr.vs = ts, vs
-	// Clip to n samples for uniformity.
-	if len(vs) > n {
-		ts, vs = ts[:n], vs[:n]
-	}
-	// Without on-chip regulation the full grid span from the C4 region to
-	// the core applies (the same span a centralized IVR would see).
-	scr.vCore = gridDropInto(scr.vCore, vs, cores[0][:len(vs)], dt, s.GridR, s.GridL)
-	res := &NoiseResult{
-		Config:    "off-chip VRM",
-		Benchmark: src.TraceName(),
-	}
-	res.summarize(scr, ts, scr.vCore, s.VNominal, opt.KeepTrace)
-	return res, nil
-}
-
-// SimulateIVR produces the core voltage trace for an n-IVR configuration.
-// base is the total on-chip converter design (sized for the whole chip);
-// it is split evenly across the n IVR instances, each serving Cores/n
-// cores. The worst (first) core of the first IVR is traced: regulated IVR
-// output minus its local grid drop of GridR/n, GridL/n.
-func (s *System) SimulateIVR(base *sc.Design, nIVR int, src workload.Source, T, dt float64) (*NoiseResult, error) {
-	return s.SimulateIVRContext(context.Background(), base, nIVR, src, T, dt, SimOptions{KeepTrace: true})
-}
-
-// SimulateIVRContext is SimulateIVR with cancellation (polled inside the SC
-// simulator loop, so a cancelled run stops mid-cell) and engine options.
-// Returned Times/VCore are freshly allocated, never aliased to the pooled
-// scratch the simulation ran on.
-func (s *System) SimulateIVRContext(ctx context.Context, base *sc.Design, nIVR int, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
-	scr := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(scr)
-	return s.ivr(ctx, scr, base, nIVR, src, T, dt, opt)
-}
-
-func (s *System) ivr(ctx context.Context, scr *scratch, base *sc.Design, nIVR int, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if nIVR < 1 || nIVR > s.Cores {
-		return nil, fmt.Errorf("pds: IVR count %d outside [1, %d]", nIVR, s.Cores)
-	}
-	if s.Cores%nIVR != 0 {
-		return nil, fmt.Errorf("pds: %d IVRs cannot evenly serve %d cores", nIVR, s.Cores)
+	if d.isLDO() && d.LDO == nil {
+		return nil, fmt.Errorf("pds: nil LDO design")
 	}
 	steps := int(T / dt)
 	if steps < 16 {
 		return nil, fmt.Errorf("pds: trace too short (%d samples)", steps)
 	}
-	// Split the total converter across instances.
-	cfg := base.Config()
-	cfg.CTotal /= float64(nIVR)
-	cfg.GTotal /= float64(nIVR)
-	cfg.CDecap /= float64(nIVR)
-	if cfg.Interleave >= nIVR {
-		cfg.Interleave /= nIVR
+	var inst *sc.Design
+	if d.IVRs > 0 {
+		// Split the total converter across instances.
+		cfg := d.SC.Config()
+		cfg.CTotal /= float64(d.IVRs)
+		cfg.GTotal /= float64(d.IVRs)
+		cfg.CDecap /= float64(d.IVRs)
+		if cfg.Interleave >= d.IVRs {
+			cfg.Interleave /= d.IVRs
+		}
+		var err error
+		if inst, err = sc.New(cfg); err != nil {
+			return nil, fmt.Errorf("pds: per-IVR design: %w", err)
+		}
 	}
-	inst, err := sc.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("pds: per-IVR design: %w", err)
-	}
-	coresPerIVR := s.Cores / nIVR
 	all := s.coreCurrentsCached(src, dt, steps, s.VNominal)
 	if err := checkTraces(src, all, steps); err != nil {
 		return nil, err
 	}
-	scr.total = sumTracesInto(scr.total, all[:coresPerIVR])
-	ivrLoad := scr.total
-	// Clock the hysteretic loop for the per-IVR worst-case load.
-	_, iPk := numeric.MinMax(ivrLoad)
-	params, err := dynamic.SCFromDesignAtLoad(inst, iPk*1.2)
-	if err != nil {
-		return nil, fmt.Errorf("pds: IVR cannot sustain the peak load: %w", err)
+	scr.total = sumTracesInto(scr.total, all[:s.Cores/d.share()])
+	load := dynamic.Sampled(scr.total, dt)
+	vRef := dynamic.Constant(s.VNominal)
+
+	var times, vReg []float64
+	switch {
+	case inst != nil:
+		// Clock the hysteretic loop for the per-IVR worst-case load; the
+		// in-cycle step must resolve the interleaved pump ticks.
+		_, iPk := numeric.MinMax(scr.total)
+		params, err := dynamic.SCFromDesignAtLoad(inst, iPk*1.2)
+		if err != nil {
+			return nil, fmt.Errorf("pds: IVR cannot sustain the peak load: %w", err)
+		}
+		sim := &dynamic.SCSimulator{P: params}
+		nSlices := params.Interleave
+		if nSlices == 0 {
+			nSlices = 1
+		}
+		tick := 1 / (params.FClk * float64(nSlices))
+		if err := scr.refined(dt, tick, steps, func(dtSim float64) (*dynamic.Trace, error) {
+			return sim.RunInto(ctx, &scr.tr, load, vRef, T, dtSim)
+		}); err != nil {
+			return nil, err
+		}
+		times, vReg = scr.times, scr.vReg
+	case d.isLDO():
+		_, iPk := numeric.MinMax(scr.total)
+		if iPk > d.LDO.MaxCurrent() {
+			return nil, fmt.Errorf("pds: LDO cannot sustain the peak load: %.3g A exceeds the %.3g A dropout limit",
+				iPk, d.LDO.MaxCurrent())
+		}
+		params := dynamic.LDOFromDesign(d.LDO)
+		// Proportional multi-segment updates: the controller class the
+		// paper-cited digital LDOs implement, and the one that can track
+		// benchmark-scale load steps within a sampling period.
+		params.Proportional = true
+		sim := &dynamic.LDOSimulator{P: params}
+		if err := scr.refined(dt, 1/params.FSample, steps, func(dtSim float64) (*dynamic.Trace, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			tr, err := sim.Run(load, vRef, T, dtSim)
+			if err != nil {
+				return nil, err
+			}
+			return tr, ctx.Err()
+		}); err != nil {
+			return nil, err
+		}
+		times, vReg = scr.times, scr.vReg
+	default:
+		// Regulation at the board: the PDN carries the summed core current
+		// at core voltage.
+		ts, vs, err := s.Network.TransientContext(ctx, s.VNominal, func(t float64) float64 { return load(t) }, dt, T, scr.ts, scr.vs)
+		if err != nil {
+			return nil, err
+		}
+		scr.ts, scr.vs = ts, vs
+		// Clip to steps samples for uniformity.
+		if len(vs) > steps {
+			ts, vs = ts[:steps], vs[:steps]
+		}
+		times, vReg = ts, vs
 	}
-	sim := &dynamic.SCSimulator{P: params}
-	// The in-cycle step must resolve the interleaved pump ticks; refine
-	// below the requested dt if needed and decimate afterwards.
-	nSlices := params.Interleave
-	if nSlices == 0 {
-		nSlices = 1
+	share := float64(d.share())
+	scr.vCore = gridDropInto(scr.vCore, vReg, all[0][:len(vReg)], dt, s.GridR/share, s.GridL/share)
+	res := &NoiseResult{
+		Config:    d.Name(),
+		Benchmark: src.TraceName(),
 	}
-	tick := 1 / (params.FClk * float64(nSlices))
+	res.summarize(scr, times, scr.vCore, s.VNominal, opt.KeepTrace)
+	return res, nil
+}
+
+// refined runs a clocked regulator model at the coarsest step dt/k (k a
+// positive integer) that resolves tick, then decimates its waveform back to
+// steps samples at dt into scr.times and scr.vReg.
+func (scr *scratch) refined(dt, tick float64, steps int, run func(dtSim float64) (*dynamic.Trace, error)) error {
 	factor := 1
 	for dt/float64(factor) > tick {
 		factor++
 	}
-	dtSim := dt / float64(factor)
-	tr, err := sim.RunInto(ctx, &scr.tr, dynamic.Sampled(ivrLoad, dt), dynamic.Constant(s.VNominal), T, dtSim)
+	tr, err := run(dt / float64(factor))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	scr.vReg = grow(scr.vReg, steps)
 	scr.times = grow(scr.times, steps)
@@ -343,18 +437,7 @@ func (s *System) ivr(ctx context.Context, scr *scratch, base *sc.Design, nIVR in
 		scr.vReg[k] = tr.V[k*factor]
 		scr.times[k] = tr.Times[k*factor]
 	}
-	// Local grid segment shrinks with distribution.
-	scr.vCore = gridDropInto(scr.vCore, scr.vReg, all[0][:steps], dt, s.GridR/float64(nIVR), s.GridL/float64(nIVR))
-	name := fmt.Sprintf("%d distributed IVRs", nIVR)
-	if nIVR == 1 {
-		name = "centralized IVR"
-	}
-	res := &NoiseResult{
-		Config:    name,
-		Benchmark: src.TraceName(),
-	}
-	res.summarize(scr, scr.times, scr.vCore, s.VNominal, opt.KeepTrace)
-	return res, nil
+	return nil
 }
 
 // checkTraces rejects a workload source that produced no (or truncated)
@@ -367,81 +450,6 @@ func checkTraces(src workload.Source, traces [][]float64, n int) error {
 		}
 	}
 	return nil
-}
-
-// SimulateDigitalLDOContext runs the fourth delivery style: a centralized
-// on-chip digital LDO regulating the cores from a board-supplied input
-// rail at des.Config().VIn (the board VRM produces VNominal plus the LDO
-// headroom; the input rail is assumed stiff, the same idealization the IVR
-// path applies to its 3.3 V feed). The clocked bang-bang/proportional loop
-// is simulated by dynamic.LDOSimulator at a step refined to resolve the
-// controller sampling period, then decimated back to dt — mirroring the
-// SC path's interleave-tick refinement. The worst (first) core sits behind
-// the full-span grid segment, as with any centralized regulation point.
-//
-// Cancellation is polled before and after the dynamic run (the LDO
-// simulator itself is not cancellable), so a cancelled sweep stops between
-// cells rather than mid-integration.
-func (s *System) SimulateDigitalLDOContext(ctx context.Context, des *ldo.Design, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if des == nil {
-		return nil, fmt.Errorf("pds: nil LDO design")
-	}
-	steps := int(T / dt)
-	if steps < 16 {
-		return nil, fmt.Errorf("pds: trace too short (%d samples)", steps)
-	}
-	scr := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(scr)
-	all := s.coreCurrentsCached(src, dt, steps, s.VNominal)
-	if err := checkTraces(src, all, steps); err != nil {
-		return nil, err
-	}
-	scr.total = sumTracesInto(scr.total, all)
-	_, iPk := numeric.MinMax(scr.total)
-	if iPk > des.MaxCurrent() {
-		return nil, fmt.Errorf("pds: LDO cannot sustain the peak load: %.3g A exceeds the %.3g A dropout limit",
-			iPk, des.MaxCurrent())
-	}
-	params := dynamic.LDOFromDesign(des)
-	// Proportional multi-segment updates: the controller class the
-	// paper-cited digital LDOs implement, and the one that can track
-	// benchmark-scale load steps within a sampling period.
-	params.Proportional = true
-	sim := &dynamic.LDOSimulator{P: params}
-	// The dynamic model requires the step to resolve the controller
-	// sampling period; refine below the requested dt and decimate after.
-	tick := 1 / params.FSample
-	factor := 1
-	for dt/float64(factor) > tick {
-		factor++
-	}
-	dtSim := dt / float64(factor)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tr, err := sim.Run(dynamic.Sampled(scr.total, dt), dynamic.Constant(s.VNominal), T, dtSim)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	scr.vReg = grow(scr.vReg, steps)
-	scr.times = grow(scr.times, steps)
-	for k := 0; k < steps; k++ {
-		scr.vReg[k] = tr.V[k*factor]
-		scr.times[k] = tr.Times[k*factor]
-	}
-	scr.vCore = gridDropInto(scr.vCore, scr.vReg, all[0][:steps], dt, s.GridR, s.GridL)
-	res := &NoiseResult{
-		Config:    "digital LDO",
-		Benchmark: src.TraceName(),
-	}
-	res.summarize(scr, scr.times, scr.vCore, s.VNominal, opt.KeepTrace)
-	return res, nil
 }
 
 func (r *NoiseResult) finishStats(vNom float64) {
@@ -473,7 +481,8 @@ type Breakdown struct {
 	PMargin float64
 	// PGridIR is on-chip grid conduction loss (W).
 	PGridIR float64
-	// PIVRLoss is the IVR conversion loss (W); zero for the off-chip case.
+	// PIVRLoss is the on-chip (IVR or LDO) conversion loss (W); zero for
+	// the off-chip VRM.
 	PIVRLoss float64
 	// PPDNIR is the off-chip board+package conduction loss (W).
 	PPDNIR float64
@@ -486,124 +495,118 @@ type Breakdown struct {
 	Efficiency float64
 }
 
-// BreakdownParams supplies the conversion efficiencies measured elsewhere.
-type BreakdownParams struct {
-	// Margin is the voltage guardband (V) from the noise analysis.
-	Margin float64
-	// IVREfficiency is the IVR conversion efficiency at the operating
-	// point (0 for the off-chip configuration).
-	IVREfficiency float64
-	// VRMEfficiency is the off-chip VRM efficiency for the voltage it
-	// must produce in this configuration.
-	VRMEfficiency float64
-	// NumIVRs is the distribution count (0 = off-chip configuration).
-	NumIVRs int
-	// Config labels the result.
-	Config string
-}
+// ivrFeedEfficiency is the board stage charged to IVR configurations: the
+// 3.3 V rail reaches the IVRs through the PDN with only light conditioning.
+const ivrFeedEfficiency = 0.97
 
-// PowerBreakdown computes the steady-state power ladder for one
-// configuration at full activity.
-func (s *System) PowerBreakdown(p BreakdownParams) (Breakdown, error) {
+// PowerBreakdown computes the steady-state power ladder for one delivery
+// style at full activity, with the supply raised by margin (the guardband
+// from the noise analysis). convEfficiency is the on-chip regulator's
+// conversion efficiency at the operating point (IVR or LDO); the off-chip
+// VRM ignores it. The board stage is charged with BoardVRMEfficiency at the
+// voltage it must produce — the operating voltage for the off-chip VRM,
+// the LDO input rail for the digital LDO — and with a light-conditioning
+// 0.97 for the IVRs' 3.3 V feed.
+func (s *System) PowerBreakdown(d Delivery, margin, convEfficiency float64) (Breakdown, error) {
 	if err := s.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	if p.Margin < 0 {
+	if margin < 0 {
 		return Breakdown{}, fmt.Errorf("pds: negative margin")
 	}
-	if p.VRMEfficiency <= 0 || p.VRMEfficiency > 1 {
-		return Breakdown{}, fmt.Errorf("pds: VRM efficiency %g outside (0, 1]", p.VRMEfficiency)
+	if err := d.check(s.Cores); err != nil {
+		return Breakdown{}, err
 	}
-	if p.NumIVRs > 0 && (p.IVREfficiency <= 0 || p.IVREfficiency > 1) {
-		return Breakdown{}, fmt.Errorf("pds: IVR efficiency %g outside (0, 1]", p.IVREfficiency)
-	}
-	b := Breakdown{Config: p.Config}
 	pCore := s.TDPPerCore * float64(s.Cores)
-	b.PCoreUseful = pCore
-	vOp := s.VNominal + p.Margin
+	vOp := s.VNominal + margin
+	// The PDN carries current at the rail the board stage produces.
+	vRail, vrmEff := s.VSource, ivrFeedEfficiency
+	if d.IVRs == 0 {
+		vRail = vOp
+		if d.isLDO() {
+			vRail += d.HeadroomV
+		}
+		var err error
+		if vrmEff, err = BoardVRMEfficiency(s.VSource, vRail, pCore); err != nil {
+			return Breakdown{}, err
+		}
+	}
+	if vrmEff <= 0 || vrmEff > 1 {
+		return Breakdown{}, fmt.Errorf("pds: VRM efficiency %g outside (0, 1]", vrmEff)
+	}
+	onChip := d.IVRs > 0 || d.isLDO()
+	if onChip && (convEfficiency <= 0 || convEfficiency > 1) {
+		kind := "IVR"
+		if d.isLDO() {
+			kind = "LDO"
+		}
+		return Breakdown{}, fmt.Errorf("pds: %s efficiency %g outside (0, 1]", kind, convEfficiency)
+	}
+
+	b := Breakdown{Config: d.Name(), PCoreUseful: pCore}
 	// Dynamic power scales with V² at fixed frequency; the load model's
 	// leakage fraction scales faster but we fold it into the same factor.
 	scale := vOp * vOp / (s.VNominal * s.VNominal)
 	pCoreActual := pCore * scale
 	b.PMargin = pCoreActual - pCore
-
-	rPDN := s.Network.TotalR()
-	if p.NumIVRs == 0 {
-		// Board VRM converts source to vOp; PDN carries core current, and
-		// each core still sits behind the full-span on-chip grid segment.
-		iCore := pCoreActual / float64(s.Cores) / vOp
-		b.PGridIR = float64(s.Cores) * iCore * iCore * s.GridR
-		iPDN := pCoreActual / vOp
-		b.PPDNIR = iPDN * iPDN * rPDN
-		vrmOut := pCoreActual + b.PGridIR + b.PPDNIR
-		b.PVRMLoss = vrmOut * (1 - p.VRMEfficiency) / p.VRMEfficiency
-		b.PSource = vrmOut + b.PVRMLoss
-	} else {
-		// Per-core current through its local grid share.
-		iCore := pCoreActual / float64(s.Cores) / vOp
-		rGrid := s.GridR / float64(p.NumIVRs)
-		b.PGridIR = float64(s.Cores) * iCore * iCore * rGrid
-		ivrOut := pCoreActual + b.PGridIR
-		b.PIVRLoss = ivrOut * (1 - p.IVREfficiency) / p.IVREfficiency
-		ivrIn := ivrOut + b.PIVRLoss
-		iPDN := ivrIn / s.VSource
-		b.PPDNIR = iPDN * iPDN * rPDN
-		vrmOut := ivrIn + b.PPDNIR
-		b.PVRMLoss = vrmOut * (1 - p.VRMEfficiency) / p.VRMEfficiency
-		b.PSource = vrmOut + b.PVRMLoss
+	// Per-core current through its share of the on-chip grid.
+	iCore := pCoreActual / float64(s.Cores) / vOp
+	b.PGridIR = float64(s.Cores) * iCore * iCore * (s.GridR / float64(d.share()))
+	out := pCoreActual + b.PGridIR // delivered by the regulation point
+	pPDN := pCoreActual            // the off-chip VRM's PDN carries the core current
+	if onChip {
+		b.PIVRLoss = out * (1 - convEfficiency) / convEfficiency
+		out += b.PIVRLoss
+		pPDN = out
 	}
+	// At the LDO input rail — barely above core voltage — the conduction
+	// loss stays off-chip-VRM-like, unlike at the 3.3 V IVR feed: the
+	// structural handicap of hybrid LDO rails.
+	iPDN := pPDN / vRail
+	b.PPDNIR = iPDN * iPDN * s.Network.TotalR()
+	vrmOut := out + b.PPDNIR
+	b.PVRMLoss = vrmOut * (1 - vrmEff) / vrmEff
+	b.PSource = vrmOut + b.PVRMLoss
 	b.Efficiency = b.PCoreUseful / b.PSource
 	return b, nil
 }
 
-// PowerBreakdownLDO computes the power ladder for a centralized
-// digital-LDO configuration: the board VRM converts the source down to the
-// LDO input rail at vOp + headroomV, the PDN carries the chip current at
-// that rail, and the LDO's dissipative conversion (pass-device dropout,
-// quiescent and controller power — the efficiency ldo.Design.Evaluate
-// measures) takes the place of the IVR loss. p.IVREfficiency carries the
-// LDO efficiency; p.NumIVRs is ignored (the regulation point is
-// centralized, so the full grid span applies).
-func (s *System) PowerBreakdownLDO(p BreakdownParams, headroomV float64) (Breakdown, error) {
-	if err := s.Validate(); err != nil {
-		return Breakdown{}, err
+// BoardVRMEfficiency evaluates an off-chip VRM — a surface-mount buck at
+// low frequency, the same buck model on-chip designs use (the paper's
+// commensurate-modeling principle) — producing vOut at power pOut from the
+// board rail vIn.
+func BoardVRMEfficiency(vIn, vOut, pOut float64) (float64, error) {
+	iLoad := pOut / vOut
+	d, err := buck.New(buck.Config{
+		Node:       tech.MustLookup("130nm"), // board-class silicon
+		Inductor:   tech.SurfaceMount,
+		OutCap:     tech.MIMCap,
+		VIn:        vIn,
+		VOut:       vOut,
+		L:          300e-9,
+		COut:       20e-6,
+		FSw:        2e6,
+		GHigh:      50,
+		GLow:       80,
+		Interleave: 4,
+	})
+	if err != nil {
+		return 0, err
 	}
-	if p.Margin < 0 {
-		return Breakdown{}, fmt.Errorf("pds: negative margin")
+	if d, err = d.OptimizeConductances(iLoad); err != nil {
+		return 0, err
 	}
-	if headroomV <= 0 {
-		return Breakdown{}, fmt.Errorf("pds: LDO headroom %g must be positive", headroomV)
+	m, err := d.Evaluate(iLoad)
+	if err != nil {
+		return 0, err
 	}
-	if p.VRMEfficiency <= 0 || p.VRMEfficiency > 1 {
-		return Breakdown{}, fmt.Errorf("pds: VRM efficiency %g outside (0, 1]", p.VRMEfficiency)
-	}
-	if p.IVREfficiency <= 0 || p.IVREfficiency > 1 {
-		return Breakdown{}, fmt.Errorf("pds: LDO efficiency %g outside (0, 1]", p.IVREfficiency)
-	}
-	b := Breakdown{Config: p.Config}
-	pCore := s.TDPPerCore * float64(s.Cores)
-	b.PCoreUseful = pCore
-	vOp := s.VNominal + p.Margin
-	scale := vOp * vOp / (s.VNominal * s.VNominal)
-	pCoreActual := pCore * scale
-	b.PMargin = pCoreActual - pCore
-
-	// Centralized regulation: every core behind the full-span grid segment.
-	iCore := pCoreActual / float64(s.Cores) / vOp
-	b.PGridIR = float64(s.Cores) * iCore * iCore * s.GridR
-	ldoOut := pCoreActual + b.PGridIR
-	b.PIVRLoss = ldoOut * (1 - p.IVREfficiency) / p.IVREfficiency
-	ldoIn := ldoOut + b.PIVRLoss
-	// The PDN carries the chip current at the LDO input rail — barely above
-	// core voltage, so unlike the 3.3 V IVR feed the conduction loss stays
-	// off-chip-VRM-like. This is the structural handicap of hybrid LDO
-	// rails the sweep quantifies.
-	vIn := vOp + headroomV
-	iPDN := ldoIn / vIn
-	b.PPDNIR = iPDN * iPDN * s.Network.TotalR()
-	vrmOut := ldoIn + b.PPDNIR
-	b.PVRMLoss = vrmOut * (1 - p.VRMEfficiency) / p.VRMEfficiency
-	b.PSource = vrmOut + b.PVRMLoss
-	b.Efficiency = b.PCoreUseful / b.PSource
-	return b, nil
+	// Board-level realities the on-chip model does not include: the input
+	// filter network and sense/trace resistance between the VRM and the
+	// board plane (~1.2 mOhm at the output current), plus the analog
+	// controller's quiescent power.
+	rTrace := 1.2e-3
+	pTrace := iLoad * iLoad * rTrace
+	pCtl := 0.25
+	loss := m.Loss.Total() + pTrace + pCtl
+	return m.POut / (m.POut + loss), nil
 }

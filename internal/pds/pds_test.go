@@ -1,6 +1,7 @@
 package pds
 
 import (
+	"context"
 	"testing"
 
 	"ivory/internal/pdn"
@@ -85,7 +86,7 @@ func TestSystemValidate(t *testing.T) {
 func TestOffChipVRMNoise(t *testing.T) {
 	s := testSystem(t)
 	bench, _ := workload.Get("CFD")
-	res, err := s.SimulateOffChipVRM(bench, 20e-6, 1e-9)
+	res, err := s.Simulate(context.Background(), Delivery{}, bench, 20e-6, 1e-9, SimOptions{KeepTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,13 @@ func TestNoiseOrderingAcrossConfigs(t *testing.T) {
 	bench, _ := workload.Get("CFD")
 	T, dt := 20e-6, 1e-9
 
-	off, err := s.SimulateOffChipVRM(bench, T, dt)
+	off, err := s.Simulate(context.Background(), Delivery{}, bench, T, dt, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var vpp []float64
 	for _, n := range []int{1, 2, 4} {
-		r, err := s.SimulateIVR(d, n, bench, T, dt)
+		r, err := s.Simulate(context.Background(), Delivery{IVRs: n, SC: d}, bench, T, dt, SimOptions{})
 		if err != nil {
 			t.Fatalf("%d IVRs: %v", n, err)
 		}
@@ -140,27 +141,34 @@ func TestSimulateIVRValidation(t *testing.T) {
 	s := testSystem(t)
 	d := testDesign(t)
 	bench, _ := workload.Get("CFD")
-	if _, err := s.SimulateIVR(d, 3, bench, 10e-6, 1e-9); err == nil {
-		t.Error("3 IVRs for 4 cores must fail")
-	}
-	if _, err := s.SimulateIVR(d, 0, bench, 10e-6, 1e-9); err == nil {
-		t.Error("zero IVRs must fail")
-	}
-	if _, err := s.SimulateIVR(d, 1, bench, 1e-9, 1e-9); err == nil {
-		t.Error("too-short trace must fail")
+	ctx := context.Background()
+	for _, c := range []struct {
+		d    Delivery
+		T    float64
+		want string
+	}{
+		{Delivery{IVRs: 3, SC: d}, 10e-6, "3 IVRs for 4 cores"},
+		{Delivery{IVRs: -1, SC: d}, 10e-6, "a negative IVR count"},
+		{Delivery{IVRs: 8, SC: d}, 10e-6, "more IVRs than cores"},
+		{Delivery{IVRs: 2}, 10e-6, "IVRs without a design"},
+		{Delivery{HeadroomV: 0.15}, 10e-6, "an LDO without a design"},
+		{Delivery{IVRs: 1, SC: d, HeadroomV: 0.15}, 10e-6, "IVRs and an LDO at once"},
+		{Delivery{IVRs: 1, SC: d}, 1e-9, "a too-short trace"},
+	} {
+		if _, err := s.Simulate(ctx, c.d, bench, c.T, 1e-9, SimOptions{}); err == nil {
+			t.Errorf("%s must fail", c.want)
+		}
 	}
 }
 
 func TestPowerBreakdownOffChip(t *testing.T) {
 	s := testSystem(t)
-	b, err := s.PowerBreakdown(BreakdownParams{
-		Config:        "off-chip VRM",
-		Margin:        0.125,
-		VRMEfficiency: 0.90,
-		NumIVRs:       0,
-	})
+	b, err := s.PowerBreakdown(Delivery{}, 0.125, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b.Config != "off-chip VRM" {
+		t.Errorf("config %q", b.Config)
 	}
 	if !numeric.ApproxEqual(b.PCoreUseful, 20, 0) {
 		t.Errorf("useful power %v, want 20", b.PCoreUseful)
@@ -186,16 +194,11 @@ func TestPowerBreakdownOffChip(t *testing.T) {
 // carrying current at 3.3 V.
 func TestDistributedIVRBeatsOffChip(t *testing.T) {
 	s := testSystem(t)
-	off, err := s.PowerBreakdown(BreakdownParams{
-		Config: "off-chip VRM", Margin: 0.125, VRMEfficiency: 0.90, NumIVRs: 0,
-	})
+	off, err := s.PowerBreakdown(Delivery{}, 0.125, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivr, err := s.PowerBreakdown(BreakdownParams{
-		Config: "4 distributed IVRs", Margin: 0.025,
-		IVREfficiency: 0.80, VRMEfficiency: 0.97, NumIVRs: 4,
-	})
+	ivr, err := s.PowerBreakdown(Delivery{IVRs: 4}, 0.025, 0.80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +214,20 @@ func TestDistributedIVRBeatsOffChip(t *testing.T) {
 
 func TestPowerBreakdownValidation(t *testing.T) {
 	s := testSystem(t)
-	if _, err := s.PowerBreakdown(BreakdownParams{Margin: -1, VRMEfficiency: 0.9}); err == nil {
-		t.Error("negative margin must fail")
-	}
-	if _, err := s.PowerBreakdown(BreakdownParams{VRMEfficiency: 0}); err == nil {
-		t.Error("zero VRM efficiency must fail")
-	}
-	if _, err := s.PowerBreakdown(BreakdownParams{VRMEfficiency: 0.9, NumIVRs: 2, IVREfficiency: 0}); err == nil {
-		t.Error("zero IVR efficiency must fail")
+	for _, c := range []struct {
+		d          Delivery
+		margin, cv float64
+		want       string
+	}{
+		{Delivery{}, -1, 0, "negative margin"},
+		{Delivery{IVRs: 2}, 0.05, 0, "zero IVR efficiency"},
+		{Delivery{IVRs: 2}, 0.05, 1.2, "IVR efficiency above 1"},
+		{Delivery{HeadroomV: 0.15}, 0.05, 0, "zero LDO efficiency"},
+		{Delivery{HeadroomV: -0.1}, 0.05, 0.9, "negative LDO headroom"},
+		{Delivery{IVRs: 3}, 0.05, 0.8, "3 IVRs for 4 cores"},
+	} {
+		if _, err := s.PowerBreakdown(c.d, c.margin, c.cv); err == nil {
+			t.Errorf("%s must fail", c.want)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"ivory/internal/core"
 	"ivory/internal/experiments"
@@ -236,6 +237,10 @@ type ExploreStatsDTO struct {
 	Cancelled        bool           `json:"cancelled,omitempty"`
 }
 
+// millis renders a duration as fractional milliseconds, the unit of every
+// *_ms wire field: a sub-millisecond run must not read as 0.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 func exploreStatsDTO(s core.Stats) ExploreStatsDTO {
 	d := ExploreStatsDTO{
 		Jobs:             s.Jobs,
@@ -247,7 +252,7 @@ func exploreStatsDTO(s core.Stats) ExploreStatsDTO {
 		FrontSize:        s.FrontSize,
 		TopoCacheHits:    s.TopoCacheHits,
 		TopoCacheMisses:  s.TopoCacheMisses,
-		WallMS:           float64(s.Wall.Milliseconds()),
+		WallMS:           millis(s.Wall),
 		CandidatesPerSec: s.CandidatesPerSec,
 		Cancelled:        s.Cancelled,
 	}
@@ -459,9 +464,9 @@ func TransientResponseFromResult(hash string, res *experiments.Fig10Result) *Tra
 			Done:             res.RunStats.Done,
 			TraceCacheHits:   res.RunStats.TraceCacheHits,
 			TraceCacheMisses: res.RunStats.TraceCacheMisses,
-			ExploreWallMS:    float64(res.RunStats.ExploreWall.Milliseconds()),
-			SimWallMS:        float64(res.RunStats.SimWall.Milliseconds()),
-			WallMS:           float64(res.RunStats.Wall.Milliseconds()),
+			ExploreWallMS:    millis(res.RunStats.ExploreWall),
+			SimWallMS:        millis(res.RunStats.SimWall),
+			WallMS:           millis(res.RunStats.Wall),
 			CellsPerSec:      res.RunStats.CellsPerSec,
 		},
 	}

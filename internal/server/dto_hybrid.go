@@ -265,7 +265,7 @@ func HybridResponseFromResult(hash string, res *soc.SweepResult) *HybridResponse
 			Ranked:             res.Stats.Ranked,
 			RejectedInfeasible: res.Stats.RejectedInfeasible,
 			RejectedArea:       res.Stats.RejectedArea,
-			WallMS:             float64(res.Stats.Wall.Milliseconds()),
+			WallMS:             millis(res.Stats.Wall),
 			AssignmentsPerSec:  res.Stats.AssignmentsPerSec,
 		},
 	}

@@ -79,6 +79,45 @@ func TestExploreResponseGolden(t *testing.T) {
 	}
 }
 
+// TestWallTimesKeepFractionalMillis pins the unit of every *_ms wall field
+// on the explore, transient and hybrid wire forms: fractional milliseconds,
+// so a sub-millisecond run does not read as 0 or 1.
+func TestWallTimesKeepFractionalMillis(t *testing.T) {
+	const wall = 1250 * time.Microsecond
+	res := goldenResult(t)
+	res.Stats.Wall = wall
+	tr := fakeTransientResult()
+	tr.RunStats.ExploreWall, tr.RunStats.SimWall, tr.RunStats.Wall = wall, wall, wall
+	sw := fakeSweepResult()
+	sw.Stats.Wall = wall
+	for name, v := range map[string]any{
+		"explore":   ExploreResponseFromResult(res, nil).Stats,
+		"transient": TransientResponseFromResult("h", tr).Stats,
+		"hybrid":    HybridResponseFromResult("h", sw).Stats,
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(b, &fields); err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		for _, key := range []string{"wall_ms", "explore_wall_ms", "sim_wall_ms"} {
+			if v, ok := fields[key]; ok {
+				seen++
+				if !bytes.Contains(b, []byte(`"`+key+`":1.25`)) {
+					t.Errorf("%s %s = %v, want 1.25", name, key, v)
+				}
+			}
+		}
+		if seen == 0 {
+			t.Errorf("%s stats carry no wall field: %s", name, b)
+		}
+	}
+}
+
 func TestSpecHashCanonical(t *testing.T) {
 	vout := 0.9
 	elided := SpecDTO{Node: "45nm", VInV: 1.8, VOutV: vout, IMaxA: 1, AreaMM2: 2}

@@ -64,21 +64,6 @@ func (r Rail) String() string {
 	return fmt.Sprintf("rail(%d)", int(r.Kind))
 }
 
-// Label renders the descriptive form matching pds result Config names.
-func (r Rail) Label() string {
-	switch r.Kind {
-	case OffChipVRM:
-		return "off-chip VRM"
-	case CentralizedIVR:
-		return "centralized IVR"
-	case DistributedIVR:
-		return fmt.Sprintf("%d distributed IVRs", r.N)
-	case DigitalLDO:
-		return "digital LDO"
-	}
-	return r.String()
-}
-
 // ParseRail parses the compact token form String emits.
 func ParseRail(s string) (Rail, error) {
 	switch t := strings.ToLower(strings.TrimSpace(s)); {

@@ -23,7 +23,6 @@ package soc
 import (
 	"fmt"
 
-	"ivory/internal/buck"
 	"ivory/internal/ldo"
 	"ivory/internal/pdn"
 	"ivory/internal/pds"
@@ -129,15 +128,6 @@ func (f *Floorplan) Validate() error {
 	return nil
 }
 
-// TotalTDP returns the floorplan's total average power (W).
-func (f *Floorplan) TotalTDP() float64 {
-	total := 0.0
-	for _, d := range f.Domains {
-		total += d.TDP()
-	}
-	return total
-}
-
 // domainSeed is the default per-domain seed derivation; Domain.Seed
 // overrides it.
 func domainSeed(base int64, name string) int64 {
@@ -176,7 +166,7 @@ const refTDPW = 20.0
 
 // AutoIVRDesign builds a chip-level SC converter for a domain of the given
 // TDP and output voltage: the case-study recipe with CTotal/GTotal/CDecap
-// scaled by tdpW/20 W. It is the default when SweepSpec.IVRDesign is nil.
+// scaled by tdpW/20 W. Sweep gives every domain its own.
 func AutoIVRDesign(tdpW, vOut float64) (*sc.Design, error) {
 	if tdpW <= 0 {
 		return nil, fmt.Errorf("soc: design TDP %g must be positive", tdpW)
@@ -204,18 +194,6 @@ func AutoIVRDesign(tdpW, vOut float64) (*sc.Design, error) {
 	})
 }
 
-// scaledDesign resizes a chip-level SC design to a fraction of its
-// capacity by scaling the reactive and conductive totals; frac 1 rebuilds
-// an identical design (x·1.0 is exact in float64), which the one-domain
-// equivalence contract depends on.
-func scaledDesign(base *sc.Design, frac float64) (*sc.Design, error) {
-	cfg := base.Config()
-	cfg.CTotal *= frac
-	cfg.GTotal *= frac
-	cfg.CDecap *= frac
-	return sc.New(cfg)
-}
-
 // DefaultLDOHeadroomV is the digital-LDO input headroom above the domain's
 // operating voltage: low enough that the linear conversion stays
 // competitive, high enough that the pass array has authority over load
@@ -239,44 +217,6 @@ func ldoDesignFor(d Domain, headroomV float64) (*ldo.Design, error) {
 		FSample:    250e6,
 		Interleave: 4,
 	})
-}
-
-// boardVRMEfficiency evaluates the off-chip VRM (a surface-mount buck at
-// low frequency, the same commensurate model experiments/fig13 uses)
-// producing vOut at power pOut from the board rail vIn, including trace
-// resistance and controller quiescent power.
-func boardVRMEfficiency(vIn, vOut, pOut float64) (float64, error) {
-	iLoad := pOut / vOut
-	cfg := buck.Config{
-		Node:       tech.MustLookup("130nm"), // board-class silicon
-		Inductor:   tech.SurfaceMount,
-		OutCap:     tech.MIMCap,
-		VIn:        vIn,
-		VOut:       vOut,
-		L:          300e-9,
-		COut:       20e-6,
-		FSw:        2e6,
-		GHigh:      50,
-		GLow:       80,
-		Interleave: 4,
-	}
-	d, err := buck.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	d, err = d.OptimizeConductances(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	m, err := d.Evaluate(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	rTrace := 1.2e-3
-	pTrace := iLoad * iLoad * rTrace
-	pCtl := 0.25
-	loss := m.Loss.Total() + pTrace + pCtl
-	return m.POut / (m.POut + loss), nil
 }
 
 // DefaultFloorplan is a five-domain heterogeneous SoC (~43 W): big and

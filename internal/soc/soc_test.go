@@ -115,11 +115,8 @@ func TestOneDomainEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := make([]*pds.NoiseResult, 4)
-	if direct[0], err = sys.SimulateOffChipVRMContext(ctx, cfd, T, dt, pds.SimOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range []int{1, 2, 4} {
-		if direct[i+1], err = sys.SimulateIVRContext(ctx, des, n, cfd, T, dt, pds.SimOptions{}); err != nil {
+	for i, n := range []int{0, 1, 2, 4} {
+		if direct[i], err = sys.Simulate(ctx, pds.Delivery{IVRs: n, SC: des}, cfd, T, dt, pds.SimOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,39 +138,6 @@ func TestOneDomainEquivalence(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("cell %s diverges from direct pds path:\n got %s\nwant %s", cell.Rail, got, want)
 		}
-	}
-}
-
-// TestSweepExplicitDesignEquivalence repeats the IVR cell with an explicit
-// chip-level design: a one-domain floorplan takes a TDP fraction of exactly
-// 1.0, and scaling by 1.0 must rebuild the identical converter.
-func TestSweepExplicitDesignEquivalence(t *testing.T) {
-	fl := paperFloorplan(t)
-	sys := paperSystem(t)
-	cfd, err := workload.Get("CFD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	des, err := AutoIVRDesign(20, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const T, dt = 10e-6, 5e-9
-	res, err := Sweep(SweepSpec{
-		Floorplan: fl,
-		Rails:     []Rail{{Kind: CentralizedIVR}},
-		IVRDesign: des,
-		T:         T, Dt: dt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr, err := sys.SimulateIVRContext(context.Background(), des, 1, cfd, T, dt, pds.SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mustJSON(t, res.Cells[0].VStats), mustJSON(t, nr.VStats); !bytes.Equal(got, want) {
-		t.Errorf("explicit-design cell diverges:\n got %s\nwant %s", got, want)
 	}
 }
 

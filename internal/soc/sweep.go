@@ -53,10 +53,6 @@ type SweepSpec struct {
 	Workers int
 	// Context, when non-nil, cancels a running sweep.
 	Context context.Context
-	// IVRDesign optionally supplies the chip-level SC converter, sized for
-	// the whole floorplan; each domain receives a TDP-proportional slice.
-	// Nil builds AutoIVRDesign per domain.
-	IVRDesign *sc.Design
 	// LDOHeadroomV is the digital-LDO input headroom (V); 0 selects
 	// DefaultLDOHeadroomV.
 	LDOHeadroomV float64
@@ -67,7 +63,7 @@ type SweepSpec struct {
 // steady-state delivery ladder at that guardband.
 type Cell struct {
 	// Domain and Rail identify the cell; Config is the rail's descriptive
-	// label (matching pds result Config names).
+	// label (pds.Delivery.Name).
 	Domain string
 	Rail   Rail
 	Config string
@@ -209,16 +205,10 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 		}
 		assignments *= R
 	}
-	// Per-domain IVR base designs, sized (or sliced) by TDP share.
+	// Per-domain IVR base designs, sized by TDP.
 	designs := make([]*sc.Design, D)
-	totalTDP := fl.TotalTDP()
 	for i, d := range fl.Domains {
-		if spec.IVRDesign != nil {
-			designs[i], err = scaledDesign(spec.IVRDesign, d.TDP()/totalTDP)
-		} else {
-			designs[i], err = AutoIVRDesign(d.TDP(), d.VNominal)
-		}
-		if err != nil {
+		if designs[i], err = AutoIVRDesign(d.TDP(), d.VNominal); err != nil {
 			return nil, fmt.Errorf("soc: domain %q IVR design: %w", d.Name, err)
 		}
 	}
@@ -270,53 +260,26 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 // evaluateCell runs one domain × rail transient plus its steady-state
 // ladder. Domain-level infeasibility (a distribution count that cannot
 // serve the cores, a load beyond a dropout limit) is recorded on the cell;
-// only cancellation and floorplan-level faults return an error.
+// only cancellation returns an error.
 func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase *sc.Design, T, dt, headroomV float64) (Cell, error) {
-	cell := Cell{Domain: d.Name, Rail: r, Config: r.Label()}
-	sys := fl.system(d)
-	var nr *pds.NoiseResult
-	var simErr error
-	areaM2 := 0.0
-	iDomain := d.TDP() / d.VNominal
-	efficiency := 0.0 // regulator conversion efficiency where one exists
-	switch r.Kind {
-	case OffChipVRM:
-		nr, simErr = sys.SimulateOffChipVRMContext(ctx, d.Workload, T, dt, pds.SimOptions{})
-	case CentralizedIVR, DistributedIVR:
-		n := 1
-		if r.Kind == DistributedIVR {
-			n = r.N
-		}
-		areaM2 = ivrBase.Area()
-		m, err := ivrBase.Evaluate(iDomain)
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		efficiency = m.Efficiency
-		nr, simErr = sys.SimulateIVRContext(ctx, ivrBase, n, d.Workload, T, dt, pds.SimOptions{})
-	case DigitalLDO:
-		des, err := ldoDesignFor(d, headroomV)
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		areaM2 = des.Area()
-		m, err := des.Evaluate(iDomain)
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		efficiency = m.Efficiency
-		nr, simErr = sys.SimulateDigitalLDOContext(ctx, des, d.Workload, T, dt, pds.SimOptions{})
-	default:
-		return cell, fmt.Errorf("soc: unknown rail kind %d", int(r.Kind))
+	dl, err := delivery(d, r, ivrBase, headroomV)
+	cell := Cell{Domain: d.Name, Rail: r, Config: dl.Name()}
+	if err != nil {
+		cell.Infeasible = err.Error()
+		return cell, nil
 	}
-	if simErr != nil {
-		if err := ctx.Err(); err != nil {
-			return cell, err
+	areaM2, efficiency, err := dl.Regulator(d.TDP() / d.VNominal)
+	if err != nil {
+		cell.Infeasible = err.Error()
+		return cell, nil
+	}
+	sys := fl.system(d)
+	nr, err := sys.Simulate(ctx, dl, d.Workload, T, dt, pds.SimOptions{})
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return cell, ctxErr
 		}
-		cell.Infeasible = simErr.Error()
+		cell.Infeasible = err.Error()
 		return cell, nil
 	}
 	margin := nr.WorstDroop
@@ -329,46 +292,32 @@ func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase 
 	cell.MarginV = margin
 	cell.AreaM2 = areaM2
 
-	params := pds.BreakdownParams{Config: r.Label(), Margin: margin}
-	var bd pds.Breakdown
-	var bdErr error
-	switch r.Kind {
-	case OffChipVRM:
-		// The board VRM must produce the core voltage plus margin.
-		vrmEff, err := boardVRMEfficiency(fl.VSource, d.VNominal+margin, d.TDP())
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		params.VRMEfficiency = vrmEff
-		bd, bdErr = sys.PowerBreakdown(params)
-	case CentralizedIVR, DistributedIVR:
-		params.IVREfficiency = efficiency
-		// The 3.3 V board rail reaches the IVRs with light conditioning.
-		params.VRMEfficiency = 0.97
-		params.NumIVRs = 1
-		if r.Kind == DistributedIVR {
-			params.NumIVRs = r.N
-		}
-		bd, bdErr = sys.PowerBreakdown(params)
-	case DigitalLDO:
-		params.IVREfficiency = efficiency
-		vrmEff, err := boardVRMEfficiency(fl.VSource, d.VNominal+margin+headroomV, d.TDP())
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		params.VRMEfficiency = vrmEff
-		bd, bdErr = sys.PowerBreakdownLDO(params, headroomV)
-	}
-	if bdErr != nil {
-		cell.Infeasible = bdErr.Error()
+	bd, err := sys.PowerBreakdown(dl, margin, efficiency)
+	if err != nil {
+		cell.Infeasible = err.Error()
 		return cell, nil
 	}
 	cell.PCoreW = bd.PCoreUseful
 	cell.PSourceW = bd.PSource
 	cell.Efficiency = bd.Efficiency
 	return cell, nil
+}
+
+// delivery maps a rail to the pds delivery style it selects, with this
+// package's design choices: the domain's AutoIVRDesign converter behind
+// IVR rails and ldoDesignFor's LDO behind the digital-LDO rail. A failed
+// LDO design is returned with the delivery, which still names the rail.
+func delivery(d Domain, r Rail, ivrBase *sc.Design, headroomV float64) (pds.Delivery, error) {
+	switch r.Kind {
+	case CentralizedIVR:
+		return pds.Delivery{IVRs: 1, SC: ivrBase}, nil
+	case DistributedIVR:
+		return pds.Delivery{IVRs: r.N, SC: ivrBase}, nil
+	case DigitalLDO:
+		des, err := ldoDesignFor(d, headroomV)
+		return pds.Delivery{LDO: des, HeadroomV: headroomV}, err
+	}
+	return pds.Delivery{}, nil // OffChipVRM: NormalizeRails admits no other kind
 }
 
 // enumerate walks the assignment space depth-first in canonical order,

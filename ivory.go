@@ -315,8 +315,12 @@ type (
 	NoiseResult = pds.NoiseResult
 	// PowerBreakdown itemizes source-to-core power (Fig. 13).
 	PowerBreakdown = pds.Breakdown
-	// BreakdownParams configures a power-breakdown computation.
-	BreakdownParams = pds.BreakdownParams
+	// Delivery selects a delivery style: the zero value is the off-chip
+	// VRM, IVRs with an SC design a centralized or distributed IVR, an
+	// LDO design with its headroom a digital LDO.
+	Delivery = pds.Delivery
+	// SimOptions controls one PDSSystem.Simulate call.
+	SimOptions = pds.SimOptions
 )
 
 // NewPDN builds a validated PDN ladder.

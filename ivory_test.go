@@ -1,6 +1,7 @@
 package ivory
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -205,16 +206,14 @@ func TestPublicPDSComposition(t *testing.T) {
 	if len(Benchmarks()) != 7 {
 		t.Error("benchmark list wrong")
 	}
-	nr, err := sys.SimulateOffChipVRM(bench, 5e-6, 1e-9)
+	nr, err := sys.Simulate(context.Background(), Delivery{}, bench, 5e-6, 1e-9, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nr.NoiseVpp <= 0 {
 		t.Error("no noise measured")
 	}
-	b, err := sys.PowerBreakdown(BreakdownParams{
-		Config: "off", Margin: 0.1, VRMEfficiency: 0.9, NumIVRs: 0,
-	})
+	b, err := sys.PowerBreakdown(Delivery{}, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
