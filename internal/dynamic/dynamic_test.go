@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -240,7 +241,7 @@ func ldoParams() LDOParams {
 func TestLDORegulatesAndTracks(t *testing.T) {
 	s := &LDOSimulator{P: ldoParams()}
 	vref := 1.0
-	tr, err := s.Run(Constant(0.5), Constant(vref), 4e-6, 0.2e-9)
+	tr, err := s.Run(context.Background(), Constant(0.5), Constant(vref), 4e-6, 0.2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestLDORegulatesAndTracks(t *testing.T) {
 		t.Errorf("LDO regulated mean %v", mean)
 	}
 	// Load step droop + recovery.
-	tr2, err := s.Run(Step(0.2, 1.5, 2e-6), Constant(vref), 6e-6, 0.2e-9)
+	tr2, err := s.Run(context.Background(), Step(0.2, 1.5, 2e-6), Constant(vref), 6e-6, 0.2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +265,11 @@ func TestLDOProportionalFasterThanBangBang(t *testing.T) {
 	pp := ldoParams()
 	pp.Proportional = true
 	step := Step(0.2, 1.5, 1e-6)
-	trB, err := (&LDOSimulator{P: pb}).Run(step, Constant(1.0), 3e-6, 0.2e-9)
+	trB, err := (&LDOSimulator{P: pb}).Run(context.Background(), step, Constant(1.0), 3e-6, 0.2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trP, err := (&LDOSimulator{P: pp}).Run(step, Constant(1.0), 3e-6, 0.2e-9)
+	trP, err := (&LDOSimulator{P: pp}).Run(context.Background(), step, Constant(1.0), 3e-6, 0.2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestLDOValidation(t *testing.T) {
 		t.Error("zero segments must fail")
 	}
 	s := &LDOSimulator{P: ldoParams()}
-	if _, err := s.Run(Constant(0), Constant(1), 1e-6, 1e-7); err == nil {
+	if _, err := s.Run(context.Background(), Constant(0), Constant(1), 1e-6, 1e-7); err == nil {
 		t.Error("coarse dt must fail")
 	}
 }

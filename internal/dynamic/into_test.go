@@ -129,3 +129,26 @@ func TestRunIntoAllocFree(t *testing.T) {
 		t.Errorf("RunInto allocates %.1f times per run with a warm trace", n)
 	}
 }
+
+// A cancelled LDO cell stops within one poll stride: the load signal is
+// sampled once per step, so counting its calls after the context turns
+// cancelled bounds the steps the loop ran past the cancellation.
+func TestLDORunCancellationWithinStride(t *testing.T) {
+	sim := &LDOSimulator{P: LDOParams{VIn: 1.8, GPass: 10, Segments: 64, COut: 20e-9, FSample: 200e6, Proportional: true}}
+	ctx := &cancelAfterN{Context: context.Background(), after: 1}
+	calls := 0
+	iLoad := func(float64) float64 { calls++; return 0.5 }
+	// 20 µs at 0.2 ns = 100k steps, many strides.
+	if _, err := sim.Run(ctx, iLoad, Constant(1.0), 20e-6, 0.2e-9); err != context.Canceled {
+		t.Fatalf("Run: want context.Canceled, got %v", err)
+	}
+	if ctx.calls != 2 {
+		t.Fatalf("Run polled the context %d times, want 2 (one pass, then the cancellation)", ctx.calls)
+	}
+	// Poll 1 passes at step runCancelStride and poll 2 cancels at step
+	// 2*runCancelStride, before that step samples the load: steps 1 through
+	// 2*runCancelStride-1 ran, plus the iLoad(0) that seeds the pass array.
+	if want := 2 * runCancelStride; calls != want {
+		t.Errorf("load sampled %d times, want %d: the loop ran past its cancellation poll", calls, want)
+	}
+}

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -58,8 +59,9 @@ func (s *LDOSimulator) Validate() error {
 
 // Run simulates the output over [0, T] at step dt under load iLoad(t) and
 // reference vRef(t). Starts at vRef(0) with the pass array set to carry
-// iLoad(0).
-func (s *LDOSimulator) Run(iLoad, vRef Signal, T, dt float64) (*Trace, error) {
+// iLoad(0). ctx is polled every runCancelStride steps, as the SC loop
+// does, so a cancelled case-study cell stops mid-waveform.
+func (s *LDOSimulator) Run(ctx context.Context, iLoad, vRef Signal, T, dt float64) (*Trace, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -86,6 +88,11 @@ func (s *LDOSimulator) Run(iLoad, vRef Signal, T, dt float64) (*Trace, error) {
 	tr.V = append(tr.V, v)
 	nextSample := sample
 	for k := 1; k <= steps; k++ {
+		if k%runCancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		t := float64(k) * dt
 		for nextSample <= t {
 			e := vRef(nextSample) - v

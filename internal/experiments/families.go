@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ivory/internal/dynamic"
@@ -106,7 +107,7 @@ func FamilyTransients() (*FamilyTransientsResult, error) {
 		VIn: 1.8, GPass: 8, Segments: 128, COut: 60e-9, FSample: 200e6,
 		Proportional: true,
 	}}
-	trLDO, err := ldoSim.Run(load, dynamic.Constant(vref), T, 0.5e-9)
+	trLDO, err := ldoSim.Run(context.Background(), load, dynamic.Constant(vref), T, 0.5e-9)
 	if err != nil {
 		return nil, err
 	}

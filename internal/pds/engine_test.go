@@ -246,3 +246,19 @@ func TestSimulateCancellationMidCell(t *testing.T) {
 		t.Fatalf("IVR simulation must stop with context.Canceled, got %v", err)
 	}
 }
+
+// TestSimulateLDOCancellationMidCell: the digital-LDO branch polls its
+// context inside the integration loop, so a cell cancelled after two
+// polls stops at the third instead of running to the end: a check only
+// before and after the run would see two clean polls and succeed.
+func TestSimulateLDOCancellationMidCell(t *testing.T) {
+	s := testSystem(t)
+	bench, _ := workload.Get("CFD")
+	ctx := &cancelAfterCtx{Context: context.Background(), after: 2}
+	if _, err := s.Simulate(ctx, Delivery{LDO: goldenLDO(t, s, 0.15), HeadroomV: 0.15}, bench, 200e-6, 1e-9, SimOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("LDO simulation must stop with context.Canceled, got %v", err)
+	}
+	if ctx.calls != 3 {
+		t.Fatalf("LDO simulation polled the context %d times, want 3 (two passes, then the cancellation)", ctx.calls)
+	}
+}

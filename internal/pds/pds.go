@@ -298,9 +298,8 @@ func (d Delivery) Regulator(iLoad float64) (areaM2, efficiency float64, err erro
 // point's share of the on-chip grid. Both on-chip feeds (the 3.3 V IVR
 // rail and the LDO input rail) are assumed stiff.
 //
-// ctx is polled inside the PDN and SC integration loops, so a cancelled run
-// stops mid-cell; the LDO simulator is not cancellable and is checked before
-// and after its run. Returned Times/VCore are freshly allocated, never
+// ctx is polled inside the PDN, SC and LDO integration loops, so a
+// cancelled run stops mid-cell. Returned Times/VCore are freshly allocated, never
 // aliased to the pooled scratch the simulation ran on.
 func (s *System) Simulate(ctx context.Context, d Delivery, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
 	scr := scratchPool.Get().(*scratch)
@@ -383,14 +382,7 @@ func (s *System) simulate(ctx context.Context, scr *scratch, d Delivery, src wor
 		params.Proportional = true
 		sim := &dynamic.LDOSimulator{P: params}
 		if err := scr.refined(dt, 1/params.FSample, steps, func(dtSim float64) (*dynamic.Trace, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			tr, err := sim.Run(load, vRef, T, dtSim)
-			if err != nil {
-				return nil, err
-			}
-			return tr, ctx.Err()
+			return sim.Run(ctx, load, vRef, T, dtSim)
 		}); err != nil {
 			return nil, err
 		}
