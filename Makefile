@@ -112,8 +112,10 @@ smoke:
 
 # End-to-end cluster smoke: boot two worker replicas and a coordinator,
 # explore through the cluster, assert the body is byte-identical to a
-# single-node run of the same spec, scrape /v1/cluster and the shard
-# metrics, then SIGTERM everything and assert clean drains.
+# single-node run of the same spec and that a repeated spec hits one
+# worker's cache, poll an async job and read a stream through the
+# coordinator, scrape /v1/cluster and the forwarding metrics, then SIGTERM
+# everything and assert clean drains.
 smoke-cluster:
 	./scripts/cluster_smoke.sh
 

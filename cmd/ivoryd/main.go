@@ -9,7 +9,6 @@
 //	       [-cache 128] [-timeout 60s] [-drain-timeout 30s] [-job-history 256]
 //	       [-job-ttl 15m] [-role single|worker|coordinator]
 //	       [-cluster-workers http://w1,http://w2] [-health-interval 2s]
-//	       [-shard-timeout 30s] [-shard-retries 2]
 //
 // Endpoints:
 //
@@ -19,21 +18,21 @@
 //	POST /v1/hybrid     per-domain rail assignment sweep over an SoC
 //	                    floorplan (hybrid power delivery under an area
 //	                    budget; async with "async": true)
-//	POST /v1/shard/explore   internal shard API (cluster workers)
 //	GET  /v1/cluster    cluster role; on a coordinator, worker health and
-//	                    shard latency/retry telemetry
+//	                    forward latency/failover telemetry
 //	GET  /v1/jobs/{id}  poll an async job
 //	GET  /healthz       200 ok | 503 draining
 //	GET  /metrics       Prometheus text exposition
 //
 // Cluster mode: start replicas with -role=worker, then a coordinator with
 // -role=coordinator -cluster-workers=http://w1:7077,http://w2:7077. The
-// coordinator partitions each exploration's enumerated design space into
-// contiguous index ranges, fans them out to the workers, and merges the
-// outcomes deterministically — the ranked result is bit-identical to a
-// single-node run. Lost shards are retried on other replicas; when retries
-// exhaust, the response carries the completed slices with
-// "incomplete": true.
+// coordinator validates each exploration (sync, async or streamed) and
+// forwards it whole to the worker that owns its spec hash in rendezvous
+// order, relaying the worker's answer byte for byte, so repeats of a spec
+// hit that worker's result cache. A transport error, 5xx or 429 fails
+// over to the next worker; when every worker fails the answer is 503 with
+// Retry-After. Async job polls the coordinator does not hold itself are
+// asked of the workers. Transient and hybrid sweeps run on the coordinator.
 //
 // On SIGTERM/SIGINT the daemon stops admission (healthz flips to
 // draining), drains in-flight jobs within -drain-timeout — cancelling
@@ -69,8 +68,6 @@ func main() {
 	role := flag.String("role", "", "cluster role: single (default), worker, or coordinator")
 	clusterWorkers := flag.String("cluster-workers", "", "comma-separated worker base URLs (coordinator mode)")
 	healthInterval := flag.Duration("health-interval", 0, "worker health-check cadence (0 = default: 2s)")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard attempt deadline (0 = default: 30s)")
-	shardRetries := flag.Int("shard-retries", 0, "shard reassignments before returning a partial result (0 = default: 2, negative disables)")
 	flag.Parse()
 
 	switch *role {
@@ -91,12 +88,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ivoryd: -cluster-workers has no usable URLs")
 			os.Exit(2)
 		}
-		cluster = &server.ClusterConfig{
-			Workers:        urls,
-			HealthInterval: *healthInterval,
-			ShardTimeout:   *shardTimeout,
-			MaxRetries:     *shardRetries,
-		}
+		cluster = &server.ClusterConfig{Workers: urls, HealthInterval: *healthInterval}
 	} else if *role == "coordinator" {
 		fmt.Fprintln(os.Stderr, "ivoryd: -role=coordinator requires -cluster-workers")
 		os.Exit(2)

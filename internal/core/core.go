@@ -295,14 +295,14 @@ func Explore(spec Spec) (*Result, error) {
 
 // ExploreWith is Explore with the evaluation step pluggable: every batch of
 // enumerated configurations is handed to eval instead of the in-process
-// pool, so a serving layer can fan the same deterministic work list out to
-// remote replicas (see internal/server's cluster mode). A nil eval selects
-// the local pool — ExploreWith(spec, nil) is exactly Explore(spec).
+// pool, so a caller can time or instrument the same deterministic work
+// list. A nil eval selects the local pool — ExploreWith(spec, nil) is
+// exactly Explore(spec).
 //
 // The merge contract is unchanged: outcomes are merged positionally in
 // enumeration/stage order before any ranking or pruning decision, so the
 // ranked result is bit-identical for any evaluator that returns the same
-// per-ref outcomes — local, clustered, or mixed.
+// per-ref outcomes.
 func ExploreWith(spec Spec, eval Evaluator) (*Result, error) {
 	if err := spec.defaults(); err != nil {
 		return nil, err

@@ -11,18 +11,17 @@ import (
 	"ivory/internal/topology"
 )
 
-// Distributed evaluation plumbing. The design space of a spec is addressed
-// by ConfigRefs — small, serializable coordinates into the canonical
-// enumeration lattices (scCapShares, buckFreqs, ldoSampleFreqs) — so the
-// expensive sizing/evaluation step can run anywhere: on the local worker
-// pool (the classic path), or on remote ivoryd replicas that receive a
-// spec plus a ref range over HTTP and return the outcomes (see
-// internal/server's cluster mode).
+// Evaluation plumbing. The design space of a spec is addressed by
+// ConfigRefs — small coordinates into the canonical enumeration lattices
+// (scCapShares, buckFreqs, ldoSampleFreqs) — so the expensive
+// sizing/evaluation step is a pluggable Evaluator: the local worker pool
+// (the classic path) or any wrapper around EvalRefs, such as a tracing
+// one.
 //
 // Determinism is the contract that makes this safe: enumeration order is a
 // pure function of the normalized spec, every ref evaluates to the same
-// candidates on any machine running the same build, and results are merged
-// positionally — so a clustered run is bit-identical to a single-node one.
+// candidates, and results are merged positionally — so any evaluator that
+// returns the same per-ref outcomes yields a bit-identical ranked result.
 
 // PolBoth marks an SC ref that evaluates both conductance-allocation
 // policies in one unit — the exhaustive sweep's job granularity. The
@@ -44,13 +43,13 @@ const (
 //	KindLDO:  Axis = ldoSampleFreqs index
 //
 // A ref is only meaningful against the normalized spec it was enumerated
-// from; the serving layer guards this with the canonical spec hash.
+// from.
 type ConfigRef struct {
-	Kind Kind `json:"kind"`
-	Topo int  `json:"topo,omitempty"`
-	Cap  int  `json:"cap,omitempty"`
-	Axis int  `json:"axis,omitempty"`
-	Pol  int  `json:"pol,omitempty"`
+	Kind Kind
+	Topo int
+	Cap  int
+	Axis int
+	Pol  int
 }
 
 // RefOutcome is the evaluation outcome of one ConfigRef: the accepted
@@ -249,8 +248,7 @@ func (ec *evalContext) eval(ref ConfigRef, out *shard) {
 }
 
 // localEvaluator runs batches on the in-process worker pool — the classic
-// execution path, now expressed through the same seam cluster dispatch
-// uses. Scheduling is parallel.ForContext's, so outcomes land in per-index
+// execution path, expressed through the Evaluator seam. Scheduling is parallel.ForContext's, so outcomes land in per-index
 // slots and the merge stays bit-identical to serial for any worker count.
 func (ec *evalContext) localEvaluator(workers int) Evaluator {
 	return func(ctx context.Context, refs []ConfigRef, done func(int, *RefOutcome)) ([]RefOutcome, error) {
@@ -266,54 +264,23 @@ func (ec *evalContext) localEvaluator(workers int) Evaluator {
 	}
 }
 
-// RangeResult is the outcome of evaluating one slice of a spec's design
-// space — the shard unit of cluster mode.
+// RangeResult is the outcome of evaluating an explicit ref list.
 type RangeResult struct {
 	// Outcomes aligns positionally with the evaluated refs.
 	Outcomes []RefOutcome
-	// Total is the full canonical enumeration length for the spec. A
-	// coordinator compares it against its own count to detect version skew
-	// before trusting the outcomes.
+	// Total is the full canonical enumeration length for the spec.
 	Total int
 	// PreRejected counts enumeration-time rejections for the whole spec
-	// (not the slice). Coordinators count these exactly once from their
-	// own enumeration; the field is informational on the worker side.
+	// (not the evaluated refs).
 	PreRejected int
-	// Stats carries the slice's evaluation telemetry (per-kind counts,
-	// wall time). Enumeration-time rejections are excluded.
+	// Stats carries the evaluation telemetry (per-kind counts, wall time).
+	// Enumeration-time rejections are excluded.
 	Stats Stats
 }
 
-// ExploreRange evaluates the half-open slice [lo, hi) of the spec's
-// canonical enumeration on the local pool — the entry point an ivoryd
-// worker replica serves. Run control matches Explore: Spec.Context cancels
-// mid-slice and the error is returned with whatever outcomes completed.
-func ExploreRange(spec Spec, lo, hi int) (*RangeResult, error) {
-	if err := spec.defaults(); err != nil {
-		return nil, err
-	}
-	node, err := tech.Lookup(spec.NodeName)
-	if err != nil {
-		return nil, err
-	}
-	ec := newEvalContext(spec, node)
-	refs, pre := ec.enumerate()
-	if lo < 0 || hi < lo || hi > len(refs) {
-		return nil, fmt.Errorf("core: range [%d,%d) out of bounds for %d enumerated configurations", lo, hi, len(refs))
-	}
-	rr, err := evalRefsLocal(spec, ec, refs[lo:hi])
-	rr.Total = len(refs)
-	for _, n := range pre {
-		rr.PreRejected += n
-	}
-	return rr, err
-}
-
-// EvalRefs evaluates an explicit ref list on the local pool — the entry
-// point a worker serves for adaptive-search stage dispatch, where the ref
-// set is decided by the coordinator's branch-and-bound state rather than a
-// contiguous range. Refs are validated against the spec before any
-// evaluation runs.
+// EvalRefs evaluates an explicit ref list on the local pool, the batches
+// an Evaluator passed to ExploreWith receives. Refs are validated against
+// the spec before any evaluation runs.
 func EvalRefs(spec Spec, refs []ConfigRef) (*RangeResult, error) {
 	if err := spec.defaults(); err != nil {
 		return nil, err

@@ -142,7 +142,7 @@ func (w *winnerBoard) canBeat(obj Objective, floor, bound float64) bool {
 // merges the outcomes in ref order into the result, and feeds the winner
 // board. Pruning decisions made after runStage returns therefore depend
 // only on the stage's ref list, never on scheduling — and the evaluator
-// may be the local pool or a cluster dispatch, indistinguishably.
+// may be the local pool or any wrapper around EvalRefs, indistinguishably.
 func runStage(spec Spec, tr *tracker, res *Result, win *winnerBoard, eval Evaluator, refs []ConfigRef) ([]RefOutcome, error) {
 	if len(refs) == 0 {
 		return nil, nil

@@ -21,7 +21,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/explore/stream", compute(s, streamRoute, s.streamJob))
 	mux.HandleFunc("POST /v1/transient", compute(s, transientRoute, s.transientJob))
 	mux.HandleFunc("POST /v1/hybrid", compute(s, hybridRoute, s.hybridJob))
-	mux.HandleFunc("POST /v1/shard/explore", compute(s, shardRoute, s.shardJob))
 	mux.HandleFunc("GET /v1/cluster", s.instrument("cluster", s.handleCluster))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJob))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
@@ -91,7 +90,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 // exploreJob normalizes an exploration; hook, when non-nil, attaches
 // per-request telemetry callbacks to the run (streams).
 func (s *Server) exploreJob(req *ExploreRequest, hook func(*core.Spec)) (*job, error) {
-	norm, err := normalizeSpec(req.Spec, 0)
+	norm, err := normalizeSpec(req.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -102,8 +101,8 @@ func (s *Server) exploreJob(req *ExploreRequest, hook func(*core.Spec)) (*job, e
 			hook(&sp)
 		}
 		res, err := s.explore(sp)
-		// A ranked partial (deadline, drain, lost shards) ships with its error.
-		interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrIncomplete)
+		// A ranked partial (deadline, drain) ships with its error.
+		interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 		if err != nil && !(interrupted && res != nil && len(res.Candidates) > 0) {
 			return nil, err
 		}
@@ -166,8 +165,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// 404 covers three cases with one answer: an id that never existed, a
 	// finished record past the retention TTL, and a record evicted
 	// finished-first under the JobHistory cap. Clients must treat job ids
-	// as expiring handles, not durable names.
+	// as expiring handles, not durable names. A coordinator holds only its
+	// own transient and hybrid records; its workers hold the explorations.
 	rec, ok := s.jobs.get(r.PathValue("id"))
+	if !ok && s.cluster != nil && s.relayJob(w, r) {
+		return
+	}
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "no such job (records expire after the retention TTL and are evicted under the history cap)")
 		return
@@ -193,7 +196,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCluster reports the replica's cluster role and, on a coordinator,
-// per-worker health, shard latency quantiles, and retry counters.
+// per-worker health, forward latency quantiles, and failover counters.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	resp := ClusterResponse{Role: s.cfg.Role}
 	if s.cluster != nil {

@@ -103,7 +103,7 @@ var fuzzRoutes = []struct {
 			if err != nil {
 				return nil, "", err
 			}
-			norm, err := normalizeSpec(r.Spec, 0)
+			norm, err := normalizeSpec(r.Spec)
 			return norm, j.key, err
 		},
 	},
@@ -120,7 +120,7 @@ var fuzzRoutes = []struct {
 			if err != nil {
 				return nil, "", err
 			}
-			norm, err := normalizeSpec(r.Spec, 0)
+			norm, err := normalizeSpec(r.Spec)
 			return norm, j.key, err
 		},
 	},
@@ -177,32 +177,6 @@ var fuzzRoutes = []struct {
 			}
 			norm, err := r.ToSpec()
 			return norm, j.key, err
-		},
-	},
-	{
-		"/v1/shard/explore",
-		func(cls, sp *byteSource) any {
-			r := &ShardRequest{Spec: drawSpec(cls, sp)}
-			r.Lo = cls.pick(3)
-			r.Hi = r.Lo + 1 + cls.pick(2)
-			if sp.pick(2) == 1 {
-				r.AreaM2 = r.Spec.AreaMM2 * 1e-6
-			}
-			_, r.TimeoutMS, _ = drawView(sp)
-			return r
-		},
-		func(s *Server, req any) (any, string, error) {
-			r := req.(*ShardRequest)
-			j, err := s.shardJob(r)
-			if err != nil {
-				return nil, "", err
-			}
-			spec, err := normalizeSpec(r.Spec, r.AreaM2)
-			return struct {
-				spec   core.Spec
-				lo, hi int
-				refs   []core.ConfigRef
-			}{spec, r.Lo, r.Hi, r.Refs}, j.key, err
 		},
 	},
 }
@@ -263,7 +237,7 @@ func FuzzRequestIdentity(f *testing.F) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 					t.Fatalf("%s: 400 without an error body: %q", rt.path, rec.Body.Bytes())
 				}
-			case c < 300, c == http.StatusConflict, c == http.StatusUnprocessableEntity, c == http.StatusTooManyRequests:
+			case c < 300, c == http.StatusUnprocessableEntity, c == http.StatusTooManyRequests:
 			default:
 				t.Fatalf("%s %q: status %d: %s", rt.path, in, c, rec.Body.Bytes())
 			}

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -22,6 +24,8 @@ import (
 // out — the exact engine input the compute runs, the key hashed from that
 // input alone, and the request's view of the shared result. Requests that
 // normalize to one engine input share one key, one flight, one cached body.
+// On a coordinator, explorations stop after hash: the original body goes
+// whole to the worker that owns the key (cluster.go).
 
 // route is one compute endpoint's static profile.
 type route struct {
@@ -31,17 +35,17 @@ type route struct {
 	// failStatus answers an engine error of no known class: 500 where the
 	// request was fully validated before admission, 400 where the engine
 	// validates its own inputs. deadlineStatus answers a deadline with no
-	// partial result; an interrupted shard is a 503 either way, so the
-	// coordinator reassigns the slice.
+	// partial result.
 	failStatus, deadlineStatus int
+	// routed requests are forwarded whole to a worker on a coordinator.
+	routed bool
 }
 
 var (
-	exploreRoute   = &route{"explore", "exploration", true, http.StatusInternalServerError, http.StatusGatewayTimeout}
-	streamRoute    = &route{"explore_stream", "exploration", true, http.StatusInternalServerError, http.StatusGatewayTimeout}
-	transientRoute = &route{"transient", "transient sweep", true, http.StatusBadRequest, http.StatusGatewayTimeout}
-	hybridRoute    = &route{"hybrid", "hybrid sweep", true, http.StatusBadRequest, http.StatusGatewayTimeout}
-	shardRoute     = &route{"shard", "shard evaluation", false, http.StatusBadRequest, http.StatusServiceUnavailable}
+	exploreRoute   = &route{"explore", "exploration", true, http.StatusInternalServerError, http.StatusGatewayTimeout, true}
+	streamRoute    = &route{"explore_stream", "exploration", true, http.StatusInternalServerError, http.StatusGatewayTimeout, true}
+	transientRoute = &route{"transient", "transient sweep", true, http.StatusBadRequest, http.StatusGatewayTimeout, false}
+	hybridRoute    = &route{"hybrid", "hybrid sweep", true, http.StatusBadRequest, http.StatusGatewayTimeout, false}
 )
 
 // failure maps a pipeline error to its status and message; fallback
@@ -53,8 +57,6 @@ func (rt *route) failure(err error, fallback int) (int, string) {
 		return http.StatusTooManyRequests, "job queue full; retry shortly"
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable, "server draining"
-	case errors.Is(err, errShardSkew):
-		return http.StatusConflict, err.Error()
 	case errors.As(err, &inf):
 		// The space was swept and nothing fits the budget: a valid question
 		// with an unwelcome answer, not a server fault.
@@ -85,11 +87,18 @@ type job struct {
 }
 
 // compute builds a compute route's handler: decode the body strictly
-// into a fresh Req, normalize it into a job, serve the job.
+// into a fresh Req, normalize it into a job, then serve the job — or, for
+// a routed request on a coordinator, forward the body to its worker, so
+// bad input still gets its 400 here at the edge.
 func compute[Req any](s *Server, rt *route, normalize func(*Req) (*job, error)) http.HandlerFunc {
 	return s.instrument(rt.name, func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+			return
+		}
 		var req Req
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec := json.NewDecoder(bytes.NewReader(body))
 		// Unknown fields are a 400, keeping the DTO schema load-bearing
 		// instead of advisory.
 		dec.DisallowUnknownFields()
@@ -100,6 +109,10 @@ func compute[Req any](s *Server, rt *route, normalize func(*Req) (*job, error)) 
 		j, err := normalize(&req)
 		if err != nil {
 			s.fail(w, rt, err, http.StatusBadRequest)
+			return
+		}
+		if rt.routed && s.cluster != nil {
+			s.forward(w, r, rt, j.key, body)
 			return
 		}
 		s.serve(w, r, rt, j)
@@ -161,8 +174,8 @@ wait:
 	if j.view != nil {
 		val = j.view(val)
 	}
-	// val with a cancel-shaped err is a ranked partial (deadline, drain,
-	// lost shards): a 200 with cancelled=true and the error inline.
+	// val with a cancel-shaped err is a ranked partial (deadline, drain):
+	// a 200 with cancelled=true and the error inline.
 	if emit != nil {
 		emit(jsonEvent("result", val))
 		return

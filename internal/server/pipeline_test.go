@@ -13,7 +13,6 @@ import (
 
 	"ivory/internal/core"
 	"ivory/internal/experiments"
-	"ivory/internal/numeric"
 )
 
 // echoTransient stubs the transient engine with one cell per benchmark ×
@@ -73,28 +72,6 @@ func TestTransientCanonicalIdentity(t *testing.T) {
 	}
 	if dup.RequestHash != post(`{"benchmarks":["CFD"],"configs":[2,1]}`).RequestHash {
 		t.Error("repeats changed the request hash")
-	}
-}
-
-// TestShardRequestsSkipResultCache: shard fragments are never cached, so
-// the pipeline does not look them up either — shard traffic leaves the
-// worker's cache counters untouched.
-func TestShardRequestsSkipResultCache(t *testing.T) {
-	_, ts := newWorkerServer(t)
-	const n = 3
-	for i := 0; i < n; i++ {
-		body := `{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2},"lo":0,"hi":` + strconv.Itoa(2+i) + `}`
-		if resp, b := postJSON(t, ts.URL+"/v1/shard/explore", body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("shard %d: %d %s", i, resp.StatusCode, b)
-		}
-	}
-	_, mb := getJSON(t, ts.URL+"/metrics")
-	m := parseExposition(string(mb))
-	if got := m["ivoryd_result_cache_misses_total"] + m["ivoryd_result_cache_hits_total"]; !numeric.ApproxEqual(got, 0, 0) {
-		t.Errorf("%d shard requests made %g result-cache lookups, want 0", n, got)
-	}
-	if got := m[`ivoryd_jobs_submitted_total{endpoint="shard"}`]; !numeric.ApproxEqual(got, n, 0) {
-		t.Errorf("shard jobs submitted = %g, want %d", got, n)
 	}
 }
 

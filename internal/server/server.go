@@ -45,14 +45,16 @@ type Config struct {
 	// disables TTL expiry (the JobHistory cap still applies).
 	JobTTL time.Duration
 	// Role names this replica's cluster role for /v1/cluster: "single"
-	// (default), "worker" (serves the shard API for a coordinator), or
+	// (default), "worker" (serves explorations a coordinator forwards), or
 	// "coordinator" (implied by a non-nil Cluster). Every role serves the
 	// full route table; the role is reporting, the wiring is Cluster.
 	Role string
 	// Cluster, when non-nil with at least one worker URL, turns this
-	// replica into a coordinator: explorations fan their evaluation batches
-	// out to the worker replicas over the shard API instead of the local
-	// pool, with bit-identical ranked results (see cluster.go).
+	// replica into a coordinator: each exploration, sync, async or
+	// streamed, is forwarded whole to the worker that owns its spec hash
+	// and the worker's answer relayed byte for byte (see cluster.go).
+	// Transient and hybrid sweeps still run on the coordinator's own pool
+	// and result cache.
 	Cluster *ClusterConfig
 }
 
@@ -123,9 +125,8 @@ type Server struct {
 	httpMu  sync.Mutex
 	httpSrv *http.Server
 
-	// cluster is non-nil on a coordinator; its evaluator replaces the
-	// engine's local pool while everything upstream (cache, singleflight,
-	// queue) stays identical.
+	// cluster is non-nil on a coordinator; it routes explorations to the
+	// workers instead of admitting them here.
 	cluster *Cluster
 
 	// Engine seams: production wiring in New, overridden in tests to pin
@@ -157,7 +158,6 @@ func New(cfg Config) *Server {
 	})
 	if cfg.Cluster != nil && len(cfg.Cluster.Workers) > 0 {
 		s.cluster = newCluster(*cfg.Cluster, s.metrics)
-		s.explore = s.clusterExplore
 		s.cluster.start()
 	}
 	return s
@@ -307,8 +307,8 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if s.cluster != nil {
-		// Health loops stop immediately; in-flight shard dispatches drain
-		// with their parent jobs below.
+		// Health loops stop immediately; in-flight forwarded requests
+		// drain with the jobs below.
 		s.cluster.stop()
 	}
 	drained := make(chan struct{})

@@ -2,8 +2,10 @@
 # End-to-end cluster smoke test: build ivoryd, boot two worker replicas and
 # a coordinator wired to them, explore through the cluster, assert the
 # response body is byte-identical to a single-node run of the same spec
-# (modulo volatile timing stats), scrape /v1/cluster and the shard metrics,
-# then SIGTERM all three daemons and assert clean drains.
+# (modulo volatile timing stats), assert a repeated spec is a result-cache
+# hit on exactly one worker, submit an async exploration and poll it to done
+# through the coordinator, stream one, scrape /v1/cluster and the forwarding
+# metrics, then SIGTERM all three daemons and assert clean drains.
 #
 # Used by `make smoke-cluster` and the CI cluster-smoke job. Needs bash,
 # curl, jq and the go toolchain.
@@ -63,8 +65,7 @@ cpid=$pid coord="http://$addr"
 echo "   coordinator on $coord"
 
 # Two areas: 2 mm² survives the mm²→m² float64 unit conversion exactly;
-# 0.8 mm² drifts 1 ULP, so it only works if the shard wire carries the
-# coordinator's engine-precision area (ShardRequest.area_m2).
+# 0.8 mm² drifts 1 ULP.
 for area in 2 0.8; do
     spec='{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":'$area'},"top":-1}'
 
@@ -94,6 +95,55 @@ for area in 2 0.8; do
     fi
 done
 
+# cache_hits <url>: the worker's ivoryd_result_cache_hits_total.
+cache_hits() {
+    curl -fsS "$1/metrics" | awk '$1 == "ivoryd_result_cache_hits_total" { print $2 }'
+}
+
+echo "== repeated spec hits one worker's cache"
+spec='{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":3}}'
+h1=$(cache_hits "$w1") h2=$(cache_hits "$w2")
+for _ in 1 2; do
+    curl -fsS -X POST "$coord/v1/explore" -H 'Content-Type: application/json' \
+        -d "$spec" >/dev/null
+done
+d1=$(($(cache_hits "$w1") - h1)) d2=$(($(cache_hits "$w2") - h2))
+case "$d1,$d2" in
+1,0 | 0,1) ;;
+*)
+    echo "repeated spec: cache hits rose by $d1 on $w1 and $d2 on $w2, want 1 on exactly one" >&2
+    exit 1
+    ;;
+esac
+
+echo "== async submit and poll through the coordinator"
+job=$(curl -fsS -X POST "$coord/v1/explore" -H 'Content-Type: application/json' \
+    -d '{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":4},"async":true}' | jq -r .id)
+status=""
+for _ in $(seq 1 300); do
+    curl -fsS "$coord/v1/jobs/$job" >"$workdir/job.json"
+    status=$(jq -r .status "$workdir/job.json")
+    [ "$status" = running ] || break
+    sleep 0.1
+done
+jq -e '.status == "done" and (.result.candidates | length) > 0' "$workdir/job.json" >/dev/null || {
+    echo "async job $job did not finish through the coordinator (status $status):" >&2
+    head -c 400 "$workdir/job.json" >&2
+    exit 1
+}
+
+echo "== stream through the coordinator"
+curl -fsSN -X POST "$coord/v1/explore/stream" -H 'Content-Type: application/json' \
+    -d '{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":5}}' >"$workdir/stream.txt"
+events=$(sed -n 's/^event: //p' "$workdir/stream.txt")
+# One result, last: every progress event came before it.
+if ! echo "$events" | grep -q '^progress$' || [ "$(echo "$events" | tail -n 1)" != result ] ||
+    [ "$(echo "$events" | grep -c '^result$')" -ne 1 ]; then
+    echo "stream did not deliver progress, then one terminal result:" >&2
+    echo "$events" | uniq -c >&2
+    exit 1
+fi
+
 echo "== probe /v1/cluster"
 curl -fsS "$coord/v1/cluster" >"$workdir/cluster_status.json"
 jq -e '.role == "coordinator" and (.workers | length) == 2 and
@@ -109,7 +159,7 @@ curl -fsS "$w1/v1/cluster" | jq -e '.role == "worker"' >/dev/null
 echo "== probe coordinator /metrics"
 metrics=$(curl -fsS "$coord/metrics")
 echo "$metrics" | grep -q 'ivoryd_shards_dispatched_total{worker="' || {
-    echo "no shard dispatch counters in the exposition" >&2
+    echo "no forward counters in the exposition" >&2
     exit 1
 }
 echo "$metrics" | grep -q 'ivoryd_worker_healthy{worker="' || {
