@@ -12,14 +12,15 @@ import (
 	"ivory/internal/server"
 )
 
-// Cluster-mode throughput harness: the same full exhaustive sweep pushed
-// through one worker replica directly versus a coordinator fanning it out
-// to two replicas. Each replica is pinned to one pool slot and one engine
-// worker, so the pair represents exactly 2x the compute of the single-node
-// baseline and the expected speedup on a machine with >=2 cores is ~2x
-// (shard HTTP overhead is a few ms against a tens-of-ms sweep). On a
-// single-core host the replicas time-share and the ratio collapses to ~1x
-// — compare the two rows on the hardware the fleet actually runs on.
+// Cluster-mode overhead harness: the same full exhaustive sweep sent
+// serially, uncached, to one worker replica directly versus through a
+// coordinator over two replicas. The coordinator forwards each
+// exploration whole to the worker that owns its spec hash and relays the
+// answer, so one serial stream of one spec runs on one worker either way
+// and the cluster row is the single-node row plus one relay hop (a few
+// hundred µs for the ~2 KB top-1 body). A coordinator adds throughput
+// only when concurrent requests for different specs spread over the
+// workers; this pair pins the hop's cost, not that gain.
 const clusterBenchBody = `{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2},"top":1}`
 
 // bootBenchWorker starts one single-slot worker replica with caching off,
