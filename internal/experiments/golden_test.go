@@ -59,3 +59,81 @@ func TestFig13GoldenDigest(t *testing.T) {
 		t.Errorf("fig13 digest %s, want %s: a noise cell, waveform, breakdown term or headline changed", got, goldenFig13Digest)
 	}
 }
+
+// goldenValidationDigest is the SHA-256 of the TestValidationFiguresGolden
+// record: Fig 4's settled voltages per row, every Fig 7 and Fig 8 point, and
+// Fig 9's cycle-by-cycle series and error. Those outputs come from time
+// stepping alone, so any change to how the runners schedule their
+// simulations must leave them bit-identical.
+const goldenValidationDigest = "8f523f5a1efa3df9d3f94afbf6c1bf8ef1546aa224ea9e950d01fd8e4648ad7c"
+
+// goldenFig6Ratios and goldenFig9InCycleRippleSim are spectrum-derived: a
+// change to the transform may move them by rounding, so they are held to
+// spectralTol relative rather than to the digest.
+var goldenFig6Ratios = []float64{0.15428691941948292, 1.1033364054399022, 0.88634442376934508}
+
+const (
+	goldenFig9InCycleRippleSim = 0.00069427368210204046
+	spectralTol                = 1e-9
+)
+
+func TestValidationFiguresGolden(t *testing.T) {
+	f4, err := Fig4(1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f6, err := Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f7, err := Fig7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f8, err := Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f9, err := Fig9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b []byte
+	for _, r := range f4.Rows {
+		b = appendBits(append(b, "\nfig4"...), r.FSw, r.VSpice, r.VModel)
+	}
+	for _, c := range f7.Cases {
+		b = appendBits(fmt.Appendf(b, "\nfig7 %s", c.Name), c.MaxErr)
+		for _, p := range c.Points {
+			b = appendBits(b, p.VOutTarget, p.EffModel, p.EffModelCond, p.EffSim, p.Err)
+		}
+	}
+	for _, c := range f8.Cases {
+		b = appendBits(fmt.Appendf(b, "\nfig8 %s", c.Name), c.MaxErr)
+		for _, p := range c.Points {
+			b = appendBits(b, p.ILoad, p.VOutTarget, p.EffModel, p.EffModelCond, p.EffSim, p.VSim, p.Err)
+		}
+	}
+	b = appendBits(append(b, "\nfig9 t"...), f9.CycleTimes...)
+	b = appendBits(append(b, "\nfig9 model"...), f9.CycleModel...)
+	b = appendBits(append(b, "\nfig9 sim"...), f9.CycleSim...)
+	b = appendBits(append(b, "\nfig9 err"...), f9.CycleRMSE, f9.CycleMaxErr, f9.InCycleRippleModel)
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != goldenValidationDigest {
+		t.Errorf("validation digest %s, want %s: a Fig 4/7/8/9 simulation output changed", got, goldenValidationDigest)
+	}
+
+	within := func(name string, got, want float64) {
+		t.Helper()
+		if !(math.Abs(got-want) <= spectralTol*math.Abs(want)) {
+			t.Errorf("%s = %.17g, golden %.17g", name, got, want)
+		}
+	}
+	if len(f6.Tones) != len(goldenFig6Ratios) {
+		t.Fatalf("fig6: %d tones, %d goldens", len(f6.Tones), len(goldenFig6Ratios))
+	}
+	for i, tone := range f6.Tones {
+		within(fmt.Sprintf("fig6 ratio at %.0f MHz", tone.Freq/1e6), tone.Ratio, goldenFig6Ratios[i])
+	}
+	within("fig9 in-cycle ripple (sim)", f9.InCycleRippleSim, goldenFig9InCycleRippleSim)
+}
