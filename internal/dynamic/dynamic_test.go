@@ -339,9 +339,9 @@ func TestSignalsAndTrace(t *testing.T) {
 	if math.Abs(tr.PeakToPeak()-0.2) > 1e-12 {
 		t.Error("PeakToPeak wrong")
 	}
-	f, a := tr.Spectrum()
-	if len(f) == 0 || len(a) != len(f) {
-		t.Error("Spectrum shape wrong")
+	f, a, _, err := numeric.AmplitudeSpectra(tr.V, nil, tr.Times[1]-tr.Times[0])
+	if err != nil || len(f) == 0 || len(a) != len(f) {
+		t.Errorf("spectrum shape wrong: %d freqs, %d amps, %v", len(f), len(a), err)
 	}
 }
 

@@ -118,22 +118,6 @@ func (tr *Trace) Stats() numeric.Summary { return numeric.Summarize(tr.V) }
 // PeakToPeak returns the voltage-noise range max(V)-min(V).
 func (tr *Trace) PeakToPeak() float64 { return numeric.PeakToPeak(tr.V) }
 
-// Spectrum returns the single-sided amplitude spectrum of the waveform
-// (with the mean removed), for regulation-effect analysis à la Fig. 6.
-func (tr *Trace) Spectrum() (freq, amp []float64) {
-	n := len(tr.V)
-	if n < 2 {
-		return nil, nil
-	}
-	dt := tr.Times[1] - tr.Times[0]
-	mean := numeric.Mean(tr.V)
-	x := make([]float64, n)
-	for i, v := range tr.V {
-		x[i] = v - mean
-	}
-	return numeric.RealFFTMagnitude(x, dt)
-}
-
 func validateRun(T, dt float64) error {
 	if dt <= 0 || T <= 0 || T < dt {
 		return fmt.Errorf("dynamic: need 0 < dt <= T (dt=%g, T=%g)", dt, T)

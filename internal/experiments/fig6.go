@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ivory/internal/dynamic"
+	"ivory/internal/numeric"
 )
 
 // Fig6Tone compares the converter and a bare capacitor at one noise tone.
@@ -61,19 +62,21 @@ func Fig6() (*Fig6Result, error) {
 
 	// Bare capacitor of the same size: the DC load is served by an ideal
 	// source, noise rides on the capacitor alone.
-	bare := &dynamic.Trace{Times: make([]float64, len(tr.Times)), V: make([]float64, len(tr.V))}
+	bare := make([]float64, len(tr.V))
 	v := 0.95
-	bare.Times[0], bare.V[0] = 0, v
+	bare[0] = v
 	for k := 1; k < len(tr.Times); k++ {
-		t := tr.Times[k]
-		v -= (load(t) - base) * dt / cfly
-		bare.Times[k] = t
-		bare.V[k] = v
+		v -= (load(tr.Times[k]) - base) * dt / cfly
+		bare[k] = v
 	}
 
-	fc, ac := tr.Spectrum()
-	fb, ab := bare.Spectrum()
-	ampNear := func(freqs, amp []float64, f0 float64) float64 {
+	// Both waveforms share the sample grid, so one transform gives both
+	// spectra.
+	freqs, ac, ab, err := numeric.AmplitudeSpectra(tr.V, bare, dt)
+	if err != nil {
+		return nil, err
+	}
+	ampNear := func(amp []float64, f0 float64) float64 {
 		best := 0.0
 		for i, f := range freqs {
 			if math.Abs(f-f0) < 0.5e6 && amp[i] > best {
@@ -85,8 +88,8 @@ func Fig6() (*Fig6Result, error) {
 	res := &Fig6Result{FSw: fsw, CFly: cfly}
 	model := dynamic.FreqModel{FSw: fsw, COut: cfly, GLoop: params.CEq * fsw}
 	for _, f0 := range tones {
-		conv := ampNear(fc, ac, f0)
-		bareA := ampNear(fb, ab, f0)
+		conv := ampNear(ac, f0)
+		bareA := ampNear(ab, f0)
 		ratio := math.Inf(1)
 		if bareA > 0 {
 			ratio = conv / bareA

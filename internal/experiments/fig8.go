@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"ivory/internal/buck"
+	"ivory/internal/parallel"
 	"ivory/internal/spice"
 	"ivory/internal/tech"
 )
@@ -37,85 +39,117 @@ type Fig8Result struct {
 	Cases []Fig8Case
 }
 
-// Fig8 runs both validation cases.
+// fig8Config is one buck validation case and the loads it is run at.
+type fig8Config struct {
+	name, node        string
+	vin, vout, l, fsw float64
+	phases            int
+	loads             []float64
+}
+
+var fig8Configs = []fig8Config{
+	// 2.5-D interposer-class converter at 45 nm, 1/3/4 A.
+	{"2.5D buck @45nm", "45nm", 1.8, 0.9, 5e-9, 100e6, 2, []float64{1, 3, 4}},
+	// Simulated design, 1/2 A.
+	{"buck @22nm", "22nm", 1.5, 0.8, 4e-9, 150e6, 1, []float64{1, 2}},
+}
+
+// Fig8 runs both validation cases. Their (case, load) points are
+// independent simulations, so they run concurrently and are put back in
+// sweep order.
 func Fig8() (*Fig8Result, error) {
+	type job struct {
+		c     *fig8Config
+		iLoad float64
+	}
+	var jobs []job
+	for i := range fig8Configs {
+		for _, iLoad := range fig8Configs[i].loads {
+			jobs = append(jobs, job{&fig8Configs[i], iLoad})
+		}
+	}
+	pts := make([]*Fig8Point, len(jobs))
+	if err := parallel.ForContext(context.Background(), len(jobs), 0, func(_ context.Context, j int) error {
+		var err error
+		pts[j], err = fig8Point(jobs[j].c, jobs[j].iLoad)
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	res := &Fig8Result{}
-	run := func(name, node string, vin, vout, l, fsw float64, phases int, loads []float64) error {
-		c := Fig8Case{Name: name}
-		for _, iLoad := range loads {
-			cfg := buck.Config{
-				Node:     tech.MustLookup(node),
-				Inductor: tech.IntegratedThinFilm,
-				OutCap:   tech.DeepTrench,
-				VIn:      vin, VOut: vout,
-				L: l, COut: 200e-9, FSw: fsw,
-				GHigh: 5, GLow: 8, Interleave: phases,
-			}
-			bd, err := buck.New(cfg)
-			if err != nil {
-				return err
-			}
-			bd, err = bd.OptimizeConductances(iLoad)
-			if err != nil {
-				return err
-			}
-			m, err := bd.Evaluate(iLoad)
-			if err != nil {
-				continue // outside the feasible load range
-			}
-			// Switch-level testbench of a single phase carrying its share.
-			bcfg := bd.Config()
-			iPh := iLoad / float64(phases)
-			duty := bd.Duty(iLoad)
-			ind, err := tech.MustLookup(node).Inductor(tech.IntegratedThinFilm)
-			if err != nil {
-				return err
-			}
-			ckt, err := spice.BuildBuck(spice.BuckOptions{
-				VIn: vin, Duty: duty, FSw: fsw,
-				L: ind.LEff(bcfg.L, fsw), RL: ind.Resistance(bcfg.L, fsw),
-				COut:  bcfg.COut / float64(phases),
-				RHigh: 1 / bcfg.GHigh, RLow: 1 / bcfg.GLow,
-				ILoad: iPh,
-			})
-			if err != nil {
-				return err
-			}
-			pin, pout, effSim, err := spice.MeasureEfficiency(ckt, fsw, 120, 48, spice.DC(iPh))
-			if err != nil {
-				return err
-			}
-			_ = pin
-			// Conduction-only analytic efficiency: output power over output
-			// power plus conduction + magnetic losses.
-			pc := m.Loss.Conduction + m.Loss.Magnetic
-			effCond := m.POut / (m.POut + pc)
-			pt := Fig8Point{
-				ILoad: iLoad, VOutTarget: vout,
-				EffModel: m.Efficiency, EffModelCond: effCond,
-				EffSim: effSim, VSim: pout / iPh,
-				Err: math.Abs(effCond - effSim),
+	for _, cfg := range fig8Configs {
+		c := Fig8Case{Name: cfg.name}
+		for _, pt := range pts[:len(cfg.loads)] {
+			if pt == nil {
+				continue
 			}
 			if pt.Err > c.MaxErr {
 				c.MaxErr = pt.Err
 			}
-			c.Points = append(c.Points, pt)
+			c.Points = append(c.Points, *pt)
 		}
+		pts = pts[len(cfg.loads):]
 		if len(c.Points) == 0 {
-			return fmt.Errorf("experiments: fig8 case %s produced no points", name)
+			return nil, fmt.Errorf("experiments: fig8 case %s produced no points", cfg.name)
 		}
 		res.Cases = append(res.Cases, c)
-		return nil
-	}
-	// 2.5-D interposer-class converter at 45 nm, 1/3/4 A.
-	if err := run("2.5D buck @45nm", "45nm", 1.8, 0.9, 5e-9, 100e6, 2, []float64{1, 3, 4}); err != nil {
-		return nil, err
-	}
-	// Simulated design, 1/2 A.
-	if err := run("buck @22nm", "22nm", 1.5, 0.8, 4e-9, 150e6, 1, []float64{1, 2}); err != nil {
-		return nil, err
 	}
 	return res, nil
+}
+
+// fig8Point validates case c at load iLoad. It returns nil, nil outside
+// the feasible load range.
+func fig8Point(c *fig8Config, iLoad float64) (*Fig8Point, error) {
+	bd, err := buck.New(buck.Config{
+		Node:     tech.MustLookup(c.node),
+		Inductor: tech.IntegratedThinFilm,
+		OutCap:   tech.DeepTrench,
+		VIn:      c.vin, VOut: c.vout,
+		L: c.l, COut: 200e-9, FSw: c.fsw,
+		GHigh: 5, GLow: 8, Interleave: c.phases,
+	})
+	if err != nil {
+		return nil, err
+	}
+	bd, err = bd.OptimizeConductances(iLoad)
+	if err != nil {
+		return nil, err
+	}
+	m, err := bd.Evaluate(iLoad)
+	if err != nil {
+		return nil, nil
+	}
+	// Switch-level testbench of a single phase carrying its share.
+	bcfg := bd.Config()
+	iPh := iLoad / float64(c.phases)
+	ind, err := tech.MustLookup(c.node).Inductor(tech.IntegratedThinFilm)
+	if err != nil {
+		return nil, err
+	}
+	ckt, err := spice.BuildBuck(spice.BuckOptions{
+		VIn: c.vin, Duty: bd.Duty(iLoad), FSw: c.fsw,
+		L: ind.LEff(bcfg.L, c.fsw), RL: ind.Resistance(bcfg.L, c.fsw),
+		COut:  bcfg.COut / float64(c.phases),
+		RHigh: 1 / bcfg.GHigh, RLow: 1 / bcfg.GLow,
+		ILoad: iPh,
+	})
+	if err != nil {
+		return nil, err
+	}
+	_, pout, effSim, err := spice.MeasureEfficiency(ckt, c.fsw, 120, 48, spice.DC(iPh))
+	if err != nil {
+		return nil, err
+	}
+	// Conduction-only analytic efficiency: output power over output power
+	// plus conduction + magnetic losses.
+	pc := m.Loss.Conduction + m.Loss.Magnetic
+	effCond := m.POut / (m.POut + pc)
+	return &Fig8Point{
+		ILoad: iLoad, VOutTarget: c.vout,
+		EffModel: m.Efficiency, EffModelCond: effCond,
+		EffSim: effSim, VSim: pout / iPh,
+		Err: math.Abs(effCond - effSim),
+	}, nil
 }
 
 // Format renders the validation table.
