@@ -143,6 +143,51 @@ func TestSwitchToggling(t *testing.T) {
 	}
 }
 
+func TestSaveRecordsOnlyNamedWaveforms(t *testing.T) {
+	build := func() *Circuit {
+		c := NewCircuit()
+		c.V("v1", "a", "0", DC(1))
+		c.SW("s1", "a", "b", 1, DutyClock(1e6, 0.3, false))
+		c.SW("s2", "b", "0", 1, DutyClock(1e6, 0.3, true))
+		c.R("r1", "b", "c", 100)
+		c.C("c1", "c", "0", 1e-6, 0.3)
+		return c
+	}
+	full, err := build().Tran(1e-8, 2e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := build()
+	c.Save("c", "v1")
+	res, err := c.Tran(1e-8, 2e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.V) != 1 || len(res.SourceI) != 1 {
+		t.Fatalf("saved %d node and %d source waveforms, want 1 and 1", len(res.V), len(res.SourceI))
+	}
+	same := func(name string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d samples, want %d", name, len(got), len(want))
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s differs from the full recording at sample %d: %v vs %v", name, k, got[k], want[k])
+			}
+		}
+	}
+	same("times", res.Times, full.Times)
+	same("v(c)", res.V["c"], full.V["c"])
+	same("i(v1)", res.SourceI["v1"], full.SourceI["v1"])
+
+	c = build()
+	c.Save("c", "nope")
+	if _, err := c.Tran(1e-8, 2e-5); err == nil || !strings.Contains(err.Error(), "neither a node nor a voltage source") {
+		t.Errorf("Save of an unknown name: err = %v", err)
+	}
+}
+
 func TestPWLAndPulseWaveforms(t *testing.T) {
 	p := PWL([]float64{0, 1, 2}, []float64{0, 10, 0})
 	if !numeric.ApproxEqual(p(0.5), 5, 0) || !numeric.ApproxEqual(p(1.5), 5, 0) || !numeric.ApproxEqual(p(3), 0, 0) {
