@@ -84,7 +84,10 @@ bench-full:
 # CPU + heap profile capture over the simulation kernels: the circuit-level
 # Transient benchmarks and the numeric LU microbenchmarks (the production
 # SparseLU refactor path, plus the dense test-oracle LU as the
-# unstructured reference point). Emits pprof
+# unstructured reference point), and over the exploration engine
+# (BenchmarkExploreParallel: the case-study sweep at one worker per CPU,
+# so the split between sizing arithmetic and the ranking, tracking and
+# allocation around it shows next to the kernels). Emits pprof
 # artifacts under profiles/ (uploaded from CI); the trailing `go tool pprof
 # -top` both prints the hot spots and fails the target if a profile is
 # unreadable. Flame graph: `go tool pprof -http=: profiles/kernel.test
@@ -97,8 +100,13 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'SparseLU|DenseFactorize' -benchtime=2000x \
 		-cpuprofile profiles/lu_cpu.pprof -memprofile profiles/lu_mem.pprof \
 		-o profiles/lu.test ./internal/numeric
+	$(GO) test -run '^$$' -bench 'ExploreParallel$$' -benchtime=2000x \
+		-cpuprofile profiles/explore_cpu.pprof -memprofile profiles/explore_mem.pprof \
+		-o profiles/explore.test .
 	$(GO) tool pprof -top -nodecount=12 profiles/kernel.test profiles/kernel_cpu.pprof
 	$(GO) tool pprof -top -nodecount=12 -sample_index=alloc_objects profiles/kernel.test profiles/kernel_mem.pprof
+	$(GO) tool pprof -top -nodecount=12 profiles/explore.test profiles/explore_cpu.pprof
+	$(GO) tool pprof -top -nodecount=12 -sample_index=alloc_objects profiles/explore.test profiles/explore_mem.pprof
 
 # Run the exploration daemon (POST /v1/explore, /v1/transient; GET
 # /healthz, /metrics). -addr :0 picks a free port.

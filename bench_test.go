@@ -289,8 +289,10 @@ func BenchmarkExploreFullSpace(b *testing.B) {
 // BenchmarkExploreAdaptive times the pruned search on the same case-study
 // spec as BenchmarkExploreFullSpace, so the pair quantifies the adaptive
 // speedup directly. The eval-ratio metric is the exhaustive candidate count
-// over the number the adaptive run actually sized (the equivalence tests in
-// internal/core pin that both modes return the same ranked winners).
+// over the number the adaptive run actually sized. The two modes agree on
+// the committed paper sweeps, but not everywhere: over 1,294 feasible
+// generated specs the adaptive best differed on 2 of 438 max-efficiency,
+// 15 of 458 min-area and 52 of 398 min-noise specs (DESIGN.md §12).
 func BenchmarkExploreAdaptive(b *testing.B) {
 	spec := CaseStudySpec("45nm")
 	spec.Search = SearchAdaptive
@@ -307,7 +309,11 @@ func BenchmarkExploreAdaptive(b *testing.B) {
 
 // BenchmarkExploreSerial/Parallel time the same full-space exploration with
 // one worker versus one per CPU. The outputs are bit-identical (enforced by
-// TestExploreDeterministicAcrossWorkers); only wall-clock differs.
+// TestExploreDeterministicAcrossWorkers); only wall-clock differs. On the
+// parallel path the calling goroutine is one of the workers and, with no
+// Progress or OnImproved callback, the tracker keeps counters only, so the
+// second worker's cost is one goroutine start and the shared dispatch
+// counter.
 
 func BenchmarkExploreSerial(b *testing.B) {
 	spec := CaseStudySpec("45nm")

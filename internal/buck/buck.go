@@ -12,8 +12,10 @@
 package buck
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"ivory/internal/ivr"
 	"ivory/internal/numeric"
@@ -62,7 +64,15 @@ type Design struct {
 	devHS, devLS     tech.SwitchDevice
 	stackHS, stackLS int
 	wHS, wLS         float64
+
+	// quiet marks a design held by Score: its infeasibility checks return
+	// errRejected instead of building an error nobody reads.
+	quiet bool
 }
+
+// errRejected is what a quiet design returns where an infeasible one
+// would describe why.
+var errRejected = errors.New("buck: configuration rejected")
 
 const (
 	driverTax   = 1.3
@@ -74,52 +84,99 @@ const (
 
 // New validates the configuration and maps switches onto technology devices.
 func New(cfg Config) (*Design, error) {
+	d := &Design{}
+	if err := d.init(cfg); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Score sizes and evaluates one design point the way a design-space sweep
+// does, on a stack-held Design: New(cfg), then OptimizeConductances(iLoad),
+// then Evaluate(iLoad). ok is false exactly where one of them returns an
+// error, and on success d and m equal what they return, bit for bit. The
+// rejected configurations allocate nothing and format no reason.
+func Score(cfg Config, iLoad float64) (d Design, m ivr.Metrics, ok bool) {
+	d.quiet = true
+	if d.init(cfg) != nil || d.optimize(iLoad) != nil {
+		return Design{}, ivr.Metrics{}, false
+	}
+	m, err := d.Evaluate(iLoad)
+	if err != nil {
+		return Design{}, ivr.Metrics{}, false
+	}
+	d.quiet = false
+	return d, m, true
+}
+
+// init validates and defaults cfg into d, looks up its devices and sizes
+// its switches: everything New does.
+func (d *Design) init(cfg Config) error {
 	if cfg.Node == nil {
-		return nil, fmt.Errorf("buck: Config.Node is required")
+		return fmt.Errorf("buck: Config.Node is required")
 	}
 	if cfg.VIn <= 0 || cfg.VOut <= 0 {
-		return nil, fmt.Errorf("buck: voltages must be positive")
+		return fmt.Errorf("buck: voltages must be positive")
 	}
 	if cfg.VOut >= cfg.VIn {
-		return nil, ivr.Infeasible("buck", "VOut %.3g V must be below VIn %.3g V", cfg.VOut, cfg.VIn)
+		if d.quiet {
+			return errRejected
+		}
+		return ivr.Infeasible("buck", "VOut %.3g V must be below VIn %.3g V", cfg.VOut, cfg.VIn)
 	}
 	if cfg.L <= 0 || cfg.COut <= 0 || cfg.FSw <= 0 {
-		return nil, fmt.Errorf("buck: L, COut, and FSw must be positive")
+		return fmt.Errorf("buck: L, COut, and FSw must be positive")
 	}
-	if cfg.GHigh <= 0 || cfg.GLow <= 0 {
-		return nil, fmt.Errorf("buck: switch conductances must be positive")
+	if err := checkConductances(cfg.GHigh, cfg.GLow); err != nil {
+		return err
 	}
 	if cfg.Interleave == 0 {
 		cfg.Interleave = 1
 	}
 	if cfg.Interleave < 1 {
-		return nil, fmt.Errorf("buck: interleave %d must be >= 1", cfg.Interleave)
+		return fmt.Errorf("buck: interleave %d must be >= 1", cfg.Interleave)
 	}
 	ind, err := cfg.Node.Inductor(cfg.Inductor)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	oc, err := cfg.Node.Capacitor(cfg.OutCap)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.VOut > oc.VMax*1.001 {
-		return nil, ivr.Infeasible("buck", "output capacitor rated %.2f V below VOut %.2f V", oc.VMax, cfg.VOut)
+		if d.quiet {
+			return errRejected
+		}
+		return ivr.Infeasible("buck", "output capacitor rated %.2f V below VOut %.2f V", oc.VMax, cfg.VOut)
 	}
-	d := &Design{cfg: cfg, ind: ind, outCap: oc}
+	d.cfg, d.ind, d.outCap = cfg, ind, oc
 	// Both switches block the full input voltage (switching node swings
 	// rail to rail).
 	d.devHS, d.stackHS, err = cfg.Node.SwitchForVoltage(cfg.VIn)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.devLS, d.stackLS, err = cfg.Node.SwitchForVoltage(cfg.VIn)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d.wHS = float64(d.stackHS) * d.devHS.ROnWidth * cfg.GHigh
-	d.wLS = float64(d.stackLS) * d.devLS.ROnWidth * cfg.GLow
-	return d, nil
+	d.sizeSwitches()
+	return nil
+}
+
+// checkConductances rejects non-positive switch conductances.
+func checkConductances(gHigh, gLow float64) error {
+	if gHigh <= 0 || gLow <= 0 {
+		return fmt.Errorf("buck: switch conductances must be positive")
+	}
+	return nil
+}
+
+// sizeSwitches derives the switch widths from the configured conductances.
+func (d *Design) sizeSwitches() {
+	d.wHS = float64(d.stackHS) * d.devHS.ROnWidth * d.cfg.GHigh
+	d.wLS = float64(d.stackLS) * d.devLS.ROnWidth * d.cfg.GLow
 }
 
 // Config returns the (defaulted) configuration.
@@ -184,14 +241,23 @@ func (d *Design) Evaluate(iLoad float64) (ivr.Metrics, error) {
 	iPh := iLoad / n
 	dty := d.Duty(iLoad)
 	if dty >= 1 {
+		if d.quiet {
+			return ivr.Metrics{}, errRejected
+		}
 		return ivr.Metrics{}, ivr.Infeasible("buck", "duty saturates at %.3g A — conduction drop exceeds headroom", iLoad)
 	}
 	di := d.RippleCurrent(iLoad)
 	if !cfg.AllowDCM && iLoad > 0 && di/2 > iPh {
+		if d.quiet {
+			return ivr.Metrics{}, errRejected
+		}
 		return ivr.Metrics{}, ivr.Infeasible("buck",
 			"phase ripple %.3g A exceeds CCM boundary at %.3g A/phase — increase L or allow DCM", di, iPh)
 	}
 	if iPh+di/2 > d.ind.IMax {
+		if d.quiet {
+			return ivr.Metrics{}, errRejected
+		}
 		return ivr.Metrics{}, ivr.Infeasible("buck",
 			"peak phase current %.3g A exceeds inductor saturation %.3g A", iPh+di/2, d.ind.IMax)
 	}
@@ -226,7 +292,7 @@ func (d *Design) Evaluate(iLoad float64) (ivr.Metrics, error) {
 		eff = pOut / (pOut + loss.Total())
 	}
 	m := ivr.Metrics{
-		Topology:   fmt.Sprintf("buck %dphase", cfg.Interleave),
+		Topology:   "buck " + strconv.Itoa(cfg.Interleave) + "phase",
 		VIn:        cfg.VIn,
 		VOut:       cfg.VOut,
 		ILoad:      iLoad,
@@ -271,12 +337,23 @@ func (d *Design) AreaBoard() float64 {
 // OptimizeConductances returns a copy of the design with the high/low-side
 // conductances set to the conduction-vs-gate-loss optimum at the given load:
 // G* = I_phase · sqrt(weight / (f_sw·κ)) per switch, where κ is the
-// device's R·C·V² cost.
+// device's R·C·V² cost. Only the conductances and switch widths change, so
+// the copy keeps the design's validated configuration and device lookups.
 func (d *Design) OptimizeConductances(iLoad float64) (*Design, error) {
-	cfg := d.cfg
+	o := *d
+	if err := o.optimize(iLoad); err != nil {
+		return nil, err
+	}
+	return &o, nil
+}
+
+// optimize sets d's conductances to the optimum at iLoad and resizes its
+// switches.
+func (d *Design) optimize(iLoad float64) error {
+	cfg := &d.cfg
 	iPh := iLoad / float64(cfg.Interleave)
 	if iPh <= 0 {
-		return nil, fmt.Errorf("buck: OptimizeConductances needs a positive load")
+		return fmt.Errorf("buck: OptimizeConductances needs a positive load")
 	}
 	dty := cfg.VOut / cfg.VIn
 	opt := func(dev tech.SwitchDevice, stack int, weight float64) float64 {
@@ -284,10 +361,14 @@ func (d *Design) OptimizeConductances(iLoad float64) (*Design, error) {
 		kappa := float64(stack*stack) * dev.ROnWidth * dev.CGatePerWidth * vdr * vdr * driverTax
 		return iPh * math.Sqrt(weight/(cfg.FSw*kappa))
 	}
-	cfg.GHigh = opt(d.devHS, d.stackHS, dty)
-	cfg.GLow = opt(d.devLS, d.stackLS, 1-dty)
-	if err := numeric.AllFinite("buck: optimized conductances", cfg.GHigh, cfg.GLow); err != nil {
-		return nil, err
+	gHigh, gLow := opt(d.devHS, d.stackHS, dty), opt(d.devLS, d.stackLS, 1-dty)
+	if err := numeric.AllFinite("buck: optimized conductances", gHigh, gLow); err != nil {
+		return err
 	}
-	return New(cfg)
+	if err := checkConductances(gHigh, gLow); err != nil {
+		return err
+	}
+	cfg.GHigh, cfg.GLow = gHigh, gLow
+	d.sizeSwitches()
+	return nil
 }

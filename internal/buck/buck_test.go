@@ -2,6 +2,7 @@ package buck
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -315,5 +316,96 @@ func TestFrequencyDependentInductance(t *testing.T) {
 	}
 	if dHi.LEff() >= dLow.LEff() {
 		t.Errorf("L_eff should roll off with frequency: %v vs %v", dHi.LEff(), dLow.LEff())
+	}
+}
+
+// outcome renders a New → OptimizeConductances → Evaluate chain, or a
+// Score call, as the design and metrics it produced or "rejected".
+func outcome(d *Design, m ivr.Metrics, ok bool) string {
+	if !ok {
+		return "rejected"
+	}
+	return fmt.Sprintf("%+v\n%+v", *d, m)
+}
+
+// TestScoreMatchesNewOptimizeEvaluate pins the sweep's scorer to the
+// materializing path over every node × VIn × VOut × output cap × phase
+// count × frequency × inductance × load: Score accepts exactly where New,
+// OptimizeConductances and Evaluate all succeed, with the same design and
+// metrics bit for bit. It also pins OptimizeConductances to a fresh New of
+// the optimized configuration, which is what it used to run.
+func TestScoreMatchesNewOptimizeEvaluate(t *testing.T) {
+	accepted, rejected := 0, 0
+	for _, name := range tech.Nodes() {
+		node := tech.MustLookup(name)
+		for _, vin := range []float64{1.2, 1.8, 3.3} {
+			for _, vout := range []float64{0.6, 1.0, 1.15} {
+				for _, outCap := range []tech.CapacitorKind{tech.DeepTrench, tech.MOSCap} {
+					for _, phases := range []int{1, 4} {
+						for _, fsw := range []float64{30e6, 150e6, 400e6} {
+							for _, l := range []float64{1e-9, 20e-9} {
+								for _, iLoad := range []float64{0.5, 6} {
+									cfg := Config{
+										Node: node, Inductor: tech.IntegratedThinFilm, OutCap: outCap,
+										VIn: vin, VOut: vout, L: l, COut: 40e-9, FSw: fsw,
+										GHigh: 1, GLow: 1, Interleave: phases,
+									}
+									var want string
+									d, err := New(cfg)
+									if err == nil {
+										var dOpt *Design
+										if dOpt, err = d.OptimizeConductances(iLoad); err == nil {
+											fresh, ferr := New(dOpt.Config())
+											if ferr != nil || outcome(fresh, ivr.Metrics{}, true) != outcome(dOpt, ivr.Metrics{}, true) {
+												t.Fatalf("%s %+v: OptimizeConductances gave\n%+v\nNew of its config gave\n%+v (%v)", name, cfg, *dOpt, fresh, ferr)
+											}
+											var m ivr.Metrics
+											if m, err = dOpt.Evaluate(iLoad); err == nil {
+												want = outcome(dOpt, m, true)
+											}
+										}
+									}
+									if err != nil {
+										want = outcome(nil, ivr.Metrics{}, false)
+									}
+									sd, sm, ok := Score(cfg, iLoad)
+									if got := outcome(&sd, sm, ok); got != want {
+										t.Fatalf("%s %+v at %g A:\n score %s\n chain %s", name, cfg, iLoad, got, want)
+									}
+									if ok {
+										accepted++
+									} else {
+										rejected++
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("%d accepted, %d rejected: the sweep must reach both outcomes", accepted, rejected)
+	}
+}
+
+// TestScoreAllocs pins the cost of the scorer: a rejected configuration
+// allocates nothing, an accepted one only its Metrics.Topology label.
+func TestScoreAllocs(t *testing.T) {
+	ok := baseConfig()
+	ccm := baseConfig()
+	ccm.L = 0.1e-9 // ripple far past the CCM boundary
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want int // AllocsPerRun reports a whole number
+	}{{"accepted", ok, 1}, {"rejected", ccm, 0}} {
+		if _, _, accepted := Score(c.cfg, 2); accepted != (c.want == 1) {
+			t.Fatalf("%s config: Score accepted = %v", c.name, accepted)
+		}
+		if got := int(testing.AllocsPerRun(100, func() { Score(c.cfg, 2) })); got != c.want {
+			t.Errorf("%s config: %d allocs per Score, want %d", c.name, got, c.want)
+		}
 	}
 }

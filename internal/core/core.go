@@ -18,7 +18,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"ivory/internal/buck"
 	"ivory/internal/ivr"
@@ -266,13 +268,55 @@ type Result struct {
 	Stats Stats
 }
 
-// shard accumulates the outcome of one independent slice of the
-// configuration space. Every worker writes only to its own shard; shards
-// merge in enumeration order, so the assembled candidate list is identical
-// to a serial sweep regardless of how the work was scheduled.
+// shard accumulates the outcome of one evaluation unit on the evaluating
+// goroutine's stack. A unit accepts at most two candidates (an SC
+// PolBoth unit sizes both allocation policies), so they land in a fixed
+// buffer and leave it as one exactly sized slice.
 type shard struct {
-	candidates []Candidate
-	rejected   int
+	cands    [2]Candidate
+	n        int
+	rejected int
+}
+
+// accept records one feasible candidate.
+func (s *shard) accept(c Candidate) {
+	s.cands[s.n] = c
+	s.n++
+}
+
+// outcome returns the unit's outcome; Candidates is nil when it accepted
+// nothing.
+func (s *shard) outcome() RefOutcome {
+	out := RefOutcome{Rejected: s.rejected}
+	if s.n > 0 {
+		out.Candidates = slices.Clone(s.cands[:s.n])
+	}
+	return out
+}
+
+// merged gathers the outcomes of the completed evaluation jobs in
+// enumeration order (stage order on the adaptive path). It holds the
+// accepted candidates by pointer into the per-ref outcomes, which nothing
+// writes after the job's done call, so ranking reads them where they are
+// instead of from a merged copy.
+type merged struct {
+	accepted []*Candidate
+	rejected int
+}
+
+// add appends a batch's outcomes in ref order.
+func (m *merged) add(outs []RefOutcome) {
+	n := 0
+	for i := range outs {
+		n += len(outs[i].Candidates)
+	}
+	m.accepted = slices.Grow(m.accepted, n)
+	for i := range outs {
+		for j := range outs[i].Candidates {
+			m.accepted = append(m.accepted, &outs[i].Candidates[j])
+		}
+		m.rejected += outs[i].Rejected
+	}
 }
 
 // Explore runs the design optimization module over the full space: the
@@ -315,35 +359,30 @@ func ExploreWith(spec Spec, eval Evaluator) (*Result, error) {
 	if eval == nil {
 		eval = ec.localEvaluator(spec.Workers)
 	}
-	res := &Result{Spec: spec}
 	tr := newTracker(spec)
+	var m merged
 	var ferr error
 	if spec.Search == SearchAdaptive {
-		ferr = exploreAdaptive(spec, ec, res, tr, eval)
+		ferr = exploreAdaptive(spec, ec, &m, tr, eval)
 	} else {
-		ferr = exploreExhaustive(spec, ec, res, tr, eval)
+		ferr = exploreExhaustive(spec, ec, &m, tr, eval)
 	}
-	res.Stats = tr.finalize(ferr != nil)
-	if ferr != nil {
-		if len(res.Candidates) > 0 {
-			res.rank()
-			res.Best = res.Candidates[0]
-		}
-		return res, ferr
-	}
-	if len(res.Candidates) == 0 {
+	res := &Result{Spec: spec, Rejected: m.rejected, Stats: tr.finalize(ferr != nil, m.accepted)}
+	if ferr == nil && len(m.accepted) == 0 {
 		return nil, ivr.Infeasible("design space",
 			"no feasible converter for %gV->%gV @%gA within %.2g mm2",
 			spec.VIn, spec.VOut, spec.IMax, spec.AreaMax*1e6)
 	}
-	res.rank()
-	res.Best = res.Candidates[0]
-	return res, nil
+	if len(m.accepted) > 0 {
+		res.Candidates = rankCandidates(spec.Objective, spec.EfficiencyFloor, m.accepted)
+		res.Best = res.Candidates[0]
+	}
+	return res, ferr
 }
 
 // exploreExhaustive sweeps the full configuration lattice — the paper's
 // flow and the reference path the adaptive strategy is tested against.
-func exploreExhaustive(spec Spec, ec *evalContext, res *Result, tr *tracker, eval Evaluator) error {
+func exploreExhaustive(spec Spec, ec *evalContext, m *merged, tr *tracker, eval Evaluator) error {
 	// Enumeration resolves the cheap shared context (topology analyses,
 	// device lookups) up front; failures there reject exactly as the
 	// nested serial loops did. The per-configuration sizing and evaluation
@@ -352,49 +391,61 @@ func exploreExhaustive(spec Spec, ec *evalContext, res *Result, tr *tracker, eva
 	for k := Kind(0); int(k) < numKinds; k++ {
 		// Enumeration-time rejections belong to the family being expanded.
 		tr.enumRejected(k, pre[k])
-		res.Rejected += pre[k]
+		m.rejected += pre[k]
 	}
 	tr.addJobs(len(refs))
-	outs, ferr := eval(specContext(spec), refs, func(i int, out *RefOutcome) {
-		tr.jobDone(refs[i].Kind, out.Candidates, out.Rejected)
-	})
+	done, end := tr.batch(refs)
+	outs, ferr := eval(specContext(spec), refs, done)
+	end(outs)
 	// Merge whatever completed: on an uncancelled run that is every ref;
 	// on a cancelled one, the never-started slots are simply empty, so
 	// the merge still walks enumeration order with no gaps or tears.
-	for i := range outs {
-		res.Candidates = append(res.Candidates, outs[i].Candidates...)
-		res.Rejected += outs[i].Rejected
-	}
+	m.add(outs)
 	return ferr
 }
+
+// scRatio is one SC conversion ratio the explorer tries, with its
+// topology.
+type scRatio struct {
+	m   float64 // conversion ratio q/p
+	top *topology.Topology
+}
+
+// scRatioTopologies builds the candidate ratios' topologies once per
+// process, in trial order, one per distinct ratio; a topology that fails
+// to build is left out. Topologies are never written after they are
+// built, so every exploration shares them.
+var scRatioTopologies = sync.OnceValue(func() []scRatio {
+	var out []scRatio
+	seen := map[float64]bool{}
+	for _, r := range []struct{ p, q int }{{2, 1}, {3, 1}, {4, 1}, {5, 1}, {3, 2}, {4, 3}, {5, 4}, {5, 2}, {5, 3}, {7, 2}, {7, 3}, {8, 3}} {
+		m := float64(r.q) / float64(r.p)
+		if seen[m] {
+			continue
+		}
+		seen[m] = true
+		build := topology.Ladder
+		if r.q == 1 || r.q == r.p-1 {
+			build = topology.SeriesParallel
+		}
+		if top, err := build(r.p, r.q); err == nil {
+			out = append(out, scRatio{m: m, top: top})
+		}
+	}
+	return out
+})
 
 // scRatios enumerates the SC conversion ratios worth trying for the spec:
 // the ideal output must exceed the target with at least 3% regulation
 // headroom, and by no more than ~60% (beyond that, efficiency is hopeless).
 func scRatios(spec Spec) []*topology.Topology {
 	var out []*topology.Topology
-	add := func(t *topology.Topology, err error) {
-		if err == nil {
-			out = append(out, t)
-		}
-	}
-	type ratio struct{ p, q int }
-	seen := map[float64]bool{}
-	for _, r := range []ratio{{2, 1}, {3, 1}, {4, 1}, {5, 1}, {3, 2}, {4, 3}, {5, 4}, {5, 2}, {5, 3}, {7, 2}, {7, 3}, {8, 3}} {
-		m := float64(r.q) / float64(r.p)
-		ideal := m * spec.VIn
+	for _, r := range scRatioTopologies() {
+		ideal := r.m * spec.VIn
 		if ideal < spec.VOut*1.03 || ideal > spec.VOut*1.6 {
 			continue
 		}
-		if seen[m] {
-			continue
-		}
-		seen[m] = true
-		if r.q == 1 || r.q == r.p-1 {
-			add(topology.SeriesParallel(r.p, r.q))
-		} else {
-			add(topology.Ladder(r.p, r.q))
-		}
+		out = append(out, r.top)
 	}
 	return out
 }
@@ -408,7 +459,7 @@ func scRatios(spec Spec) []*topology.Topology {
 // earns its keep.
 var (
 	// scCapKinds is the capacitor-flavour axis of the SC space.
-	scCapKinds = []tech.CapacitorKind{tech.DeepTrench, tech.MOSCap, tech.MIMCap}
+	scCapKinds = [...]tech.CapacitorKind{tech.DeepTrench, tech.MOSCap, tech.MIMCap}
 	// scCapShares is the capacitor area-share lattice.
 	scCapShares = linspace(0.50, 0.97, 41)
 	// buckFreqs is the buck switching-frequency lattice (Hz).
@@ -447,9 +498,9 @@ func geomspace(lo, hi float64, n int) []float64 {
 // and prunes individually. Both conductance-allocation policies are
 // candidates: the cost-aware split wins when gate drive dominates, the
 // plain a_r split when the FSL budget is tight (it keeps C·f_sw — and
-// bottom-plate loss — lower). The configuration is scored against the
-// topology's switch plan, built once per exploration, without allocating;
-// only an accepted one is materialized as a Design and labelled.
+// bottom-plate loss — lower). The configuration is sized and scored
+// against the topology's switch plan, built once per exploration, without
+// allocating; only an accepted design is copied to the heap and labelled.
 func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
 	spec, an, plan := ec.spec, ec.topos[ref.Topo], ec.plans[ref.Topo]
 	capKind, capOpt := scCapKinds[ref.Cap], ec.capOpts[ref.Cap]
@@ -472,7 +523,8 @@ func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
 		FSwMax:                  spec.FSwMax,
 		UniformSwitchAllocation: ref.Pol == PolUniform,
 	}
-	m, ok := plan.Score(cfg, spec.IMax)
+	var scored sc.Design
+	m, ok := plan.Score(&scored, cfg, spec.IMax)
 	if !ok {
 		out.rejected++
 		return
@@ -482,8 +534,8 @@ func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
 	// fix it — reject it rather than keep the single-phase version that
 	// already missed the spec.
 	if m.RippleVpp > spec.RippleMax {
-		cfg.Interleave = min(int(math.Ceil(m.RippleVpp/spec.RippleMax)), 64)
-		if m, ok = plan.Score(cfg, spec.IMax); !ok {
+		n := min(int(math.Ceil(m.RippleVpp/spec.RippleMax)), 64)
+		if m, ok = plan.Rescore(&scored, n, spec.IMax); !ok {
 			out.rejected++
 			return
 		}
@@ -492,14 +544,11 @@ func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
 		out.rejected++
 		return
 	}
-	d, err := plan.New(cfg)
-	if err != nil {
-		out.rejected++
-		return
-	}
-	out.candidates = append(out.candidates, Candidate{
+	d := new(sc.Design)
+	*d = scored
+	out.accept(Candidate{
 		Kind:    KindSC,
-		Label:   fmt.Sprintf("%s / %v caps / x%d", an.Name, capKind, d.Config().Interleave),
+		Label:   ec.scLabels[ref.Topo][ref.Cap] + strconv.Itoa(d.Config().Interleave),
 		Metrics: m,
 		SC:      d,
 	})
@@ -533,32 +582,30 @@ func evalBuck(out *shard, spec Spec, node *tech.Node, ind tech.InductorOption,
 		L: l, COut: cOut, FSw: fsw,
 		GHigh: 1, GLow: 1, Interleave: phases,
 	}
-	bd, err := buck.New(cfg)
-	if err != nil {
+	// Score sizes the conductances and evaluates on its stack; only an
+	// accepted design is copied to the heap.
+	scored, m, ok := buck.Score(cfg, spec.IMax)
+	if !ok || m.AreaDie > spec.AreaMax {
 		out.rejected++
 		return
 	}
-	bd, err = bd.OptimizeConductances(spec.IMax)
-	if err != nil {
-		out.rejected++
-		return
-	}
-	m, err := bd.Evaluate(spec.IMax)
-	if err != nil {
-		out.rejected++
-		return
-	}
-	if m.AreaDie > spec.AreaMax {
-		out.rejected++
-		return
-	}
-	out.candidates = append(out.candidates, Candidate{
+	bd := new(buck.Design)
+	*bd = scored
+	var b [40]byte
+	label := append(b[:0], "buck x"...)
+	label = strconv.AppendInt(label, int64(phases), 10)
+	label = appendMHz(append(label, " @ "...), fsw)
+	out.accept(Candidate{
 		Kind:    KindBuck,
-		Label:   fmt.Sprintf("buck x%d @ %.0f MHz", phases, fsw/1e6),
+		Label:   string(append(label, " MHz"...)),
 		Metrics: m,
 		Buck:    bd,
 	})
 }
+
+// appendMHz appends a frequency in whole megahertz, as %.0f of f/1e6
+// renders it.
+func appendMHz(b []byte, f float64) []byte { return strconv.AppendFloat(b, f/1e6, 'f', 0, 64) }
 
 // evalLDO sizes and evaluates one digital-LDO sample-frequency plan.
 func evalLDO(out *shard, spec Spec, node *tech.Node, fs float64) {
@@ -598,46 +645,92 @@ func evalLDO(out *shard, spec Spec, node *tech.Node, fs float64) {
 		out.rejected++
 		return
 	}
-	out.candidates = append(out.candidates, Candidate{
+	var b [40]byte
+	label := appendMHz(append(b[:0], "digital LDO @ "...), fs)
+	label = strconv.AppendInt(append(label, " MHz x"...), int64(interleave), 10)
+	out.accept(Candidate{
 		Kind:    KindLDO,
-		Label:   fmt.Sprintf("digital LDO @ %.0f MHz x%d", fs/1e6, interleave),
+		Label:   string(label),
 		Metrics: m,
 		LDO:     ld,
 	})
 }
 
-// rank orders candidates per the objective. The order is total: objective
-// ties fall through to the canonical candidate key and rows with
-// non-finite metrics sort last, so the ranked list is byte-identical for
-// any input permutation (see pareto.go). It sorts a permutation rather
-// than the candidates themselves and formats each key at most once; the
-// comparisons, and so the order, are rankLess's.
-func (r *Result) rank() {
-	cands := r.Candidates
-	less := objectiveLess(r.Spec.Objective, r.Spec.EfficiencyFloor)
-	keys := make([]string, len(cands)) // "" until a tie needs the key; a key is never empty
-	key := func(i int) string {
-		if keys[i] == "" {
-			keys[i] = candidateKey(cands[i])
-		}
-		return keys[i]
+// rankKey is one candidate's ranking key, computed once before the sort:
+// whether its ranking metrics are finite, whether it clears the
+// efficiency floor, and its objective value.
+type rankKey struct {
+	c      *Candidate
+	v      float64
+	finite bool
+	floor  bool
+}
+
+// rankOrder sorts rank keys (sort.Interface). Less answers exactly as
+// rankLess does on the keys' candidates: finite rows first, then the
+// objective, then the canonical key, with sameKey rows equivalent.
+type rankOrder struct {
+	keys []rankKey
+	// maxEff selects the ungated objective (higher efficiency first); the
+	// others rank rows above the floor first, then lower v.
+	maxEff bool
+}
+
+func (o *rankOrder) Len() int      { return len(o.keys) }
+func (o *rankOrder) Swap(i, j int) { o.keys[i], o.keys[j] = o.keys[j], o.keys[i] }
+
+func (o *rankOrder) Less(i, j int) bool {
+	a, b := &o.keys[i], &o.keys[j]
+	if a.finite != b.finite {
+		return a.finite
 	}
-	perm := make([]int, len(cands))
-	for i := range perm {
-		perm[i] = i
+	if o.better(a, b) {
+		return true
 	}
-	sort.Slice(perm, func(x, y int) bool {
-		i, j := perm[x], perm[y]
-		if first, decided := rankTie(less, &cands[i], &cands[j]); decided {
-			return first
+	if o.better(b, a) || sameKey(a.c, b.c) {
+		return false
+	}
+	return compareKeys(a.c, b.c) < 0
+}
+
+// better is objectiveLess on precomputed keys.
+func (o *rankOrder) better(a, b *rankKey) bool {
+	if o.maxEff {
+		return a.v > b.v
+	}
+	if a.floor != b.floor {
+		return a.floor
+	}
+	return a.v < b.v
+}
+
+// rankCandidates returns copies of cands ranked per the objective. The
+// order is total: objective ties fall through to the canonical candidate
+// key and rows with non-finite metrics sort last, so the ranked list is
+// byte-identical for any input permutation (see pareto.go). One pass
+// computes each row's key, the sort compares keys and settles distinct
+// rows the objective ties with compareKeys, and the rows are copied once,
+// into the ranked result. Its comparisons, and so the order, are
+// rankLess's.
+func rankCandidates(obj Objective, floor float64, cands []*Candidate) []Candidate {
+	o := &rankOrder{keys: make([]rankKey, len(cands)), maxEff: obj != MinArea && obj != MinNoise}
+	for i, c := range cands {
+		m := &c.Metrics
+		k := rankKey{c: c, finite: finiteMetrics(c), floor: m.Efficiency >= floor, v: m.Efficiency}
+		switch obj {
+		case MinArea:
+			k.v = m.AreaDie
+		case MinNoise:
+			k.v = m.RippleVpp
 		}
-		return key(i) < key(j)
-	})
+		o.keys[i] = k
+	}
+	sort.Sort(o)
 	ranked := make([]Candidate, len(cands))
-	for x, i := range perm {
-		ranked[x] = cands[i]
+	for i := range o.keys {
+		ranked[i] = *o.keys[i].c
 	}
-	r.Candidates = ranked
+	return ranked
 }
 
 // BestOfKind returns the top-ranked candidate of the given family, or false

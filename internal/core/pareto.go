@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -28,6 +29,38 @@ func candidateKey(c Candidate) string {
 		strconv.Itoa(int(c.Kind)), c.Label,
 		fmtG(m.Efficiency), fmtG(m.AreaDie), fmtG(m.RippleVpp), fmtG(m.FSw), fmtG(m.POut),
 	}, "|")
+}
+
+// compareKeys returns strings.Compare(candidateKey(*a), candidateKey(*b))
+// without building either key. Rows of one kind and label — the tied
+// policy twins that differ by a rounding step in area or ripple — share
+// the key up to the first metric that differs, so only that pair is
+// formatted, on the stack. No float renders a "|", and every byte a float
+// renders sorts below it, so that pair's bytes with the separator after
+// them decide the order exactly as the whole keys do. Rows of different
+// kind or label compare their formatted keys.
+func compareKeys(a, b *Candidate) int {
+	if a.Kind != b.Kind || a.Label != b.Label {
+		return strings.Compare(candidateKey(*a), candidateKey(*b))
+	}
+	am, bm := &a.Metrics, &b.Metrics
+	parts := [...][2]float64{
+		{am.Efficiency, bm.Efficiency}, {am.AreaDie, bm.AreaDie}, {am.RippleVpp, bm.RippleVpp},
+		{am.FSw, bm.FSw}, {am.POut, bm.POut},
+	}
+	for i, p := range parts {
+		if sameG(p[0], p[1]) {
+			continue
+		}
+		var xa, xb [32]byte
+		x := strconv.AppendFloat(xa[:0], p[0], 'g', -1, 64)
+		y := strconv.AppendFloat(xb[:0], p[1], 'g', -1, 64)
+		if i < len(parts)-1 { // the key's last part has no separator after it
+			x, y = append(x, '|'), append(y, '|')
+		}
+		return bytes.Compare(x, y)
+	}
+	return 0
 }
 
 // sameKey reports whether candidateKey(*a) == candidateKey(*b) without

@@ -227,6 +227,16 @@ func rankedTags(in []Candidate, less func(a, b *Candidate) bool) []float64 {
 	return candidateTags(cp)
 }
 
+// candidatePtrs points at every row of cands, the form rankCandidates
+// ranks.
+func candidatePtrs(cands []Candidate) []*Candidate {
+	ptrs := make([]*Candidate, len(cands))
+	for i := range cands {
+		ptrs[i] = &cands[i]
+	}
+	return ptrs
+}
+
 func candidateTags(cands []Candidate) []float64 {
 	tags := make([]float64, len(cands))
 	for i := range cands {
@@ -236,8 +246,8 @@ func candidateTags(cands []Candidate) []float64 {
 }
 
 // checkRankMatchesKeyOrder sorts several shuffles of cands with rankLess,
-// with Result.rank and with the reference keyRankLess, and requires the
-// same order from all three.
+// with rankCandidates and with the reference keyRankLess, and requires
+// the same order from all three.
 func checkRankMatchesKeyOrder(t *testing.T, where string, cands []Candidate, obj Objective, floor float64) {
 	t.Helper()
 	tagged := slices.Clone(cands)
@@ -251,19 +261,56 @@ func checkRankMatchesKeyOrder(t *testing.T, where string, cands []Candidate, obj
 		if got := rankedTags(tagged, rankLess(obj, floor)); !slices.Equal(got, want) {
 			t.Fatalf("%s %v trial %d: rankLess order %v, key order %v", where, obj, trial, got, want)
 		}
-		res := &Result{Spec: Spec{Objective: obj, EfficiencyFloor: floor}, Candidates: slices.Clone(tagged)}
-		res.rank()
-		if got := candidateTags(res.Candidates); !slices.Equal(got, want) {
+		if got := candidateTags(rankCandidates(obj, floor, candidatePtrs(tagged))); !slices.Equal(got, want) {
 			t.Fatalf("%s %v trial %d: rank order %v, key order %v", where, obj, trial, got, want)
 		}
 	}
+}
+
+// checkCompareKeys requires compareKeys to agree with comparing the
+// formatted candidateKey strings on every pair of rows, including rows
+// whose labels are prefixes of one another.
+func checkCompareKeys(t *testing.T, where string, rows []Candidate) {
+	t.Helper()
+	for i := range rows {
+		for j := range rows {
+			a, b := &rows[i], &rows[j]
+			if got, want := compareKeys(a, b), strings.Compare(candidateKey(*a), candidateKey(*b)); got != want {
+				t.Fatalf("%s: compareKeys(%q, %q) = %d, key comparison %d", where, candidateKey(*a), candidateKey(*b), got, want)
+			}
+		}
+	}
+}
+
+// TestCompareKeysRoundingTwins covers the ties compareKeys settles without
+// formatting whole keys: same label, equal up to one metric that differs
+// by a step in the last digit (so one rendering is a prefix of the
+// other's), in every key position including the last.
+func TestCompareKeysRoundingTwins(t *testing.T) {
+	base := mkCand(KindSC, "a x4", 0.8, 5.356743330747128e-06, 0.02)
+	rows := []Candidate{base}
+	for _, set := range []func(m *Candidate, v float64){
+		func(c *Candidate, v float64) { c.Metrics.Efficiency = v },
+		func(c *Candidate, v float64) { c.Metrics.AreaDie = v },
+		func(c *Candidate, v float64) { c.Metrics.RippleVpp = v },
+		func(c *Candidate, v float64) { c.Metrics.FSw = v },
+		func(c *Candidate, v float64) { c.Metrics.POut = v },
+	} {
+		for _, v := range []float64{0.1, 0.11, 0.125, 1, 10, 1e-7, 1.0000000000000002, math.NaN(), math.Inf(-1)} {
+			c := base
+			set(&c, v)
+			rows = append(rows, c)
+		}
+	}
+	rows = append(rows, mkCand(KindSC, "a x", 0.8, 2e-6, 0.02), mkCand(KindSC, "a x40", 0.8, 2e-6, 0.02), mkCand(KindBuck, "a x4", 0.8, 2e-6, 0.02))
+	checkCompareKeys(t, "rounding twins", rows)
 }
 
 // TestRankTieBreakMatchesCandidateKey pins the formatting-free tie-break
 // to the canonical key: sameKey agrees with key equality on every pair of
 // tie rows, and on those rows and on the ranked results of the golden
 // specs, under both search strategies and every objective, rankLess and
-// Result.rank order exactly as comparing candidateKey strings does.
+// rankCandidates order exactly as comparing candidateKey strings does.
 func TestRankTieBreakMatchesCandidateKey(t *testing.T) {
 	rows := tieRows()
 	for i := range rows {
@@ -278,6 +325,7 @@ func TestRankTieBreakMatchesCandidateKey(t *testing.T) {
 	for _, obj := range objectives {
 		checkRankMatchesKeyOrder(t, "tie rows", rows, obj, 0.25)
 	}
+	checkCompareKeys(t, "tie rows", rows)
 	ranked := 0
 	for i, base := range goldenSpecs(40) {
 		for _, search := range []SearchStrategy{SearchExhaustive, SearchAdaptive} {
@@ -288,7 +336,9 @@ func TestRankTieBreakMatchesCandidateKey(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				checkRankMatchesKeyOrder(t, fmt.Sprintf("golden spec %d %v", i, search), res.Candidates, obj, res.Spec.EfficiencyFloor)
+				where := fmt.Sprintf("golden spec %d %v", i, search)
+				checkRankMatchesKeyOrder(t, where, res.Candidates, obj, res.Spec.EfficiencyFloor)
+				checkCompareKeys(t, where, res.Candidates[:min(len(res.Candidates), 40)])
 				ranked++
 			}
 		}

@@ -70,7 +70,10 @@ type RefOutcome struct {
 // together with the error; the engine merges the completed prefix exactly
 // like a cancelled local run. The engine keeps pointers into each
 // completed outcome's Candidates, so an evaluator must not modify them
-// after calling done.
+// after calling done. Without Spec.Progress or Spec.OnImproved the engine
+// reads the counts and candidates of each ref reported through done from
+// the returned outcomes once the evaluator returns, not at the done call,
+// so the outcome returned at position i must be the one passed to done(i).
 type Evaluator func(ctx context.Context, refs []ConfigRef, done func(i int, out *RefOutcome)) ([]RefOutcome, error)
 
 // evalContext resolves the cheap shared context of a spec's design space —
@@ -86,6 +89,9 @@ type evalContext struct {
 	plans   []*sc.SwitchPlan     // aligned with topos; nil = switch mapping failed (rejected per configuration)
 	capOpts []tech.CapacitorOption
 	capOK   []bool
+	// scLabels[topo][cap] is the label of the topology's candidates with
+	// that capacitor kind, up to their interleave count.
+	scLabels [][len(scCapKinds)]string
 
 	// Buck axes.
 	indOK      bool
@@ -113,6 +119,15 @@ func newEvalContext(spec Spec, node *tech.Node) *evalContext {
 				plan, _ := sc.PlanSwitches(an, node, spec.VIn)
 				ec.topos = append(ec.topos, an)
 				ec.plans = append(ec.plans, plan)
+			}
+			ec.scLabels = make([][len(scCapKinds)]string, len(ec.topos))
+			for ti, an := range ec.topos {
+				if an == nil {
+					continue
+				}
+				for ci, kind := range scCapKinds {
+					ec.scLabels[ti][ci] = an.Name + " / " + kind.String() + " caps / x"
+				}
 			}
 			ec.capOpts = make([]tech.CapacitorOption, len(scCapKinds))
 			ec.capOK = make([]bool, len(scCapKinds))
@@ -150,7 +165,19 @@ func newEvalContext(spec Spec, node *tech.Node) *evalContext {
 // enumeration-time rejection counts (failed topology analyses, missing
 // devices) per kind. The ref list is a pure function of the normalized
 // spec: every replica of the same build enumerates the identical list.
+// A counting walk sizes the list before the filling walk, so it is
+// allocated once.
 func (ec *evalContext) enumerate() (refs []ConfigRef, pre [numKinds]int) {
+	n := 0
+	ec.walk(func(ConfigRef) { n++ })
+	refs = make([]ConfigRef, 0, n)
+	pre = ec.walk(func(r ConfigRef) { refs = append(refs, r) })
+	return refs, pre
+}
+
+// walk visits the exhaustive job list in canonical order and returns the
+// enumeration-time rejection counts per kind.
+func (ec *evalContext) walk(visit func(ConfigRef)) (pre [numKinds]int) {
 	for _, k := range ec.spec.Kinds {
 		switch k {
 		case KindSC:
@@ -164,7 +191,7 @@ func (ec *evalContext) enumerate() (refs []ConfigRef, pre [numKinds]int) {
 						continue
 					}
 					for ai := range scCapShares {
-						refs = append(refs, ConfigRef{Kind: KindSC, Topo: ti, Cap: ci, Axis: ai, Pol: PolBoth})
+						visit(ConfigRef{Kind: KindSC, Topo: ti, Cap: ci, Axis: ai, Pol: PolBoth})
 					}
 				}
 			}
@@ -178,7 +205,7 @@ func (ec *evalContext) enumerate() (refs []ConfigRef, pre [numKinds]int) {
 					if fsw > ec.spec.FSwMax {
 						continue
 					}
-					refs = append(refs, ConfigRef{Kind: KindBuck, Topo: pi, Axis: fi})
+					visit(ConfigRef{Kind: KindBuck, Topo: pi, Axis: fi})
 				}
 			}
 		case KindLDO:
@@ -186,11 +213,11 @@ func (ec *evalContext) enumerate() (refs []ConfigRef, pre [numKinds]int) {
 				if fs > ec.spec.FSwMax {
 					continue
 				}
-				refs = append(refs, ConfigRef{Kind: KindLDO, Axis: fi})
+				visit(ConfigRef{Kind: KindLDO, Axis: fi})
 			}
 		}
 	}
-	return refs, pre
+	return pre
 }
 
 // validate bounds-checks a ref against the resolved axes; the serving
@@ -248,15 +275,16 @@ func (ec *evalContext) eval(ref ConfigRef, out *shard) {
 }
 
 // localEvaluator runs batches on the in-process worker pool — the classic
-// execution path, expressed through the Evaluator seam. Scheduling is parallel.ForContext's, so outcomes land in per-index
-// slots and the merge stays bit-identical to serial for any worker count.
+// execution path, expressed through the Evaluator seam. Scheduling is
+// parallel.ForContext's, so outcomes land in per-index slots and the merge
+// stays bit-identical to serial for any worker count.
 func (ec *evalContext) localEvaluator(workers int) Evaluator {
 	return func(ctx context.Context, refs []ConfigRef, done func(int, *RefOutcome)) ([]RefOutcome, error) {
 		outs := make([]RefOutcome, len(refs))
 		err := parallel.ForContext(ctx, len(refs), workers, func(_ context.Context, i int) error {
 			var sh shard
 			ec.eval(refs[i], &sh)
-			outs[i] = RefOutcome{Candidates: sh.candidates, Rejected: sh.rejected}
+			outs[i] = sh.outcome()
 			done(i, &outs[i])
 			return nil
 		})
@@ -309,10 +337,12 @@ func evalRefsLocal(spec Spec, ec *evalContext, refs []ConfigRef) (*RangeResult, 
 	tr := newTracker(spec)
 	tr.addJobs(len(refs))
 	eval := ec.localEvaluator(spec.Workers)
-	outs, err := eval(specContext(spec), refs, func(i int, out *RefOutcome) {
-		tr.jobDone(refs[i].Kind, out.Candidates, out.Rejected)
-	})
-	return &RangeResult{Outcomes: outs, Stats: tr.finalize(err != nil)}, err
+	done, end := tr.batch(refs)
+	outs, err := eval(specContext(spec), refs, done)
+	end(outs)
+	var m merged
+	m.add(outs)
+	return &RangeResult{Outcomes: outs, Stats: tr.finalize(err != nil, m.accepted)}, err
 }
 
 // specContext returns the spec's run-control context, Background when unset.

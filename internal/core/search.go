@@ -139,21 +139,20 @@ func (w *winnerBoard) canBeat(obj Objective, floor, bound float64) bool {
 }
 
 // runStage fans one deterministic batch of refs through the evaluator,
-// merges the outcomes in ref order into the result, and feeds the winner
+// merges the outcomes in ref order, and feeds the winner
 // board. Pruning decisions made after runStage returns therefore depend
 // only on the stage's ref list, never on scheduling — and the evaluator
 // may be the local pool or any wrapper around EvalRefs, indistinguishably.
-func runStage(spec Spec, tr *tracker, res *Result, win *winnerBoard, eval Evaluator, refs []ConfigRef) ([]RefOutcome, error) {
+func runStage(spec Spec, tr *tracker, m *merged, win *winnerBoard, eval Evaluator, refs []ConfigRef) ([]RefOutcome, error) {
 	if len(refs) == 0 {
 		return nil, nil
 	}
 	tr.addJobs(len(refs))
-	outs, ferr := eval(specContext(spec), refs, func(i int, out *RefOutcome) {
-		tr.jobDone(refs[i].Kind, out.Candidates, out.Rejected)
-	})
+	done, end := tr.batch(refs)
+	outs, ferr := eval(specContext(spec), refs, done)
+	end(outs)
+	m.add(outs)
 	for i := range outs {
-		res.Candidates = append(res.Candidates, outs[i].Candidates...)
-		res.Rejected += outs[i].Rejected
 		for j := range outs[i].Candidates {
 			win.observe(&outs[i].Candidates[j])
 		}
@@ -162,17 +161,17 @@ func runStage(spec Spec, tr *tracker, res *Result, win *winnerBoard, eval Evalua
 }
 
 // exploreAdaptive is the staged, pruned counterpart of exploreExhaustive.
-func exploreAdaptive(spec Spec, ec *evalContext, res *Result, tr *tracker, eval Evaluator) error {
+func exploreAdaptive(spec Spec, ec *evalContext, m *merged, tr *tracker, eval Evaluator) error {
 	win := &winnerBoard{k: winnersK, less: rankLess(spec.Objective, spec.EfficiencyFloor)}
 	for _, k := range spec.Kinds {
 		var err error
 		switch k {
 		case KindSC:
-			err = adaptiveSC(spec, ec, res, tr, win, eval)
+			err = adaptiveSC(spec, ec, m, tr, win, eval)
 		case KindBuck:
-			err = adaptiveBuck(spec, ec, res, tr, win, eval)
+			err = adaptiveBuck(spec, ec, m, tr, win, eval)
 		case KindLDO:
-			err = adaptiveLDO(spec, ec, res, tr, win, eval)
+			err = adaptiveLDO(spec, ec, m, tr, win, eval)
 		}
 		if err != nil {
 			return err
@@ -271,7 +270,7 @@ func (c *axisCell) nextProbes(n int) []int {
 // cell (winner-holding cells are always kept), and refined by bisection —
 // all before the next group's bound gate runs, so later groups face the
 // strongest possible incumbents and whole topologies are pruned unsized.
-func adaptiveSC(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winnerBoard, eval Evaluator) error {
+func adaptiveSC(spec Spec, ec *evalContext, m *merged, tr *tracker, win *winnerBoard, eval Evaluator) error {
 	shares := scCapShares
 	type group struct {
 		bound float64
@@ -281,7 +280,7 @@ func adaptiveSC(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winne
 	var groups []group
 	for ti, an := range ec.topos {
 		if an == nil {
-			res.Rejected++
+			m.rejected++
 			tr.enumRejected(KindSC, 1)
 			continue
 		}
@@ -355,7 +354,7 @@ func adaptiveSC(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winne
 			picks[i] = probeIdx
 		}
 		refs, owner, ownerIdx := scRefs(g.cells, picks)
-		outs, err := runStage(spec, tr, res, win, eval, refs)
+		outs, err := runStage(spec, tr, m, win, eval, refs)
 		absorbStage(outs, owner, ownerIdx)
 		if err != nil {
 			return err
@@ -402,7 +401,7 @@ func adaptiveSC(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winne
 				break
 			}
 			refs, owner, ownerIdx := scRefs(kept, picks)
-			outs, err := runStage(spec, tr, res, win, eval, refs)
+			outs, err := runStage(spec, tr, m, win, eval, refs)
 			absorbStage(outs, owner, ownerIdx)
 			if err != nil {
 				return err
@@ -420,9 +419,9 @@ func adaptiveSC(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winne
 // and bisection refinement along the frequency axis. There is no useful
 // analytic efficiency ceiling for a buck (ideally lossless at any ratio),
 // so both cells are refined — the savings come from the frequency axis.
-func adaptiveBuck(spec Spec, ec *evalContext, res *Result, tr *tracker, win *winnerBoard, eval Evaluator) error {
+func adaptiveBuck(spec Spec, ec *evalContext, m *merged, tr *tracker, win *winnerBoard, eval Evaluator) error {
 	if !ec.indOK {
-		res.Rejected++
+		m.rejected++
 		tr.enumRejected(KindBuck, 1)
 		return nil
 	}
@@ -482,7 +481,7 @@ func adaptiveBuck(spec Spec, ec *evalContext, res *Result, tr *tracker, win *win
 			break
 		}
 		refs, owner, ownerIdx := buckRefs(picks)
-		outs, err := runStage(spec, tr, res, win, eval, refs)
+		outs, err := runStage(spec, tr, m, win, eval, refs)
 		for i := range outs {
 			owner[i].absorb(ownerIdx[i], outs[i].Candidates, win.less)
 		}
@@ -499,7 +498,7 @@ func adaptiveBuck(spec Spec, ec *evalContext, res *Result, tr *tracker, win *win
 // adaptiveLDO evaluates the full LDO lattice: at five sample frequencies
 // it is smaller than a single SC probe stage, and evaluating it keeps the
 // per-family best exact.
-func adaptiveLDO(spec Spec, _ *evalContext, res *Result, tr *tracker, win *winnerBoard, eval Evaluator) error {
+func adaptiveLDO(spec Spec, _ *evalContext, m *merged, tr *tracker, win *winnerBoard, eval Evaluator) error {
 	var refs []ConfigRef
 	for fi, fs := range ldoSampleFreqs {
 		if fs > spec.FSwMax {
@@ -507,6 +506,6 @@ func adaptiveLDO(spec Spec, _ *evalContext, res *Result, tr *tracker, win *winne
 		}
 		refs = append(refs, ConfigRef{Kind: KindLDO, Axis: fi})
 	}
-	_, err := runStage(spec, tr, res, win, eval, refs)
+	_, err := runStage(spec, tr, m, win, eval, refs)
 	return err
 }

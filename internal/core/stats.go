@@ -124,15 +124,24 @@ func (s Stats) String() string {
 }
 
 // tracker accumulates Stats during the evaluation fan-out and feeds the
-// optional progress/improvement callbacks. Counter updates and callback
-// invocations are serialized under one mutex, so Spec.Progress and
-// Spec.OnImproved never run reentrantly even though completions arrive
-// from many worker goroutines. The tracker also maintains the best-so-far
-// candidate under the spec's objective and the incremental Pareto front
-// over everything accepted.
+// optional progress/improvement callbacks. It runs in one of two modes,
+// fixed at construction:
+//
+//   - Live, when Spec.Progress or Spec.OnImproved is set: each completed
+//     job's counts are added, its candidates are folded into the
+//     best-so-far and the incremental Pareto front, and the callbacks run,
+//     all under one mutex, so the callbacks never run reentrantly even
+//     though completions arrive from many worker goroutines.
+//   - Counters only, otherwise: a completed job only marks its slot in
+//     its batch, with no lock and no shared write; the batch's counts are
+//     summed from its outcomes once the evaluator returns, and finalize
+//     folds the accepted candidates into the front once. The
+//     non-dominated set does not depend on insertion order, so Stats
+//     comes out the same in both modes.
 type tracker struct {
 	mu         sync.Mutex
 	stats      Stats
+	live       bool
 	progress   func(Stats)
 	onImproved func(Candidate, Stats)
 	less       func(a, b *Candidate) bool
@@ -145,6 +154,7 @@ type tracker struct {
 
 func newTracker(spec Spec) *tracker {
 	t := &tracker{
+		live:       spec.Progress != nil || spec.OnImproved != nil,
 		progress:   spec.Progress,
 		onImproved: spec.OnImproved,
 		less:       rankLess(spec.Objective, spec.EfficiencyFloor),
@@ -199,9 +209,36 @@ func (t *tracker) prunedHalving(n int) {
 	t.mu.Unlock()
 }
 
-// jobDone records one completed evaluation unit's outcome, folds its
-// candidates into the best-so-far and the Pareto front, and fires the
-// callbacks.
+// batch returns the done callback to hand the evaluator for one batch of
+// refs, and the end function to call with the outcomes it returns. In
+// live mode done records each job as it completes (jobDone) and end does
+// nothing. In counters-only mode done marks the job's slot and end adds
+// the marked jobs' counts, read from the returned outcomes.
+func (t *tracker) batch(refs []ConfigRef) (done func(int, *RefOutcome), end func([]RefOutcome)) {
+	if t.live {
+		return func(i int, out *RefOutcome) {
+			t.jobDone(refs[i].Kind, out.Candidates, out.Rejected)
+		}, func([]RefOutcome) {}
+	}
+	completed := make([]bool, len(refs))
+	return func(i int, _ *RefOutcome) { completed[i] = true }, func(outs []RefOutcome) {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		for i, ok := range completed {
+			if !ok || i >= len(outs) {
+				continue
+			}
+			ks := &t.stats.PerKind[refs[i].Kind]
+			t.stats.Done++
+			ks.Accepted += len(outs[i].Candidates)
+			ks.Rejected += outs[i].Rejected
+		}
+	}
+}
+
+// jobDone records one completed evaluation unit's outcome on a live
+// tracker, folds its candidates into the best-so-far and the Pareto
+// front, and fires the callbacks.
 func (t *tracker) jobDone(kind Kind, cands []Candidate, rejected int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -225,10 +262,17 @@ func (t *tracker) jobDone(kind Kind, cands []Candidate, rejected int) {
 	}
 }
 
-// finalize returns the completed record.
-func (t *tracker) finalize(cancelled bool) Stats {
+// finalize returns the completed record. accepted holds the candidates of
+// every completed job; a counters-only tracker folds them into its front
+// here, a live one has folded them as their jobs completed.
+func (t *tracker) finalize(cancelled bool, accepted []*Candidate) Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if !t.live {
+		for _, c := range accepted {
+			t.front.Insert(c)
+		}
+	}
 	s := t.snapshotLocked()
 	s.Cancelled = cancelled
 	return s

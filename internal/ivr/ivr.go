@@ -9,6 +9,7 @@ package ivr
 
 import (
 	"fmt"
+	"math"
 
 	"ivory/internal/numeric"
 )
@@ -72,6 +73,19 @@ type Metrics struct {
 // pathological sweep point becomes an error instead of a NaN that
 // silently loses every comparison in the optimizer's ranking.
 func (m Metrics) Finite() error {
+	// Scan the bare values first: only a metrics record with a non-finite
+	// field builds the named table below to say which one.
+	l := &m.Loss
+	finite := true
+	for _, v := range [...]float64{
+		m.VIn, m.VOut, m.ILoad, m.POut, m.Efficiency, m.RippleVpp, m.FSw, m.AreaDie, m.AreaBoard,
+		l.Conduction, l.GateDrive, l.Parasitic, l.Leakage, l.Control, l.Magnetic, l.Dropout,
+	} {
+		finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+	}
+	if finite {
+		return nil
+	}
 	for _, f := range []struct {
 		name string
 		v    float64

@@ -2,6 +2,7 @@ package ivr
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -49,5 +50,63 @@ func TestInfeasibleError(t *testing.T) {
 	}
 	if got, want := err.Error(), "ivr: my design infeasible: needs 3 more capacitors"; got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
+	}
+}
+
+// TestMetricsFinite checks Finite field by field: a NaN or an infinity in
+// any numeric field is an error naming that field, two opposite
+// infinities name the first, and finite values at the top of the range
+// pass.
+func TestMetricsFinite(t *testing.T) {
+	base := Metrics{Topology: "t", VIn: 3.3, VOut: 1, ILoad: 2, POut: 2, Efficiency: 0.8,
+		RippleVpp: 1e-3, FSw: 1e8, AreaDie: 1e-6, Loss: LossBreakdown{Conduction: 0.1, Dropout: 0.2}}
+	if err := base.Finite(); err != nil {
+		t.Fatalf("finite metrics: %v", err)
+	}
+	type field struct {
+		name string
+		v    func(*Metrics) *float64
+	}
+	fields := []field{
+		{"VIn", func(m *Metrics) *float64 { return &m.VIn }},
+		{"VOut", func(m *Metrics) *float64 { return &m.VOut }},
+		{"ILoad", func(m *Metrics) *float64 { return &m.ILoad }},
+		{"POut", func(m *Metrics) *float64 { return &m.POut }},
+		{"Efficiency", func(m *Metrics) *float64 { return &m.Efficiency }},
+		{"RippleVpp", func(m *Metrics) *float64 { return &m.RippleVpp }},
+		{"FSw", func(m *Metrics) *float64 { return &m.FSw }},
+		{"AreaDie", func(m *Metrics) *float64 { return &m.AreaDie }},
+		{"AreaBoard", func(m *Metrics) *float64 { return &m.AreaBoard }},
+		{"Loss.Conduction", func(m *Metrics) *float64 { return &m.Loss.Conduction }},
+		{"Loss.GateDrive", func(m *Metrics) *float64 { return &m.Loss.GateDrive }},
+		{"Loss.Parasitic", func(m *Metrics) *float64 { return &m.Loss.Parasitic }},
+		{"Loss.Leakage", func(m *Metrics) *float64 { return &m.Loss.Leakage }},
+		{"Loss.Control", func(m *Metrics) *float64 { return &m.Loss.Control }},
+		{"Loss.Magnetic", func(m *Metrics) *float64 { return &m.Loss.Magnetic }},
+		{"Loss.Dropout", func(m *Metrics) *float64 { return &m.Loss.Dropout }},
+	}
+	for _, f := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			m := base
+			*f.v(&m) = bad
+			if err := m.Finite(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Finite() = %v, want an error naming the field", f.name, bad, err)
+			}
+		}
+		m := base
+		*f.v(&m) = math.MaxFloat64
+		if err := m.Finite(); err != nil {
+			t.Errorf("%s = MaxFloat64: Finite() = %v, want nil", f.name, err)
+		}
+	}
+	m := base
+	m.VIn, m.Loss.Dropout = math.Inf(1), math.Inf(-1)
+	if err := m.Finite(); err == nil || !strings.Contains(err.Error(), "VIn") {
+		t.Errorf("opposite infinities: Finite() = %v, want an error naming VIn", err)
+	}
+	m = base
+	m.VIn, m.VOut = math.MaxFloat64, math.MaxFloat64
+	if err := m.Finite(); err != nil {
+		t.Errorf("two MaxFloat64 fields: Finite() = %v, want nil", err)
 	}
 }

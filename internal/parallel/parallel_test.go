@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -288,5 +289,139 @@ func TestForContextParentCancel(t *testing.T) {
 		if err != ctx.Err() || !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: got %v, want the parent's %v", workers, err, ctx.Err())
 		}
+	}
+}
+
+// goid returns the current goroutine's id, parsed from the "goroutine N
+// [" header of its stack trace. Tests use it to tell the jobs ForContext
+// runs on the calling goroutine from those on the goroutines it spawns.
+func goid() string {
+	var buf [64]byte
+	s := string(buf[:runtime.Stack(buf[:], false)])
+	s = strings.TrimPrefix(s, "goroutine ")
+	return s[:strings.IndexByte(s, ' ')]
+}
+
+// siblingPair returns a two-job body for ForContext(ctx, n, 2, ...): the
+// job that lands on the calling goroutine (id caller) waits until its
+// sibling is in flight on the spawned worker, then runs onCaller; the
+// sibling blocks until its ctx is cancelled. A blocked sibling cannot take
+// another index, so the calling goroutine always runs one of the jobs.
+// *callerIdx receives that job's index.
+func siblingPair(caller string, callerIdx *atomic.Int32, onCaller func(i int) error) func(ctx context.Context, i int) error {
+	inFlight := make(chan struct{})
+	return func(ctx context.Context, i int) error {
+		if goid() == caller {
+			callerIdx.Store(int32(i))
+			awaitStart(inFlight)
+			return onCaller(i)
+		}
+		close(inFlight)
+		return awaitCancel(ctx, i)
+	}
+}
+
+// awaitStart waits for ch to close, giving up after a generous guard so
+// a broken pool fails its test instead of hanging it.
+func awaitStart(ch <-chan struct{}) {
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+	}
+}
+
+// TestForContextFailureOnCallingGoroutine pins the error contract for a
+// job the calling goroutine runs itself: its real failure cancels the
+// sibling in flight on the spawned worker and outranks that sibling's
+// cancellation, whichever index it has. The scheduler almost always hands
+// index 0 to the caller, which dispatches before the spawned goroutine
+// runs; the test repeats until it has seen that case.
+func TestForContextFailureOnCallingGoroutine(t *testing.T) {
+	real1 := errors.New("diverged")
+	caller := goid()
+	sawIndex0 := false
+	for attempt := 0; attempt < 200 && !sawIndex0; attempt++ {
+		var callerIdx atomic.Int32
+		callerIdx.Store(-1)
+		got := ForContext(context.Background(), 2, 2, siblingPair(caller, &callerIdx, func(int) error { return real1 }))
+		if got != real1 {
+			t.Fatalf("attempt %d: got %v, want the calling goroutine's failure", attempt, got)
+		}
+		switch callerIdx.Load() {
+		case 0:
+			sawIndex0 = true
+		case -1:
+			t.Fatalf("attempt %d: no job ran on the calling goroutine", attempt)
+		}
+	}
+	if !sawIndex0 {
+		t.Fatal("index 0 never ran on the calling goroutine in 200 attempts")
+	}
+}
+
+// TestForContextPanicWhileSiblingBlocks checks panic containment with the
+// caller as a worker: a job panics on one goroutine while its sibling on
+// the other blocks until cancelled. The panic must cancel the sibling,
+// wait for it to drain, and reach the caller once as a *PanicError naming
+// the panicking job, whether the calling goroutine or the spawned one
+// raised it.
+func TestForContextPanicWhileSiblingBlocks(t *testing.T) {
+	caller := goid()
+	for _, panicOnCaller := range []bool{true, false} {
+		var panicIdx, drained atomic.Int32
+		panicIdx.Store(-1)
+		inFlight := make(chan struct{})
+		job := func(ctx context.Context, i int) error {
+			if (goid() == caller) == panicOnCaller {
+				panicIdx.Store(int32(i))
+				awaitStart(inFlight)
+				panic("boom")
+			}
+			close(inFlight)
+			err := awaitCancel(ctx, i)
+			if errors.Is(err, context.Canceled) {
+				drained.Add(1)
+			}
+			return err
+		}
+		func() {
+			defer func() {
+				pe, ok := recover().(*PanicError)
+				if !ok {
+					t.Fatalf("panicOnCaller=%v: caller did not recover a *PanicError", panicOnCaller)
+				}
+				if want := int(panicIdx.Load()); pe.Index != want || pe.Value != "boom" {
+					t.Fatalf("panicOnCaller=%v: PanicError{Index: %d, Value: %v}, want job %d's boom", panicOnCaller, pe.Index, pe.Value, want)
+				}
+				if drained.Load() != 1 {
+					t.Fatalf("panicOnCaller=%v: the blocked sibling did not drain through its cancelled ctx", panicOnCaller)
+				}
+			}()
+			// The call panics before returning; no error to check.
+			_ = ForContext(context.Background(), 2, 2, job)
+			t.Fatalf("panicOnCaller=%v: ForContext returned instead of panicking", panicOnCaller)
+		}()
+	}
+}
+
+// TestForContextParentCancelOnCallingGoroutine checks that a parent
+// cancel issued by the job on the calling goroutine stops dispatch, frees
+// the sibling blocked on the spawned worker, and surfaces as the
+// parent's ctx.Err().
+func TestForContextParentCancelOnCallingGoroutine(t *testing.T) {
+	caller := goid()
+	ctx, cancel := context.WithCancel(context.Background())
+	var callerIdx, started atomic.Int32
+	callerIdx.Store(-1)
+	jobs := siblingPair(caller, &callerIdx, func(int) error { cancel(); return nil })
+	err := ForContext(ctx, 1000, 2, func(ctx context.Context, i int) error {
+		started.Add(1)
+		return jobs(ctx, i)
+	})
+	if !errors.Is(err, context.Canceled) || callerIdx.Load() < 0 {
+		t.Fatalf("got %v with caller job %d, want the parent's cancellation from a job on the calling goroutine", err, callerIdx.Load())
+	}
+	if n := started.Load(); n > 2 {
+		t.Fatalf("%d jobs started after the calling goroutine cancelled the parent, want 2", n)
 	}
 }

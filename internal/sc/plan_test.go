@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestPlanNewMatchesNew(t *testing.T) {
 						// Sizing twice from one plan also catches a design
 						// that writes into the plan's shared slices.
 						for range 2 {
-							if got := outcome(plan.New(cfg)); got != want {
+							if got := outcome(plan.newDesign(cfg)); got != want {
 								t.Errorf("%s on %s at %g V, %v caps, uniform=%v:\n plan %s\n new  %s",
 									an.Name, name, vin, kind, uniform, got, want)
 							}
@@ -111,7 +112,7 @@ func TestPlanRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.New(cfg); err != nil {
+	if _, err := plan.newDesign(cfg); err != nil {
 		t.Fatalf("matching config: %v", err)
 	}
 	top, err := topology.SeriesParallel(3, 1)
@@ -126,7 +127,7 @@ func TestPlanRejectsMismatchedConfig(t *testing.T) {
 		if _, err := New(c); err != nil {
 			t.Fatalf("%s: mutated config must be valid on its own: %v", name, err)
 		}
-		if _, err := plan.New(c); err == nil {
+		if _, err := plan.newDesign(c); err == nil {
 			t.Errorf("%s: plan accepted a config it was not built for", name)
 		}
 	}
@@ -146,7 +147,8 @@ func TestInterleaveMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1, ok := plan.Score(cfg, planLoad)
+	var d1 Design
+	x1, ok := plan.Score(&d1, cfg, planLoad)
 	if !ok {
 		t.Fatal("base config rejected")
 	}
@@ -154,7 +156,7 @@ func TestInterleaveMatchesNew(t *testing.T) {
 		c := cfg
 		c.Interleave = n
 		want := outcome(New(c))
-		dn, err := plan.New(c)
+		dn, err := plan.newDesign(c)
 		if got := outcome(dn, err); got != want {
 			t.Errorf("x%d:\n plan %s\n new  %s", n, got, want)
 		}
@@ -164,9 +166,14 @@ func TestInterleaveMatchesNew(t *testing.T) {
 		if dn.Config().Interleave != n {
 			t.Errorf("x%d: sized design has interleave %d", n, dn.Config().Interleave)
 		}
-		m, ok := plan.Score(c, planLoad)
+		var dn2 Design
+		m, ok := plan.Score(&dn2, c, planLoad)
 		if got := scoreOutcome(m, ok); got != want {
 			t.Errorf("x%d:\n score %s\n new   %s", n, got, want)
+		}
+		re := d1
+		if got := scoreOutcome(plan.Rescore(&re, n, planLoad)); got != want || !reflect.DeepEqual(re, dn2) {
+			t.Errorf("x%d:\n rescore %s\n new     %s", n, got, want)
 		}
 		m.Loss.Control, m.Efficiency, m.RippleVpp, m.AreaDie = x1.Loss.Control, x1.Efficiency, x1.RippleVpp, x1.AreaDie
 		if got, want := scoreOutcome(m, true), scoreOutcome(x1, true); got != want {
@@ -175,11 +182,15 @@ func TestInterleaveMatchesNew(t *testing.T) {
 	}
 	c := cfg
 	c.Interleave = -1
-	if _, err := plan.New(c); err == nil {
+	if _, err := plan.newDesign(c); err == nil {
 		t.Error("interleave -1 must fail")
 	}
-	if _, ok := plan.Score(c, planLoad); ok {
+	var d Design
+	if _, ok := plan.Score(&d, c, planLoad); ok {
 		t.Error("scorer accepted interleave -1")
+	}
+	if _, ok := plan.Rescore(&d1, -1, planLoad); ok {
+		t.Error("Rescore accepted interleave -1")
 	}
 }
 
@@ -225,28 +236,35 @@ func scoreOutcome(m ivr.Metrics, ok bool) string {
 // over every node × VIn × sweep topology × cap kind × capacitor share ×
 // allocation policy × load, at interleave 1 and at the ripple-driven
 // interleave the explorer would pick, Score accepts exactly what New plus
-// Evaluate accepts, with the same metrics bit for bit. Hand-built configs
-// reach the rejection branches the lattice does not.
+// Evaluate accepts, with the same design and metrics bit for bit, and
+// Rescore of the interleave-1 design to the ripple-driven interleave
+// equals Score at that interleave. Hand-built configs reach the rejection
+// branches the lattice does not.
 func TestScoreMatchesNewEvaluate(t *testing.T) {
 	const usable = 2e-6 // switch-plus-capacitor area (m²)
 	ans := sweepAnalyses(t)
 	hits := map[string]int{}
 	accepted := 0
-	score := func(plan *SwitchPlan, cfg Config, iLoad float64) (ivr.Metrics, bool) {
+	score := func(plan *SwitchPlan, cfg Config, iLoad float64) (Design, ivr.Metrics, bool) {
 		t.Helper()
-		d, err := plan.New(cfg)
+		d, err := plan.newDesign(cfg)
 		want := outcomeAt(d, err, iLoad)
-		m, ok := plan.Score(cfg, iLoad)
+		var sd Design
+		m, ok := plan.Score(&sd, cfg, iLoad)
 		if got := scoreOutcome(m, ok); ok != strings.HasPrefix(want, "ok:") || (ok && got != want) {
 			t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A:\n score %s\n new   %s",
 				cfg.Analysis.Name, cfg.Node.Name, cfg.VIn, cfg.CapKind, cfg.Interleave, iLoad, got, want)
+		}
+		if ok && !reflect.DeepEqual(sd, *d) {
+			t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A: scored design\n%+v\nnew design\n%+v",
+				cfg.Analysis.Name, cfg.Node.Name, cfg.VIn, cfg.CapKind, cfg.Interleave, iLoad, sd, *d)
 		}
 		if ok {
 			accepted++
 		} else {
 			hits[rejectionBranch(t, want)]++
 		}
-		return m, ok
+		return sd, m, ok
 	}
 	for _, name := range tech.Nodes() {
 		node := tech.MustLookup(name)
@@ -277,11 +295,16 @@ func TestScoreMatchesNewEvaluate(t *testing.T) {
 								UniformSwitchAllocation: uniform,
 							}
 							for _, iLoad := range []float64{0.05, 0.5, 5} {
-								m, ok := score(plan, cfg, iLoad)
+								d1, m, ok := score(plan, cfg, iLoad)
 								if rippleMax := 0.01 * cfg.VOut; ok && m.RippleVpp > rippleMax {
 									c := cfg
 									c.Interleave = min(int(math.Ceil(m.RippleVpp/rippleMax)), 64)
-									score(plan, c, iLoad)
+									dn, mn, okn := score(plan, c, iLoad)
+									mr, okr := plan.Rescore(&d1, c.Interleave, iLoad)
+									if okr != okn || okn && (scoreOutcome(mr, okr) != scoreOutcome(mn, okn) || !reflect.DeepEqual(d1, dn)) {
+										t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A:\n rescore %s\n score   %s",
+											c.Analysis.Name, c.Node.Name, c.VIn, c.CapKind, c.Interleave, iLoad, scoreOutcome(mr, okr), scoreOutcome(mn, okn))
+									}
 								}
 							}
 						}
@@ -312,7 +335,7 @@ func TestScoreMatchesNewEvaluate(t *testing.T) {
 	} {
 		c := base
 		mut(&c)
-		if _, ok := score(plan, c, planLoad); ok {
+		if _, _, ok := score(plan, c, planLoad); ok {
 			t.Errorf("%s: scorer accepted an invalid config", name)
 		}
 	}
@@ -368,13 +391,19 @@ func TestScoreAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := plan.New(tc.cfg)
+		d, err := plan.newDesign(tc.cfg)
 		out := outcome(d, err)
 		if tc.branch == "" && !strings.HasPrefix(out, "ok:") || tc.branch != "" && !strings.Contains(out, tc.branch) {
 			t.Fatalf("%s: config does not reach its branch: %s", name, out)
 		}
-		if n := testing.AllocsPerRun(100, func() { plan.Score(tc.cfg, planLoad) }); n != 0 {
+		var sd Design
+		if n := testing.AllocsPerRun(100, func() { _, _ = plan.Score(&sd, tc.cfg, planLoad) }); n != 0 {
 			t.Errorf("%s: Score allocates %v times per call, want 0", name, n)
+		}
+		if _, ok := plan.Score(&sd, tc.cfg, planLoad); ok {
+			if n := testing.AllocsPerRun(100, func() { _, _ = plan.Rescore(&sd, 7, planLoad) }); n != 0 {
+				t.Errorf("%s: Rescore allocates %v times per call, want 0", name, n)
+			}
 		}
 	}
 }

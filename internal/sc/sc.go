@@ -19,9 +19,9 @@
 // voltage. Their device mapping — the device, stack depth and conductance
 // weight of every switch — depends on neither the capacitance nor the
 // conductance total, so the sweep builds it once with PlanSwitches. It
-// scores each configuration with SwitchPlan.Score, which allocates
-// nothing, and sizes only the configurations it accepts with
-// SwitchPlan.New; New does both steps for a single design.
+// sizes and scores each configuration with SwitchPlan.Score, which
+// allocates nothing, and copies only the designs it accepts to the heap;
+// New does both steps for a single design.
 package sc
 
 import (
@@ -88,8 +88,9 @@ type Design struct {
 	// allocation policy, shared read-only with the plan.
 	w []float64
 
-	capOpt   tech.CapacitorOption
-	decapOpt tech.CapacitorOption
+	// caps holds the flying-capacitor and decap options, shared
+	// read-only with the plan when the design is sized from one.
+	caps *capChoice
 
 	// quiet marks a design held by SwitchPlan.Score: its infeasibility
 	// checks return errRejected instead of building an error nobody reads.
@@ -117,7 +118,7 @@ const (
 // device able to block its off-state voltage.
 func New(cfg Config) (*Design, error) {
 	d := &Design{}
-	if err := d.prepare(&cfg); err != nil {
+	if err := d.prepare(&cfg, nil); err != nil {
 		return nil, err
 	}
 	p, err := PlanSwitches(d.cfg.Analysis, d.cfg.Node, d.cfg.VIn)
@@ -132,8 +133,9 @@ func New(cfg Config) (*Design, error) {
 
 // prepare copies the configuration into d, validates and defaults it
 // there, looks up its capacitor options and checks the flying capacitors'
-// voltage rating: every step of New that precedes the switch mapping.
-func (d *Design) prepare(in *Config) error {
+// voltage rating: every step of New that precedes the switch mapping. A
+// non-nil plan supplies the capacitor lookups it resolved for its node.
+func (d *Design) prepare(in *Config, p *SwitchPlan) error {
 	d.cfg = *in
 	cfg := &d.cfg
 	if cfg.Analysis == nil {
@@ -182,17 +184,12 @@ func (d *Design) prepare(in *Config) error {
 			"target VOut %.3g V not below ideal output %.3g V (= %.3g * %.3g V)",
 			cfg.VOut, ideal, an.Ratio, cfg.VIn)
 	}
-	capOpt, err := cfg.Node.Capacitor(cfg.CapKind)
-	if err != nil {
-		return err
+	caps := p.capacitors(cfg.Node, cfg.CapKind)
+	if caps.err != nil {
+		return caps.err
 	}
-	d.capOpt = capOpt
-	// Decap uses the densest low-voltage option available: deep trench if
-	// present, MOS otherwise.
-	d.decapOpt = capOpt
-	if dt, ok := cfg.Node.Capacitors[tech.DeepTrench]; ok {
-		d.decapOpt = dt
-	}
+	d.caps = caps
+	capOpt := &caps.opt
 	// Voltage-rating check against the capacitor option.
 	for i := range an.CapMultipliers {
 		if v := an.CapVoltages[i] * cfg.VIn; v > capOpt.VMax*1.001 {
@@ -204,6 +201,38 @@ func (d *Design) prepare(in *Config) error {
 		}
 	}
 	return nil
+}
+
+// capChoice is a node's capacitor lookup for one flying-capacitor kind:
+// the option itself and the decap option beside it, or the lookup error.
+type capChoice struct {
+	opt, decap tech.CapacitorOption
+	err        error
+}
+
+// lookupCaps resolves kind's capacitor option on node. Decap uses the
+// densest low-voltage option available: deep trench if present, the
+// flying-capacitor option otherwise.
+func lookupCaps(node *tech.Node, kind tech.CapacitorKind) capChoice {
+	opt, err := node.Capacitor(kind)
+	if err != nil {
+		return capChoice{err: err}
+	}
+	c := capChoice{opt: opt, decap: opt}
+	if dt, ok := node.Capacitors[tech.DeepTrench]; ok {
+		c.decap = dt
+	}
+	return c
+}
+
+// capacitors returns the capacitor lookup of kind on node: the plan's,
+// resolved once, when the plan is for that node, else a fresh lookup.
+func (p *SwitchPlan) capacitors(node *tech.Node, kind tech.CapacitorKind) *capChoice {
+	if p != nil && node == p.node && kind >= 0 && int(kind) < len(p.caps) {
+		return &p.caps[kind]
+	}
+	c := lookupCaps(node, kind)
+	return &c
 }
 
 // SwitchPlan is the part of SC sizing that depends only on the topology,
@@ -226,6 +255,9 @@ type SwitchPlan struct {
 	// costPerG is the switch area per siemens of G_total under the
 	// cost-aware split: Σ w_i · s_i² · RonW_i · AreaPerW_i.
 	costPerG float64
+	// caps holds the node's capacitor lookups, indexed by CapacitorKind;
+	// the designs sized from the plan share them instead of repeating them.
+	caps [tech.DeepTrench + 1]capChoice
 }
 
 // PlanSwitches maps each switch of the topology onto a technology device
@@ -249,6 +281,9 @@ func PlanSwitches(an *topology.Analysis, node *tech.Node, vin float64) (*SwitchP
 		stacks:    make([]int, an.NumSwitches),
 		costAware: make([]float64, an.NumSwitches),
 		uniform:   make([]float64, an.NumSwitches),
+	}
+	for kind := range p.caps {
+		p.caps[kind] = lookupCaps(node, tech.CapacitorKind(kind))
 	}
 	costSum, uniformSum := 0.0, 0.0
 	for i, m := range an.SwitchMultipliers {
@@ -280,10 +315,11 @@ func PlanSwitches(an *topology.Analysis, node *tech.Node, vin float64) (*SwitchP
 	return p, nil
 }
 
-// New sizes cfg against the plan: it equals the package-level New(cfg)
-// bit for bit, without re-deriving the switch mapping. cfg must name the
-// plan's topology analysis, node and input voltage.
-func (p *SwitchPlan) New(cfg Config) (*Design, error) {
+// newDesign sizes cfg against the plan on the heap: it equals the
+// package-level New(cfg) bit for bit, without re-deriving the switch
+// mapping. cfg must name the plan's topology analysis, node and input
+// voltage. It is the reference Score is tested against.
+func (p *SwitchPlan) newDesign(cfg Config) (*Design, error) {
 	d := &Design{}
 	if err := p.load(d, &cfg); err != nil {
 		return nil, err
@@ -291,25 +327,49 @@ func (p *SwitchPlan) New(cfg Config) (*Design, error) {
 	return d, nil
 }
 
-// Score returns the static metrics of cfg at load current iLoad, sized
-// against the plan, without allocating. ok is false exactly where
-// p.New(cfg) followed by Evaluate(iLoad) returns an error, and on success
-// the metrics equal Evaluate's bit for bit: both run the same checks and
-// arithmetic, Score on a stack-held Design that never formats why it was
-// rejected. A design-space sweep scores every configuration and
-// materializes only the ones it accepts.
-func (p *SwitchPlan) Score(cfg Config, iLoad float64) (m ivr.Metrics, ok bool) {
-	d := Design{quiet: true}
-	if p.load(&d, &cfg) != nil {
+// Score sizes cfg against the plan into *d and returns the design's static
+// metrics at load current iLoad, without allocating. ok is false exactly
+// where New(cfg) followed by Evaluate(iLoad) returns an error; on success
+// *d equals *New(cfg) and the metrics equal Evaluate's, bit for bit. Both
+// run the same checks and arithmetic, Score on a Design the caller holds
+// (on its stack, typically) that never formats why it was rejected. A
+// design-space sweep scores every configuration and copies only the ones
+// it accepts to the heap. On rejection *d is left partly sized.
+func (p *SwitchPlan) Score(d *Design, cfg Config, iLoad float64) (ivr.Metrics, bool) {
+	*d = Design{quiet: true}
+	if p.load(d, &cfg) != nil {
 		return ivr.Metrics{}, false
 	}
+	return d.scoreQuietly(iLoad)
+}
+
+// Rescore sets the phase count of a design Score accepted into *d to n and
+// re-scores it at iLoad: the result equals Score of its configuration with
+// Interleave n, bit for bit, ok included. The phase count changes no
+// sizing step, so only the evaluation runs again.
+func (p *SwitchPlan) Rescore(d *Design, n int, iLoad float64) (ivr.Metrics, bool) {
+	switch {
+	case n == 0: // as prepare defaults it
+		n = 1
+	case n < 0:
+		return ivr.Metrics{}, false
+	}
+	d.cfg.Interleave = n
+	d.quiet = true
+	return d.scoreQuietly(iLoad)
+}
+
+// scoreQuietly evaluates a quiet design at iLoad and leaves it loud, so a
+// copy the caller keeps explains later infeasibilities as New's would.
+func (d *Design) scoreQuietly(iLoad float64) (ivr.Metrics, bool) {
 	m, err := d.Evaluate(iLoad)
+	d.quiet = false
 	return m, err == nil
 }
 
 // load prepares cfg into d and sizes it against the plan.
 func (p *SwitchPlan) load(d *Design, cfg *Config) error {
-	if err := d.prepare(cfg); err != nil {
+	if err := d.prepare(cfg, p); err != nil {
 		return err
 	}
 	if cfg.Analysis != p.an || cfg.Node != p.node || math.Float64bits(cfg.VIn) != math.Float64bits(p.vin) {
@@ -495,13 +555,13 @@ func (d *Design) EvaluateAt(iLoad, fsw float64) (ivr.Metrics, error) {
 	}
 	for i := range an.CapMultipliers {
 		swing := an.CapBottomSwing[i] * cfg.VIn
-		loss.Parasitic += cfg.BottomPlateLossFactor * fsw * d.capOpt.BottomPlateRatio * d.capC(i) * swing * swing
+		loss.Parasitic += cfg.BottomPlateLossFactor * fsw * d.caps.opt.BottomPlateRatio * d.capC(i) * swing * swing
 	}
 
 	// Leakage: capacitor dielectric leakage plus off-state switch leakage
 	// (each switch is off half the time).
 	for i := range an.CapMultipliers {
-		loss.Leakage += d.capC(i) * d.capOpt.LeakPerFarad * an.CapVoltages[i] * cfg.VIn
+		loss.Leakage += d.capC(i) * d.caps.opt.LeakPerFarad * an.CapVoltages[i] * cfg.VIn
 	}
 	for i, dev := range devs {
 		vb := an.SwitchBlockVoltages[i] * cfg.VIn
@@ -573,8 +633,8 @@ func (d *Design) Ripple(iLoad, fsw float64) float64 {
 // Area returns the total die area (m²): flying caps, decap, switches, and
 // controller, with a routing tax.
 func (d *Design) Area() float64 {
-	a := d.capOpt.Area(d.cfg.CTotal)
-	a += d.decapOpt.Area(d.cfg.CDecap)
+	a := d.caps.opt.Area(d.cfg.CTotal)
+	a += d.caps.decap.Area(d.cfg.CDecap)
 	for i, dev := range d.plan.devs {
 		a += float64(d.plan.stacks[i]) * dev.Area(d.width(i))
 	}
