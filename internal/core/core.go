@@ -137,9 +137,9 @@ type Spec struct {
 	// Search selects the exploration strategy. SearchExhaustive (the zero
 	// value) sweeps the full configuration lattice — the paper's flow and
 	// the reference the adaptive mode is tested against. SearchAdaptive
-	// prunes with per-family analytic efficiency bounds and successive
-	// halving (see search.go) and typically evaluates an order of
-	// magnitude fewer configurations.
+	// skips the SC topologies whose analytic efficiency ceiling cannot
+	// place in the top three (see search.go); its best and top three are
+	// the exhaustive sweep's.
 	Search SearchStrategy
 	// Workers bounds the exploration worker pool: 0 uses one worker per
 	// CPU, 1 evaluates the space serially (the reference path). The ranked
@@ -269,9 +269,9 @@ type Result struct {
 }
 
 // shard accumulates the outcome of one evaluation unit on the evaluating
-// goroutine's stack. A unit accepts at most two candidates (an SC
-// PolBoth unit sizes both allocation policies), so they land in a fixed
-// buffer and leave it as one exactly sized slice.
+// goroutine's stack. A unit accepts at most two candidates (an SC unit
+// sizes both allocation policies), so they land in a fixed buffer and
+// leave it as one exactly sized slice.
 type shard struct {
 	cands    [2]Candidate
 	n        int
@@ -383,16 +383,7 @@ func ExploreWith(spec Spec, eval Evaluator) (*Result, error) {
 // exploreExhaustive sweeps the full configuration lattice — the paper's
 // flow and the reference path the adaptive strategy is tested against.
 func exploreExhaustive(spec Spec, ec *evalContext, m *merged, tr *tracker, eval Evaluator) error {
-	// Enumeration resolves the cheap shared context (topology analyses,
-	// device lookups) up front; failures there reject exactly as the
-	// nested serial loops did. The per-configuration sizing and evaluation
-	// — the dominant cost — lands in the ref list.
-	refs, pre := ec.enumerate()
-	for k := Kind(0); int(k) < numKinds; k++ {
-		// Enumeration-time rejections belong to the family being expanded.
-		tr.enumRejected(k, pre[k])
-		m.rejected += pre[k]
-	}
+	refs := enumerateCounted(ec, m, tr)
 	tr.addJobs(len(refs))
 	done, end := tr.batch(refs)
 	outs, ferr := eval(specContext(spec), refs, done)
@@ -402,6 +393,21 @@ func exploreExhaustive(spec Spec, ec *evalContext, m *merged, tr *tracker, eval 
 	// the merge still walks enumeration order with no gaps or tears.
 	m.add(outs)
 	return ferr
+}
+
+// enumerateCounted returns the spec's canonical ref list and books the
+// enumeration-time rejections to the run. Enumeration resolves the cheap
+// shared context (topology analyses, device lookups) up front; failures
+// there reject exactly as the nested serial loops did, and belong to the
+// family being expanded. The per-configuration sizing and evaluation —
+// the dominant cost — lands in the ref list.
+func enumerateCounted(ec *evalContext, m *merged, tr *tracker) []ConfigRef {
+	refs, pre := ec.enumerate()
+	for k := Kind(0); int(k) < numKinds; k++ {
+		tr.enumRejected(k, pre[k])
+		m.rejected += pre[k]
+	}
+	return refs
 }
 
 // scRatio is one SC conversion ratio the explorer tries, with its
@@ -451,12 +457,10 @@ func scRatios(spec Spec) []*topology.Topology {
 }
 
 // The evaluation lattices, shared by both search strategies: the
-// exhaustive path sweeps them fully, the adaptive path probes them
-// coarsely and bisects around the incumbent (search.go). Densities are
+// exhaustive path sweeps them fully, the adaptive path sweeps them fully
+// for every SC topology it does not prune (search.go). Densities are
 // picked for design resolution — ~1.2% steps on the SC capacitor share,
-// 29 log-spaced points across the buck frequency decade — at which the
-// exhaustive sweep is the high-fidelity reference and the adaptive mode
-// earns its keep.
+// 29 log-spaced points across the buck frequency decade.
 var (
 	// scCapKinds is the capacitor-flavour axis of the SC space.
 	scCapKinds = [...]tech.CapacitorKind{tech.DeepTrench, tech.MOSCap, tech.MIMCap}
@@ -494,14 +498,14 @@ func geomspace(lo, hi float64, n int) []float64 {
 }
 
 // evalSCPolicy sizes and evaluates one (topology, cap kind, cap share,
-// allocation policy) configuration — the unit the adaptive search counts
-// and prunes individually. Both conductance-allocation policies are
+// allocation policy) configuration; uniform selects the plain a_r split
+// over the cost-aware one. Both conductance-allocation policies are
 // candidates: the cost-aware split wins when gate drive dominates, the
 // plain a_r split when the FSL budget is tight (it keeps C·f_sw — and
 // bottom-plate loss — lower). The configuration is sized and scored
 // against the topology's switch plan, built once per exploration, without
 // allocating; only an accepted design is copied to the heap and labelled.
-func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
+func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef, uniform bool) {
 	spec, an, plan := ec.spec, ec.topos[ref.Topo], ec.plans[ref.Topo]
 	capKind, capOpt := scCapKinds[ref.Cap], ec.capOpts[ref.Cap]
 	capShare, usable := scCapShares[ref.Axis], ec.usable
@@ -521,7 +525,7 @@ func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef) {
 		VIn: spec.VIn, VOut: spec.VOut,
 		CTotal: cTot, GTotal: gTot, CDecap: cDecap,
 		FSwMax:                  spec.FSwMax,
-		UniformSwitchAllocation: ref.Pol == PolUniform,
+		UniformSwitchAllocation: uniform,
 	}
 	var scored sc.Design
 	m, ok := plan.Score(&scored, cfg, spec.IMax)

@@ -101,13 +101,13 @@ func TestRankCandidatesMatchesRankLessSort(t *testing.T) {
 // jobs, done, per-kind counts, pruning counts and front size.
 func TestStatsSameWithAndWithoutCallbacks(t *testing.T) {
 	type counts struct {
-		Jobs, Done                 int
-		PerKind                    [numKinds]KindStats
-		PrunedBound, PrunedHalving int
-		FrontSize                  int
+		Jobs, Done  int
+		PerKind     [numKinds]KindStats
+		PrunedBound int
+		FrontSize   int
 	}
 	countsOf := func(s Stats) counts {
-		return counts{s.Jobs, s.Done, s.PerKind, s.PrunedBound, s.PrunedHalving, s.FrontSize}
+		return counts{s.Jobs, s.Done, s.PerKind, s.PrunedBound, s.FrontSize}
 	}
 	compared := 0
 	for i, base := range goldenSpecs(80) {

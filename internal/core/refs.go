@@ -23,21 +23,12 @@ import (
 // candidates, and results are merged positionally — so any evaluator that
 // returns the same per-ref outcomes yields a bit-identical ranked result.
 
-// PolBoth marks an SC ref that evaluates both conductance-allocation
-// policies in one unit — the exhaustive sweep's job granularity. The
-// adaptive search addresses policies individually with PolCostAware /
-// PolUniform.
-const (
-	PolBoth      = -1
-	PolCostAware = 0
-	PolUniform   = 1
-)
-
 // ConfigRef addresses one evaluation unit of a spec's design space. The
 // integer fields index the canonical per-kind axes:
 //
 //	KindSC:   Topo = scRatios(spec) index, Cap = scCapKinds index,
-//	          Axis = scCapShares index, Pol = PolBoth|PolCostAware|PolUniform
+//	          Axis = scCapShares index; the unit sizes both
+//	          conductance-allocation policies
 //	KindBuck: Topo = phase-plan index (minPhases, minPhases*2 after the
 //	          1..64 filter), Axis = buckFreqs index
 //	KindLDO:  Axis = ldoSampleFreqs index
@@ -49,11 +40,10 @@ type ConfigRef struct {
 	Topo int
 	Cap  int
 	Axis int
-	Pol  int
 }
 
 // RefOutcome is the evaluation outcome of one ConfigRef: the accepted
-// candidates (possibly several — an SC PolBoth unit sizes two policies)
+// candidates (possibly several — an SC unit sizes two policies)
 // and the count of configurations rejected during sizing/feasibility.
 type RefOutcome struct {
 	Candidates []Candidate
@@ -191,7 +181,7 @@ func (ec *evalContext) walk(visit func(ConfigRef)) (pre [numKinds]int) {
 						continue
 					}
 					for ai := range scCapShares {
-						visit(ConfigRef{Kind: KindSC, Topo: ti, Cap: ci, Axis: ai, Pol: PolBoth})
+						visit(ConfigRef{Kind: KindSC, Topo: ti, Cap: ci, Axis: ai})
 					}
 				}
 			}
@@ -220,8 +210,8 @@ func (ec *evalContext) walk(visit func(ConfigRef)) (pre [numKinds]int) {
 	return pre
 }
 
-// validate bounds-checks a ref against the resolved axes; the serving
-// layer calls it on wire-decoded refs before evaluation.
+// validate bounds-checks a ref against the resolved axes; EvalRefs calls
+// it on every caller-supplied ref before evaluation.
 func (ec *evalContext) validate(ref ConfigRef) error {
 	switch ref.Kind {
 	case KindSC:
@@ -233,9 +223,6 @@ func (ec *evalContext) validate(ref ConfigRef) error {
 		}
 		if ref.Axis < 0 || ref.Axis >= len(scCapShares) {
 			return fmt.Errorf("core: SC ref share index %d out of range", ref.Axis)
-		}
-		if ref.Pol < PolBoth || ref.Pol > PolUniform {
-			return fmt.Errorf("core: SC ref policy %d out of range", ref.Pol)
 		}
 	case KindBuck:
 		if !ec.indOK || ref.Topo < 0 || ref.Topo >= len(ec.phasePlans) {
@@ -259,14 +246,9 @@ func (ec *evalContext) validate(ref ConfigRef) error {
 func (ec *evalContext) eval(ref ConfigRef, out *shard) {
 	switch ref.Kind {
 	case KindSC:
-		if ref.Pol == PolBoth {
-			for _, pol := range [...]int{PolCostAware, PolUniform} {
-				ref.Pol = pol
-				ec.evalSCPolicy(out, ref)
-			}
-			return
-		}
-		ec.evalSCPolicy(out, ref)
+		// Cost-aware allocation first, then uniform.
+		ec.evalSCPolicy(out, ref, false)
+		ec.evalSCPolicy(out, ref, true)
 	case KindBuck:
 		evalBuck(out, ec.spec, ec.node, ec.ind, ec.outCapKind, ec.phasePlans[ref.Topo], buckFreqs[ref.Axis])
 	case KindLDO:
@@ -296,11 +278,6 @@ func (ec *evalContext) localEvaluator(workers int) Evaluator {
 type RangeResult struct {
 	// Outcomes aligns positionally with the evaluated refs.
 	Outcomes []RefOutcome
-	// Total is the full canonical enumeration length for the spec.
-	Total int
-	// PreRejected counts enumeration-time rejections for the whole spec
-	// (not the evaluated refs).
-	PreRejected int
 	// Stats carries the evaluation telemetry (per-kind counts, wall time).
 	// Enumeration-time rejections are excluded.
 	Stats Stats
@@ -323,13 +300,7 @@ func EvalRefs(spec Spec, refs []ConfigRef) (*RangeResult, error) {
 			return nil, fmt.Errorf("core: ref %d invalid: %w", i, err)
 		}
 	}
-	allRefs, pre := ec.enumerate()
-	rr, err := evalRefsLocal(spec, ec, refs)
-	rr.Total = len(allRefs)
-	for _, n := range pre {
-		rr.PreRejected += n
-	}
-	return rr, err
+	return evalRefsLocal(spec, ec, refs)
 }
 
 // evalRefsLocal fans refs over the local pool with full run telemetry.

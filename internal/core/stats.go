@@ -42,11 +42,9 @@ type Stats struct {
 	// performed (hits return a shared Analysis, misses solved KVL/KCL).
 	TopoCacheHits, TopoCacheMisses int64
 	// PrunedBound counts configurations the adaptive search skipped
-	// because their family's analytic efficiency ceiling could not beat
-	// the established winners; PrunedHalving counts configurations skipped
-	// by successive halving (dropped lattice cells and never-refined grid
-	// points). Both are zero on an exhaustive run.
-	PrunedBound, PrunedHalving int
+	// because their SC topology's analytic efficiency ceiling could not
+	// place in the established winners. It is zero on an exhaustive run.
+	PrunedBound int
 	// FrontSize is the cardinality of the incrementally maintained
 	// (efficiency, area) Pareto front over the accepted candidates.
 	FrontSize int
@@ -91,7 +89,7 @@ func (s Stats) Evaluated() int { return s.Accepted() + s.Rejected() }
 
 // Pruned is the total number of configurations the adaptive search
 // skipped without evaluating.
-func (s Stats) Pruned() int { return s.PrunedBound + s.PrunedHalving }
+func (s Stats) Pruned() int { return s.PrunedBound }
 
 // String renders the one-line run summary the CLIs print.
 func (s Stats) String() string {
@@ -109,8 +107,7 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, "; %s", strings.Join(parts, ", "))
 	}
 	if s.Pruned() > 0 {
-		fmt.Fprintf(&b, "; %d pruned (%d bound, %d halving)",
-			s.Pruned(), s.PrunedBound, s.PrunedHalving)
+		fmt.Fprintf(&b, "; %d pruned", s.Pruned())
 	}
 	fmt.Fprintf(&b, "), topo cache %d hit/%d miss, %s",
 		s.TopoCacheHits, s.TopoCacheMisses, s.Wall.Round(time.Millisecond))
@@ -179,8 +176,7 @@ func (t *tracker) snapshotLocked() Stats {
 }
 
 // addJobs grows the planned-job count. The exhaustive path calls it once;
-// the adaptive path calls it at every stage boundary as the surviving
-// lattice is expanded.
+// the adaptive path calls it at every stage it runs.
 func (t *tracker) addJobs(n int) {
 	t.mu.Lock()
 	t.stats.Jobs += n
@@ -195,17 +191,11 @@ func (t *tracker) enumRejected(kind Kind, n int) {
 	t.mu.Unlock()
 }
 
-// prunedBound / prunedHalving count configurations the adaptive search
-// skipped without evaluating.
+// prunedBound counts configurations the adaptive search skipped without
+// evaluating.
 func (t *tracker) prunedBound(n int) {
 	t.mu.Lock()
 	t.stats.PrunedBound += n
-	t.mu.Unlock()
-}
-
-func (t *tracker) prunedHalving(n int) {
-	t.mu.Lock()
-	t.stats.PrunedHalving += n
 	t.mu.Unlock()
 }
 

@@ -46,9 +46,9 @@ type SpecDTO struct {
 	// FSwMaxHz bounds switching frequency; 0 selects 1 GHz.
 	FSwMaxHz float64 `json:"fsw_max_hz,omitempty"`
 	// Search is "exhaustive" | "adaptive" (aliases "full" / "pruned");
-	// empty selects the exhaustive reference sweep. Adaptive prunes with
-	// analytic bounds and successive halving and returns the same ranked
-	// winners at a fraction of the evaluations.
+	// empty selects the exhaustive reference sweep. Adaptive skips the SC
+	// topologies whose analytic efficiency ceiling cannot place in the top
+	// three and returns the exhaustive sweep's best and top three.
 	Search string `json:"search,omitempty"`
 }
 
@@ -223,7 +223,6 @@ type ExploreStatsDTO struct {
 	Rejected         int            `json:"rejected"`
 	PerKind          []KindStatsDTO `json:"per_kind"`
 	PrunedBound      int            `json:"pruned_bound"`
-	PrunedHalving    int            `json:"pruned_halving"`
 	FrontSize        int            `json:"front_size"`
 	TopoCacheHits    int64          `json:"topo_cache_hits"`
 	TopoCacheMisses  int64          `json:"topo_cache_misses"`
@@ -243,7 +242,6 @@ func exploreStatsDTO(s core.Stats) ExploreStatsDTO {
 		Accepted:         s.Accepted(),
 		Rejected:         s.Rejected(),
 		PrunedBound:      s.PrunedBound,
-		PrunedHalving:    s.PrunedHalving,
 		FrontSize:        s.FrontSize,
 		TopoCacheHits:    s.TopoCacheHits,
 		TopoCacheMisses:  s.TopoCacheMisses,

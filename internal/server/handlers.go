@@ -106,7 +106,7 @@ func (s *Server) exploreJob(req *ExploreRequest, hook func(*core.Spec)) (*job, e
 		if err != nil && !(interrupted && res != nil && len(res.Candidates) > 0) {
 			return nil, err
 		}
-		s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
+		s.metrics.notePruned(res.Stats.PrunedBound)
 		return ExploreResponseFromResult(res, err), err
 	}
 	return &job{

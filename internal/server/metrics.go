@@ -98,7 +98,7 @@ type metrics struct {
 	jobsSubmitted *counterVec
 	jobsRejected  *counterVec
 	// candidatesPruned counts configurations the adaptive search skipped
-	// without sizing, by pruning strategy (bound | halving).
+	// without sizing, by pruning strategy (bound is the only one).
 	candidatesPruned *counterVec
 	// hybridCandidates counts rail assignments hybrid sweeps examined, by
 	// outcome (ranked | rejected_infeasible | rejected_area).
@@ -125,9 +125,8 @@ func newMetrics() *metrics {
 // notePruned folds one finished exploration's pruning telemetry into the
 // counter. Cache hits do not recount: the counter tracks configurations
 // actually skipped by compute jobs.
-func (m *metrics) notePruned(bound, halving int) {
+func (m *metrics) notePruned(bound int) {
 	m.candidatesPruned.add(`strategy="bound"`, int64(bound))
-	m.candidatesPruned.add(`strategy="halving"`, int64(halving))
 }
 
 // noteHybrid folds one finished hybrid sweep's enumeration telemetry into

@@ -640,6 +640,39 @@ func TestExploreEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAdaptiveExploreFeasibleWhereExhaustiveIs posts core's golden spec
+// #232, a buck-only spec the successive-halving search once answered 422
+// for although the exhaustive sweep finds designs: both strategies must
+// answer 200 with the same best design.
+func TestAdaptiveExploreFeasibleWhereExhaustiveIs(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2, EngineWorkers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var best []string
+	for _, search := range []string{"exhaustive", "adaptive"} {
+		resp, body := postJSON(t, ts.URL+"/v1/explore", `{"spec":{"node":"45nm","vin_v":1.2,"vout_v":1.0467840695484685,`+
+			`"imax_a":2.0101478688506162,"area_mm2":4.369330786406287,"kinds":["buck"],"search":"`+search+`"},"top":1}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s), want 200", search, resp.StatusCode, body)
+		}
+		var er ExploreResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.Best == nil {
+			t.Fatalf("%s: no best design: %s", search, body)
+		}
+		best = append(best, er.Best.Label)
+	}
+	if best[0] != best[1] {
+		t.Errorf("best design: exhaustive %q, adaptive %q", best[0], best[1])
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
 // TestTransientRejectsUnknownBenchmark exercises the real engine's input
 // validation through the endpoint (no simulation runs for a bad name).
 func TestTransientRejectsUnknownBenchmark(t *testing.T) {

@@ -36,13 +36,12 @@ const progressStride = 64
 
 // StreamProgressEvent is the data payload of an SSE "progress" event.
 type StreamProgressEvent struct {
-	Jobs          int `json:"jobs"`
-	Done          int `json:"done"`
-	Evaluated     int `json:"evaluated"`
-	Accepted      int `json:"accepted"`
-	PrunedBound   int `json:"pruned_bound"`
-	PrunedHalving int `json:"pruned_halving"`
-	FrontSize     int `json:"front_size"`
+	Jobs        int `json:"jobs"`
+	Done        int `json:"done"`
+	Evaluated   int `json:"evaluated"`
+	Accepted    int `json:"accepted"`
+	PrunedBound int `json:"pruned_bound"`
+	FrontSize   int `json:"front_size"`
 }
 
 // StreamBestEvent is the data payload of an SSE "best" event: a new
@@ -110,8 +109,7 @@ func (s *Server) streamJob(req *ExploreRequest) (*job, error) {
 				push(jsonEvent("progress", StreamProgressEvent{
 					Jobs: st.Jobs, Done: st.Done,
 					Evaluated: st.Evaluated(), Accepted: st.Accepted(),
-					PrunedBound: st.PrunedBound, PrunedHalving: st.PrunedHalving,
-					FrontSize: st.FrontSize,
+					PrunedBound: st.PrunedBound, FrontSize: st.FrontSize,
 				}))
 			}
 		}

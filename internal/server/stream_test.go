@@ -138,8 +138,7 @@ func TestStreamMatchesSynchronousExplore(t *testing.T) {
 	// The adaptive run pruned candidates and the counter reached /metrics.
 	_, metricsBody := getJSON(t, ts.URL+"/metrics")
 	m := parseExposition(string(metricsBody))
-	pruned := m[`ivoryd_candidates_pruned_total{strategy="bound"}`] + m[`ivoryd_candidates_pruned_total{strategy="halving"}`]
-	if pruned <= 0 {
+	if m[`ivoryd_candidates_pruned_total{strategy="bound"}`] <= 0 {
 		t.Errorf("ivoryd_candidates_pruned_total not incremented after an adaptive stream")
 	}
 

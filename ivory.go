@@ -69,8 +69,9 @@ type (
 	// ExploreKindStats is one converter family's accept/reject tally.
 	ExploreKindStats = core.KindStats
 	// SearchStrategy selects how Explore walks the configuration lattice:
-	// the exhaustive reference sweep, or the adaptive bound-and-halve mode
-	// that skips dominated candidates without sizing them (Spec.Search).
+	// the exhaustive reference sweep, or the adaptive mode that skips the
+	// SC topologies whose efficiency ceiling cannot place in the top three
+	// without sizing them (Spec.Search).
 	SearchStrategy = core.SearchStrategy
 	// PanicError wraps a panic that escaped an exploration job; it is
 	// re-raised on the caller's goroutine tagged with the job index.
