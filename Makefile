@@ -38,13 +38,17 @@ race:
 # parses as a SPICE netlist must come back from Tran with a result or an
 # error, never a panic. FuzzSparseLU: the production LU must agree with the
 # dense test oracle on generated sparse and near-singular systems, and a
-# pattern-preserving Refactor with a fresh factorization. The committed
-# seed corpora (testdata/fuzz in each package) also run under plain
+# pattern-preserving Refactor with a fresh factorization.
+# FuzzSummarizeInPlace: the bucketed quartiles must match a sort-based
+# reference bit for bit, and samples with NaN or ±Inf must take the
+# quickselect path. The committed seed corpora (testdata/fuzz in each
+# package, f.Add seeds for FuzzSummarizeInPlace) also run under plain
 # `go test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRequestIdentity -fuzztime=20s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzNetlist -fuzztime=20s ./internal/spice
 	$(GO) test -run='^$$' -fuzz=FuzzSparseLU -fuzztime=20s ./internal/numeric
+	$(GO) test -run='^$$' -fuzz=FuzzSummarizeInPlace -fuzztime=20s ./internal/numeric
 
 # Benchmark smoke run over the root harness (Explore serial/parallel/
 # cluster, PlaceIVRs, per-figure regeneration, MNA kernel Transient
@@ -87,7 +91,9 @@ bench-full:
 # unstructured reference point), and over the exploration engine
 # (BenchmarkExploreParallel: the case-study sweep at one worker per CPU,
 # so the split between sizing arithmetic and the ranking, tracking and
-# allocation around it shows next to the kernels). Emits pprof
+# allocation around it shows next to the kernels), and over the experiment
+# kernels (BenchmarkFig6RegulationSpectrum's Bluestein spectrum and
+# BenchmarkFig10NoiseAnalysis's PDN stepping and box-plot summaries). Emits pprof
 # artifacts under profiles/ (uploaded from CI); the trailing `go tool pprof
 # -top` both prints the hot spots and fails the target if a profile is
 # unreadable. Flame graph: `go tool pprof -http=: profiles/kernel.test
@@ -103,10 +109,13 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'ExploreParallel$$' -benchtime=2000x \
 		-cpuprofile profiles/explore_cpu.pprof -memprofile profiles/explore_mem.pprof \
 		-o profiles/explore.test .
+	$(GO) test -run '^$$' -bench 'Fig6RegulationSpectrum|Fig10NoiseAnalysis' -benchtime=20x \
+		-cpuprofile profiles/experiments_cpu.pprof -o profiles/experiments.test .
 	$(GO) tool pprof -top -nodecount=12 profiles/kernel.test profiles/kernel_cpu.pprof
 	$(GO) tool pprof -top -nodecount=12 -sample_index=alloc_objects profiles/kernel.test profiles/kernel_mem.pprof
 	$(GO) tool pprof -top -nodecount=12 profiles/explore.test profiles/explore_cpu.pprof
 	$(GO) tool pprof -top -nodecount=12 -sample_index=alloc_objects profiles/explore.test profiles/explore_mem.pprof
+	$(GO) tool pprof -top -nodecount=12 profiles/experiments.test profiles/experiments_cpu.pprof
 
 # Run the exploration daemon (POST /v1/explore, /v1/transient; GET
 # /healthz, /metrics). -addr :0 picks a free port.

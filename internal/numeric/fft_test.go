@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"ivory/internal/parallel"
 )
 
 // fft is the complex transform behind AmplitudeSpectra, on a copy of x.
@@ -286,5 +289,113 @@ func TestAmplitudeSpectraRejectsUnequalLengths(t *testing.T) {
 	freq, ax, ay, err := AmplitudeSpectra(nil, nil, 1)
 	if err != nil || freq != nil || ax != nil || ay != nil {
 		t.Errorf("empty input: %v %v %v %v", freq, ax, ay, err)
+	}
+}
+
+// fig9SpectrumLength is the length Fig 9 transforms: the settled second
+// half of a 4 µs SPICE run at 32 samples per 217 MHz tone period.
+func fig9SpectrumLength() int {
+	samples := int(math.Ceil(4e-6*(217e6*32))) + 1
+	return samples - samples/2
+}
+
+// TestAmplitudeSpectraConcurrent runs AmplitudeSpectra from several
+// goroutines at once over power-of-two, odd, Fig 6 and Fig 9 lengths
+// (run it under -race): every caller must get the spectra a lone caller
+// gets, bit for bit, and each must agree with the direct DFT at a spread
+// of bins, around the tones included.
+func TestAmplitudeSpectraConcurrent(t *testing.T) {
+	const dt = 1e-9
+	tones := []float64{1e6, 53e6, 97e6}
+	lengths := []int{1024, 4096, 231, 1001, 40001, fig9SpectrumLength()}
+	type want struct{ x, y, ax, ay []float64 }
+	wants := make([]want, len(lengths))
+	for i, n := range lengths {
+		x := spectraSignal(n, dt, int64(n), tones)
+		y := spectraSignal(n, dt, int64(n)+1, tones)
+		for k := range y {
+			y[k] *= 0.5
+		}
+		_, ax, ay, err := AmplitudeSpectra(x, y, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bins []int
+		for _, f := range tones {
+			c := int(math.Round(f * float64(n) * dt))
+			for k := max(c-2, 0); k <= min(c+2, n/2); k++ {
+				bins = append(bins, k)
+			}
+		}
+		bins = append(bins, 0, n/3, n/2)
+		checkSpectrum(t, fmt.Sprintf("n=%d x", n), x, ax, bins)
+		checkSpectrum(t, fmt.Sprintf("n=%d y", n), y, ay, bins)
+		wants[i] = want{x, y, ax, ay}
+	}
+	const callers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, callers*len(lengths))
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for j := range lengths {
+				i := (j + c) % len(lengths)
+				w := wants[i]
+				_, ax, ay, err := AmplitudeSpectra(w.x, w.y, dt)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for k := range ax {
+					if bitsDiffer(ax[k], w.ax[k]) || bitsDiffer(ay[k], w.ay[k]) {
+						errs <- fmt.Errorf("caller %d, n=%d: bin %d differs from the lone caller's", c, lengths[i], k)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestBluesteinPlanMemoCap fills a fresh plan memo with more lengths than
+// it may hold, from concurrent callers, and checks it kept exactly its cap:
+// a second pass over the lengths hits once per resident plan. A length
+// whose kernel is over bluesteinPlanMaxM points is planned per call and
+// never stored.
+func TestBluesteinPlanMemoCap(t *testing.T) {
+	saved := bluesteinPlans
+	bluesteinPlans = parallel.NewMemo[int, *bluesteinPlan](bluesteinPlanLimit)
+	t.Cleanup(func() { bluesteinPlans = saved })
+	var lengths []int
+	for n := 3; len(lengths) < bluesteinPlanLimit+3; n += 2 {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, bluesteinPlanMaxM/2+1)
+	run := func(n int) {
+		if _, _, _, err := AmplitudeSpectra(spectraSignal(n, 1e-9, int64(n), []float64{1e7}), nil, 1e-9); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, n := range lengths {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			run(n)
+		}(n)
+	}
+	wg.Wait()
+	h0, _ := bluesteinPlans.Stats()
+	for _, n := range lengths {
+		run(n)
+	}
+	if h1, _ := bluesteinPlans.Stats(); h1-h0 != bluesteinPlanLimit {
+		t.Errorf("second pass hit %d plans, want the cap %d", h1-h0, bluesteinPlanLimit)
 	}
 }

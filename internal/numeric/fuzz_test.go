@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -95,5 +96,67 @@ func FuzzSparseLU(f *testing.F) {
 		if e := relErr(sp.Solve(b), fresh.Solve(b)); !(e <= 1e-9) {
 			t.Fatalf("Refactor solve drifted from a fresh factorization by %g", e)
 		}
+	})
+}
+
+// fuzzSample decodes a sample from fuzz bytes. A byte below 0xF0 is a
+// value from a small alphabet, (b&15 - 8)·2^(b>>4 - 7), so ties and
+// clusters are common; the bytes above it are special values: ±Inf, NaN,
+// -0, ±MaxFloat64, the smallest subnormal, and (0xF7) the raw float64 in
+// the next eight bytes.
+func fuzzSample(data []byte) []float64 {
+	var xs []float64
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		var v float64
+		switch {
+		case b < 0xF0:
+			v = math.Ldexp(float64(int(b&15)-8), int(b>>4)-7)
+		case b == 0xF0:
+			v = math.Inf(1)
+		case b == 0xF1:
+			v = math.Inf(-1)
+		case b == 0xF2:
+			v = math.NaN()
+		case b == 0xF3:
+			v = math.Copysign(0, -1)
+		case b == 0xF4:
+			v = math.MaxFloat64
+		case b == 0xF5:
+			v = -math.MaxFloat64
+		case b == 0xF6:
+			v = 5e-324
+		case b == 0xF7 && len(data) >= 8:
+			v = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+		default:
+			v = 1
+		}
+		xs = append(xs, v)
+	}
+	return xs
+}
+
+// FuzzSummarizeInPlace holds SummarizeInPlace to the sort-based reference
+// bit for bit on decoded samples, and samples with a NaN or ±Inf to the
+// nested-quickselect path (checkSummarizeInPlace). The seeds cover ties,
+// constant and two-valued samples, and each special value.
+func FuzzSummarizeInPlace(f *testing.F) {
+	f.Add([]byte{0x18, 0x18, 0x18, 0x18, 0x18})
+	f.Add([]byte{0x18, 0x19, 0x18, 0x19, 0x19, 0x18})
+	f.Add([]byte{0x01, 0x7f, 0x33, 0xe2, 0x45, 0x45, 0x10, 0x9c, 0x9c})
+	f.Add([]byte{0x18, 0xF0, 0x19, 0x1a, 0x1b})
+	f.Add([]byte{0xF1, 0x18, 0x19, 0x1a, 0xF0, 0x20})
+	f.Add([]byte{0x18, 0x19, 0xF2, 0x1a, 0x1b, 0x1c})
+	f.Add([]byte{0xF3, 0x08, 0xF3, 0x08, 0x09, 0x07})
+	f.Add([]byte{0xF4, 0xF5, 0xF6, 0x18, 0x19})
+	f.Add([]byte{0xF7, 1, 0, 0, 0, 0, 0, 0, 0, 0xF6, 0x08, 0x09, 0x0a})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xs := fuzzSample(data)
+		if len(xs) == 0 || len(xs) > 5000 {
+			return
+		}
+		checkSummarizeInPlace(t, "fuzz", xs)
 	})
 }

@@ -108,9 +108,13 @@ func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("numeric: MulVecInto dst length %d, want %d", len(dst), m.Rows))
 	}
-	for i := 0; i < m.Rows; i++ {
+	// Each row is sliced to len(x), so the inner loop runs free of bounds
+	// checks.
+	data := m.Data
+	for i := range dst {
+		row := data[:len(x)]
+		data = data[len(x):]
 		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, v := range row {
 			s += v * x[j]
 		}

@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -73,5 +74,88 @@ func TestLinearSystemShapeErrors(t *testing.T) {
 	sq := Identity(2)
 	if _, err := NewLinearSystem(sq, NewMatrix(3, 1), 1e-6); err == nil {
 		t.Error("expected error for B row mismatch")
+	}
+}
+
+// refMulVec is the plain row-by-column product, summed in column order.
+func refMulVec(m *Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		s := 0.0
+		for j := 0; j < m.Cols; j++ {
+			s += m.At(i, j) * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// refStep is the three-mat-vec trapezoidal step Step must reproduce.
+func refStep(s *LinearSystem, x, u0, u1 []float64) {
+	rhs, b0, b1 := refMulVec(s.prop, x), refMulVec(s.bprop, u0), refMulVec(s.bprop, u1)
+	for i := range x {
+		x[i] = rhs[i] + b0[i] + b1[i]
+	}
+}
+
+// TestLinearSystemStepMatchesThreeMatVecs steps a PDN ladder's state space
+// through Step and through the reference side by side, bit for bit, with
+// chained inputs (u0 = the previous u1, where Step reuses bprop·u1), with
+// unchained ones, and with chains broken by a one-ulp or sign-of-zero
+// change.
+func TestLinearSystemStepMatchesThreeMatVecs(t *testing.T) {
+	// A three-stage R-L ladder with shunt decaps, states [iL1..3, vC1..3],
+	// inputs [V_src, I_load].
+	a := NewMatrixFrom([][]float64{
+		{-0.4e-3 / 1.2e-9, 0, 0, -1 / 1.2e-9, 0, 0},
+		{0, -0.5e-3 / 80e-12, 0, 1 / 80e-12, -1 / 80e-12, 0},
+		{0, 0, -1e-3 / 10e-12, 0, 1 / 10e-12, -1 / 10e-12},
+		{1 / 300e-6, -1 / 300e-6, 0, 0, 0, 0},
+		{0, 1 / 4e-6, -1 / 4e-6, 0, 0, 0},
+		{0, 0, 1 / 50e-9, 0, 0, 0},
+	})
+	b := NewMatrixFrom([][]float64{
+		{1 / 1.2e-9, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, -1 / 50e-9},
+	})
+	const dt = 1e-9
+	rng := rand.New(rand.NewSource(26))
+	load := func() float64 { return 10 + 5*rng.Float64() }
+	for _, mode := range []string{"chained", "unchained", "broken"} {
+		sys, err := NewLinearSystem(a, b, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewLinearSystem(a, b, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := []float64{10, 10, 10, 0.99, 0.99, 0.98}
+		xr := append([]float64(nil), x...)
+		// The broken chains run from a zero source, so flipping u0's zero
+		// to -0 changes its bits but not its value.
+		src := 1.0
+		if mode == "broken" {
+			src = 0
+		}
+		u0, u1 := []float64{src, load()}, []float64{src, 0}
+		for k := 0; k < 2000; k++ {
+			u1[1] = load()
+			switch {
+			case mode == "unchained":
+				u0[1] = load()
+			case mode == "broken" && k%7 == 3:
+				u0[1] = math.Nextafter(u0[1], math.Inf(1))
+			case mode == "broken" && k%7 == 5:
+				u0[0] = math.Copysign(0, -1)
+			}
+			sys.Step(x, u0, u1)
+			refStep(ref, xr, u0, u1)
+			for i := range x {
+				if bitsDiffer(x[i], xr[i]) {
+					t.Fatalf("%s, step %d: x[%d] = %v, three mat-vecs give %v", mode, k, i, x[i], xr[i])
+				}
+			}
+			copy(u0, u1)
+		}
 	}
 }

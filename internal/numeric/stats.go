@@ -26,11 +26,16 @@ func Summarize(xs []float64) Summary {
 }
 
 // SummarizeInPlace computes the same statistics as Summarize but is free to
-// permute xs, partially ordering the buffer around the quartile positions
-// (O(n) selection) instead of fully sorting it (O(n log n)). The quartiles
-// are exact order statistics, identical to the sorted computation. Use it on
-// scratch buffers in hot loops — the case study summarizes a ~10k-sample
-// voltage trace per simulation cell.
+// permute xs, which lets it find the quartiles in O(n) instead of sorting
+// (O(n log n)). The quartiles are exact order statistics, identical to the
+// sorted computation. Use it on scratch buffers in hot loops — the case
+// study summarizes a ~10k-sample voltage trace per simulation cell.
+//
+// Q1, the median and Q3 interpolate between the order statistics at
+// floor(q(n-1)) and the one after it, six ranks in all. For n >= 4 finite,
+// non-constant samples, bucketQuartiles finds them with one histogram pass
+// and one gather of the buckets holding them. Shorter, non-finite or
+// constant samples select them with nested quickselect.
 func SummarizeInPlace(xs []float64) Summary {
 	n := len(xs)
 	if n == 0 {
@@ -60,20 +65,10 @@ func SummarizeInPlace(xs []float64) Summary {
 		Mean: mean,
 		Std:  math.Sqrt(variance),
 	}
-	if n >= 4 {
-		// The median select partitions xs around its index kM (prefix <=
-		// xs[kM] <= suffix), so xs[:kM+1] holds exactly the kM+1 smallest
-		// samples and xs[kM+1:] the rest: Q1 and Q3 each select within
-		// their own half instead of the full buffer. The quartiles remain
-		// the exact order statistics of the whole sample.
-		kM := int(0.5 * float64(n-1))
-		out.Median = quantileSelect(xs, 0.5)
-		out.Q1 = subQuantile(xs[:kM+1], 0, 0.25*float64(n-1))
-		out.Q3 = subQuantile(xs[kM+1:], kM+1, 0.75*float64(n-1))
-	} else {
-		out.Q1 = quantileSelect(xs, 0.25)
-		out.Median = quantileSelect(xs, 0.5)
-		out.Q3 = quantileSelect(xs, 0.75)
+	// sum-sum is NaN exactly when some sample is NaN or ±Inf (or the sum
+	// overflowed).
+	if n < 4 || math.IsNaN(sum-sum) || !bucketQuartiles(xs, mn, mx, &out) {
+		selectQuartiles(xs, &out)
 	}
 	iqr := out.Q3 - out.Q1
 	lo, hi := out.Q1-1.5*iqr, out.Q3+1.5*iqr
@@ -87,6 +82,114 @@ func SummarizeInPlace(xs []float64) Summary {
 		}
 	}
 	return out
+}
+
+// selectQuartiles fills out's Q1, Median and Q3 by nested quickselect,
+// permuting xs.
+func selectQuartiles(xs []float64, out *Summary) {
+	n := len(xs)
+	if n < 4 {
+		out.Q1 = quantileSelect(xs, 0.25)
+		out.Median = quantileSelect(xs, 0.5)
+		out.Q3 = quantileSelect(xs, 0.75)
+		return
+	}
+	// The median select partitions xs around its index kM (prefix <=
+	// xs[kM] <= suffix), so xs[:kM+1] holds exactly the kM+1 smallest
+	// samples and xs[kM+1:] the rest: Q1 and Q3 each select within their
+	// own half instead of the full buffer. The quartiles remain the exact
+	// order statistics of the whole sample.
+	kM := int(0.5 * float64(n-1))
+	out.Median = quantileSelect(xs, 0.5)
+	out.Q1 = subQuantile(xs[:kM+1], 0, 0.25*float64(n-1))
+	out.Q3 = subQuantile(xs[kM+1:], kM+1, 0.75*float64(n-1))
+}
+
+// quartileBuckets is the largest histogram bucketQuartiles uses. Its
+// counts live on the stack.
+const quartileBuckets = 1024
+
+// bucketQuartiles fills out's Q1, Median and Q3 from the finite sample xs
+// (n >= 4) with minimum mn and maximum mx, permuting xs. It reports false,
+// leaving out alone, when the samples are constant, or their range or the
+// bucket scale overflows.
+//
+// Bucket b(v) = int((v-mn)·scale) is monotone in v: v < w implies
+// b(v) <= b(w), so every sample of a lower bucket lies below every sample
+// of a higher one, and a rank's order statistic is an order statistic of
+// its own bucket. One pass counts the buckets; a walk of the counts finds
+// the (at most six) buckets that hold the six target ranks and each
+// rank's position among those buckets' samples; a second pass gathers
+// those samples to the front of xs, and selection within them gives the
+// exact values.
+func bucketQuartiles(xs []float64, mn, mx float64, out *Summary) bool {
+	width := mx - mn
+	if !(width > 0) || math.IsInf(width, 0) {
+		return false
+	}
+	n := len(xs)
+	nb := min(n, quartileBuckets)
+	scale := float64(nb) / width
+	if math.IsInf(scale, 0) {
+		return false
+	}
+	bucket := func(v float64) int {
+		return min(int((v-mn)*scale), nb-1)
+	}
+	var hist [quartileBuckets]int32
+	for _, v := range xs {
+		hist[bucket(v)]++
+	}
+	// The six ranks, ascending for n >= 4: each quartile's floor(q(n-1))
+	// and the rank after it.
+	qs := [3]float64{0.25, 0.5, 0.75}
+	var ranks [6]int
+	for i, q := range qs {
+		ranks[2*i] = int(q * float64(n-1))
+		ranks[2*i+1] = ranks[2*i] + 1
+	}
+	// Walk the counts: a bucket holding a rank is marked with a negative
+	// count, and the rank becomes its position among the marked buckets'
+	// samples.
+	var local [6]int
+	j, cum, gathered := 0, 0, 0
+	for b := 0; b < nb && j < len(ranks); b++ {
+		c := int(hist[b])
+		if ranks[j] >= cum+c {
+			cum += c
+			continue
+		}
+		for ; j < len(ranks) && ranks[j] < cum+c; j++ {
+			local[j] = ranks[j] - cum + gathered
+		}
+		hist[b] = -1
+		gathered += c
+		cum += c
+	}
+	g := 0
+	for i, v := range xs {
+		if hist[bucket(v)] < 0 {
+			xs[i], xs[g] = xs[g], v
+			g++
+		}
+	}
+	// Select the ranks in ascending order: after selecting rank r, xs[r:g]
+	// holds the gathered samples from rank r up, so the next select
+	// narrows to it.
+	var vals [6]float64
+	base := 0
+	for i, r := range local {
+		vals[i] = selectKth(xs[base:g], r-base)
+		base = r
+	}
+	interp := func(i int) float64 {
+		pos := qs[i] * float64(n-1)
+		frac := pos - math.Floor(pos)
+		a, b := vals[2*i], vals[2*i+1]
+		return a + frac*(b-a)
+	}
+	out.Q1, out.Median, out.Q3 = interp(0), interp(1), interp(2)
+	return true
 }
 
 // quantileSelect returns the q-quantile of xs by partial selection — the

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -242,7 +243,8 @@ func TestSelectKth(t *testing.T) {
 }
 
 // TestLinearSystemStepAllocFree guards the zero-alloc stepping contract the
-// PDN transient engine relies on: after construction, Step must not allocate.
+// PDN transient engine relies on: after construction, Step must not
+// allocate, with unchained inputs or with chained ones (u0 = the last u1).
 func TestLinearSystemStepAllocFree(t *testing.T) {
 	a := NewMatrixFrom([][]float64{{-1, 0.5}, {0.25, -2}})
 	b := NewMatrixFrom([][]float64{{1, 0}, {0, 1}})
@@ -255,6 +257,9 @@ func TestLinearSystemStepAllocFree(t *testing.T) {
 	u1 := []float64{0.1, 0.2}
 	if n := testing.AllocsPerRun(100, func() { sys.Step(x, u0, u1) }); n != 0 {
 		t.Errorf("LinearSystem.Step allocates %.0f objects per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sys.Step(x, u1, u1) }); n != 0 {
+		t.Errorf("chained LinearSystem.Step allocates %.0f objects per call, want 0", n)
 	}
 }
 
@@ -289,5 +294,145 @@ func TestMulVecSolveIntoMatchAllocating(t *testing.T) {
 		f.SolveInto(gotX, rhs)
 	}); n != 0 {
 		t.Errorf("Into variants allocate %.0f objects per call, want 0", n)
+	}
+}
+
+// droopTrace is a rail-voltage-like sample: ripple, noise and load-step
+// droops that recover exponentially.
+func droopTrace(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([]float64, n)
+	droop := 0.0
+	for i := range xs {
+		if rng.Intn(500) == 0 {
+			droop += 0.02 + 0.03*rng.Float64()
+		}
+		droop *= 0.995
+		xs[i] = 0.9 - droop + 2e-3*math.Sin(float64(i)/7) + 5e-4*rng.NormFloat64()
+	}
+	return xs
+}
+
+// BenchmarkSummarizeInPlace times the quartile step of one
+// case-study-sized voltage trace: the bucketed search against the nested
+// quickselect it replaced, each on a fresh copy of the trace.
+func BenchmarkSummarizeInPlace(b *testing.B) {
+	src := droopTrace(10001, 1)
+	mn, mx := MinMax(src)
+	work := make([]float64, len(src))
+	var s Summary
+	b.Run("bucketed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, src)
+			if !bucketQuartiles(work, mn, mx, &s) {
+				b.Fatal("bucketed path declined a finite, spread sample")
+			}
+		}
+	})
+	b.Run("quickselect", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(work, src)
+			selectQuartiles(work, &s)
+		}
+	})
+}
+
+// sameValue is bit equality, except that the two zeros count as one value:
+// when a sample holds both, which of them lands on a tied rank, or is met
+// first by the whisker scan, depends on how the buffer was permuted.
+func sameValue(a, b float64) bool {
+	return !bitsDiffer(a, b) || (math.Float64bits(a)|math.Float64bits(b))<<1 == 0
+}
+
+// checkSummarizeInPlace holds SummarizeInPlace on a copy of xs to the
+// sort-based reference bit for bit, and, for samples that must take the
+// nested-quickselect path (any NaN or ±Inf, or all samples equal), its
+// quartiles to that path's. With a NaN the reference's order is not
+// defined, so only the quickselect comparison applies.
+func checkSummarizeInPlace(t *testing.T, label string, xs []float64) {
+	t.Helper()
+	got := SummarizeInPlace(append([]float64(nil), xs...))
+	nonFinite, hasNaN, constant := false, false, true
+	for _, v := range xs {
+		nonFinite = nonFinite || math.IsInf(v, 0) || math.IsNaN(v)
+		hasNaN = hasNaN || math.IsNaN(v)
+		constant = constant && !bitsDiffer(v, xs[0])
+	}
+	if !hasNaN {
+		want := sortedSummary(xs)
+		if got.N != want.N || !sameValue(got.Min, want.Min) || !sameValue(got.Max, want.Max) ||
+			bitsDiffer(got.Q1, want.Q1) || bitsDiffer(got.Median, want.Median) || bitsDiffer(got.Q3, want.Q3) ||
+			!sameValue(got.WhiskerLo, want.WhiskerLo) || !sameValue(got.WhiskerHi, want.WhiskerHi) {
+			t.Fatalf("%s (n=%d): SummarizeInPlace diverges from the sorted reference:\n got %+v\nwant %+v",
+				label, len(xs), got, want)
+		}
+	}
+	if nonFinite || constant {
+		var want Summary
+		selectQuartiles(append([]float64(nil), xs...), &want)
+		if bitsDiffer(got.Q1, want.Q1) || bitsDiffer(got.Median, want.Median) || bitsDiffer(got.Q3, want.Q3) {
+			t.Fatalf("%s (n=%d): quartiles %v %v %v, quickselect path %v %v %v",
+				label, len(xs), got.Q1, got.Median, got.Q3, want.Q1, want.Median, want.Q3)
+		}
+	}
+}
+
+// summarySamples returns the sample shapes the quartile search must get
+// exactly right at size n: spread and clustered values, heavy ties,
+// constant runs, two values, ordered input, zeros of both signs, extreme
+// magnitudes and non-finite values.
+func summarySamples(rng *rand.Rand, n int) map[string][]float64 {
+	gen := func(f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	run := 0.0
+	out := map[string][]float64{
+		"normal":   gen(func(int) float64 { return rng.NormFloat64() }),
+		"droop":    droopTrace(n, rng.Int63()),
+		"ties":     gen(func(int) float64 { return float64(rng.Intn(5)) * 0.1 }),
+		"constant": gen(func(int) float64 { return 0.9 }),
+		"twoValue": gen(func(int) float64 { return []float64{0.85, 0.95}[rng.Intn(2)] }),
+		"runs": gen(func(i int) float64 {
+			if i%(1+n/7) == 0 {
+				run = rng.NormFloat64()
+			}
+			return run
+		}),
+		"ascending":  gen(func(i int) float64 { return float64(i) }),
+		"descending": gen(func(i int) float64 { return -float64(i) * 1e-3 }),
+		"zeros":      gen(func(int) float64 { return []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)] }),
+		"magnitudes": gen(func(int) float64 {
+			return math.Ldexp(rng.NormFloat64(), rng.Intn(2000)-1000)
+		}),
+		"extremes": gen(func(int) float64 {
+			return []float64{math.MaxFloat64, -math.MaxFloat64, 5e-324, 0.5}[rng.Intn(4)]
+		}),
+	}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		xs := gen(func(int) float64 { return rng.NormFloat64() })
+		xs[rng.Intn(n)] = bad
+		out[fmt.Sprintf("with %v", bad)] = xs
+	}
+	return out
+}
+
+// TestSummarizeInPlaceMatchesSort is the seeded property test of the
+// bucketed quartiles: every sample shape at every size 1..300, then at a
+// spread of sizes up to 5000.
+func TestSummarizeInPlaceMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	sizes := []int{}
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 511, 1023, 1024, 1025, 2047, 3001, 4096, 4999, 5000)
+	for _, n := range sizes {
+		for label, xs := range summarySamples(rng, n) {
+			checkSummarizeInPlace(t, label, xs)
+		}
 	}
 }
