@@ -8,7 +8,7 @@
 //
 // Experiments: fig4, fig6, fig7, fig8, fig9, table1, table2, fig10, fig11,
 // fig12, fig13, ablations, twostage, dvfs, families, gridscale, gears,
-// variation, nodes, hybrid.
+// variation, nodes, hybrid; the table behind them is experiments.All.
 // Text tables print to stdout; with -outdir, plot-ready CSV data files are
 // written as well. See EXPERIMENTS.md for the paper-vs-measured comparison.
 //
@@ -29,204 +29,39 @@ import (
 	"ivory/internal/report"
 )
 
-// csvWriter is implemented by every experiment result that has plot data.
-type csvWriter interface {
-	WriteCSV(*report.Writer) error
-}
-
-// outcome bundles an experiment's text rendering and optional CSV data.
-type outcome struct {
-	text string
-	data csvWriter
-}
-
-type noiseFn func(ctx context.Context) (*experiments.Fig10Result, error)
-
-type runner func(ctx context.Context, noise noiseFn) (outcome, error)
-
-// engineOpt carries the transient-engine knobs (-workers, -progress) into
-// the runners that fan simulation cells out.
-var engineOpt experiments.TransientOptions
-
-var runners = map[string]runner{
-	"fig4": func(context.Context, noiseFn) (outcome, error) {
-		r, err := experiments.Fig4(0)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"fig6": func(context.Context, noiseFn) (outcome, error) {
-		r, err := experiments.Fig6()
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"fig7": func(context.Context, noiseFn) (outcome, error) {
-		r, err := experiments.Fig7()
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"fig8": func(context.Context, noiseFn) (outcome, error) {
-		r, err := experiments.Fig8()
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"fig9": func(context.Context, noiseFn) (outcome, error) {
-		r, err := experiments.Fig9()
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"table1": func(context.Context, noiseFn) (outcome, error) {
-		s, err := experiments.Table1()
-		return outcome{text: s}, err
-	},
-	"table2": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		t, err := experiments.Table2Context(ctx)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{text: "Table 2 — " + t.Format()}, nil
-	},
-	"fig10": func(ctx context.Context, noise noiseFn) (outcome, error) {
-		r, err := noise(ctx)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"fig11": func(ctx context.Context, noise noiseFn) (outcome, error) {
-		r, err := noise(ctx)
-		if err != nil {
-			return outcome{}, err
-		}
-		// fig10's CSV writer also emits the fig11 traces.
-		return outcome{text: r.FormatFig11()}, nil
-	},
-	"fig12": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.Fig12Run(ctx, engineOpt)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"fig13": func(ctx context.Context, noise noiseFn) (outcome, error) {
-		n, err := noise(ctx)
-		if err != nil {
-			return outcome{}, err
-		}
-		r, err := experiments.Fig13Run(ctx, n, engineOpt)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"ablations": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.AblationsRun(ctx, engineOpt)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"twostage": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.TwoStageContext(ctx)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"dvfs": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.FastDVFSContext(ctx)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"families": func(context.Context, noiseFn) (outcome, error) {
-		r, err := experiments.FamilyTransients()
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"gridscale": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.GridScaleRun(ctx, engineOpt)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"gears": func(context.Context, noiseFn) (outcome, error) {
-		r, err := experiments.Gears()
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"variation": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.VariationContext(ctx, 0, 0)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{text: r.Format()}, nil
-	},
-	"nodes": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.NodeSweepContext(ctx)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-	"hybrid": func(ctx context.Context, _ noiseFn) (outcome, error) {
-		r, err := experiments.HybridRun(ctx, engineOpt)
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{r.Format(), r}, nil
-	},
-}
-
-var order = []string{
-	"fig4", "fig6", "fig7", "fig8", "fig9", "table1", "table2",
-	"fig10", "fig11", "fig12", "fig13",
-	"ablations", "twostage", "dvfs", "families", "gridscale", "gears", "variation", "nodes",
-	"hybrid",
-}
-
 func main() {
 	outdir := flag.String("outdir", "", "write plot-ready CSV data files to this directory")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
 	progress := flag.Bool("progress", false, "print per-experiment and per-cell progress to stderr")
 	workers := flag.Int("workers", 0, "simulation-cell fan-out width (0 = all CPUs, 1 = serial)")
 	flag.Parse()
-	engineOpt.Workers = *workers
+	session := &experiments.Session{Opt: experiments.TransientOptions{Workers: *workers}}
 	if *progress {
 		// Per-cell telemetry from the transient engine: completed cells,
 		// trace-cache effectiveness, and the explore/sim wall-time split.
-		engineOpt.Progress = func(s experiments.TransientStats) {
+		session.Opt.Progress = func(s experiments.TransientStats) {
 			fmt.Fprintf(os.Stderr, "  engine: %s\n", s)
 		}
 	}
+	names := make([]string, len(experiments.All))
+	byName := make(map[string]experiments.Experiment, len(experiments.All))
+	for i, e := range experiments.All {
+		names[i] = e.Name
+		byName[e.Name] = e
+	}
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: ivory-exp [-outdir dir] [-timeout d] [-progress] [-workers n] <experiment|all> ...\nexperiments: %v\n", order)
+		fmt.Fprintf(os.Stderr, "usage: ivory-exp [-outdir dir] [-timeout d] [-progress] [-workers n] <experiment|all> ...\nexperiments: %v\n", names)
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = order
+		args = names
 	}
 	// Validate every requested experiment before running any: a typo at the
 	// end of the list should not cost an hour of compute first.
 	for _, name := range args {
-		if _, ok := runners[name]; !ok {
-			fmt.Fprintf(os.Stderr, "ivory-exp: unknown experiment %q (have %v)\n", name, order)
+		if _, ok := byName[name]; !ok {
+			fmt.Fprintf(os.Stderr, "ivory-exp: unknown experiment %q (have %v)\n", name, names)
 			os.Exit(2)
 		}
 	}
@@ -238,24 +73,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-	// fig10/fig11/fig13 share the noise analysis; cache it across the run.
-	// Only a successful result is memoized — a failed (e.g. cancelled)
-	// attempt must not satisfy later callers with a partial analysis.
-	var cached *experiments.Fig10Result
-	noise := func(ctx context.Context) (*experiments.Fig10Result, error) {
-		if cached != nil {
-			return cached, nil
-		}
-		r, err := experiments.Fig10Run(ctx, engineOpt)
-		if err != nil {
-			return nil, err
-		}
-		if *progress {
-			fmt.Fprintf(os.Stderr, "  noise analysis done: %s\n", r.RunStats)
-		}
-		cached = r
-		return cached, nil
 	}
 	var w *report.Writer
 	if *outdir != "" {
@@ -274,15 +91,15 @@ func main() {
 		if *progress {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%.0fs elapsed)\n", k+1, len(args), name, time.Since(start).Seconds())
 		}
-		out, err := runners[name](ctx, noise)
+		text, csv, err := byName[name].Run(ctx, session)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ivory-exp: %s: %v\n", name, err)
 			failed++
 			continue
 		}
-		fmt.Println(out.text)
-		if w != nil && out.data != nil {
-			if err := out.data.WriteCSV(w); err != nil {
+		fmt.Println(text)
+		if w != nil && csv != nil {
+			if err := csv(w); err != nil {
 				fmt.Fprintf(os.Stderr, "ivory-exp: %s: %v\n", name, err)
 				failed++
 			}
