@@ -2,44 +2,11 @@ package experiments
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"ivory/internal/report"
-
 	"ivory/internal/numeric"
 )
-
-// Every extension result emits plot-ready CSVs.
-func TestExtensionCSVWriters(t *testing.T) {
-	dir := t.TempDir()
-	w := report.NewWriter(dir)
-	g, err := Gears()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WriteCSV(w); err != nil {
-		t.Fatal(err)
-	}
-	gs, err := GridScaleRun(context.Background(), TransientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gs.WriteCSV(w); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"gears.csv", "gridscale.csv"} {
-		raw, err := os.ReadFile(filepath.Join(dir, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(strings.Split(strings.TrimSpace(string(raw)), "\n")) < 3 {
-			t.Errorf("%s: too few rows", f)
-		}
-	}
-}
 
 func TestAblationsAllMeaningful(t *testing.T) {
 	r, err := AblationsRun(context.Background(), TransientOptions{})
