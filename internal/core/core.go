@@ -502,34 +502,36 @@ func geomspace(lo, hi float64, n int) []float64 {
 // over the cost-aware one. Both conductance-allocation policies are
 // candidates: the cost-aware split wins when gate drive dominates, the
 // plain a_r split when the FSL budget is tight (it keeps C·f_sw — and
-// bottom-plate loss — lower). The configuration is sized and scored
-// against the topology's switch plan, built once per exploration, without
-// allocating; only an accepted design is copied to the heap and labelled.
+// bottom-plate loss — lower). The topology's switch plan, built once per
+// exploration, first screens out a configuration that cannot regulate at
+// IMax, before the configuration is built; a survivor is sized and scored
+// against the plan into stack-held values, without allocating. Only an
+// accepted design is copied to the heap and labelled.
 func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef, uniform bool) {
-	spec, an, plan := ec.spec, ec.topos[ref.Topo], ec.plans[ref.Topo]
-	capKind, capOpt := scCapKinds[ref.Cap], ec.capOpts[ref.Cap]
+	spec, plan := &ec.spec, ec.plans[ref.Topo]
+	capOpt := &ec.capOpts[ref.Cap]
 	capShare, usable := scCapShares[ref.Axis], ec.usable
 	if plan == nil {
 		out.rejected++
 		return
 	}
 	cTot := capOpt.DensityFPerM2 * usable * capShare * 0.9 // 10% to decap
-	cDecap := capOpt.DensityFPerM2 * usable * capShare * 0.1
 	gTot, err := plan.GTotalForArea(usable * (1 - capShare))
-	if err != nil {
+	if err != nil || !plan.Regulates(spec.VOut, cTot, gTot, spec.FSwMax, spec.IMax, uniform) {
 		out.rejected++
 		return
 	}
 	cfg := sc.Config{
-		Analysis: an, Node: ec.node, CapKind: capKind,
+		Analysis: ec.topos[ref.Topo], Node: ec.node, CapKind: scCapKinds[ref.Cap],
 		VIn: spec.VIn, VOut: spec.VOut,
-		CTotal: cTot, GTotal: gTot, CDecap: cDecap,
+		CTotal: cTot, GTotal: gTot,
+		CDecap:                  capOpt.DensityFPerM2 * usable * capShare * 0.1,
 		FSwMax:                  spec.FSwMax,
 		UniformSwitchAllocation: uniform,
 	}
 	var scored sc.Design
-	m, ok := plan.Score(&scored, cfg, spec.IMax)
-	if !ok {
+	var m ivr.Metrics
+	if !plan.Score(&scored, &m, &cfg, spec.IMax) {
 		out.rejected++
 		return
 	}
@@ -539,7 +541,7 @@ func (ec *evalContext) evalSCPolicy(out *shard, ref ConfigRef, uniform bool) {
 	// already missed the spec.
 	if m.RippleVpp > spec.RippleMax {
 		n := min(int(math.Ceil(m.RippleVpp/spec.RippleMax)), 64)
-		if m, ok = plan.Rescore(&scored, n, spec.IMax); !ok {
+		if !plan.Rescore(&scored, &m, n) {
 			out.rejected++
 			return
 		}

@@ -256,18 +256,36 @@ func (ec *evalContext) eval(ref ConfigRef, out *shard) {
 	}
 }
 
+// evalChunk is the number of consecutive refs one parallel job evaluates:
+// enough to amortize the pool's per-job dispatch over refs that take a
+// few microseconds each, few enough that the chunks of one batch still
+// spread over the workers.
+const evalChunk = 16
+
 // localEvaluator runs batches on the in-process worker pool — the classic
-// execution path, expressed through the Evaluator seam. Scheduling is
-// parallel.ForContext's, so outcomes land in per-index slots and the merge
-// stays bit-identical to serial for any worker count.
+// execution path, expressed through the Evaluator seam. Each
+// parallel.ForContext job evaluates a chunk of evalChunk consecutive refs
+// into their per-index slots and reports each one through done as it
+// completes, so the merge stays bit-identical to serial for any worker
+// count. A job polls its ctx's Done channel between refs, which takes no
+// lock, and stops its chunk once the run is cancelled.
 func (ec *evalContext) localEvaluator(workers int) Evaluator {
 	return func(ctx context.Context, refs []ConfigRef, done func(int, *RefOutcome)) ([]RefOutcome, error) {
 		outs := make([]RefOutcome, len(refs))
-		err := parallel.ForContext(ctx, len(refs), workers, func(_ context.Context, i int) error {
-			var sh shard
-			ec.eval(refs[i], &sh)
-			outs[i] = sh.outcome()
-			done(i, &outs[i])
+		chunks := (len(refs) + evalChunk - 1) / evalChunk
+		err := parallel.ForContext(ctx, chunks, workers, func(jctx context.Context, j int) error {
+			stop := jctx.Done()
+			for i := j * evalChunk; i < min((j+1)*evalChunk, len(refs)); i++ {
+				select {
+				case <-stop:
+					return nil // ForContext reports the cancellation
+				default:
+				}
+				var sh shard
+				ec.eval(refs[i], &sh)
+				outs[i] = sh.outcome()
+				done(i, &outs[i])
+			}
 			return nil
 		})
 		return outs, err

@@ -140,6 +140,30 @@ func TestExploreCancelledMidRun(t *testing.T) {
 	}
 }
 
+// TestExploreCancelStopsBetweenRefs: the local evaluator hands the pool
+// chunks of consecutive refs, but a cancellation still stops the run at
+// the next ref, not at the end of the chunk. Serially, a cancel from the
+// first ref's progress call leaves exactly that ref done.
+func TestExploreCancelStopsBetweenRefs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := CaseStudySpec("45nm")
+	spec.Workers = 1
+	spec.Context = ctx
+	spec.Progress = func(s Stats) {
+		if s.Done == 1 {
+			cancel()
+		}
+	}
+	res, err := Explore(spec)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if res.Stats.Done != 1 {
+		t.Fatalf("cancelled after the first ref, %d of %d refs done", res.Stats.Done, res.Stats.Jobs)
+	}
+}
+
 // TestExplorePreCancelled checks an already-cancelled context evaluates
 // nothing and still hands back the (empty) telemetry.
 func TestExplorePreCancelled(t *testing.T) {

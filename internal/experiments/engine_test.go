@@ -70,7 +70,7 @@ func TestFig13RunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestGridScaleRunDeterministicAcrossWorkers(t *testing.T) {
-	ref, err := GridScaleRun(context.Background(), TransientOptions{Workers: 1})
+	ref, err := gridScaleSerial()
 	if err != nil {
 		t.Fatal(err)
 	}

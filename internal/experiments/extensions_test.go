@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"ivory/internal/numeric"
@@ -175,8 +176,16 @@ func TestGearsEnvelope(t *testing.T) {
 	}
 }
 
+// gridScaleSerial is one serial GridScaleRun, shared by the tests that
+// read its rows: a run takes about 1.6 s under the race detector, and
+// TestGridScaleRunDeterministicAcrossWorkers pins the rows to be the same
+// for every worker count.
+var gridScaleSerial = sync.OnceValues(func() (*GridScaleResult, error) {
+	return GridScaleRun(context.Background(), TransientOptions{Workers: 1})
+})
+
 func TestGridScaleMonotone(t *testing.T) {
-	r, err := GridScaleRun(context.Background(), TransientOptions{})
+	r, err := gridScaleSerial()
 	if err != nil {
 		t.Fatal(err)
 	}

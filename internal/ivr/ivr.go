@@ -72,7 +72,7 @@ type Metrics struct {
 // model packages call it at their Evaluate return boundaries so that a
 // pathological sweep point becomes an error instead of a NaN that
 // silently loses every comparison in the optimizer's ranking.
-func (m Metrics) Finite() error {
+func (m *Metrics) Finite() error {
 	// Scan the bare values first: only a metrics record with a non-finite
 	// field builds the named table below to say which one.
 	l := &m.Loss

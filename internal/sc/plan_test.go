@@ -16,7 +16,7 @@ import (
 // sweepAnalyses returns every conversion ratio the design-space sweep
 // tries, built the way the sweep builds them: series-parallel for k:1 and
 // k:(k-1), ladder otherwise.
-func sweepAnalyses(t *testing.T) []*topology.Analysis {
+func sweepAnalyses(t testing.TB) []*topology.Analysis {
 	t.Helper()
 	var out []*topology.Analysis
 	for _, r := range [][2]int{{2, 1}, {3, 1}, {4, 1}, {5, 1}, {3, 2}, {4, 3}, {5, 4}, {5, 2}, {5, 3}, {7, 2}, {7, 3}, {8, 3}} {
@@ -140,7 +140,9 @@ func TestPlanRejectsMismatchedConfig(t *testing.T) {
 // configuration with Config.Interleave = n and then sizes it with the
 // plan. Both equal New with the interleave set from the start, and the
 // interleave moves only the control loss, the efficiency, the ripple and
-// the area.
+// the area. Rescore recomputes just those four in place, so it must equal
+// a fresh Score at n, design included, from the interleave-1 design and
+// from one already re-scored to another phase count.
 func TestInterleaveMatchesNew(t *testing.T) {
 	cfg := baseConfig(t)
 	plan, err := PlanSwitches(cfg.Analysis, cfg.Node, cfg.VIn)
@@ -148,11 +150,12 @@ func TestInterleaveMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	var d1 Design
-	x1, ok := plan.Score(&d1, cfg, planLoad)
-	if !ok {
+	var x1 ivr.Metrics
+	if !plan.Score(&d1, &x1, &cfg, planLoad) {
 		t.Fatal("base config rejected")
 	}
-	for _, n := range []int{1, 2, 7, 64} {
+	chain, chainM := d1, x1
+	for _, n := range []int{1, 2, 7, 64, 3, 1} {
 		c := cfg
 		c.Interleave = n
 		want := outcome(New(c))
@@ -167,13 +170,17 @@ func TestInterleaveMatchesNew(t *testing.T) {
 			t.Errorf("x%d: sized design has interleave %d", n, dn.Config().Interleave)
 		}
 		var dn2 Design
-		m, ok := plan.Score(&dn2, c, planLoad)
-		if got := scoreOutcome(m, ok); got != want {
+		var m ivr.Metrics
+		ok := plan.Score(&dn2, &m, &c, planLoad)
+		if got := scoreOutcome(m, ok); got != want || !reflect.DeepEqual(dn2, *dn) {
 			t.Errorf("x%d:\n score %s\n new   %s", n, got, want)
 		}
-		re := d1
-		if got := scoreOutcome(plan.Rescore(&re, n, planLoad)); got != want || !reflect.DeepEqual(re, dn2) {
+		re, mr := d1, x1
+		if got := scoreOutcome(mr, plan.Rescore(&re, &mr, n)); got != want || !reflect.DeepEqual(re, dn2) {
 			t.Errorf("x%d:\n rescore %s\n new     %s", n, got, want)
+		}
+		if got := scoreOutcome(chainM, plan.Rescore(&chain, &chainM, n)); got != want || !reflect.DeepEqual(chain, dn2) {
+			t.Errorf("x%d after re-scoring to other phase counts:\n rescore %s\n new     %s", n, got, want)
 		}
 		m.Loss.Control, m.Efficiency, m.RippleVpp, m.AreaDie = x1.Loss.Control, x1.Efficiency, x1.RippleVpp, x1.AreaDie
 		if got, want := scoreOutcome(m, true), scoreOutcome(x1, true); got != want {
@@ -186,10 +193,11 @@ func TestInterleaveMatchesNew(t *testing.T) {
 		t.Error("interleave -1 must fail")
 	}
 	var d Design
-	if _, ok := plan.Score(&d, c, planLoad); ok {
+	var m ivr.Metrics
+	if plan.Score(&d, &m, &c, planLoad) {
 		t.Error("scorer accepted interleave -1")
 	}
-	if _, ok := plan.Rescore(&d1, -1, planLoad); ok {
+	if plan.Rescore(&d1, &x1, -1) {
 		t.Error("Rescore accepted interleave -1")
 	}
 }
@@ -238,19 +246,27 @@ func scoreOutcome(m ivr.Metrics, ok bool) string {
 // interleave the explorer would pick, Score accepts exactly what New plus
 // Evaluate accepts, with the same design and metrics bit for bit, and
 // Rescore of the interleave-1 design to the ripple-driven interleave
-// equals Score at that interleave. Hand-built configs reach the rejection
+// equals Score at that interleave, design included. The regulation screen
+// passes every accepted configuration and rejects every one that fails
+// at the FSL bound or FSwMax. Hand-built configs reach the rejection
 // branches the lattice does not.
 func TestScoreMatchesNewEvaluate(t *testing.T) {
 	const usable = 2e-6 // switch-plus-capacitor area (m²)
 	ans := sweepAnalyses(t)
 	hits := map[string]int{}
-	accepted := 0
+	accepted, screened := 0, 0
 	score := func(plan *SwitchPlan, cfg Config, iLoad float64) (Design, ivr.Metrics, bool) {
 		t.Helper()
 		d, err := plan.newDesign(cfg)
 		want := outcomeAt(d, err, iLoad)
 		var sd Design
-		m, ok := plan.Score(&sd, cfg, iLoad)
+		var m ivr.Metrics
+		ok := plan.Score(&sd, &m, &cfg, iLoad)
+		regulates := plan.Regulates(cfg.VOut, cfg.CTotal, cfg.GTotal, cfg.FSwMax, iLoad, cfg.UniformSwitchAllocation)
+		if !regulates && (ok || strings.HasPrefix(want, "ok:")) {
+			t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A: screened out, but Score or New and Evaluate accept it",
+				cfg.Analysis.Name, cfg.Node.Name, cfg.VIn, cfg.CapKind, cfg.Interleave, iLoad)
+		}
 		if got := scoreOutcome(m, ok); ok != strings.HasPrefix(want, "ok:") || (ok && got != want) {
 			t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A:\n score %s\n new   %s",
 				cfg.Analysis.Name, cfg.Node.Name, cfg.VIn, cfg.CapKind, cfg.Interleave, iLoad, got, want)
@@ -261,8 +277,18 @@ func TestScoreMatchesNewEvaluate(t *testing.T) {
 		}
 		if ok {
 			accepted++
-		} else {
-			hits[rejectionBranch(t, want)]++
+			return sd, m, ok
+		}
+		b := rejectionBranch(t, want)
+		hits[b]++
+		// The screen runs the regulation arithmetic itself, so it misses
+		// none of the rejections at the FSL bound or at FSwMax.
+		if (b == "FSL bound" || b == "FSwMax") && regulates {
+			t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A: the screen passes a configuration rejected at the %s",
+				cfg.Analysis.Name, cfg.Node.Name, cfg.VIn, cfg.CapKind, cfg.Interleave, iLoad, b)
+		}
+		if !regulates {
+			screened++
 		}
 		return sd, m, ok
 	}
@@ -300,7 +326,8 @@ func TestScoreMatchesNewEvaluate(t *testing.T) {
 									c := cfg
 									c.Interleave = min(int(math.Ceil(m.RippleVpp/rippleMax)), 64)
 									dn, mn, okn := score(plan, c, iLoad)
-									mr, okr := plan.Rescore(&d1, c.Interleave, iLoad)
+									mr := m
+									okr := plan.Rescore(&d1, &mr, c.Interleave)
 									if okr != okn || okn && (scoreOutcome(mr, okr) != scoreOutcome(mn, okn) || !reflect.DeepEqual(d1, dn)) {
 										t.Fatalf("%s on %s at %g V, %v caps, x%d, %g A:\n rescore %s\n score   %s",
 											c.Analysis.Name, c.Node.Name, c.VIn, c.CapKind, c.Interleave, iLoad, scoreOutcome(mr, okr), scoreOutcome(mn, okn))
@@ -339,9 +366,12 @@ func TestScoreMatchesNewEvaluate(t *testing.T) {
 			t.Errorf("%s: scorer accepted an invalid config", name)
 		}
 	}
-	t.Logf("%d accepted, rejections by branch: %v", accepted, hits)
+	t.Logf("%d accepted, %d screened out, rejections by branch: %v", accepted, screened, hits)
 	if accepted == 0 {
 		t.Error("no configuration accepted")
+	}
+	if screened == 0 {
+		t.Error("the regulation screen rejected no configuration")
 	}
 	for _, b := range rejectionBranches {
 		if hits[b.branch] == 0 {
@@ -359,19 +389,20 @@ func TestQuietCollapseRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	var inf *ivr.InfeasibleError
-	if _, err := d.EvaluateAt(100, 1e6); !errors.As(err, &inf) || !strings.Contains(err.Error(), "output collapses") {
-		t.Fatalf("EvaluateAt = %v, want an output-collapse InfeasibleError", err)
+	var m ivr.Metrics
+	if err := d.evaluateAt(&m, 100, 1e6, d.RFSL()); !errors.As(err, &inf) || !strings.Contains(err.Error(), "output collapses") {
+		t.Fatalf("evaluateAt = %v, want an output-collapse InfeasibleError", err)
 	}
 	q := *d
 	q.quiet = true
-	if _, err := q.EvaluateAt(100, 1e6); err != errRejected {
-		t.Fatalf("quiet EvaluateAt = %v, want errRejected", err)
+	if err := q.evaluateAt(&m, 100, 1e6, q.RFSL()); err != errRejected {
+		t.Fatalf("quiet evaluateAt = %v, want errRejected", err)
 	}
 }
 
-// TestScoreAllocFree: scoring allocates nothing, whether the configuration
-// is accepted or rejected at the FSL bound, the FSwMax limit or the
-// capacitor rating.
+// TestScoreAllocFree: screening, scoring and re-scoring allocate nothing,
+// whether the configuration is accepted or rejected at the FSL bound, the
+// FSwMax limit or the capacitor rating.
 func TestScoreAllocFree(t *testing.T) {
 	base := baseConfig(t)
 	fsl, fswMax, rating := base, base, base
@@ -396,12 +427,19 @@ func TestScoreAllocFree(t *testing.T) {
 		if tc.branch == "" && !strings.HasPrefix(out, "ok:") || tc.branch != "" && !strings.Contains(out, tc.branch) {
 			t.Fatalf("%s: config does not reach its branch: %s", name, out)
 		}
+		c := &tc.cfg
+		if n := testing.AllocsPerRun(100, func() {
+			_ = plan.Regulates(c.VOut, c.CTotal, c.GTotal, c.FSwMax, planLoad, c.UniformSwitchAllocation)
+		}); n != 0 {
+			t.Errorf("%s: Regulates allocates %v times per call, want 0", name, n)
+		}
 		var sd Design
-		if n := testing.AllocsPerRun(100, func() { _, _ = plan.Score(&sd, tc.cfg, planLoad) }); n != 0 {
+		var m ivr.Metrics
+		if n := testing.AllocsPerRun(100, func() { _ = plan.Score(&sd, &m, c, planLoad) }); n != 0 {
 			t.Errorf("%s: Score allocates %v times per call, want 0", name, n)
 		}
-		if _, ok := plan.Score(&sd, tc.cfg, planLoad); ok {
-			if n := testing.AllocsPerRun(100, func() { _, _ = plan.Rescore(&sd, 7, planLoad) }); n != 0 {
+		if plan.Score(&sd, &m, c, planLoad) {
+			if n := testing.AllocsPerRun(100, func() { _ = plan.Rescore(&sd, &m, 7) }); n != 0 {
 				t.Errorf("%s: Rescore allocates %v times per call, want 0", name, n)
 			}
 		}

@@ -18,10 +18,16 @@
 // A design-space sweep sizes many designs of one topology at one input
 // voltage. Their device mapping — the device, stack depth and conductance
 // weight of every switch — depends on neither the capacitance nor the
-// conductance total, so the sweep builds it once with PlanSwitches. It
-// sizes and scores each configuration with SwitchPlan.Score, which
-// allocates nothing, and copies only the designs it accepts to the heap;
-// New does both steps for a single design.
+// conductance total, so the sweep builds it once with PlanSwitches. Most
+// configurations cannot regulate at the load, and SwitchPlan.Regulates
+// finds them from the capacitance and conductance totals alone, with the
+// regulation arithmetic RegulationFrequency runs, before a Config is
+// built. The sweep sizes and scores each survivor with SwitchPlan.Score
+// into a Design and Metrics it holds, without allocating. Its ripple
+// fix-up re-scores the phase count with SwitchPlan.Rescore, which
+// recomputes only the four metrics the phase count moves. It copies only
+// the designs it accepts to the heap; New does the sizing for a single
+// design.
 package sc
 
 import (
@@ -92,6 +98,11 @@ type Design struct {
 	// read-only with the plan when the design is sized from one.
 	caps *capChoice
 
+	// areaFixed is the die area (m²) of the flying capacitors, the decap
+	// and the switches: Area before the controller macro, whose gate count
+	// grows with the phase count, and the routing tax.
+	areaFixed float64
+
 	// quiet marks a design held by SwitchPlan.Score: its infeasibility
 	// checks return errRejected instead of building an error nobody reads.
 	quiet bool
@@ -102,6 +113,7 @@ type Design struct {
 var errRejected = errors.New("sc: configuration rejected")
 
 const (
+	defaultDuty      = 0.5
 	defaultFSwMax    = 2e9
 	defaultFSwMin    = 100e3
 	defaultBPRecycle = 0.3
@@ -150,9 +162,7 @@ func (d *Design) prepare(in *Config, p *SwitchPlan) error {
 	if cfg.CTotal <= 0 || cfg.GTotal <= 0 {
 		return fmt.Errorf("sc: CTotal and GTotal must be positive")
 	}
-	if cfg.Duty == 0 {
-		cfg.Duty = 0.5
-	}
+	cfg.Duty = orDefault(cfg.Duty, defaultDuty)
 	if cfg.Duty <= 0 || cfg.Duty > 1 {
 		return fmt.Errorf("sc: duty cycle %g outside (0, 1]", cfg.Duty)
 	}
@@ -162,15 +172,9 @@ func (d *Design) prepare(in *Config, p *SwitchPlan) error {
 	if cfg.Interleave < 1 {
 		return fmt.Errorf("sc: interleave %d must be >= 1", cfg.Interleave)
 	}
-	if cfg.FSwMax == 0 {
-		cfg.FSwMax = defaultFSwMax
-	}
-	if cfg.FSwMin == 0 {
-		cfg.FSwMin = defaultFSwMin
-	}
-	if cfg.BottomPlateLossFactor == 0 {
-		cfg.BottomPlateLossFactor = defaultBPRecycle
-	}
+	cfg.FSwMax = orDefault(cfg.FSwMax, defaultFSwMax)
+	cfg.FSwMin = orDefault(cfg.FSwMin, defaultFSwMin)
+	cfg.BottomPlateLossFactor = orDefault(cfg.BottomPlateLossFactor, defaultBPRecycle)
 	if cfg.BottomPlateLossFactor < 0 || cfg.BottomPlateLossFactor > 1 {
 		return fmt.Errorf("sc: BottomPlateLossFactor %g outside [0, 1]", cfg.BottomPlateLossFactor)
 	}
@@ -201,6 +205,14 @@ func (d *Design) prepare(in *Config, p *SwitchPlan) error {
 		}
 	}
 	return nil
+}
+
+// orDefault returns v, or def when v is zero (unset in a Config).
+func orDefault(v, def float64) float64 {
+	if v == 0 {
+		return def
+	}
+	return v
 }
 
 // capChoice is a node's capacitor lookup for one flying-capacitor kind:
@@ -327,44 +339,57 @@ func (p *SwitchPlan) newDesign(cfg Config) (*Design, error) {
 	return d, nil
 }
 
-// Score sizes cfg against the plan into *d and returns the design's static
-// metrics at load current iLoad, without allocating. ok is false exactly
-// where New(cfg) followed by Evaluate(iLoad) returns an error; on success
-// *d equals *New(cfg) and the metrics equal Evaluate's, bit for bit. Both
-// run the same checks and arithmetic, Score on a Design the caller holds
-// (on its stack, typically) that never formats why it was rejected. A
-// design-space sweep scores every configuration and copies only the ones
-// it accepts to the heap. On rejection *d is left partly sized.
-func (p *SwitchPlan) Score(d *Design, cfg Config, iLoad float64) (ivr.Metrics, bool) {
-	*d = Design{quiet: true}
-	if p.load(d, &cfg) != nil {
-		return ivr.Metrics{}, false
-	}
-	return d.scoreQuietly(iLoad)
+// Regulates reports whether a design sized from the plan, with flying
+// capacitance cTotal and switch conductance gTotal split by the cost-aware
+// or (uniform) the plain policy, can hold vOut at load iLoad at the
+// default duty cycle without switching above fSwMax (zero selects the
+// Config default). It runs RegulationFrequency's arithmetic on the values
+// Score would size, so it is false only for a configuration Score rejects.
+// A sweep asks it before it builds the configuration: most rejected
+// configurations fail here, and then cost one R_FSL sum.
+func (p *SwitchPlan) Regulates(vOut, cTotal, gTotal, fSwMax, iLoad float64, uniform bool) bool {
+	rFSL := rfsl(p.an, p.weights(uniform), gTotal, defaultDuty)
+	_, _, v := regulate(p.an, p.vin, vOut, cTotal, rFSL, orDefault(fSwMax, defaultFSwMax), iLoad)
+	return v < belowFSL
 }
 
-// Rescore sets the phase count of a design Score accepted into *d to n and
-// re-scores it at iLoad: the result equals Score of its configuration with
-// Interleave n, bit for bit, ok included. The phase count changes no
-// sizing step, so only the evaluation runs again.
-func (p *SwitchPlan) Rescore(d *Design, n int, iLoad float64) (ivr.Metrics, bool) {
+// Score sizes *cfg against the plan into *d and writes the design's static
+// metrics at load current iLoad to *m, without allocating. It returns false
+// exactly where New(*cfg) followed by Evaluate(iLoad) returns an error; on
+// success *d equals *New(*cfg) and *m equals Evaluate's metrics, bit for
+// bit. Both run the same checks and arithmetic, Score on a Design and
+// Metrics the caller holds (on its stack, typically) and without
+// formatting why it rejected. A design-space sweep scores every
+// configuration and copies only the ones it accepts to the heap. On
+// rejection *d is left partly sized and *m partly written.
+func (p *SwitchPlan) Score(d *Design, m *ivr.Metrics, cfg *Config, iLoad float64) bool {
+	*d = Design{quiet: true}
+	ok := p.load(d, cfg) == nil && d.evaluate(m, iLoad) == nil
+	// Leave the design loud, so a copy the caller keeps explains later
+	// infeasibilities as New's would.
+	d.quiet = false
+	return ok
+}
+
+// Rescore sets the phase count of a design Score accepted into *d, with
+// metrics *m, to n and re-scores it in place: *d and *m then equal what
+// Score of its configuration with Interleave n gives, bit for bit, and so
+// does the result. The phase count moves only the control loss, the
+// efficiency, the ripple and the die area, so Rescore recomputes those
+// four from *m with Evaluate's expressions and runs no sizing step.
+func (p *SwitchPlan) Rescore(d *Design, m *ivr.Metrics, n int) bool {
 	switch {
 	case n == 0: // as prepare defaults it
 		n = 1
 	case n < 0:
-		return ivr.Metrics{}, false
+		return false
 	}
 	d.cfg.Interleave = n
-	d.quiet = true
-	return d.scoreQuietly(iLoad)
-}
-
-// scoreQuietly evaluates a quiet design at iLoad and leaves it loud, so a
-// copy the caller keeps explains later infeasibilities as New's would.
-func (d *Design) scoreQuietly(iLoad float64) (ivr.Metrics, bool) {
-	m, err := d.Evaluate(iLoad)
-	d.quiet = false
-	return m, err == nil
+	m.Loss.Control = d.controlLoss(m.FSw)
+	m.Efficiency = efficiency(m.POut, &m.Loss)
+	m.RippleVpp = d.Ripple(m.ILoad, m.FSw)
+	m.AreaDie = d.Area()
+	return m.Finite() == nil
 }
 
 // load prepares cfg into d and sizes it against the plan.
@@ -379,24 +404,35 @@ func (p *SwitchPlan) load(d *Design, cfg *Config) error {
 	return d.size(p)
 }
 
-// size binds the design to the plan's switch mapping under its allocation
-// policy and checks that the capacitor allocation and the switch widths
-// are finite.
-func (d *Design) size(p *SwitchPlan) error {
-	d.plan, d.w = p, p.costAware
-	if d.cfg.UniformSwitchAllocation {
-		d.w = p.uniform
+// weights returns the plan's conductance weights under the cost-aware or
+// (uniform) the plain allocation policy.
+func (p *SwitchPlan) weights(uniform bool) []float64 {
+	if uniform {
+		return p.uniform
 	}
+	return p.costAware
+}
+
+// size binds the design to the plan's switch mapping under its allocation
+// policy, checks that the capacitor allocation and the switch widths are
+// finite, and sums the die area they take.
+func (d *Design) size(p *SwitchPlan) error {
+	d.plan, d.w = p, p.weights(d.cfg.UniformSwitchAllocation)
 	for i := range d.cfg.Analysis.CapMultipliers {
 		if c := d.capC(i); !finite(c) {
 			return numeric.Finite(fmt.Sprintf("sc: capacitor allocation[%d]", i), c)
 		}
 	}
+	a := d.caps.opt.Area(d.cfg.CTotal)
+	a += d.caps.decap.Area(d.cfg.CDecap)
 	for i := range p.devs {
-		if w := d.width(i); !finite(w) {
+		w := d.width(i)
+		if !finite(w) {
 			return numeric.Finite(fmt.Sprintf("sc: switch widths[%d]", i), w)
 		}
+		a += float64(p.stacks[i]) * p.devs[i].Area(w)
 	}
+	d.areaFixed = a
 	return nil
 }
 
@@ -450,24 +486,62 @@ func (d *Design) RSSL(fsw float64) float64 {
 // R_FSL = (1/D)·Σ a_r,i²/G_i with the design's conductance allocation,
 // which equals the paper's (Σa_r)²/(G_tot·D) when all switches share one
 // device class.
-func (d *Design) RFSL() float64 {
-	an := d.cfg.Analysis
+func (d *Design) RFSL() float64 { return rfsl(d.cfg.Analysis, d.w, d.cfg.GTotal, d.cfg.Duty) }
+
+// rfsl is R_FSL of the conductance total gTotal split by the weights w at
+// duty cycle duty: the one copy of the sum, shared by a sized design and
+// the plan's regulation screen.
+func rfsl(an *topology.Analysis, w []float64, gTotal, duty float64) float64 {
 	sum := 0.0
 	for i, m := range an.SwitchMultipliers {
-		g := d.gShare(i)
+		g := gTotal * w[i]
 		if g <= 0 {
 			continue
 		}
 		sum += m * m / g
 	}
-	return sum / d.cfg.Duty
+	return sum / duty
 }
 
 // ROut returns the total output impedance at f_sw.
-func (d *Design) ROut(fsw float64) float64 {
+func (d *Design) ROut(fsw float64) float64 { return d.rOut(fsw, d.RFSL()) }
+
+// rOut is ROut given the design's R_FSL.
+func (d *Design) rOut(fsw, rFSL float64) float64 {
 	rssl := d.RSSL(fsw)
-	rfsl := d.RFSL()
-	return math.Sqrt(rssl*rssl + rfsl*rfsl)
+	return math.Sqrt(rssl*rssl + rFSL*rFSL)
+}
+
+// verdict classifies a regulation operating point.
+type verdict uint8
+
+const (
+	regulated   verdict = iota // the loop holds the target at f_sw ≤ FSwMax
+	unloaded                   // no load: the loop idles at FSwMin
+	belowFSL                   // the target needs an impedance at or below R_FSL
+	aboveFSwMax                // the target needs f_sw above FSwMax
+)
+
+// regulate solves the frequency-modulation operating point at load iLoad:
+// the output impedance rReq the target leaves, and the switching frequency
+// fsw at which sqrt(R_SSL² + rFSL²) equals it. fsw is unclamped by FSwMin
+// and zero unless the verdict is regulated or aboveFSwMax. It is the one
+// copy of the regulation arithmetic, shared by RegulationFrequency and the
+// plan's regulation screen.
+func regulate(an *topology.Analysis, vIn, vOut, cTotal, rFSL, fSwMax, iLoad float64) (rReq, fsw float64, v verdict) {
+	if iLoad <= 0 {
+		return 0, 0, unloaded
+	}
+	rReq = (an.Ratio*vIn - vOut) / iLoad
+	if rReq <= rFSL {
+		return rReq, 0, belowFSL
+	}
+	rssl := math.Sqrt(rReq*rReq - rFSL*rFSL)
+	fsw = an.SumAC * an.SumAC / (cTotal * rssl)
+	if fsw > fSwMax {
+		return rReq, fsw, aboveFSwMax
+	}
+	return rReq, fsw, regulated
 }
 
 // RegulationFrequency returns the switching frequency at which the
@@ -476,27 +550,24 @@ func (d *Design) ROut(fsw float64) float64 {
 // feedback loop. It errors when the target is unreachable (droop exceeds
 // the FSL bound) or needs a frequency above FSwMax.
 func (d *Design) RegulationFrequency(iLoad float64) (float64, error) {
+	return d.regulationFrequency(iLoad, d.RFSL())
+}
+
+// regulationFrequency is RegulationFrequency given the design's R_FSL.
+func (d *Design) regulationFrequency(iLoad, rFSL float64) (float64, error) {
 	cfg := &d.cfg
 	an := cfg.Analysis
-	if iLoad <= 0 {
+	rReq, fsw, v := regulate(an, cfg.VIn, cfg.VOut, cfg.CTotal, rFSL, cfg.FSwMax, iLoad)
+	switch {
+	case v == unloaded:
 		return cfg.FSwMin, nil
-	}
-	rReq := (an.Ratio*cfg.VIn - cfg.VOut) / iLoad
-	rfsl := d.RFSL()
-	if rReq <= rfsl {
-		if d.quiet {
-			return 0, errRejected
-		}
+	case d.quiet && v != regulated:
+		return 0, errRejected
+	case v == belowFSL:
 		return 0, ivr.Infeasible(an.Name,
 			"required output impedance %.3g ohm below FSL bound %.3g ohm at %.3g A — increase GTotal or lower VOut",
-			rReq, rfsl, iLoad)
-	}
-	rssl := math.Sqrt(rReq*rReq - rfsl*rfsl)
-	fsw := an.SumAC * an.SumAC / (cfg.CTotal * rssl)
-	if fsw > cfg.FSwMax {
-		if d.quiet {
-			return 0, errRejected
-		}
+			rReq, rFSL, iLoad)
+	case v == aboveFSwMax:
 		return 0, ivr.Infeasible(an.Name,
 			"regulation needs f_sw %.3g Hz above the %.3g Hz limit — increase CTotal", fsw, cfg.FSwMax)
 	}
@@ -512,87 +583,99 @@ func (d *Design) RegulationFrequency(iLoad float64) (float64, error) {
 // Evaluate computes the static metrics at load current iLoad (A), with the
 // feedback loop holding V_out at the configured target.
 func (d *Design) Evaluate(iLoad float64) (ivr.Metrics, error) {
-	fsw, err := d.RegulationFrequency(iLoad)
-	if err != nil {
-		return ivr.Metrics{}, err
-	}
-	return d.EvaluateAt(iLoad, fsw)
-}
-
-// EvaluateAt computes the static metrics at an explicit switching frequency
-// (open-loop), exposing the raw efficiency-vs-frequency trade-off.
-func (d *Design) EvaluateAt(iLoad, fsw float64) (ivr.Metrics, error) {
-	cfg := &d.cfg
-	an := cfg.Analysis
-	if fsw <= 0 {
-		return ivr.Metrics{}, fmt.Errorf("sc: fsw must be positive")
-	}
-	rOut := d.ROut(fsw)
-	vOut := an.Ratio*cfg.VIn - iLoad*rOut
-	if vOut <= 0 {
-		if d.quiet {
-			return ivr.Metrics{}, errRejected
-		}
-		return ivr.Metrics{}, ivr.Infeasible(an.Name, "output collapses (%.3g V) at %.3g A, f_sw %.3g Hz", vOut, iLoad, fsw)
-	}
-	var loss ivr.LossBreakdown
-	// Intrinsic conduction/regulation loss through the output impedance.
-	loss.Conduction = iLoad * iLoad * rOut
-
-	devs := d.plan.devs
-	// Gate drive: per-switch stack gate capacitance cycled each period.
-	for i, dev := range devs {
-		cg := dev.CGate(d.width(i)) // total gate cap of the stack width
-		loss.GateDrive += fsw * cg * dev.VDrive * dev.VDrive
-	}
-	loss.GateDrive *= driverTax
-
-	// Drain-junction parasitics switched across each device's blocking
-	// voltage, plus capacitor bottom-plate parasitics.
-	for i, dev := range devs {
-		vb := an.SwitchBlockVoltages[i] * cfg.VIn
-		loss.Parasitic += fsw * dev.CDrain(d.width(i)) * vb * vb
-	}
-	for i := range an.CapMultipliers {
-		swing := an.CapBottomSwing[i] * cfg.VIn
-		loss.Parasitic += cfg.BottomPlateLossFactor * fsw * d.caps.opt.BottomPlateRatio * d.capC(i) * swing * swing
-	}
-
-	// Leakage: capacitor dielectric leakage plus off-state switch leakage
-	// (each switch is off half the time).
-	for i := range an.CapMultipliers {
-		loss.Leakage += d.capC(i) * d.caps.opt.LeakPerFarad * an.CapVoltages[i] * cfg.VIn
-	}
-	for i, dev := range devs {
-		vb := an.SwitchBlockVoltages[i] * cfg.VIn
-		loss.Leakage += 0.5 * dev.Leakage(d.width(i)) * vb
-	}
-
-	// Controller, comparator, and clocking.
-	eg := cfg.Node.LogicEnergyPerGateJ
-	loss.Control = ctrlStaticW + fsw*eg*float64(ctrlGates+clockGates*cfg.Interleave)
-
-	pOut := vOut * iLoad
-	eff := 0.0
-	if pOut > 0 {
-		eff = pOut / (pOut + loss.Total())
-	}
-	m := ivr.Metrics{
-		Topology:   d.plan.label,
-		VIn:        cfg.VIn,
-		VOut:       vOut,
-		ILoad:      iLoad,
-		POut:       pOut,
-		Loss:       loss,
-		Efficiency: eff,
-		RippleVpp:  d.Ripple(iLoad, fsw),
-		FSw:        fsw,
-		AreaDie:    d.Area(),
-	}
-	if err := m.Finite(); err != nil {
+	var m ivr.Metrics
+	if err := d.evaluate(&m, iLoad); err != nil {
 		return ivr.Metrics{}, err
 	}
 	return m, nil
+}
+
+// evaluate is Evaluate into *m, with one R_FSL sum for the regulation
+// frequency and the output impedance.
+func (d *Design) evaluate(m *ivr.Metrics, iLoad float64) error {
+	rFSL := d.RFSL()
+	fsw, err := d.regulationFrequency(iLoad, rFSL)
+	if err != nil {
+		return err
+	}
+	return d.evaluateAt(m, iLoad, fsw, rFSL)
+}
+
+// evaluateAt writes the static metrics at switching frequency fsw to *m,
+// given the design's R_FSL; at an f_sw other than the regulation
+// frequency it gives the open-loop point. It makes one pass over the
+// switches, computing each width once, and every loss accumulator still
+// sums its terms in the loss model's order: gate drive over the switches;
+// parasitics over the switches, then the capacitors' bottom plates;
+// leakage over the capacitors, then the switches. On error *m is left
+// partly written.
+func (d *Design) evaluateAt(m *ivr.Metrics, iLoad, fsw, rFSL float64) error {
+	cfg := &d.cfg
+	an := cfg.Analysis
+	if fsw <= 0 {
+		return fmt.Errorf("sc: fsw must be positive")
+	}
+	rOut := d.rOut(fsw, rFSL)
+	vOut := an.Ratio*cfg.VIn - iLoad*rOut
+	if vOut <= 0 {
+		if d.quiet {
+			return errRejected
+		}
+		return ivr.Infeasible(an.Name, "output collapses (%.3g V) at %.3g A, f_sw %.3g Hz", vOut, iLoad, fsw)
+	}
+	*m = ivr.Metrics{}
+	loss := &m.Loss
+	// Intrinsic conduction/regulation loss through the output impedance.
+	loss.Conduction = iLoad * iLoad * rOut
+
+	// Capacitor dielectric leakage.
+	capOpt := &d.caps.opt
+	for i := range an.CapMultipliers {
+		loss.Leakage += d.capC(i) * capOpt.LeakPerFarad * an.CapVoltages[i] * cfg.VIn
+	}
+	devs := d.plan.devs
+	for i := range devs {
+		dev := &devs[i]
+		w := d.width(i)
+		vb := an.SwitchBlockVoltages[i] * cfg.VIn
+		// Gate drive: the stack's gate capacitance cycled each period.
+		loss.GateDrive += fsw * dev.CGate(w) * dev.VDrive * dev.VDrive
+		// Drain-junction parasitics switched across the blocking voltage.
+		loss.Parasitic += fsw * dev.CDrain(w) * vb * vb
+		// Off-state leakage: each switch is off half the time.
+		loss.Leakage += 0.5 * dev.Leakage(w) * vb
+	}
+	loss.GateDrive *= driverTax
+	// Capacitor bottom-plate parasitics.
+	for i := range an.CapMultipliers {
+		swing := an.CapBottomSwing[i] * cfg.VIn
+		loss.Parasitic += cfg.BottomPlateLossFactor * fsw * capOpt.BottomPlateRatio * d.capC(i) * swing * swing
+	}
+	loss.Control = d.controlLoss(fsw)
+
+	m.Topology = d.plan.label
+	m.VIn, m.VOut, m.ILoad, m.FSw = cfg.VIn, vOut, iLoad, fsw
+	m.POut = vOut * iLoad
+	m.Efficiency = efficiency(m.POut, loss)
+	m.RippleVpp = d.Ripple(iLoad, fsw)
+	m.AreaDie = d.Area()
+	return m.Finite()
+}
+
+// controlLoss is the feedback controller, comparator and clocking power
+// (W) at f_sw: a static floor plus the logic switched per cycle, whose
+// clock distribution grows with the phase count.
+func (d *Design) controlLoss(fsw float64) float64 {
+	eg := d.cfg.Node.LogicEnergyPerGateJ
+	return ctrlStaticW + fsw*eg*float64(ctrlGates+clockGates*d.cfg.Interleave)
+}
+
+// efficiency is POut / (POut + total loss), zero without output power.
+func efficiency(pOut float64, loss *ivr.LossBreakdown) float64 {
+	if pOut > 0 {
+		return pOut / (pOut + loss.Total())
+	}
+	return 0
 }
 
 // ElementValues returns the per-capacitor capacitances (F) and per-switch
@@ -633,13 +716,8 @@ func (d *Design) Ripple(iLoad, fsw float64) float64 {
 // Area returns the total die area (m²): flying caps, decap, switches, and
 // controller, with a routing tax.
 func (d *Design) Area() float64 {
-	a := d.caps.opt.Area(d.cfg.CTotal)
-	a += d.caps.decap.Area(d.cfg.CDecap)
-	for i, dev := range d.plan.devs {
-		a += float64(d.plan.stacks[i]) * dev.Area(d.width(i))
-	}
 	// Controller macro: gate count at 40 F^2 per gate equivalent.
 	f := d.cfg.Node.FeatureM
-	a += float64(ctrlGates+clockGates*d.cfg.Interleave) * 40 * f * f * 25
+	a := d.areaFixed + float64(ctrlGates+clockGates*d.cfg.Interleave)*40*f*f*25
 	return a * routingTax
 }

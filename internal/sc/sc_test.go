@@ -12,7 +12,7 @@ import (
 	"ivory/internal/numeric"
 )
 
-func mustAnalysis(t *testing.T, top *topology.Topology, err error) *topology.Analysis {
+func mustAnalysis(t testing.TB, top *topology.Topology, err error) *topology.Analysis {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -226,22 +226,21 @@ func TestEvaluateAtOpenLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Higher frequency -> lower impedance -> higher open-loop V_out.
-	m1, err := d.EvaluateAt(0.4, 50e6)
-	if err != nil {
+	var m1, m2, m ivr.Metrics
+	if err := d.evaluateAt(&m1, 0.4, 50e6, d.RFSL()); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := d.EvaluateAt(0.4, 200e6)
-	if err != nil {
+	if err := d.evaluateAt(&m2, 0.4, 200e6, d.RFSL()); err != nil {
 		t.Fatal(err)
 	}
 	if m2.VOut <= m1.VOut {
 		t.Errorf("open-loop VOut should rise with fsw: %v -> %v", m1.VOut, m2.VOut)
 	}
-	if _, err := d.EvaluateAt(0.4, 0); err == nil {
+	if err := d.evaluateAt(&m, 0.4, 0, d.RFSL()); err == nil {
 		t.Error("zero fsw must fail")
 	}
 	// Crushing load at low frequency collapses the output.
-	if _, err := d.EvaluateAt(100, 1e6); err == nil {
+	if err := d.evaluateAt(&m, 100, 1e6, d.RFSL()); err == nil {
 		t.Error("collapsed output must fail")
 	}
 }
