@@ -44,15 +44,18 @@ race:
 # quickselect path. FuzzSCRegulationScreen: a configuration the SC switch
 # plan's regulation screen rejects must be rejected by the full sizing and
 # evaluation path, and every configuration Score accepts must pass the
-# screen. The committed seed corpora (testdata/fuzz in each package, f.Add
-# seeds for FuzzSummarizeInPlace and FuzzSCRegulationScreen) also run under
-# plain `go test`.
+# screen. FuzzRankOrder: over generated rows, rankCandidates must give the
+# candidate-key sequence of a stable sort with the formatting reference
+# keyRankLess under every objective. The committed seed corpora
+# (testdata/fuzz in each package, f.Add seeds for FuzzSummarizeInPlace,
+# FuzzSCRegulationScreen and FuzzRankOrder) also run under plain `go test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRequestIdentity -fuzztime=20s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzNetlist -fuzztime=20s ./internal/spice
 	$(GO) test -run='^$$' -fuzz=FuzzSparseLU -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz=FuzzSummarizeInPlace -fuzztime=20s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz=FuzzSCRegulationScreen -fuzztime=20s ./internal/sc
+	$(GO) test -run='^$$' -fuzz=FuzzRankOrder -fuzztime=20s ./internal/core
 
 # Benchmark smoke run over the root harness (Explore serial/parallel/
 # cluster, PlaceIVRs, per-figure regeneration, MNA kernel Transient

@@ -662,74 +662,26 @@ func evalLDO(out *shard, spec Spec, node *tech.Node, fs float64) {
 	})
 }
 
-// rankKey is one candidate's ranking key, computed once before the sort:
-// whether its ranking metrics are finite, whether it clears the
-// efficiency floor, and its objective value.
-type rankKey struct {
-	c      *Candidate
-	v      float64
-	finite bool
-	floor  bool
-}
-
-// rankOrder sorts rank keys (sort.Interface). Less answers exactly as
-// rankLess does on the keys' candidates: finite rows first, then the
-// objective, then the canonical key, with sameKey rows equivalent.
+// rankOrder sorts rank keys (sort.Interface) by the run's ranking.
 type rankOrder struct {
+	ranking
 	keys []rankKey
-	// maxEff selects the ungated objective (higher efficiency first); the
-	// others rank rows above the floor first, then lower v.
-	maxEff bool
 }
 
-func (o *rankOrder) Len() int      { return len(o.keys) }
-func (o *rankOrder) Swap(i, j int) { o.keys[i], o.keys[j] = o.keys[j], o.keys[i] }
-
-func (o *rankOrder) Less(i, j int) bool {
-	a, b := &o.keys[i], &o.keys[j]
-	if a.finite != b.finite {
-		return a.finite
-	}
-	if o.better(a, b) {
-		return true
-	}
-	if o.better(b, a) || sameKey(a.c, b.c) {
-		return false
-	}
-	return compareKeys(a.c, b.c) < 0
-}
-
-// better is objectiveLess on precomputed keys.
-func (o *rankOrder) better(a, b *rankKey) bool {
-	if o.maxEff {
-		return a.v > b.v
-	}
-	if a.floor != b.floor {
-		return a.floor
-	}
-	return a.v < b.v
-}
+func (o *rankOrder) Len() int           { return len(o.keys) }
+func (o *rankOrder) Swap(i, j int)      { o.keys[i], o.keys[j] = o.keys[j], o.keys[i] }
+func (o *rankOrder) Less(i, j int) bool { return o.less(&o.keys[i], &o.keys[j]) }
 
 // rankCandidates returns copies of cands ranked per the objective. The
 // order is total: objective ties fall through to the canonical candidate
 // key and rows with non-finite metrics sort last, so the ranked list is
 // byte-identical for any input permutation (see pareto.go). One pass
-// computes each row's key, the sort compares keys and settles distinct
-// rows the objective ties with compareKeys, and the rows are copied once,
-// into the ranked result. Its comparisons, and so the order, are
-// rankLess's.
+// computes each row's key, the sort compares keys, and the rows are
+// copied once, into the ranked result.
 func rankCandidates(obj Objective, floor float64, cands []*Candidate) []Candidate {
-	o := &rankOrder{keys: make([]rankKey, len(cands)), maxEff: obj != MinArea && obj != MinNoise}
+	o := &rankOrder{ranking: ranking{obj, floor}, keys: make([]rankKey, len(cands))}
 	for i, c := range cands {
-		m := &c.Metrics
-		k := rankKey{c: c, finite: finiteMetrics(c), floor: m.Efficiency >= floor, v: m.Efficiency}
-		switch obj {
-		case MinArea:
-			k.v = m.AreaDie
-		case MinNoise:
-			k.v = m.RippleVpp
-		}
-		o.keys[i] = k
+		o.keys[i] = o.key(c)
 	}
 	sort.Sort(o)
 	ranked := make([]Candidate, len(cands))

@@ -13,8 +13,9 @@ import (
 // count), so every tie-break in the package goes through candidateKey — a
 // canonical, total identity — rather than input order or map iteration.
 // Comparators take *Candidate so a sort or scan never copies the struct,
-// and sameKey settles key equality without formatting: the policy twins
-// that tie most often are usually bit-identical.
+// and compareKeys settles key order without formatting whole keys: the
+// policy twins that tie most often are usually bit-identical, and those
+// compare equal without formatting anything.
 
 // fmtG renders a float at shortest-round-trip precision, the same
 // formatting the spec hash uses.
@@ -37,8 +38,9 @@ func candidateKey(c Candidate) string {
 // the key up to the first metric that differs, so only that pair is
 // formatted, on the stack. No float renders a "|", and every byte a float
 // renders sorts below it, so that pair's bytes with the separator after
-// them decide the order exactly as the whole keys do. Rows of different
-// kind or label compare their formatted keys.
+// them decide the order exactly as the whole keys do; rows with equal
+// keys compare 0 with nothing formatted. Rows of different kind or label
+// compare their formatted keys.
 func compareKeys(a, b *Candidate) int {
 	if a.Kind != b.Kind || a.Label != b.Label {
 		return strings.Compare(candidateKey(*a), candidateKey(*b))
@@ -63,18 +65,9 @@ func compareKeys(a, b *Candidate) int {
 	return 0
 }
 
-// sameKey reports whether candidateKey(*a) == candidateKey(*b) without
-// formatting either key. Shortest round-trip formatting maps distinct
-// floats to distinct strings, except that every NaN prints "NaN"; and since
-// no float renders a "|", the label is recovered unambiguously from a key.
-func sameKey(a, b *Candidate) bool {
-	am, bm := &a.Metrics, &b.Metrics
-	return a.Kind == b.Kind && a.Label == b.Label &&
-		sameG(am.Efficiency, bm.Efficiency) && sameG(am.AreaDie, bm.AreaDie) &&
-		sameG(am.RippleVpp, bm.RippleVpp) && sameG(am.FSw, bm.FSw) && sameG(am.POut, bm.POut)
-}
-
-// sameG reports whether fmtG(x) == fmtG(y).
+// sameG reports whether fmtG(x) == fmtG(y): shortest round-trip
+// formatting maps distinct floats to distinct strings, except that every
+// NaN prints "NaN".
 func sameG(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
@@ -92,63 +85,76 @@ func finiteMetrics(c *Candidate) bool {
 	return true
 }
 
-// objectiveLess is the raw objective comparison used by rank, the
-// best-so-far tracker, and the adaptive search. It is a strict partial
-// order: ties (and NaN pairs) compare false both ways.
-func objectiveLess(obj Objective, floor float64) func(a, b *Candidate) bool {
-	switch obj {
-	case MinArea:
-		return func(a, b *Candidate) bool {
-			aOK, bOK := a.Metrics.Efficiency >= floor, b.Metrics.Efficiency >= floor
-			if aOK != bOK {
-				return aOK
-			}
-			return a.Metrics.AreaDie < b.Metrics.AreaDie
-		}
-	case MinNoise:
-		return func(a, b *Candidate) bool {
-			aOK, bOK := a.Metrics.Efficiency >= floor, b.Metrics.Efficiency >= floor
-			if aOK != bOK {
-				return aOK
-			}
-			return a.Metrics.RippleVpp < b.Metrics.RippleVpp
-		}
-	default:
-		return func(a, b *Candidate) bool {
-			return a.Metrics.Efficiency > b.Metrics.Efficiency
-		}
-	}
-}
-
-// rankLess extends objectiveLess to a total order: finite rows first, then
-// the objective, then the canonical key. Sorting with it is deterministic
+// ranking is the package's one ranking order: the objective and
+// efficiency floor a run ranks under. rankCandidates sorts by it, the live
+// tracker keeps its best-so-far by it, and the adaptive search's winner
+// board places by it. The order is total: finite rows first, ranked by
+// the objective and then the canonical candidate key; then the rows with
+// non-finite metrics, by the key alone (their objective value may be NaN,
+// which ties with every value and would leave the order intransitive).
+// Rows with equal keys are equivalent. Sorting with it is deterministic
 // under any input permutation.
-func rankLess(obj Objective, floor float64) func(a, b *Candidate) bool {
-	less := objectiveLess(obj, floor)
-	return func(a, b *Candidate) bool {
-		if first, decided := rankTie(less, a, b); decided {
-			return first
-		}
-		return candidateKey(*a) < candidateKey(*b)
-	}
+type ranking struct {
+	obj   Objective
+	floor float64
 }
 
-// rankTie applies every rankLess criterion short of formatting keys:
-// finite rows first, then the objective, and rows with equal keys are
-// equivalent. decided is false only for distinct rows the objective ties,
-// which rankLess orders by candidateKey.
-func rankTie(less func(a, b *Candidate) bool, a, b *Candidate) (aFirst, decided bool) {
-	if af, bf := finiteMetrics(a), finiteMetrics(b); af != bf {
-		return af, true
-	}
-	if less(a, b) {
-		return true, true
-	}
-	if less(b, a) || sameKey(a, b) {
-		return false, true
-	}
-	return false, false
+// rankKey is one candidate's ranking key, computed once per row: whether
+// its ranking metrics are finite, whether it clears the efficiency floor,
+// and its objective value.
+type rankKey struct {
+	c      *Candidate
+	v      float64
+	finite bool
+	floor  bool
 }
+
+// key computes c's ranking key.
+func (r ranking) key(c *Candidate) rankKey {
+	m := &c.Metrics
+	k := rankKey{c: c, finite: finiteMetrics(c), floor: m.Efficiency >= r.floor, v: m.Efficiency}
+	switch r.obj {
+	case MinArea:
+		k.v = m.AreaDie
+	case MinNoise:
+		k.v = m.RippleVpp
+	}
+	return k
+}
+
+// less reports whether a ranks strictly before b. Distinct rows the
+// objective does not order are settled by compareKeys, without formatting
+// a key.
+func (r ranking) less(a, b *rankKey) bool {
+	if a.finite != b.finite {
+		return a.finite
+	}
+	if a.finite && r.better(a, b) {
+		return true
+	}
+	if a.finite && r.better(b, a) {
+		return false
+	}
+	return compareKeys(a.c, b.c) < 0
+}
+
+// better is the raw objective comparison, a strict partial order: ties
+// (and NaN pairs) compare false both ways. MaxEfficiency ranks higher
+// efficiency first; the gated objectives rank rows above the floor first,
+// then the lower objective value.
+func (r ranking) better(a, b *rankKey) bool {
+	if !r.gated() {
+		return a.v > b.v
+	}
+	if a.floor != b.floor {
+		return a.floor
+	}
+	return a.v < b.v
+}
+
+// gated reports whether the objective ranks rows that clear the
+// efficiency floor first (MinArea, MinNoise); MaxEfficiency is ungated.
+func (r ranking) gated() bool { return r.obj == MinArea || r.obj == MinNoise }
 
 // ParetoSet maintains the set of mutually non-dominated candidates in the
 // (efficiency up, area down) plane incrementally: each Insert is O(front

@@ -53,10 +53,19 @@ func TestRankDeterministicUnderPermutation(t *testing.T) {
 	}
 }
 
-// rankSliceLess adapts rankLess to sort.Slice for the test.
+// rankSliceLess adapts the package ranking to sort.Slice for the test.
 func rankSliceLess(cp []Candidate, obj Objective, floor float64) func(i, j int) bool {
-	less := rankLess(obj, floor)
+	less := rankingLess(obj, floor)
 	return func(i, j int) bool { return less(&cp[i], &cp[j]) }
+}
+
+// rankingLess adapts the package ranking to a comparator on rows.
+func rankingLess(obj Objective, floor float64) func(a, b *Candidate) bool {
+	r := ranking{obj, floor}
+	return func(a, b *Candidate) bool {
+		ka, kb := r.key(a), r.key(b)
+		return r.less(&ka, &kb)
+	}
 }
 
 // TestRankNaNRowsSink pins that candidates with non-finite metrics never
@@ -172,18 +181,48 @@ func TestResultFrontsExcludeNonFinite(t *testing.T) {
 	}
 }
 
-// keyRankLess is the reference tie-break rankLess must reproduce: every
-// objective tie formats and compares both canonical keys.
+// objectiveLess is the reference objective comparison, a strict partial
+// order on rows: ties (and NaN pairs) compare false both ways.
+func objectiveLess(obj Objective, floor float64) func(a, b *Candidate) bool {
+	switch obj {
+	case MinArea:
+		return func(a, b *Candidate) bool {
+			aOK, bOK := a.Metrics.Efficiency >= floor, b.Metrics.Efficiency >= floor
+			if aOK != bOK {
+				return aOK
+			}
+			return a.Metrics.AreaDie < b.Metrics.AreaDie
+		}
+	case MinNoise:
+		return func(a, b *Candidate) bool {
+			aOK, bOK := a.Metrics.Efficiency >= floor, b.Metrics.Efficiency >= floor
+			if aOK != bOK {
+				return aOK
+			}
+			return a.Metrics.RippleVpp < b.Metrics.RippleVpp
+		}
+	default:
+		return func(a, b *Candidate) bool {
+			return a.Metrics.Efficiency > b.Metrics.Efficiency
+		}
+	}
+}
+
+// keyRankLess is the reference order the package ranking must reproduce:
+// finite rows first, ranked by objectiveLess, then non-finite rows, and
+// every pair the objective does not order formats and compares both
+// canonical keys.
 func keyRankLess(obj Objective, floor float64) func(a, b *Candidate) bool {
 	less := objectiveLess(obj, floor)
 	return func(a, b *Candidate) bool {
-		if af, bf := finiteMetrics(a), finiteMetrics(b); af != bf {
+		af, bf := finiteMetrics(a), finiteMetrics(b)
+		if af != bf {
 			return af
 		}
-		if less(a, b) {
+		if af && less(a, b) {
 			return true
 		}
-		if less(b, a) {
+		if af && less(b, a) {
 			return false
 		}
 		return candidateKey(*a) < candidateKey(*b)
@@ -245,9 +284,9 @@ func candidateTags(cands []Candidate) []float64 {
 	return tags
 }
 
-// checkRankMatchesKeyOrder sorts several shuffles of cands with rankLess,
-// with rankCandidates and with the reference keyRankLess, and requires
-// the same order from all three.
+// checkRankMatchesKeyOrder sorts several shuffles of cands with the
+// package ranking, with rankCandidates and with the reference
+// keyRankLess, and requires the same order from all three.
 func checkRankMatchesKeyOrder(t *testing.T, where string, cands []Candidate, obj Objective, floor float64) {
 	t.Helper()
 	tagged := slices.Clone(cands)
@@ -258,8 +297,8 @@ func checkRankMatchesKeyOrder(t *testing.T, where string, cands []Candidate, obj
 	for trial := 0; trial < 3; trial++ {
 		rng.Shuffle(len(tagged), func(i, j int) { tagged[i], tagged[j] = tagged[j], tagged[i] })
 		want := rankedTags(tagged, keyRankLess(obj, floor))
-		if got := rankedTags(tagged, rankLess(obj, floor)); !slices.Equal(got, want) {
-			t.Fatalf("%s %v trial %d: rankLess order %v, key order %v", where, obj, trial, got, want)
+		if got := rankedTags(tagged, rankingLess(obj, floor)); !slices.Equal(got, want) {
+			t.Fatalf("%s %v trial %d: ranking order %v, key order %v", where, obj, trial, got, want)
 		}
 		if got := candidateTags(rankCandidates(obj, floor, candidatePtrs(tagged))); !slices.Equal(got, want) {
 			t.Fatalf("%s %v trial %d: rank order %v, key order %v", where, obj, trial, got, want)
@@ -307,20 +346,13 @@ func TestCompareKeysRoundingTwins(t *testing.T) {
 }
 
 // TestRankTieBreakMatchesCandidateKey pins the formatting-free tie-break
-// to the canonical key: sameKey agrees with key equality on every pair of
-// tie rows, and on those rows and on the ranked results of the golden
-// specs, under both search strategies and every objective, rankLess and
-// rankCandidates order exactly as comparing candidateKey strings does.
+// to the canonical key: compareKeys agrees with comparing the keys,
+// equality included, on every pair of tie rows, and on those rows and on
+// the ranked results of the golden specs, under both search strategies
+// and every objective, the package ranking and rankCandidates order
+// exactly as comparing candidateKey strings does.
 func TestRankTieBreakMatchesCandidateKey(t *testing.T) {
 	rows := tieRows()
-	for i := range rows {
-		for j := range rows {
-			a, b := &rows[i], &rows[j]
-			if got, want := sameKey(a, b), candidateKey(*a) == candidateKey(*b); got != want {
-				t.Errorf("sameKey(%d, %d) = %v, key equality %v", i, j, got, want)
-			}
-		}
-	}
 	objectives := []Objective{MaxEfficiency, MinArea, MinNoise}
 	for _, obj := range objectives {
 		checkRankMatchesKeyOrder(t, "tie rows", rows, obj, 0.25)

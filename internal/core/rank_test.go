@@ -11,12 +11,13 @@ import (
 	"ivory/internal/sc"
 )
 
-// oracleRank is the ranking rankCandidates replaced, kept as its oracle:
-// sort.Slice over the rows themselves with rankLess, which recomputes
-// finiteMetrics and the objective for both rows on every comparison.
+// oracleRank is the oracle rankCandidates is held to: sort.Slice over the
+// rows themselves with the formatting reference keyRankLess, which
+// recomputes finiteMetrics and the objective for both rows on every
+// comparison and formats both keys on every objective tie.
 func oracleRank(cands []Candidate, obj Objective, floor float64) []Candidate {
 	cp := slices.Clone(cands)
-	less := rankLess(obj, floor)
+	less := keyRankLess(obj, floor)
 	sort.Slice(cp, func(i, j int) bool { return less(&cp[i], &cp[j]) })
 	return cp
 }
@@ -53,12 +54,12 @@ func withRankHazards(cands []Candidate, rng *rand.Rand) []Candidate {
 	return out
 }
 
-// TestRankCandidatesMatchesRankLessSort pins rankCandidates to the oracle
+// TestRankCandidatesMatchesKeyOracle pins rankCandidates to the oracle
 // over the golden specs, both search strategies and every objective, with
 // NaN and infinite rows, duplicates and policy twins mixed in: the same
 // order key for key, and row for row, so which of two twins leads is
 // unchanged too.
-func TestRankCandidatesMatchesRankLessSort(t *testing.T) {
+func TestRankCandidatesMatchesKeyOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	ranked := 0
 	for i, base := range goldenSpecs(60) {
@@ -159,4 +160,57 @@ func TestExploreAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { _, _ = Explore(spec) }); got > ceiling {
 		t.Errorf("%v allocations per case-study exploration, ceiling %d", got, ceiling)
 	}
+}
+
+// fuzzRankRows decodes rows for FuzzRankOrder, five bytes a row: a header
+// (kind, one of four labels that include a prefix pair, and a twin bit
+// that repeats the previous row as a policy twin) and one index each into
+// a table of efficiency, area and ripple values — NaN, ±Inf, ±0, near
+// ties a step apart, values on both sides of every floor — plus a byte
+// picking switching frequency and output power.
+func fuzzRankRows(data []byte) []Candidate {
+	labels := [...]string{"a x4", "a x40", "b x2", "z"}
+	vals := [...]float64{
+		0.8, 0.8, math.Nextafter(0.8, 1), 0.1, 0.25, 0.5, 0.95, 1,
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		2e-6, 3e-6, 0.01,
+	}
+	var rows []Candidate
+	for ; len(data) >= 5 && len(rows) < 48; data = data[5:] {
+		h := data[0]
+		if h&0x80 != 0 && len(rows) > 0 {
+			rows = append(rows, rows[len(rows)-1])
+			continue
+		}
+		c := mkCand(Kind(h%numKinds), labels[(h>>2)&3], vals[data[1]&15], vals[data[2]&15], vals[data[3]&15])
+		c.Metrics.FSw = [...]float64{1e8, 2e8}[data[4]&1]
+		c.Metrics.POut = [...]float64{1, 2, math.NaN()}[(data[4]>>1)%3]
+		rows = append(rows, c)
+	}
+	return rows
+}
+
+// FuzzRankOrder holds rankCandidates to the formatting reference over
+// generated rows under every objective: the ranked candidateKey sequence
+// must equal that of sort.SliceStable with keyRankLess.
+func FuzzRankOrder(f *testing.F) {
+	f.Add(byte(0), []byte{0, 0, 13, 15, 0, 1, 0, 13, 15, 0, 0x80, 0, 0, 0, 0, 4, 3, 13, 15, 1})
+	f.Add(byte(1), []byte{0, 10, 13, 15, 0, 4, 11, 13, 15, 2, 8, 12, 14, 10, 4, 2, 3, 8, 9, 0, 2, 3, 9, 8, 0})
+	f.Add(byte(2), []byte{5, 6, 13, 15, 0, 9, 6, 14, 15, 1, 0x80, 0, 0, 0, 0, 12, 4, 13, 8, 4, 13, 1, 2, 15, 0})
+	f.Add(byte(1), []byte{0, 10, 11, 10, 0, 1, 11, 10, 12, 0, 2, 0, 12, 11, 3, 4, 5, 10, 10, 1})
+	f.Fuzz(func(t *testing.T, floorI byte, data []byte) {
+		rows := fuzzRankRows(data)
+		floor := [...]float64{0, 0.25, 0.8}[floorI%3]
+		for _, obj := range []Objective{MaxEfficiency, MinArea, MinNoise} {
+			want := slices.Clone(rows)
+			less := keyRankLess(obj, floor)
+			sort.SliceStable(want, func(i, j int) bool { return less(&want[i], &want[j]) })
+			got := rankCandidates(obj, floor, candidatePtrs(rows))
+			for r := range want {
+				if gk, wk := candidateKey(got[r]), candidateKey(want[r]); gk != wk {
+					t.Fatalf("%v floor %g: row %d has key %s, reference %s", obj, floor, r, gk, wk)
+				}
+			}
+		}
+	})
 }

@@ -75,18 +75,19 @@ const winnersK = 3
 // skipped when its analytic ceiling cannot displace the board's last
 // entry.
 type winnerBoard struct {
-	less func(a, b *Candidate) bool
-	list []*Candidate
+	rank ranking
+	list []rankKey
 }
 
 // observe offers c to the board, which keeps c if it places; the caller
 // must not modify it afterwards.
 func (w *winnerBoard) observe(c *Candidate) {
-	i := sort.Search(len(w.list), func(i int) bool { return w.less(c, w.list[i]) })
+	k := w.rank.key(c)
+	i := sort.Search(len(w.list), func(i int) bool { return w.rank.less(&k, &w.list[i]) })
 	if i >= winnersK {
 		return
 	}
-	w.list = slices.Insert(w.list, i, c)
+	w.list = slices.Insert(w.list, i, k)
 	if len(w.list) > winnersK {
 		w.list = w.list[:winnersK]
 	}
@@ -100,17 +101,15 @@ func (w *winnerBoard) observe(c *Candidate) {
 // group below the floor is only prunable once the whole board clears the
 // floor (sub-floor rows rank after every above-floor row, so they can no
 // longer displace anything).
-func (w *winnerBoard) canBeat(obj Objective, floor, bound float64) bool {
-	if len(w.list) < winnersK || !finiteMetrics(w.list[len(w.list)-1]) {
+func (w *winnerBoard) canBeat(bound float64) bool {
+	if len(w.list) < winnersK || !w.list[len(w.list)-1].finite {
 		return true
 	}
-	last := w.list[len(w.list)-1].Metrics.Efficiency
-	switch obj {
-	case MinArea, MinNoise:
-		return bound >= floor || last < floor
-	default:
-		return bound >= last
+	last := w.list[len(w.list)-1].c.Metrics.Efficiency
+	if w.rank.gated() {
+		return bound >= w.rank.floor || last < w.rank.floor
 	}
+	return bound >= last
 }
 
 // runStage fans one deterministic batch of refs through the evaluator,
@@ -157,7 +156,7 @@ func exploreAdaptive(spec Spec, ec *evalContext, m *merged, tr *tracker, eval Ev
 			groups = append(groups, group{bound: scEfficiencyBound(spec, ec.topos[r.Topo]), refs: []ConfigRef{r}})
 		}
 	}
-	win := &winnerBoard{less: rankLess(spec.Objective, spec.EfficiencyFloor)}
+	win := &winnerBoard{rank: ranking{spec.Objective, spec.EfficiencyFloor}}
 	if err := runStage(spec, tr, m, win, eval, rest); err != nil {
 		return err
 	}
@@ -165,7 +164,7 @@ func exploreAdaptive(spec Spec, ec *evalContext, m *merged, tr *tracker, eval Ev
 	// must analytically clear.
 	slices.SortStableFunc(groups, func(a, b group) int { return cmp.Compare(b.bound, a.bound) })
 	for _, g := range groups {
-		if !win.canBeat(spec.Objective, spec.EfficiencyFloor, g.bound) {
+		if !win.canBeat(g.bound) {
 			// Each SC ref sizes both allocation policies.
 			tr.prunedBound(2 * len(g.refs))
 			continue

@@ -207,35 +207,52 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 // TestOnImprovedStreamsMonotonicBest pins the streaming contract behind
 // /v1/explore/stream: OnImproved fires only on strict improvement under
 // the spec's objective, in improving order, and its last emission is the
-// run's final Best.
+// run's final Best. It covers the case study and a sample of the golden
+// specs under every objective and both search strategies, judged by the
+// formatting reference keyRankLess.
 func TestOnImprovedStreamsMonotonicBest(t *testing.T) {
-	for _, search := range []SearchStrategy{SearchExhaustive, SearchAdaptive} {
-		spec := CaseStudySpec("45nm")
-		spec.Search = search
-		less := rankLess(spec.Objective, spec.EfficiencyFloor)
-		var seen []Candidate
-		spec.OnImproved = func(c Candidate, s Stats) {
-			seen = append(seen, c)
-			if s.Done > s.Jobs {
-				t.Errorf("%v: snapshot has Done %d > Jobs %d", search, s.Done, s.Jobs)
+	specs := append([]Spec{CaseStudySpec("45nm")}, goldenSpecs(12)...)
+	streamed := 0
+	for i, base := range specs {
+		for _, search := range []SearchStrategy{SearchExhaustive, SearchAdaptive} {
+			for _, obj := range []Objective{MaxEfficiency, MinArea, MinNoise} {
+				spec := base
+				spec.Search, spec.Objective = search, obj
+				where := fmt.Sprintf("spec %d %v %v", i, search, obj)
+				var seen []Candidate
+				spec.OnImproved = func(c Candidate, s Stats) {
+					seen = append(seen, c)
+					if s.Done > s.Jobs {
+						t.Errorf("%s: snapshot has Done %d > Jobs %d", where, s.Done, s.Jobs)
+					}
+				}
+				res, err := Explore(spec)
+				if err != nil {
+					if i == 0 {
+						t.Fatalf("%s: %v", where, err)
+					}
+					continue
+				}
+				if len(seen) == 0 {
+					t.Fatalf("%s: OnImproved never fired", where)
+				}
+				less := keyRankLess(obj, res.Spec.EfficiencyFloor)
+				for k := 1; k < len(seen); k++ {
+					if !less(&seen[k], &seen[k-1]) {
+						t.Errorf("%s: emission %d did not improve on %d", where, k, k-1)
+					}
+				}
+				if got, want := candidateKey(seen[len(seen)-1]), candidateKey(res.Best); got != want {
+					t.Errorf("%s: final emission %s != Best %s", where, got, want)
+				}
+				streamed++
 			}
-		}
-		res, err := Explore(spec)
-		if err != nil {
-			t.Fatalf("%v: %v", search, err)
-		}
-		if len(seen) == 0 {
-			t.Fatalf("%v: OnImproved never fired", search)
-		}
-		for i := 1; i < len(seen); i++ {
-			if !less(&seen[i], &seen[i-1]) {
-				t.Errorf("%v: emission %d did not improve on %d", search, i, i-1)
-			}
-		}
-		if got, want := candidateKey(seen[len(seen)-1]), candidateKey(res.Best); got != want {
-			t.Errorf("%v: final emission %s != Best %s", search, got, want)
 		}
 	}
+	if streamed < 6 {
+		t.Fatalf("only %d runs streamed a best", streamed)
+	}
+	t.Logf("%d runs streamed a best", streamed)
 }
 
 // TestParseSearch covers the strategy surface shared with the DTO layer.

@@ -141,8 +141,8 @@ type tracker struct {
 	live       bool
 	progress   func(Stats)
 	onImproved func(Candidate, Stats)
-	less       func(a, b *Candidate) bool
-	best       *Candidate // points into a completed job's candidates
+	rank       ranking
+	best       rankKey // best.c points into a completed job's candidates
 	front      *ParetoSet
 	start      time.Time
 	// Baselines for diffing the package-wide cache counters.
@@ -154,7 +154,7 @@ func newTracker(spec Spec) *tracker {
 		live:       spec.Progress != nil || spec.OnImproved != nil,
 		progress:   spec.Progress,
 		onImproved: spec.OnImproved,
-		less:       rankLess(spec.Objective, spec.EfficiencyFloor),
+		rank:       ranking{spec.Objective, spec.EfficiencyFloor},
 		front:      NewParetoSet(),
 		start:      time.Now(),
 	}
@@ -239,13 +239,13 @@ func (t *tracker) jobDone(kind Kind, cands []Candidate, rejected int) {
 	for i := range cands {
 		c := &cands[i]
 		t.front.Insert(c)
-		if t.best == nil || t.less(c, t.best) {
-			t.best = c
+		if k := t.rank.key(c); t.best.c == nil || t.rank.less(&k, &t.best) {
+			t.best = k
 			improved = true
 		}
 	}
 	if improved && t.onImproved != nil {
-		t.onImproved(*t.best, t.snapshotLocked())
+		t.onImproved(*t.best.c, t.snapshotLocked())
 	}
 	if t.progress != nil {
 		t.progress(t.snapshotLocked())

@@ -100,77 +100,68 @@ func (m *Mesh) laplacian(taps []Point) (*numeric.SparseMatrix, error) {
 	return sm, nil
 }
 
+// eachLink visits every tile-to-tile link once, as the indices idx gives
+// its two end tiles, in row-major order (each tile's right link before its
+// down link), so every Laplacian built from it sums its entries in one
+// order.
+func (m *Mesh) eachLink(idx func(Point) int, visit func(i, j int)) {
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			i := idx(Point{x, y})
+			if x+1 < m.W {
+				visit(i, idx(Point{x + 1, y}))
+			}
+			if y+1 < m.H {
+				visit(i, idx(Point{x, y + 1}))
+			}
+		}
+	}
+}
+
+// bandIdx maps a point to its row in the band ordering, which runs along
+// the shorter mesh dimension to minimize bandwidth: row-major y*W+x
+// (bandwidth W), or column-major x*H+y (bandwidth H) when H < W.
+func (m *Mesh) bandIdx(p Point) int {
+	if m.H < m.W {
+		return p.X*m.H + p.Y
+	}
+	return p.Y*m.W + p.X
+}
+
 // sparseBase returns the cached tapless Laplacian in mesh row-major order,
 // assembling it on first use.
 func (m *Mesh) sparseBase() *numeric.SparseMatrix {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.sparseLap == nil {
-		n := m.W * m.H
-		sm := numeric.NewSparseMatrix(n)
+		sm := numeric.NewSparseMatrix(m.W * m.H)
 		g := 1 / m.RTile
-		for y := 0; y < m.H; y++ {
-			for x := 0; x < m.W; x++ {
-				i := m.idx(Point{x, y})
-				if x+1 < m.W {
-					j := m.idx(Point{x + 1, y})
-					sm.AddDiag(i, g)
-					sm.AddDiag(j, g)
-					sm.AddSym(i, j, -g)
-				}
-				if y+1 < m.H {
-					j := m.idx(Point{x, y + 1})
-					sm.AddDiag(i, g)
-					sm.AddDiag(j, g)
-					sm.AddSym(i, j, -g)
-				}
-			}
-		}
+		m.eachLink(m.idx, func(i, j int) {
+			sm.AddDiag(i, g)
+			sm.AddDiag(j, g)
+			sm.AddSym(i, j, -g)
+		})
 		m.sparseLap = sm
 	}
 	return m.sparseLap
 }
 
-// bandBase returns the cached tapless Laplacian in band form, ordered
-// along the shorter mesh dimension to minimize bandwidth.
+// bandBase returns the cached tapless Laplacian in band form, in the
+// bandIdx ordering, whose bandwidth is the shorter mesh dimension.
 func (m *Mesh) bandBase() (*numeric.SymBand, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.bandLap == nil {
-		n := m.W * m.H
-		bw := m.W
-		transposed := m.H < m.W
-		if transposed {
-			bw = m.H
-		}
-		idx := func(p Point) int {
-			if transposed {
-				return p.X*m.H + p.Y
-			}
-			return p.Y*m.W + p.X
-		}
-		sb, err := numeric.NewSymBand(n, bw)
+		sb, err := numeric.NewSymBand(m.W*m.H, min(m.W, m.H))
 		if err != nil {
 			return nil, err
 		}
 		g := 1 / m.RTile
-		for y := 0; y < m.H; y++ {
-			for x := 0; x < m.W; x++ {
-				i := idx(Point{x, y})
-				if x+1 < m.W {
-					j := idx(Point{x + 1, y})
-					sb.Add(i, i, g)
-					sb.Add(j, j, g)
-					sb.Add(i, j, -g)
-				}
-				if y+1 < m.H {
-					j := idx(Point{x, y + 1})
-					sb.Add(i, i, g)
-					sb.Add(j, j, g)
-					sb.Add(i, j, -g)
-				}
-			}
-		}
+		m.eachLink(m.bandIdx, func(i, j int) {
+			sb.Add(i, i, g)
+			sb.Add(j, j, g)
+			sb.Add(i, j, -g)
+		})
 		m.bandLap = sb
 	}
 	return m.bandLap, nil

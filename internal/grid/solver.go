@@ -28,12 +28,10 @@ const (
 // A Solver is immutable after construction and safe for concurrent use.
 type Solver struct {
 	m *Mesh
-	// Exactly one of chol (banded direct path) and sm (CG path) is non-nil.
+	// Exactly one of chol (banded direct path, in the mesh's bandIdx
+	// ordering) and sm (CG path) is non-nil.
 	chol *numeric.BandCholesky
 	sm   *numeric.SparseMatrix
-	// transposed marks the band ordering: false = row-major y*W+x
-	// (bandwidth W), true = column-major x*H+y (bandwidth H).
-	transposed bool
 }
 
 // NewSolver validates the tap set and builds the solving context.
@@ -48,17 +46,12 @@ func (m *Mesh) NewSolver(taps []Point) (*Solver, error) {
 	}
 	s := &Solver{m: m}
 	gTap := 1 / m.RTile * 1e7 // taps are ~ideal vs the mesh links
-	bw := m.W
-	if m.H < m.W {
-		bw = m.H
-		s.transposed = true
-	}
-	if bw <= maxDirectBandwidth && m.W*m.H*(bw+1) <= maxDirectEntries {
+	if bw := min(m.W, m.H); bw <= maxDirectBandwidth && m.W*m.H*(bw+1) <= maxDirectEntries {
 		base, err := m.bandBase()
 		if err == nil {
 			sb := base.Clone()
 			for _, t := range taps {
-				i := s.bandIdx(t)
+				i := m.bandIdx(t)
 				sb.Add(i, i, gTap)
 			}
 			if chol, err := sb.Cholesky(); err == nil {
@@ -78,19 +71,10 @@ func (m *Mesh) NewSolver(taps []Point) (*Solver, error) {
 	return s, nil
 }
 
-// bandIdx maps a point to its row in the band ordering, which runs along
-// the shorter mesh dimension to minimize bandwidth.
-func (s *Solver) bandIdx(p Point) int {
-	if s.transposed {
-		return p.X*s.m.H + p.Y
-	}
-	return p.Y*s.m.W + p.X
-}
-
 // index maps a point to its row in whichever matrix this solver holds.
 func (s *Solver) index(p Point) int {
 	if s.chol != nil {
-		return s.bandIdx(p)
+		return s.m.bandIdx(p)
 	}
 	return s.m.idx(p)
 }

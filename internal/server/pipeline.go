@@ -6,13 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"ivory/internal/ivr"
+	"ivory/internal/workload"
 )
 
 // The request pipeline. Every compute route runs the same stages:
@@ -27,25 +27,25 @@ import (
 // On a coordinator, explorations stop after hash: the original body goes
 // whole to the worker that owns the key (cluster.go).
 
-// route is one compute endpoint's static profile.
+// route is one compute endpoint's static profile. Every route's results
+// are looked up in and published to the LRU, and a deadline with no
+// partial result answers 504.
 type route struct {
-	name      string // endpoint label on /metrics and async job records
-	noun      string // subject of interruption messages
-	cacheable bool   // results are looked up in and published to the LRU
+	name string // endpoint label on /metrics and async job records
+	noun string // subject of interruption messages
 	// failStatus answers an engine error of no known class: 500 where the
 	// request was fully validated before admission, 400 where the engine
-	// validates its own inputs. deadlineStatus answers a deadline with no
-	// partial result.
-	failStatus, deadlineStatus int
+	// validates its own inputs.
+	failStatus int
 	// routed requests are forwarded whole to a worker on a coordinator.
 	routed bool
 }
 
 var (
-	exploreRoute   = &route{"explore", "exploration", true, http.StatusInternalServerError, http.StatusGatewayTimeout, true}
-	streamRoute    = &route{"explore_stream", "exploration", true, http.StatusInternalServerError, http.StatusGatewayTimeout, true}
-	transientRoute = &route{"transient", "transient sweep", true, http.StatusBadRequest, http.StatusGatewayTimeout, false}
-	hybridRoute    = &route{"hybrid", "hybrid sweep", true, http.StatusBadRequest, http.StatusGatewayTimeout, false}
+	exploreRoute   = &route{"explore", "exploration", http.StatusInternalServerError, true}
+	streamRoute    = &route{"explore_stream", "exploration", http.StatusInternalServerError, true}
+	transientRoute = &route{"transient", "transient sweep", http.StatusBadRequest, false}
+	hybridRoute    = &route{"hybrid", "hybrid sweep", http.StatusBadRequest, false}
 )
 
 // failure maps a pipeline error to its status and message; fallback
@@ -62,7 +62,7 @@ func (rt *route) failure(err error, fallback int) (int, string) {
 		// with an unwelcome answer, not a server fault.
 		return http.StatusUnprocessableEntity, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
-		return rt.deadlineStatus, rt.noun + " exceeded its deadline"
+		return http.StatusGatewayTimeout, rt.noun + " exceeded its deadline"
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, rt.noun + " cancelled (server draining)"
 	}
@@ -202,7 +202,5 @@ func (f *fieldHash) float(name string, v float64) { f.str(name, strconv.FormatFl
 func (f *fieldHash) int(name string, v int64) { f.str(name, strconv.FormatInt(v, 10)) }
 
 func (f *fieldHash) sum() string {
-	h := fnv.New64a()
-	_, _ = h.Write(f.b) // hash.Hash writes never fail
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", workload.FNV1aString(workload.FNVOffset64, string(f.b)))
 }

@@ -211,20 +211,18 @@ func (s *Server) retryAfterSeconds() int {
 type jobFunc func(ctx context.Context) (val any, err error)
 
 // execute is the single admission path for every compute route, sync,
-// async and streamed: result cache (cacheable routes only), then
-// singleflight join, then bounded queue submission. The returned flight is
-// already resolved on a cache hit. ErrBusy means the queue shed the job;
-// errDraining means admission is closed.
+// async and streamed: result cache, then singleflight join, then bounded
+// queue submission. The returned flight is already resolved on a cache
+// hit. ErrBusy means the queue shed the job; errDraining means admission
+// is closed.
 func (s *Server) execute(rt *route, hash string, timeout time.Duration, fn jobFunc) (*flight, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
-	if rt.cacheable {
-		if v, ok := s.cache.Get(hash); ok {
-			f := &flight{done: make(chan struct{}), val: v}
-			close(f.done)
-			return f, nil
-		}
+	if v, ok := s.cache.Get(hash); ok {
+		f := &flight{done: make(chan struct{}), val: v}
+		close(f.done)
+		return f, nil
 	}
 	f, leader := s.flights.join(hash)
 	if !leader {
@@ -252,7 +250,7 @@ func (s *Server) execute(rt *route, hash string, timeout time.Duration, fn jobFu
 			}()
 			val, err = fn(ctx)
 		}()
-		if err == nil && rt.cacheable {
+		if err == nil {
 			s.cache.Put(hash, val)
 		}
 		s.flights.finish(hash, f, val, err)

@@ -158,14 +158,16 @@ func (f *Floorplan) system(d Domain) *pds.System {
 	}
 }
 
-// refTDPW anchors the proven chip-level SC recipe: the case-study design
+// refTDPW anchors the hybrid sweep's fixed chip-level SC recipe
 // (SeriesParallel 3:1, 45 nm deep-trench, 2.4 µF / 4000 S / 400 nF at
-// 32-way interleave) is sized for a 20 W, ~24 A platform; AutoIVRDesign
-// scales its reactive and conductive totals linearly with domain TDP.
+// 32-way interleave), sized for a 20 W, ~24 A platform; AutoIVRDesign
+// scales its reactive and conductive totals linearly with domain TDP. It
+// is not the case study's searched design (experiments' caseIVRDesign,
+// SeriesParallel 3:1 at 1.44 µF / 5251 S / 160 nF), which Figs 10–13 use.
 const refTDPW = 20.0
 
 // AutoIVRDesign builds a chip-level SC converter for a domain of the given
-// TDP and output voltage: the case-study recipe with CTotal/GTotal/CDecap
+// TDP and output voltage: the fixed 20 W recipe with CTotal/GTotal/CDecap
 // scaled by tdpW/20 W. Sweep gives every domain its own.
 func AutoIVRDesign(tdpW, vOut float64) (*sc.Design, error) {
 	if tdpW <= 0 {

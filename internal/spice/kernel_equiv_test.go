@@ -143,32 +143,41 @@ func TestTranEquivalenceSwitchToggle(t *testing.T) {
 	}
 }
 
-// More than 64 switches spills the state bitmask into multiple words and
-// the string-keyed wide cache; results must be unchanged.
+// The factor cache packs the switch state one bit per switch, eight to a
+// key byte. Switch counts on both sides of a byte boundary, and past 64,
+// must give the reference's waveforms and its count of distinct states.
+// The last switch alone tells two of the three states apart, so a key
+// that dropped its top bit would factorize one state too few.
 func TestTranEquivalenceWideSwitchMask(t *testing.T) {
-	build := func() *Circuit {
+	build := func(n int) *Circuit {
 		c := NewCircuit()
 		c.V("vsrc", "vin", "0", DC(3))
-		for i := 0; i < 66; i++ {
+		for i := 0; i < n-4; i++ {
 			c.SW(nameOf("spar", i), "vin", "mid", 40, func(float64) bool { return true })
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 3; i++ {
 			c.SW(nameOf("sclk", i), "mid", "out", 2, DutyClock(5e6, 0.5, i%2 == 1))
 		}
+		c.SW(nameOf("sclk", 3), "mid", "out", 2, DutyClock(5e6, 0.25, true))
 		c.C("c1", "out", "0", 5e-9, 0)
 		c.R("rload", "out", "0", 20)
 		return c
 	}
 	h, T := 2e-9, 2e-6
-	want, err := tranDenseRef(build(), h, T)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{7, 8, 9, 16, 64, 65, 70} {
+		want, err := tranDenseRef(build(n), h, T)
+		if err != nil {
+			t.Fatalf("%d switches: %v", n, err)
+		}
+		got, err := build(n).Tran(h, T)
+		if err != nil {
+			t.Fatalf("%d switches: %v", n, err)
+		}
+		compareTran(t, got, want)
+		if got.Refactorizations != 3 {
+			t.Errorf("%d switches: factorized %d states, want 3", n, got.Refactorizations)
+		}
 	}
-	got, err := build().Tran(h, T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareTran(t, got, want)
 }
 
 // buildControlledCircuit mixes every element kind, with both terminals of

@@ -429,49 +429,15 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 	})
 	work := numeric.NewMatrix(dim, dim)
 
-	// Factorization cache keyed by the switch-state bitmask. The first
-	// state pays the symbolic analysis; every further state forks the
-	// shared symbolic structure and redoes only the numeric sweep.
-	// Circuits with more than 64 switches chain extra mask words and key
-	// the cache by the words' string encoding (built only on state
-	// changes, never per step).
-	nw := (len(sws) + 63) / 64
-	if nw == 0 {
-		nw = 1
-	}
-	maskBuf := make([]uint64, nw)
-	curMask := make([]uint64, nw)
-	computeMask := func(t float64) []uint64 {
-		for i := range maskBuf {
-			maskBuf[i] = 0
-		}
-		for i := range sws {
-			if sws[i].ctrl(t) {
-				maskBuf[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		return maskBuf
-	}
-	maskEq := func(a, b []uint64) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	cache := map[uint64]*numeric.SparseLU{}
-	var cacheWide map[string]*numeric.SparseLU
+	// Factorization cache keyed by the switch state, one bit per switch
+	// packed into key, which always holds the current step's state. The
+	// first state pays the symbolic analysis; every further state forks the
+	// shared symbolic structure and redoes only the numeric sweep. A lookup
+	// through cache[string(key)] does not allocate; only a new state's
+	// insertion copies its key.
+	key := make([]byte, (len(sws)+7)/8)
+	cache := map[string]*numeric.SparseLU{}
 	var symSeed *numeric.SparseLU
-	wideKey := func(mask []uint64) string {
-		b := make([]byte, 8*len(mask))
-		for i, w := range mask {
-			for k := 0; k < 8; k++ {
-				b[8*i+k] = byte(w >> (8 * uint(k)))
-			}
-		}
-		return string(b)
-	}
 	build := func(t float64) (*numeric.SparseLU, error) {
 		copy(work.Data, base.Data)
 		for i := range sws {
@@ -556,33 +522,28 @@ func (c *Circuit) Tran(h, T float64) (*Result, error) {
 	var lu *numeric.SparseLU
 	for s := 1; s <= steps; s++ {
 		t := float64(s) * h
-		mask := computeMask(t)
-		if lu == nil || !maskEq(mask, curMask) {
-			var cached *numeric.SparseLU
-			var ok bool
-			if nw == 1 {
-				cached, ok = cache[mask[0]]
-			} else if cacheWide != nil {
-				cached, ok = cacheWide[wideKey(mask)]
+		changed := lu == nil
+		for b := range key {
+			var v byte
+			for i := 8 * b; i < len(sws) && i < 8*b+8; i++ {
+				if sws[i].ctrl(t) {
+					v |= 1 << (i & 7)
+				}
 			}
-			if ok {
-				lu = cached
+			changed = changed || v != key[b]
+			key[b] = v
+		}
+		if changed {
+			if f, ok := cache[string(key)]; ok {
+				lu = f
 			} else {
 				f, err := build(t)
 				if err != nil {
 					return nil, err
 				}
-				if nw == 1 {
-					cache[mask[0]] = f
-				} else {
-					if cacheWide == nil {
-						cacheWide = map[string]*numeric.SparseLU{}
-					}
-					cacheWide[wideKey(mask)] = f
-				}
+				cache[string(key)] = f
 				lu = f
 			}
-			copy(curMask, mask)
 		}
 		for i := range rhs {
 			rhs[i] = 0
