@@ -46,8 +46,6 @@ func run() int {
 	disable := flag.String("disable", "", "comma-separated analyzer names to skip")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	unitAllow := flag.String("unitsuffix.allow", "", "comma-separated extra unit tokens for the unitsuffix analyzer")
-	nonfinitePkgs := flag.String("nonfinite.pkgs", "", "comma-separated extra package suffixes for the nonfinite analyzer")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ivory-lint [flags] [packages]\n")
 		flag.PrintDefaults()
@@ -77,10 +75,6 @@ func run() int {
 		}
 		disabled[n] = true
 	}
-	for _, tok := range splitList(*unitAllow) {
-		analysis.UnitWords[strings.ToLower(tok)] = true
-	}
-	analysis.NonFinitePackages = append(analysis.NonFinitePackages, splitList(*nonfinitePkgs)...)
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {

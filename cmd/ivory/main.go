@@ -80,7 +80,7 @@ func specFlags(fs *flag.FlagSet) func() (ivory.Spec, context.CancelFunc, error) 
 	vout := fs.Float64("vout", 1.0, "output voltage target (V)")
 	imax := fs.Float64("imax", 6, "maximum load current (A)")
 	area := fs.Float64("area-mm2", 6, "die area budget (mm2)")
-	objective := fs.String("objective", "eff", "optimization objective: eff|area|noise")
+	objective := fs.String("objective", "eff", "optimization objective: eff|area|noise (or max-efficiency|min-area|min-noise)")
 	search := fs.String("search", "exhaustive", "search strategy: exhaustive|adaptive (adaptive prunes dominated configurations without sizing them)")
 	timeout := fs.Duration("timeout", 0, "abort the exploration after this long (0 = no limit)")
 	progress := fs.Bool("progress", false, "print live exploration progress to stderr")
@@ -94,16 +94,11 @@ func specFlags(fs *flag.FlagSet) func() (ivory.Spec, context.CancelFunc, error) 
 			AreaMax:  *area * 1e-6,
 			Workers:  *workers,
 		}
-		switch *objective {
-		case "eff":
-			s.Objective = ivory.MaxEfficiency
-		case "area":
-			s.Objective = ivory.MinArea
-		case "noise":
-			s.Objective = ivory.MinNoise
-		default:
-			return s, nil, fmt.Errorf("unknown objective %q", *objective)
+		obj, err := ivory.ParseObjective(*objective)
+		if err != nil {
+			return s, nil, err
 		}
+		s.Objective = obj
 		strategy, err := ivory.ParseSearch(*search)
 		if err != nil {
 			return s, nil, err

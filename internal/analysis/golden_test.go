@@ -225,8 +225,8 @@ func Calib(fsw, alpha float64) error { return nil }
 `,
 	})
 	runGolden(t, UnitSuffix, pkg, []string{
-		"us.go:6:2: [unitsuffix] exported float64 field Dev.Area carries no unit in its name; add a unit token (see -unitsuffix.allow) or a quantity-symbol prefix",
-		"us.go:7:2: [unitsuffix] exported float64 field Dev.Scale carries no unit in its name; add a unit token (see -unitsuffix.allow) or a quantity-symbol prefix",
+		"us.go:6:2: [unitsuffix] exported float64 field Dev.Area carries no unit in its name; add a unit token or a quantity-symbol prefix",
+		"us.go:7:2: [unitsuffix] exported float64 field Dev.Scale carries no unit in its name; add a unit token or a quantity-symbol prefix",
 		"us.go:12:17: [unitsuffix] float64 parameter alpha of exported Calib carries no unit in its name; add a unit token or a quantity-symbol prefix",
 	})
 }

@@ -6,10 +6,9 @@ import (
 	"strings"
 )
 
-// NonFinitePackages lists the import-path suffixes of the model packages
-// whose exported entry points must guard against NaN/Inf. The driver can
-// extend it via -nonfinite.pkgs.
-var NonFinitePackages = []string{
+// nonFinitePackages lists the import-path suffixes of the model packages
+// whose exported entry points must guard against NaN/Inf.
+var nonFinitePackages = []string{
 	"internal/sc",
 	"internal/buck",
 	"internal/ldo",
@@ -25,7 +24,7 @@ var NonFinitePackages = []string{
 // output) turns an efficiency into NaN; NaN compares false with
 // everything, so an unguarded NaN silently loses every comparison in the
 // optimizer's ranking loop and corrupts the reported Pareto front rather
-// than crashing. The rule: in the model packages (NonFinitePackages), an
+// than crashing. The rule: in the model packages (nonFinitePackages), an
 // exported function or method whose last result is error and whose body
 // divides floats must call math.IsNaN / math.IsInf or one of the shared
 // guards (numeric.Finite, numeric.AllFinite, ivr.Metrics.Finite — any
@@ -41,7 +40,7 @@ var NonFinite = &Analyzer{
 }
 
 func runNonFinite(pass *Pass) error {
-	if !pathMatches(pass.Pkg.Path(), NonFinitePackages) {
+	if !pathMatches(pass.Pkg.Path(), nonFinitePackages) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -6,19 +6,18 @@ import (
 	"unicode"
 )
 
-// UnitSuffixPackages lists the import-path suffixes of the packages whose
+// unitSuffixPackages lists the import-path suffixes of the packages whose
 // exported float64 API surface must carry unit markers.
-var UnitSuffixPackages = []string{
+var unitSuffixPackages = []string{
 	"internal/tech",
 	"internal/sc",
 	"internal/buck",
 	"internal/ldo",
 }
 
-// UnitWords is the configurable allowlist of unit-bearing name tokens
-// (matched case-insensitively against CamelCase tokens of the name). The
-// driver extends it via -unitsuffix.allow.
-var UnitWords = map[string]bool{
+// unitWords is the allowlist of unit-bearing name tokens (matched
+// case-insensitively against CamelCase tokens of the name).
+var unitWords = map[string]bool{
 	// frequencies
 	"hz": true, "khz": true, "mhz": true, "ghz": true,
 	// voltages / currents
@@ -67,8 +66,8 @@ var leadSymbols = map[byte]bool{
 // littered with come precisely from unit-ambiguous parameters. A float64
 // name must either contain a unit token (Hz, Ohm, M2, Eff, ...) or start
 // with a quantity-symbol letter (VIn, CTotal, fsw, iLoad). Names that
-// are genuinely dimensionless can extend the allowlist via
-// -unitsuffix.allow or carry a //lint:ignore unitsuffix comment.
+// are genuinely dimensionless join unitWords or carry a
+// //lint:ignore unitsuffix comment.
 var UnitSuffix = &Analyzer{
 	Name: "unitsuffix",
 	Doc:  "flag exported float64 fields/params without a unit-bearing name token",
@@ -76,7 +75,7 @@ var UnitSuffix = &Analyzer{
 }
 
 func runUnitSuffix(pass *Pass) error {
-	if !pathMatches(pass.Pkg.Path(), UnitSuffixPackages) {
+	if !pathMatches(pass.Pkg.Path(), unitSuffixPackages) {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -99,7 +98,7 @@ func runUnitSuffix(pass *Pass) error {
 						for _, name := range fld.Names {
 							if name.IsExported() && !hasUnitToken(name.Name) {
 								pass.Reportf(name.Pos(),
-									"exported float64 field %s.%s carries no unit in its name; add a unit token (see -unitsuffix.allow) or a quantity-symbol prefix",
+									"exported float64 field %s.%s carries no unit in its name; add a unit token or a quantity-symbol prefix",
 									ts.Name.Name, name.Name)
 							}
 						}
@@ -132,7 +131,7 @@ func runUnitSuffix(pass *Pass) error {
 func hasUnitToken(name string) bool {
 	toks := camelTokens(name)
 	for i, t := range toks {
-		if UnitWords[strings.ToLower(t)] {
+		if unitWords[strings.ToLower(t)] {
 			return true
 		}
 		if len(t) == 1 && unitSymbols[t] {

@@ -68,31 +68,3 @@ func TestWorstCaseResistanceContextCancelled(t *testing.T) {
 		t.Fatalf("context path %.17g diverges from nil-context path %.17g", withCtx, plain)
 	}
 }
-
-// TestSolverStatsCounts checks which factorization path NewSolver takes:
-// the banded Cholesky for a narrow mesh, the CG fallback for a wide one.
-func TestSolverStatsCounts(t *testing.T) {
-	// Small mesh: bandwidth 8 <= 64, direct path.
-	small, err := NewMesh(8, 8, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := small.NewSolver([]Point{{4, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.chol == nil || s.sm != nil {
-		t.Fatal("8x8 mesh did not take the banded Cholesky path")
-	}
-	// Wide mesh: short dimension 100 > 64 forces the CG fallback.
-	big, err := NewMesh(100, 100, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, err = big.NewSolver([]Point{{50, 50}}); err != nil {
-		t.Fatal(err)
-	}
-	if s.chol != nil || s.sm == nil {
-		t.Fatal("100x100 mesh did not fall back to CG")
-	}
-}

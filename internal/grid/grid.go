@@ -8,8 +8,9 @@
 // The mesh is a W x H array of tiles connected by the metal stack's sheet
 // resistance. Regulator taps are ideal voltage sources (grounded nodes in
 // the small-signal picture); cores inject their load currents. A Laplacian
-// solve (sparse conjugate gradients) yields node potentials, from which
-// per-core effective resistances and IR drops follow.
+// solve (a banded Cholesky factorization, ordered along the mesh's short
+// side) yields node potentials, from which per-core effective resistances
+// and IR drops follow.
 package grid
 
 import (
@@ -36,21 +37,34 @@ type Mesh struct {
 	// resistance times the squares per tile pitch.
 	RTile float64
 
-	// Lazily assembled tapless Laplacians, shared by every Solver built on
+	// Lazily assembled tapless Laplacian, shared by every Solver built on
 	// this mesh (taps only add diagonal entries, so a clone-plus-diagonal
 	// reproduces the from-scratch assembly exactly).
-	mu        sync.Mutex
-	bandLap   *numeric.SymBand
-	sparseLap *numeric.SparseMatrix
+	mu      sync.Mutex
+	bandLap *numeric.SymBand
 }
+
+// Mesh size limits: at most maxTiles tiles, and a band factor of at most
+// maxBandEntries float64s (16 MB), W·H·(min(W,H)+1). Squares up to 127x127
+// fit both.
+const (
+	maxTiles       = 1 << 16
+	maxBandEntries = 1 << 21
+)
 
 // NewMesh validates and builds a mesh.
 func NewMesh(w, h int, rTile float64) (*Mesh, error) {
 	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("grid: mesh needs at least 2x2 tiles, got %dx%d", w, h)
 	}
-	if w*h > 1<<16 {
-		return nil, fmt.Errorf("grid: mesh %dx%d too large", w, h)
+	// The tile cap goes first, as a division, so neither product below
+	// can overflow.
+	if w > maxTiles/h {
+		return nil, fmt.Errorf("grid: mesh %dx%d has more than %d tiles", w, h, maxTiles)
+	}
+	if n := w * h * (min(w, h) + 1); n > maxBandEntries {
+		return nil, fmt.Errorf("grid: mesh %dx%d too large: its band factor needs %d entries, over the %d limit",
+			w, h, n, maxBandEntries)
 	}
 	if rTile <= 0 {
 		return nil, fmt.Errorf("grid: tile resistance must be positive")
@@ -58,64 +72,8 @@ func NewMesh(w, h int, rTile float64) (*Mesh, error) {
 	return &Mesh{W: w, H: h, RTile: rTile}, nil
 }
 
-func (m *Mesh) idx(p Point) int { return p.Y*m.W + p.X }
-
 func (m *Mesh) inBounds(p Point) bool {
 	return p.X >= 0 && p.X < m.W && p.Y >= 0 && p.Y < m.H
-}
-
-// laplacian builds the mesh conductance matrix with the tap nodes tied to
-// the reference through a very large conductance (ideal regulators).
-func (m *Mesh) laplacian(taps []Point) (*numeric.SparseMatrix, error) {
-	if len(taps) == 0 {
-		return nil, fmt.Errorf("grid: at least one regulator tap is required")
-	}
-	n := m.W * m.H
-	sm := numeric.NewSparseMatrix(n)
-	g := 1 / m.RTile
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			i := m.idx(Point{x, y})
-			if x+1 < m.W {
-				j := m.idx(Point{x + 1, y})
-				sm.AddDiag(i, g)
-				sm.AddDiag(j, g)
-				sm.AddSym(i, j, -g)
-			}
-			if y+1 < m.H {
-				j := m.idx(Point{x, y + 1})
-				sm.AddDiag(i, g)
-				sm.AddDiag(j, g)
-				sm.AddSym(i, j, -g)
-			}
-		}
-	}
-	gTap := g * 1e7 // taps are ~ideal vs the mesh links
-	for _, t := range taps {
-		if !m.inBounds(t) {
-			return nil, fmt.Errorf("grid: tap %v outside the %dx%d mesh", t, m.W, m.H)
-		}
-		sm.AddDiag(m.idx(t), gTap)
-	}
-	return sm, nil
-}
-
-// eachLink visits every tile-to-tile link once, as the indices idx gives
-// its two end tiles, in row-major order (each tile's right link before its
-// down link), so every Laplacian built from it sums its entries in one
-// order.
-func (m *Mesh) eachLink(idx func(Point) int, visit func(i, j int)) {
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			i := idx(Point{x, y})
-			if x+1 < m.W {
-				visit(i, idx(Point{x + 1, y}))
-			}
-			if y+1 < m.H {
-				visit(i, idx(Point{x, y + 1}))
-			}
-		}
-	}
 }
 
 // bandIdx maps a point to its row in the band ordering, which runs along
@@ -128,24 +86,6 @@ func (m *Mesh) bandIdx(p Point) int {
 	return p.Y*m.W + p.X
 }
 
-// sparseBase returns the cached tapless Laplacian in mesh row-major order,
-// assembling it on first use.
-func (m *Mesh) sparseBase() *numeric.SparseMatrix {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sparseLap == nil {
-		sm := numeric.NewSparseMatrix(m.W * m.H)
-		g := 1 / m.RTile
-		m.eachLink(m.idx, func(i, j int) {
-			sm.AddDiag(i, g)
-			sm.AddDiag(j, g)
-			sm.AddSym(i, j, -g)
-		})
-		m.sparseLap = sm
-	}
-	return m.sparseLap
-}
-
 // bandBase returns the cached tapless Laplacian in band form, in the
 // bandIdx ordering, whose bandwidth is the shorter mesh dimension.
 func (m *Mesh) bandBase() (*numeric.SymBand, error) {
@@ -156,12 +96,25 @@ func (m *Mesh) bandBase() (*numeric.SymBand, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Stamp every tile-to-tile link once, in row-major order (each
+		// tile's right link before its down link).
 		g := 1 / m.RTile
-		m.eachLink(m.bandIdx, func(i, j int) {
+		link := func(i, j int) {
 			sb.Add(i, i, g)
 			sb.Add(j, j, g)
 			sb.Add(i, j, -g)
-		})
+		}
+		for y := 0; y < m.H; y++ {
+			for x := 0; x < m.W; x++ {
+				i := m.bandIdx(Point{x, y})
+				if x+1 < m.W {
+					link(i, m.bandIdx(Point{x + 1, y}))
+				}
+				if y+1 < m.H {
+					link(i, m.bandIdx(Point{x, y + 1}))
+				}
+			}
+		}
 		m.bandLap = sb
 	}
 	return m.bandLap, nil

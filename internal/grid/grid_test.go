@@ -50,6 +50,22 @@ func TestNewMeshValidation(t *testing.T) {
 	if _, err := NewMesh(1000, 1000, 0.1); err == nil {
 		t.Error("oversized mesh must fail")
 	}
+	// Dimensions whose products overflow int are rejected, not wrapped.
+	for _, d := range [][2]int{{1 << 32, 1 << 32}, {math.MaxInt, 2}, {2, math.MaxInt}, {1 << 31, 1 << 33}} {
+		if _, err := NewMesh(d[0], d[1], 0.05); err == nil {
+			t.Errorf("%dx%d mesh must fail", d[0], d[1])
+		}
+	}
+	// The band-factor budget: 127x127 fits, 128x128 does not, and a thin
+	// mesh is held by the tile cap.
+	if _, err := NewMesh(127, 127, 0.05); err != nil {
+		t.Errorf("127x127 mesh: %v", err)
+	}
+	for _, d := range [][2]int{{128, 128}, {127, 200}, {2, 1<<15 + 1}} {
+		if _, err := NewMesh(d[0], d[1], 0.05); err == nil {
+			t.Errorf("%dx%d mesh must fail", d[0], d[1])
+		}
+	}
 }
 
 func TestEffectiveResistanceBasics(t *testing.T) {
@@ -120,13 +136,13 @@ func TestIRDropSuperposition(t *testing.T) {
 	drops := func(scale float64) []float64 {
 		b := make([]float64, m.W*m.H)
 		for k, c := range cores {
-			b[s.index(c)] += scale * float64(k+1)
+			b[m.bandIdx(c)] += scale * float64(k+1)
 		}
-		x, err := s.solve(b)
+		x, err := s.chol.Solve(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []float64{x[s.index(cores[0])], x[s.index(cores[1])]}
+		return []float64{x[m.bandIdx(cores[0])], x[m.bandIdx(cores[1])]}
 	}
 	d1, d2 := drops(1), drops(2)
 	for k := range d1 {

@@ -8,30 +8,18 @@ import (
 	"ivory/internal/parallel"
 )
 
-// Direct-factorization limits: the banded Cholesky path is used when the
-// mesh's short dimension keeps the bandwidth small and the factor fits
-// comfortably in memory; larger meshes fall back to conjugate gradients on
-// a cloned sparse Laplacian.
-const (
-	maxDirectBandwidth = 64
-	maxDirectEntries   = 1 << 21
-)
-
 // Solver is a per-tap-set solving context. It assembles the grounded mesh
 // Laplacian once — reusing the mesh's cached tapless base, since regulator
-// taps only touch the diagonal — and factors or preconditions it a single
-// time, so every subsequent load point is a cheap solve instead of a full
-// rebuild-and-restart. WorstCaseResistanceContext and PlaceIVRsContext
-// evaluate many (taps, core) pairs against the same tap set; this context
-// is what makes those loops O(solve) instead of O(assemble + solve).
+// taps only touch the diagonal — and factors it a single time, so every
+// subsequent load point is a cheap solve instead of a full rebuild.
+// WorstCaseResistanceContext and PlaceIVRsContext evaluate many (taps,
+// core) pairs against the same tap set; this context is what makes those
+// loops O(solve) instead of O(assemble + factor + solve).
 //
 // A Solver is immutable after construction and safe for concurrent use.
 type Solver struct {
-	m *Mesh
-	// Exactly one of chol (banded direct path, in the mesh's bandIdx
-	// ordering) and sm (CG path) is non-nil.
-	chol *numeric.BandCholesky
-	sm   *numeric.SparseMatrix
+	m    *Mesh
+	chol *numeric.BandCholesky // in the mesh's bandIdx ordering
 }
 
 // NewSolver validates the tap set and builds the solving context.
@@ -44,49 +32,23 @@ func (m *Mesh) NewSolver(taps []Point) (*Solver, error) {
 			return nil, fmt.Errorf("grid: tap %v outside the %dx%d mesh", t, m.W, m.H)
 		}
 	}
-	s := &Solver{m: m}
+	base, err := m.bandBase()
+	if err != nil {
+		return nil, err
+	}
+	sb := base.Clone()
 	gTap := 1 / m.RTile * 1e7 // taps are ~ideal vs the mesh links
-	if bw := min(m.W, m.H); bw <= maxDirectBandwidth && m.W*m.H*(bw+1) <= maxDirectEntries {
-		base, err := m.bandBase()
-		if err == nil {
-			sb := base.Clone()
-			for _, t := range taps {
-				i := m.bandIdx(t)
-				sb.Add(i, i, gTap)
-			}
-			if chol, err := sb.Cholesky(); err == nil {
-				s.chol = chol
-				return s, nil
-			}
-		}
-		// An indefinite factorization cannot happen for a grounded mesh
-		// Laplacian, but fall through to the iterative path rather than
-		// fail: CG carries its own convergence diagnostics.
-	}
-	sm := m.sparseBase().Clone()
 	for _, t := range taps {
-		sm.AddDiag(m.idx(t), gTap)
+		i := m.bandIdx(t)
+		sb.Add(i, i, gTap)
 	}
-	s.sm = sm
-	return s, nil
-}
-
-// index maps a point to its row in whichever matrix this solver holds.
-func (s *Solver) index(p Point) int {
-	if s.chol != nil {
-		return s.m.bandIdx(p)
+	// A grounded mesh Laplacian is positive definite, so this fails only
+	// for a degenerate RTile (one so small that 1/RTile overflows).
+	chol, err := sb.Cholesky()
+	if err != nil {
+		return nil, fmt.Errorf("grid: %dx%d mesh: %w", m.W, m.H, err)
 	}
-	return s.m.idx(p)
-}
-
-// solve returns the node potentials for the given injection vector
-// (indexed per s.index).
-func (s *Solver) solve(b []float64) ([]float64, error) {
-	if s.chol != nil {
-		return s.chol.Solve(b)
-	}
-	x, _, err := s.sm.SolveCG(b, 1e-10, 0)
-	return x, err
+	return &Solver{m: m, chol: chol}, nil
 }
 
 // EffectiveResistance returns the small-signal resistance seen by a load
@@ -95,14 +57,14 @@ func (s *Solver) EffectiveResistance(p Point) (float64, error) {
 	if !s.m.inBounds(p) {
 		return 0, fmt.Errorf("grid: load point %v outside the mesh", p)
 	}
-	n := s.m.W * s.m.H
-	b := make([]float64, n)
-	b[s.index(p)] = 1
-	x, err := s.solve(b)
+	i := s.m.bandIdx(p)
+	b := make([]float64, s.m.W*s.m.H)
+	b[i] = 1
+	x, err := s.chol.Solve(b)
 	if err != nil {
 		return 0, err
 	}
-	return x[s.index(p)], nil
+	return x[i], nil
 }
 
 // WorstCaseResistanceContext returns the largest effective resistance over

@@ -2,25 +2,118 @@ package grid
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 )
 
-// uncachedEffectiveResistance is the pre-Solver reference path: assemble
-// the tapped Laplacian from scratch and restart CG from zero.
-func uncachedEffectiveResistance(t *testing.T, m *Mesh, taps []Point, p Point) float64 {
+// refLaplacian is the independent reference the banded solver is checked
+// against: the tapped mesh Laplacian in row-major order, assembled from
+// scratch as adjacency lists with the tap nodes tied to the reference
+// through a very large conductance (ideal regulators), and solved by
+// Jacobi-preconditioned conjugate gradients.
+type refLaplacian struct {
+	g    float64 // link conductance
+	diag []float64
+	nbrs [][]int
+}
+
+func (m *Mesh) idx(p Point) int { return p.Y*m.W + p.X }
+
+// laplacian assembles the reference for a tap set NewSolver has accepted.
+func (m *Mesh) laplacian(taps []Point) *refLaplacian {
+	n := m.W * m.H
+	l := &refLaplacian{g: 1 / m.RTile, diag: make([]float64, n), nbrs: make([][]int, n)}
+	link := func(i, j int) {
+		l.diag[i] += l.g
+		l.diag[j] += l.g
+		l.nbrs[i] = append(l.nbrs[i], j)
+		l.nbrs[j] = append(l.nbrs[j], i)
+	}
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			i := m.idx(Point{x, y})
+			if x+1 < m.W {
+				link(i, m.idx(Point{x + 1, y}))
+			}
+			if y+1 < m.H {
+				link(i, m.idx(Point{x, y + 1}))
+			}
+		}
+	}
+	for _, t := range taps {
+		l.diag[m.idx(t)] += l.g * 1e7
+	}
+	return l
+}
+
+// mulVec computes dst = L*x.
+func (l *refLaplacian) mulVec(x, dst []float64) {
+	for i := range dst {
+		s := l.diag[i] * x[i]
+		for _, j := range l.nbrs[i] {
+			s -= l.g * x[j]
+		}
+		dst[i] = s
+	}
+}
+
+// solveCG solves L*x = b to a residual of tol relative to ||b||.
+func (l *refLaplacian) solveCG(b []float64, tol float64) ([]float64, error) {
+	n := len(b)
+	dot := func(u, v []float64) float64 {
+		s := 0.0
+		for i := range u {
+			s += u[i] * v[i]
+		}
+		return s
+	}
+	r := append([]float64(nil), b...) // residual b - L*x, with x = 0
+	x, z, p, lp := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	precond := func() { // z = D^-1 r
+		for i := range z {
+			z[i] = r[i] / l.diag[i]
+		}
+	}
+	precond()
+	copy(p, z)
+	rz, bound := dot(r, z), tol*tol*dot(b, b)
+	for it := 0; it < 4*n; it++ {
+		l.mulVec(p, lp)
+		alpha := rz / dot(p, lp)
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * lp[i]
+		}
+		if dot(r, r) < bound {
+			return x, nil
+		}
+		precond()
+		rzNew := dot(r, z)
+		for i := range p {
+			p[i] = z[i] + rzNew/rz*p[i]
+		}
+		rz = rzNew
+	}
+	return nil, fmt.Errorf("reference CG did not converge in %d iterations", 4*n)
+}
+
+// referenceResistances solves the reference once per core: the effective
+// resistance each core sees against taps.
+func referenceResistances(t *testing.T, m *Mesh, taps, cores []Point) []float64 {
 	t.Helper()
-	sm, err := m.laplacian(taps)
-	if err != nil {
-		t.Fatal(err)
+	l := m.laplacian(taps)
+	rs := make([]float64, len(cores))
+	for k, c := range cores {
+		b := make([]float64, m.W*m.H)
+		b[m.idx(c)] = 1
+		x, err := l.solveCG(b, 1e-10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs[k] = x[m.idx(c)]
 	}
-	b := make([]float64, m.W*m.H)
-	b[m.idx(p)] = 1
-	x, _, err := sm.SolveCG(b, 1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x[m.idx(p)]
+	return rs
 }
 
 // tapSets returns 1-, 2-, and 4-tap sets for a mesh.
@@ -34,12 +127,11 @@ func tapSets(m *Mesh) [][]Point {
 	}
 }
 
-// TestSolverMatchesUncachedPath checks the cached-Laplacian solver's
+// TestSolverMatchesUncachedPath checks the cached-Laplacian banded solver's
 // per-core and worst-case resistances against the assemble-from-scratch
-// CG path within 1e-9, on meshes with 1, 2, and
-// 4 taps, covering both the banded direct path (small meshes, incl. a
-// non-square one exercising the transposed ordering) and the CG fallback
-// (short dimension above the direct-path bandwidth limit).
+// CG reference within 1e-9, on meshes with 1, 2, and 4 taps: square and
+// non-square (the transposed band ordering) meshes, and a 70x70 mesh of
+// bandwidth 70.
 func TestSolverMatchesUncachedPath(t *testing.T) {
 	for _, dim := range []struct {
 		w, h int
@@ -55,28 +147,26 @@ func TestSolverMatchesUncachedPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%dx%d taps %v: %v", dim.w, dim.h, taps, err)
 			}
-			for _, c := range cores {
+			want := referenceResistances(t, m, taps, cores)
+			worst := 0.0
+			for k, c := range cores {
 				got, err := s.EffectiveResistance(c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := uncachedEffectiveResistance(t, m, taps, c)
-				if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-					t.Errorf("%dx%d taps %v core %v: solver R=%.15g, uncached %.15g",
-						dim.w, dim.h, taps, c, got, want)
+				if math.Abs(got-want[k]) > 1e-9*(1+math.Abs(want[k])) {
+					t.Errorf("%dx%d taps %v core %v: solver R=%.15g, reference %.15g",
+						dim.w, dim.h, taps, c, got, want[k])
 				}
+				worst = math.Max(worst, want[k])
 			}
 			// The worst case is the largest of the per-core resistances.
 			wr, err := s.WorstCaseResistanceContext(context.Background(), cores)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := 0.0
-			for _, c := range cores {
-				want = math.Max(want, uncachedEffectiveResistance(t, m, taps, c))
-			}
-			if math.Abs(wr-want) > 1e-9*(1+want) {
-				t.Errorf("%dx%d taps %v: worst case %.15g, uncached %.15g", dim.w, dim.h, taps, wr, want)
+			if math.Abs(wr-worst) > 1e-9*(1+worst) {
+				t.Errorf("%dx%d taps %v: worst case %.15g, reference %.15g", dim.w, dim.h, taps, wr, worst)
 			}
 		}
 	}
@@ -143,5 +233,14 @@ func TestSolverValidation(t *testing.T) {
 	}
 	if _, err := s.WorstCaseResistanceContext(context.Background(), nil); err == nil {
 		t.Fatal("expected an error for an empty core list")
+	}
+	// A failed factorization is an error, not a fallback: 1/RTile
+	// overflows to +Inf and the Cholesky pivots turn NaN.
+	tiny, err := NewMesh(8, 8, 1e-320)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tiny.NewSolver([]Point{{4, 4}}); err == nil {
+		t.Fatal("expected an error for a mesh whose Laplacian cannot be factored")
 	}
 }

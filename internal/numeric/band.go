@@ -8,9 +8,8 @@ import (
 // SymBand is a symmetric positive-definite matrix with a fixed bandwidth,
 // stored as its lower band. It exists for the power-grid Laplacians: a
 // W x H mesh ordered along its short dimension has bandwidth min(W, H),
-// and a banded Cholesky factorization solves many right-hand sides
-// against the same matrix far faster than restarting conjugate gradients
-// per load point.
+// and one banded Cholesky factorization serves every load point's solve
+// against the same tap set.
 //
 // Storage is row-major: entry (i, j) with i-bw <= j <= i lives at
 // a[i*(bw+1) + (j-i+bw)], so the diagonal sits at offset bw of each row.

@@ -3,7 +3,7 @@ package numeric
 // The dense partial-pivoting LU that production code used before every
 // factorization moved to SparseLU. It stays here as the test oracle:
 // SparseLU's first factorization must reproduce it bit for bit, and the
-// banded Cholesky and conjugate-gradient solvers are checked against it.
+// banded Cholesky is checked against it.
 
 import (
 	"fmt"

@@ -4,10 +4,10 @@
 //
 // Matrix is a small dense row-major container. Every production
 // factorization goes through the structure-aware SparseLU in
-// sparselu.go: its first factorization is plain partial pivoting, and later refactorizations of the same pattern rerun only
-// the numeric sweep over the recorded fill pattern. The remaining solvers
-// are the banded Cholesky (band.go) and conjugate gradients (sparse.go)
-// for the symmetric grid systems.
+// sparselu.go: its first factorization is plain partial pivoting, and
+// later refactorizations of the same pattern rerun only the numeric sweep
+// over the recorded fill pattern. The one other solver is the banded
+// Cholesky (band.go) for the symmetric grid Laplacians.
 package numeric
 
 import (
@@ -175,16 +175,4 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: length mismatch in Dot")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

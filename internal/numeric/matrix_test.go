@@ -146,10 +146,7 @@ func TestLeastSquaresRidgeRankDeficient(t *testing.T) {
 	}
 }
 
-func TestDotAndNorm(t *testing.T) {
-	if !ApproxEqual(Dot([]float64{1, 2, 3}, []float64{4, 5, 6}), 32, 0) {
-		t.Error("Dot wrong")
-	}
+func TestNorm2(t *testing.T) {
 	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-15) {
 		t.Error("Norm2 wrong")
 	}

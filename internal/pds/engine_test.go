@@ -97,7 +97,7 @@ func TestGridDropSteadyStateStart(t *testing.T) {
 	vReg := []float64{1.0, 1.0, 1.0, 1.0}
 	iCore := []float64{10, 10, 14, 12}
 	dt, r, l := 1e-9, 2e-3, 1e-9 // huge L so a spurious k=0 term would be obvious
-	out := gridDrop(vReg, iCore, dt, r, l)
+	out := gridDropInto(nil, vReg, iCore, dt, r, l)
 	want0 := vReg[0] - iCore[0]*r
 	if math.Float64bits(out[0]) != math.Float64bits(want0) {
 		t.Errorf("k=0 sample must be resistive-only: got %v, want %v", out[0], want0)
@@ -106,17 +106,17 @@ func TestGridDropSteadyStateStart(t *testing.T) {
 	if math.Float64bits(out[2]) != math.Float64bits(want2) {
 		t.Errorf("k=2 sample must carry L·di/dt: got %v, want %v", out[2], want2)
 	}
-	// The Into variant reuses dst and matches exactly.
+	// A caller-supplied dst is reused and matches the nil-dst result exactly.
 	dst := make([]float64, 0, len(vReg))
 	out2 := gridDropInto(dst, vReg, iCore, dt, r, l)
 	if !sameFloats(out, out2) {
-		t.Error("gridDropInto differs from gridDrop")
+		t.Error("gridDropInto into dst differs from a nil dst")
 	}
 }
 
 func TestSumTracesInto(t *testing.T) {
 	traces := [][]float64{{1, 2, 3}, {10, 20, 30}, {0.5, 0.5, 0.5}}
-	want := sumTraces(traces)
+	want := sumTracesInto(nil, traces)
 	got := sumTracesInto(make([]float64, 0, 3), traces)
 	if !sameFloats(want, got) {
 		t.Errorf("sumTracesInto mismatch: %v vs %v", got, want)

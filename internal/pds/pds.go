@@ -103,12 +103,8 @@ func (s *System) coreCurrents(src workload.Source, dt float64, n int, v float64)
 	return out
 }
 
-func sumTraces(traces [][]float64) []float64 {
-	return sumTracesInto(nil, traces)
-}
-
 // sumTracesInto sums traces sample-wise into dst (grown when too small; may
-// be nil). An empty trace set returns nil, matching sumTraces.
+// be nil). An empty trace set returns nil.
 func sumTracesInto(dst []float64, traces [][]float64) []float64 {
 	if len(traces) == 0 {
 		return nil
@@ -129,13 +125,9 @@ func sumTracesInto(dst []float64, traces [][]float64) []float64 {
 	return out
 }
 
-// gridDrop subtracts the local grid IR + L·di/dt drop of the first core's
-// current from the regulated node voltage.
-func gridDrop(vReg, iCore []float64, dt, r, l float64) []float64 {
-	return gridDropInto(nil, vReg, iCore, dt, r, l)
-}
-
-// gridDropInto is gridDrop with buffer reuse (dst may be nil).
+// gridDropInto subtracts the local grid IR + L·di/dt drop of the first
+// core's current from the regulated node voltage, into dst (grown when too
+// small; may be nil).
 //
 // The k=0 sample intentionally carries no inductive term: both transient
 // models enter the trace in steady state at the initial load

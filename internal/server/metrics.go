@@ -271,25 +271,3 @@ func (m *metrics) write(w io.Writer, g gaugeSnapshot) {
 	writeCounter(w, "ivory_pds_trace_cache_hits_total", "PDS core-current trace cache hits.", ph)
 	writeCounter(w, "ivory_pds_trace_cache_misses_total", "PDS core-current trace cache misses.", pm)
 }
-
-// parseExposition is shared with the tests: it maps "name{labels}" -> value
-// for every sample line in a text exposition.
-func parseExposition(text string) map[string]float64 {
-	out := map[string]float64{}
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:i]] = v
-	}
-	return out
-}

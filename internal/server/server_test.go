@@ -22,6 +22,28 @@ import (
 	"ivory/internal/numeric"
 )
 
+// parseExposition maps "name{labels}" -> value for every sample line in a
+// text exposition.
+func parseExposition(text string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			continue
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
 // fakeExploreResult builds a small deterministic result for engine stubs.
 func fakeExploreResult(spec core.Spec, n int) *core.Result {
 	res := &core.Result{Spec: spec}

@@ -61,8 +61,8 @@ type (
 	// DistributionTable is the paper's Table 2 output.
 	DistributionTable = core.DistributionTable
 	// ExploreStats is the run-telemetry record of one exploration: job and
-	// per-family accept/reject counts, topology-cache and grid-solver
-	// counters, wall time, and throughput. A snapshot is handed to
+	// per-family accept/reject counts, topology-cache counters, wall time,
+	// and throughput. A snapshot is handed to
 	// Spec.Progress after every completed job and the final record is on
 	// ExplorationResult.Stats.
 	ExploreStats = core.Stats
@@ -373,13 +373,15 @@ type (
 	// GridPoint is a tile coordinate on a mesh.
 	GridPoint = grid.Point
 	// GridSolver is a per-tap-set solving context: the mesh Laplacian is
-	// assembled and factored once (GridMesh.NewSolver) and reused across
-	// EffectiveResistance / WorstCaseResistanceContext queries.
+	// assembled and factored once by banded Cholesky (GridMesh.NewSolver)
+	// and reused across EffectiveResistance / WorstCaseResistanceContext
+	// queries.
 	GridSolver = grid.Solver
 )
 
 // NewGridMesh builds a W x H power-grid mesh with the given per-link
-// resistance.
+// resistance. The mesh must fit the solver's band factor: at most 2^16
+// tiles and W·H·(min(W,H)+1) <= 2^21 entries, so squares up to 127x127.
 func NewGridMesh(w, h int, rTile float64) (*GridMesh, error) { return grid.NewMesh(w, h, rTile) }
 
 // NewCircuit returns an empty netlist.
