@@ -9,6 +9,7 @@ import (
 	"ivory/internal/dynamic"
 	"ivory/internal/numeric"
 	"ivory/internal/parallel"
+	"ivory/internal/report"
 	"ivory/internal/sc"
 	"ivory/internal/tech"
 )
@@ -168,18 +169,20 @@ func AblationsRun(ctx context.Context, opt TransientOptions) (*AblationResult, e
 	return &AblationResult{Rows: rows}, nil
 }
 
+// ablationTable describes the ablations for their text table and
+// ablations.csv.
+var ablationTable = report.Table[AblationRow]{Name: "ablations", Columns: []report.Column[AblationRow]{
+	{Text: "feature", CSV: "feature", Value: func(r AblationRow) any { return r.Name }},
+	{Text: "with", CSV: "with", Value: func(r AblationRow) any { return r.Baseline }, Verb: "%.2f"},
+	{Text: "without", CSV: "without", Value: func(r AblationRow) any { return r.Ablated }, Verb: "%.2f"},
+	{Text: "unit", CSV: "unit", Value: func(r AblationRow) any { return r.Unit }},
+	{Text: "note", Value: func(r AblationRow) any { return r.Note }},
+}}
+
 // Format renders the ablation table.
 func (r *AblationResult) Format() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Name,
-			fmt.Sprintf("%.2f", row.Baseline),
-			fmt.Sprintf("%.2f", row.Ablated),
-			row.Unit,
-			row.Note,
-		})
-	}
-	return "Ablations — modeling/optimization features on vs off\n" +
-		table([]string{"feature", "with", "without", "unit", "note"}, rows)
+	return "Ablations — modeling/optimization features on vs off\n" + ablationTable.Text(r.Rows)
 }
+
+// WriteCSV emits ablations.csv.
+func (r *AblationResult) WriteCSV(w *report.Writer) error { return ablationTable.WriteCSV(w, r.Rows) }

@@ -13,9 +13,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"ivory/internal/sc"
 	"ivory/internal/tech"
 	"ivory/internal/topology"
@@ -52,32 +49,23 @@ func mustSC(ctot, gtot, vout float64, fswMax float64) (*sc.Design, *topology.Top
 	return d, top, an, nil
 }
 
-// table renders rows of labeled columns with reasonable alignment.
-func table(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
+// excerpt returns about parts evenly spaced indices of n samples, from the
+// first: the rows of a text excerpt of a waveform.
+func excerpt(n, parts int) []int {
+	step := max(n/parts, 1)
+	var rows []int
+	for k := 0; k < n; k += step {
+		rows = append(rows, k)
 	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
+	return rows
+}
+
+// upTo returns 0, 1, ..., n-1: the rows of a table whose columns index
+// parallel slices.
+func upTo(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
 	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
+	return rows
 }

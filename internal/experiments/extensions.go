@@ -8,6 +8,7 @@ import (
 	"ivory/internal/dynamic"
 	"ivory/internal/numeric"
 	"ivory/internal/pds"
+	"ivory/internal/report"
 	"ivory/internal/sc"
 )
 
@@ -39,9 +40,28 @@ func TwoStageContext(ctx context.Context) (*TwoStageResult, error) {
 	return &TwoStageResult{Inner: inner}, nil
 }
 
+// twoStageTable describes twostage.csv; core renders the text table.
+var twoStageTable = report.Table[core.TwoStageRow]{Name: "twostage", CSVDigits: 10, Columns: []report.Column[core.TwoStageRow]{
+	{CSV: "vmid_v", Value: func(r core.TwoStageRow) any { return r.VMid }},
+	{CSV: "stage1_eff", Value: func(r core.TwoStageRow) any { return r.Stage1Eff }},
+	{CSV: "stage2_eff", Value: func(r core.TwoStageRow) any { return r.Stage2Eff }},
+	{CSV: "combined_eff", Value: func(r core.TwoStageRow) any { return r.Combined }},
+	{CSV: "feasible", Value: func(r core.TwoStageRow) any {
+		if r.Feasible {
+			return 1
+		}
+		return 0
+	}},
+}}
+
 // Format renders the exploration.
 func (r *TwoStageResult) Format() string {
 	return "Extension — hierarchical (two-stage) power delivery\n" + r.Inner.Format()
+}
+
+// WriteCSV emits twostage.csv.
+func (r *TwoStageResult) WriteCSV(w *report.Writer) error {
+	return twoStageTable.WriteCSV(w, r.Inner.Rows)
 }
 
 // DVFSRow is one schedule period of the fast-DVFS study.
@@ -182,21 +202,23 @@ func settleTimeDown(tr *dynamic.Trace, tStep, target, tol float64) float64 {
 	return tr.Times[len(tr.Times)-1] - tStep
 }
 
+// dvfsTable describes the DVFS periods for their text table and dvfs.csv.
+var dvfsTable = report.Table[DVFSRow]{Name: "dvfs", CSVDigits: 10, Columns: []report.Column[DVFSRow]{
+	{Text: "period(us)", CSV: "period_us", Value: func(r DVFSRow) any { return r.PeriodUS }, Verb: "%.1f"},
+	{Text: "energy saving(%)", CSV: "saving_pct", Value: func(r DVFSRow) any { return r.EnergySavingPct }, Verb: "%.1f"},
+	{Text: "low-V residency(%)", CSV: "residency_pct", Value: func(r DVFSRow) any { return r.ResidencyPct }, Verb: "%.1f"},
+}}
+
 // Format renders the DVFS study.
 func (r *DVFSResult) Format() string {
 	out := "Extension — fast per-core DVFS with the case-study IVR\n"
 	out += fmt.Sprintf("reference-step transitions: up %.0f ns, down %.0f ns\n",
 		r.UpTransitionNS, r.DownTransitionNS)
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.1f", row.PeriodUS),
-			fmt.Sprintf("%.1f", row.EnergySavingPct),
-			fmt.Sprintf("%.1f", row.ResidencyPct),
-		})
-	}
-	out += table([]string{"period(us)", "energy saving(%)", "low-V residency(%)"}, rows)
+	out += dvfsTable.Text(r.Rows)
 	out += fmt.Sprintf("asymptotic saving %.1f%% — fast IVR transitions keep savings high even at sub-microsecond scheduling\n",
 		numeric.Clamp(r.Rows[len(r.Rows)-1].EnergySavingPct, 0, 100))
 	return out
 }
+
+// WriteCSV emits dvfs.csv.
+func (r *DVFSResult) WriteCSV(w *report.Writer) error { return dvfsTable.WriteCSV(w, r.Rows) }

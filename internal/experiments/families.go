@@ -6,6 +6,7 @@ import (
 
 	"ivory/internal/dynamic"
 	"ivory/internal/numeric"
+	"ivory/internal/report"
 )
 
 // FamilyTransientRow is one regulator family's load-step response.
@@ -115,18 +116,22 @@ func FamilyTransients() (*FamilyTransientsResult, error) {
 	return res, nil
 }
 
+// familyTable describes the family comparison for its text table and
+// families.csv.
+var familyTable = report.Table[FamilyTransientRow]{Name: "families", Columns: []report.Column[FamilyTransientRow]{
+	{Text: "family", CSV: "family", Value: func(r FamilyTransientRow) any { return r.Family }},
+	{Text: "worst droop(mV)", CSV: "droop_mv", Value: func(r FamilyTransientRow) any { return r.WorstDroopMV }, Verb: "%.1f"},
+	{Text: "recovery(ns)", CSV: "recovery_ns", Value: func(r FamilyTransientRow) any { return r.RecoveryNS }, Verb: "%.0f"},
+	{Text: "steady ripple(mVpp)", CSV: "ripple_mvpp", Value: func(r FamilyTransientRow) any { return r.SteadyRippleMV }, Verb: "%.2f"},
+}}
+
 // Format renders the comparison.
 func (r *FamilyTransientsResult) Format() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Family,
-			fmt.Sprintf("%.1f", row.WorstDroopMV),
-			fmt.Sprintf("%.0f", row.RecoveryNS),
-			fmt.Sprintf("%.2f", row.SteadyRippleMV),
-		})
-	}
 	return fmt.Sprintf("Extension — family transient comparison (%.2f V, %.1f -> %.1f A step)\n",
-		r.VRef, r.IStep0, r.IStep1) +
-		table([]string{"family", "worst droop(mV)", "recovery(ns)", "steady ripple(mVpp)"}, rows)
+		r.VRef, r.IStep0, r.IStep1) + familyTable.Text(r.Rows)
+}
+
+// WriteCSV emits families.csv.
+func (r *FamilyTransientsResult) WriteCSV(w *report.Writer) error {
+	return familyTable.WriteCSV(w, r.Rows)
 }

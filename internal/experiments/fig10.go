@@ -10,6 +10,7 @@ import (
 	"ivory/internal/numeric"
 	"ivory/internal/parallel"
 	"ivory/internal/pds"
+	"ivory/internal/report"
 	"ivory/internal/sc"
 	"ivory/internal/workload"
 )
@@ -234,23 +235,30 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 	return res, nil
 }
 
+// fig10Table describes the noise cells for Fig 10's box-plot table and
+// fig10.csv, which order the quartiles differently.
+var fig10Table = report.Table[Fig10Cell]{Name: "fig10", Columns: []report.Column[Fig10Cell]{
+	{Text: "benchmark", CSV: "benchmark", Value: func(c Fig10Cell) any { return c.Benchmark }},
+	{Text: "config", CSV: "config", Value: func(c Fig10Cell) any { return c.Config }},
+	{Text: "median", Value: func(c Fig10Cell) any { return c.Stats.Median }, Verb: "%.4f"},
+	{Text: "Q1", Value: func(c Fig10Cell) any { return c.Stats.Q1 }, Verb: "%.4f"},
+	{Text: "Q3", Value: func(c Fig10Cell) any { return c.Stats.Q3 }, Verb: "%.4f"},
+	{Text: "min", Value: func(c Fig10Cell) any { return c.Stats.Min }, Verb: "%.4f"},
+	{Text: "max", Value: func(c Fig10Cell) any { return c.Stats.Max }, Verb: "%.4f"},
+	{Text: "Vpp(mV)", Value: func(c Fig10Cell) any { return c.NoiseVpp }, Scale: 1e3, Verb: "%.1f"},
+	{CSV: "min", Value: func(c Fig10Cell) any { return c.Stats.Min }},
+	{CSV: "q1", Value: func(c Fig10Cell) any { return c.Stats.Q1 }},
+	{CSV: "median", Value: func(c Fig10Cell) any { return c.Stats.Median }},
+	{CSV: "q3", Value: func(c Fig10Cell) any { return c.Stats.Q3 }},
+	{CSV: "max", Value: func(c Fig10Cell) any { return c.Stats.Max }},
+	{CSV: "vpp", Value: func(c Fig10Cell) any { return c.NoiseVpp }},
+	{CSV: "droop", Value: func(c Fig10Cell) any { return c.WorstDroop }},
+}}
+
 // Format renders the box-plot table (Fig. 10).
 func (r *Fig10Result) Format() string {
-	rows := make([][]string, 0, len(r.Cells))
-	for _, c := range r.Cells {
-		rows = append(rows, []string{
-			c.Benchmark,
-			c.Config,
-			fmt.Sprintf("%.4f", c.Stats.Median),
-			fmt.Sprintf("%.4f", c.Stats.Q1),
-			fmt.Sprintf("%.4f", c.Stats.Q3),
-			fmt.Sprintf("%.4f", c.Stats.Min),
-			fmt.Sprintf("%.4f", c.Stats.Max),
-			fmt.Sprintf("%.1f", c.NoiseVpp*1e3),
-		})
-	}
 	out := "Fig. 10 — voltage-noise statistics per benchmark and VR configuration\n"
-	out += table([]string{"benchmark", "config", "median", "Q1", "Q3", "min", "max", "Vpp(mV)"}, rows)
+	out += fig10Table.Text(r.Cells)
 	out += "\nWorst-case noise range per configuration:\n"
 	for _, n := range r.configsOrDefault() {
 		name := pds.Delivery{IVRs: n}.Name()
@@ -259,6 +267,9 @@ func (r *Fig10Result) Format() string {
 	}
 	return out
 }
+
+// WriteCSV emits fig10.csv (box stats).
+func (r *Fig10Result) WriteCSV(w *report.Writer) error { return fig10Table.WriteCSV(w, r.Cells) }
 
 // configsOrDefault returns the run's configuration list, falling back to
 // the case-study set for results built before the field existed.
@@ -269,14 +280,32 @@ func (r *Fig10Result) configsOrDefault() []int {
 	return noiseConfigs
 }
 
+// fig11Configs returns the names of the run's configurations, in order.
+func (r *Fig10Result) fig11Configs() []string {
+	var configs []string
+	for _, n := range r.configsOrDefault() {
+		configs = append(configs, pds.Delivery{IVRs: n}.Name())
+	}
+	return configs
+}
+
+// fig11Table describes the CFD waveforms, indexed by sample: time plus one
+// column per configuration, for Fig 11's excerpt and fig11.csv.
+func (r *Fig10Result) fig11Table(configs []string) *report.Table[int] {
+	t := &report.Table[int]{Name: "fig11", CSVDigits: 10, Columns: []report.Column[int]{
+		{Text: "t(us)", CSV: "t_s", Value: func(k int) any { return r.CFDTimes[k] }, Scale: 1e6, Verb: "%.2f"},
+	}}
+	for _, cfg := range configs {
+		tr := r.CFDTraces[cfg]
+		t.Columns = append(t.Columns, report.Column[int]{Text: cfg, CSV: cfg, Value: func(k int) any { return tr[k] }, Verb: "%.4f"})
+	}
+	return t
+}
+
 // FormatFig11 renders the CFD waveform comparison (Fig. 11).
 func (r *Fig10Result) FormatFig11() string {
 	out := "Fig. 11 — CFD supply-voltage traces per VR configuration\n"
-	cfgList := r.configsOrDefault()
-	configs := make([]string, 0, len(cfgList))
-	for _, n := range cfgList {
-		configs = append(configs, pds.Delivery{IVRs: n}.Name())
-	}
+	configs := r.fig11Configs()
 	out += "Noise ranges: "
 	for i, cfg := range configs {
 		if i > 0 {
@@ -285,21 +314,16 @@ func (r *Fig10Result) FormatFig11() string {
 		out += fmt.Sprintf("%s %.0f mV", cfg, numeric.PeakToPeak(r.CFDTraces[cfg])*1e3)
 	}
 	out += "\n"
-	// Waveform excerpt.
+	return out + r.fig11Table(configs).Text(excerpt(len(r.CFDTimes), 16))
+}
+
+// writeFig11CSV emits fig11.csv: the CFD waveforms at every sample all of
+// the run's configurations reach.
+func (r *Fig10Result) writeFig11CSV(w *report.Writer) error {
+	configs := r.fig11Configs()
 	n := len(r.CFDTimes)
-	step := n / 16
-	if step < 1 {
-		step = 1
+	for _, cfg := range configs {
+		n = min(n, len(r.CFDTraces[cfg]))
 	}
-	header := append([]string{"t(us)"}, configs...)
-	rows := [][]string{}
-	for k := 0; k < n; k += step {
-		row := []string{fmt.Sprintf("%.2f", r.CFDTimes[k]*1e6)}
-		for _, cfg := range configs {
-			row = append(row, fmt.Sprintf("%.4f", r.CFDTraces[cfg][k]))
-		}
-		rows = append(rows, row)
-	}
-	out += table(header, rows)
-	return out
+	return r.fig11Table(configs).WriteCSV(w, upTo(n))
 }

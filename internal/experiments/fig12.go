@@ -6,6 +6,7 @@ import (
 
 	"ivory/internal/core"
 	"ivory/internal/parallel"
+	"ivory/internal/report"
 )
 
 // Fig12Point is one area budget's best-efficiency outcome per family.
@@ -78,27 +79,26 @@ func Fig12Run(ctx context.Context, opt TransientOptions) (*Fig12Result, error) {
 	return res, nil
 }
 
+// fig12Table describes the area sweep for Fig 12's text table and fig12.csv.
+var fig12Table = report.Table[Fig12Point]{Name: "fig12", CSVDigits: 10, Columns: []report.Column[Fig12Point]{
+	{Text: "area(mm2)", CSV: "area_mm2", Value: func(p Fig12Point) any { return p.AreaMM2 }, Verb: "%.0f"},
+	{Text: "SC(%)", Value: func(p Fig12Point) any { return p.EffSC }, Absent: func(p Fig12Point) bool { return p.EffSC < 0 }, Scale: 100, Verb: "%.1f"},
+	{Text: "buck(%)", Value: func(p Fig12Point) any { return p.EffBuck }, Absent: func(p Fig12Point) bool { return p.EffBuck < 0 }, Scale: 100, Verb: "%.1f"},
+	{Text: "LDO(%)", Value: func(p Fig12Point) any { return p.EffLDO }, Absent: func(p Fig12Point) bool { return p.EffLDO < 0 }, Scale: 100, Verb: "%.1f"},
+	{CSV: "eff_sc", Value: func(p Fig12Point) any { return p.EffSC }},
+	{CSV: "eff_buck", Value: func(p Fig12Point) any { return p.EffBuck }},
+	{CSV: "eff_ldo", Value: func(p Fig12Point) any { return p.EffLDO }},
+}}
+
 // Format renders the trade-off table.
 func (r *Fig12Result) Format() string {
-	rows := make([][]string, 0, len(r.Points))
-	fmtEff := func(e float64) string {
-		if e < 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1f", e*100)
-	}
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", p.AreaMM2),
-			fmtEff(p.EffSC),
-			fmtEff(p.EffBuck),
-			fmtEff(p.EffLDO),
-		})
-	}
 	out := "Fig. 12 — IVR efficiency trade-off with area budget\n"
-	out += table([]string{"area(mm2)", "SC(%)", "buck(%)", "LDO(%)"}, rows)
+	out += fig12Table.Text(r.Points)
 	if r.CrossoverMM2 > 0 {
 		out += fmt.Sprintf("SC overtakes buck at ~%.0f mm2\n", r.CrossoverMM2)
 	}
 	return out
 }
+
+// WriteCSV emits fig12.csv.
+func (r *Fig12Result) WriteCSV(w *report.Writer) error { return fig12Table.WriteCSV(w, r.Points) }

@@ -7,6 +7,7 @@ import (
 	"ivory/internal/core"
 	"ivory/internal/parallel"
 	"ivory/internal/pds"
+	"ivory/internal/report"
 )
 
 // Fig13Result reproduces the paper's Fig. 13: the source-to-core power
@@ -107,26 +108,31 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 	return res, nil
 }
 
+// table describes the power breakdowns for Fig 13's text table and
+// fig13.csv.
+func (r *Fig13Result) table() *report.Table[pds.Breakdown] {
+	return &report.Table[pds.Breakdown]{Name: "fig13", Columns: []report.Column[pds.Breakdown]{
+		{Text: "config", CSV: "config", Value: func(b pds.Breakdown) any { return b.Config }},
+		{Text: "margin(mV)", CSV: "margin_v", Value: func(b pds.Breakdown) any { return r.Margins[b.Config] }, Scale: 1e3, Verb: "%.0f"},
+		{Text: "P_core(W)", CSV: "p_core_w", Value: func(b pds.Breakdown) any { return b.PCoreUseful }, Verb: "%.1f"},
+		{Text: "P_margin", CSV: "p_margin_w", Value: func(b pds.Breakdown) any { return b.PMargin }, Verb: "%.2f"},
+		{Text: "P_grid", CSV: "p_grid_w", Value: func(b pds.Breakdown) any { return b.PGridIR }, Verb: "%.2f"},
+		{Text: "P_IVR", CSV: "p_ivr_w", Value: func(b pds.Breakdown) any { return b.PIVRLoss }, Verb: "%.2f"},
+		{Text: "P_PDN", CSV: "p_pdn_w", Value: func(b pds.Breakdown) any { return b.PPDNIR }, Verb: "%.2f"},
+		{Text: "P_VRM", CSV: "p_vrm_w", Value: func(b pds.Breakdown) any { return b.PVRMLoss }, Verb: "%.2f"},
+		{Text: "P_src(W)", CSV: "p_source_w", Value: func(b pds.Breakdown) any { return b.PSource }, Verb: "%.2f"},
+		{Text: "eff(%)", CSV: "efficiency", Value: func(b pds.Breakdown) any { return b.Efficiency }, Scale: 100, Verb: "%.1f"},
+	}}
+}
+
 // Format renders the breakdown table.
 func (r *Fig13Result) Format() string {
-	rows := make([][]string, 0, len(r.Breakdowns))
-	for _, b := range r.Breakdowns {
-		rows = append(rows, []string{
-			b.Config,
-			fmt.Sprintf("%.0f", r.Margins[b.Config]*1e3),
-			fmt.Sprintf("%.1f", b.PCoreUseful),
-			fmt.Sprintf("%.2f", b.PMargin),
-			fmt.Sprintf("%.2f", b.PGridIR),
-			fmt.Sprintf("%.2f", b.PIVRLoss),
-			fmt.Sprintf("%.2f", b.PPDNIR),
-			fmt.Sprintf("%.2f", b.PVRMLoss),
-			fmt.Sprintf("%.2f", b.PSource),
-			fmt.Sprintf("%.1f", b.Efficiency*100),
-		})
-	}
 	out := "Fig. 13 — PDS power breakdown and delivery efficiency\n"
-	out += table([]string{"config", "margin(mV)", "P_core(W)", "P_margin", "P_grid", "P_IVR", "P_PDN", "P_VRM", "P_src(W)", "eff(%)"}, rows)
+	out += r.table().Text(r.Breakdowns)
 	out += fmt.Sprintf("Best IVR configuration: %s, +%.1f pp delivery efficiency over the off-chip VRM (paper: +9.5 pp)\n",
 		r.BestConfig, r.ImprovementPP)
 	return out
 }
+
+// WriteCSV emits fig13.csv.
+func (r *Fig13Result) WriteCSV(w *report.Writer) error { return r.table().WriteCSV(w, r.Breakdowns) }

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"ivory/internal/dynamic"
 	"ivory/internal/parallel"
+	"ivory/internal/report"
 	"ivory/internal/spice"
 )
 
@@ -120,19 +120,20 @@ func fig4Row(fsw, T float64) (Fig4Row, error) {
 	}, nil
 }
 
+// fig4Table describes Fig 4's rows for its text table and fig4.csv.
+var fig4Table = report.Table[Fig4Row]{Name: "fig4", CSVDigits: 10, Columns: []report.Column[Fig4Row]{
+	{Text: "fsw(MHz)", CSV: "fsw_hz", Value: func(r Fig4Row) any { return r.FSw }, Scale: 1e-6, Verb: "%.0f"},
+	{Text: "t_spice", CSV: "t_sim_s", Value: func(r Fig4Row) any { return r.TSpice }},
+	{Text: "t_model", CSV: "t_model_s", Value: func(r Fig4Row) any { return r.TModel }},
+	{Text: "speedup", CSV: "speedup", Value: func(r Fig4Row) any { return r.Speedup }, Verb: "%.0fx"},
+	{Text: "V_spice", CSV: "v_sim", Value: func(r Fig4Row) any { return r.VSpice }, Verb: "%.4f"},
+	{Text: "V_model", CSV: "v_model", Value: func(r Fig4Row) any { return r.VModel }, Verb: "%.4f"},
+}}
+
 // Format renders the figure data.
 func (r *Fig4Result) Format() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", row.FSw/1e6),
-			row.TSpice.String(),
-			row.TModel.String(),
-			fmt.Sprintf("%.0fx", row.Speedup),
-			fmt.Sprintf("%.4f", row.VSpice),
-			fmt.Sprintf("%.4f", row.VModel),
-		})
-	}
-	return "Fig. 4 — Ivory model speedup vs circuit simulation\n" +
-		table([]string{"fsw(MHz)", "t_spice", "t_model", "speedup", "V_spice", "V_model"}, rows)
+	return "Fig. 4 — Ivory model speedup vs circuit simulation\n" + fig4Table.Text(r.Rows)
 }
+
+// WriteCSV emits fig4.csv.
+func (r *Fig4Result) WriteCSV(w *report.Writer) error { return fig4Table.WriteCSV(w, r.Rows) }

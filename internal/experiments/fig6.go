@@ -6,6 +6,7 @@ import (
 
 	"ivory/internal/dynamic"
 	"ivory/internal/numeric"
+	"ivory/internal/report"
 )
 
 // Fig6Tone compares the converter and a bare capacitor at one noise tone.
@@ -116,19 +117,25 @@ func Fig6() (*Fig6Result, error) {
 	return res, nil
 }
 
+// table describes Fig 6's tones, indexed into Tones and AnalyticAdvantage,
+// for its text table and fig6.csv.
+func (r *Fig6Result) table() *report.Table[int] {
+	return &report.Table[int]{Name: "fig6", CSVDigits: 10, Columns: []report.Column[int]{
+		{Text: "tone(MHz)", CSV: "tone_hz", Value: func(i int) any { return r.Tones[i].Freq }, Scale: 1e-6, Verb: "%.0f"},
+		{Text: "conv(mV)", CSV: "amp_converter_v", Value: func(i int) any { return r.Tones[i].AmpConverter }, Scale: 1e3, Verb: "%.3f"},
+		{Text: "cap(mV)", CSV: "amp_cap_v", Value: func(i int) any { return r.Tones[i].AmpBareCap }, Scale: 1e3, Verb: "%.3f"},
+		{Text: "conv/cap", CSV: "ratio", Value: func(i int) any { return r.Tones[i].Ratio }, Verb: "%.2f"},
+		{Text: "analytic adv", CSV: "analytic_advantage", Value: func(i int) any { return r.AnalyticAdvantage[i] }, Verb: "%.2f"},
+	}}
+}
+
 // Format renders the figure data.
 func (r *Fig6Result) Format() string {
-	rows := make([][]string, 0, len(r.Tones))
-	for i, t := range r.Tones {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", t.Freq/1e6),
-			fmt.Sprintf("%.3f", t.AmpConverter*1e3),
-			fmt.Sprintf("%.3f", t.AmpBareCap*1e3),
-			fmt.Sprintf("%.2f", t.Ratio),
-			fmt.Sprintf("%.2f", r.AnalyticAdvantage[i]),
-		})
-	}
 	return fmt.Sprintf("Fig. 6 — regulation effect of a %.0f MHz SC converter vs a %.1f nF capacitor\n",
-		r.FSw/1e6, r.CFly*1e9) +
-		table([]string{"tone(MHz)", "conv(mV)", "cap(mV)", "conv/cap", "analytic adv"}, rows)
+		r.FSw/1e6, r.CFly*1e9) + r.table().Text(upTo(len(r.Tones)))
+}
+
+// WriteCSV emits fig6.csv.
+func (r *Fig6Result) WriteCSV(w *report.Writer) error {
+	return r.table().WriteCSV(w, upTo(len(r.Tones)))
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"ivory/internal/parallel"
+	"ivory/internal/report"
 	"ivory/internal/sc"
 	"ivory/internal/spice"
 	"ivory/internal/tech"
@@ -147,22 +148,46 @@ func fig7Point(c *fig7Config, k int) (*Fig7Point, error) {
 	}, nil
 }
 
+// fig7Row is one validation point of a named case.
+type fig7Row struct {
+	Case string
+	Fig7Point
+}
+
+// fig7Table describes Fig 7's points for the per-case text tables and the
+// flat fig7.csv.
+var fig7Table = report.Table[fig7Row]{Name: "fig7", Columns: []report.Column[fig7Row]{
+	{CSV: "case", Value: func(r fig7Row) any { return r.Case }},
+	{Text: "Vout(V)", CSV: "vout_v", Value: func(r fig7Row) any { return r.VOutTarget }, Verb: "%.3f"},
+	{Text: "model(%)", CSV: "eff_model", Value: func(r fig7Row) any { return r.EffModel }, Scale: 100, Verb: "%.1f"},
+	{Text: "model-cond(%)", CSV: "eff_model_cond", Value: func(r fig7Row) any { return r.EffModelCond }, Scale: 100, Verb: "%.1f"},
+	{Text: "sim(%)", CSV: "eff_sim", Value: func(r fig7Row) any { return r.EffSim }, Scale: 100, Verb: "%.1f"},
+	{Text: "err(pp)", CSV: "err", Value: func(r fig7Row) any { return r.Err }, Scale: 100, Verb: "%.2f"},
+}}
+
+func (c *Fig7Case) rows() []fig7Row {
+	rows := make([]fig7Row, len(c.Points))
+	for i, p := range c.Points {
+		rows[i] = fig7Row{c.Name, p}
+	}
+	return rows
+}
+
 // Format renders the validation table.
 func (r *Fig7Result) Format() string {
 	out := "Fig. 7 — SC efficiency validation (model vs switch-level simulation)\n"
 	for _, c := range r.Cases {
-		rows := make([][]string, 0, len(c.Points))
-		for _, p := range c.Points {
-			rows = append(rows, []string{
-				fmt.Sprintf("%.3f", p.VOutTarget),
-				fmt.Sprintf("%.1f", p.EffModel*100),
-				fmt.Sprintf("%.1f", p.EffModelCond*100),
-				fmt.Sprintf("%.1f", p.EffSim*100),
-				fmt.Sprintf("%.2f", p.Err*100),
-			})
-		}
 		out += fmt.Sprintf("%s (max err %.2f%%)\n", c.Name, c.MaxErr*100)
-		out += table([]string{"Vout(V)", "model(%)", "model-cond(%)", "sim(%)", "err(pp)"}, rows)
+		out += fig7Table.Text(c.rows())
 	}
 	return out
+}
+
+// WriteCSV emits fig7.csv with one row per (case, point).
+func (r *Fig7Result) WriteCSV(w *report.Writer) error {
+	var rows []fig7Row
+	for _, c := range r.Cases {
+		rows = append(rows, c.rows()...)
+	}
+	return fig7Table.WriteCSV(w, rows)
 }

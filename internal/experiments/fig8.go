@@ -7,6 +7,7 @@ import (
 
 	"ivory/internal/buck"
 	"ivory/internal/parallel"
+	"ivory/internal/report"
 	"ivory/internal/spice"
 	"ivory/internal/tech"
 )
@@ -152,24 +153,48 @@ func fig8Point(c *fig8Config, iLoad float64) (*Fig8Point, error) {
 	}, nil
 }
 
+// fig8Row is one validation point of a named case.
+type fig8Row struct {
+	Case string
+	Fig8Point
+}
+
+// fig8Table describes Fig 8's points for the per-case text tables and the
+// flat fig8.csv.
+var fig8Table = report.Table[fig8Row]{Name: "fig8", Columns: []report.Column[fig8Row]{
+	{CSV: "case", Value: func(r fig8Row) any { return r.Case }},
+	{Text: "I(A)", CSV: "iload_a", Value: func(r fig8Row) any { return r.ILoad }, Verb: "%.1f"},
+	{Text: "Vout(V)", CSV: "vout_v", Value: func(r fig8Row) any { return r.VOutTarget }, Verb: "%.2f"},
+	{Text: "model(%)", CSV: "eff_model", Value: func(r fig8Row) any { return r.EffModel }, Scale: 100, Verb: "%.1f"},
+	{Text: "model-cond(%)", CSV: "eff_model_cond", Value: func(r fig8Row) any { return r.EffModelCond }, Scale: 100, Verb: "%.1f"},
+	{Text: "sim(%)", CSV: "eff_sim", Value: func(r fig8Row) any { return r.EffSim }, Scale: 100, Verb: "%.1f"},
+	{Text: "V_sim", Value: func(r fig8Row) any { return r.VSim }, Verb: "%.3f"},
+	{Text: "err(pp)", Value: func(r fig8Row) any { return r.Err }, Scale: 100, Verb: "%.2f"},
+}}
+
+func (c *Fig8Case) rows() []fig8Row {
+	rows := make([]fig8Row, len(c.Points))
+	for i, p := range c.Points {
+		rows[i] = fig8Row{c.Name, p}
+	}
+	return rows
+}
+
 // Format renders the validation table.
 func (r *Fig8Result) Format() string {
 	out := "Fig. 8 — buck efficiency validation (model vs switch-level simulation)\n"
 	for _, c := range r.Cases {
-		rows := make([][]string, 0, len(c.Points))
-		for _, p := range c.Points {
-			rows = append(rows, []string{
-				fmt.Sprintf("%.1f", p.ILoad),
-				fmt.Sprintf("%.2f", p.VOutTarget),
-				fmt.Sprintf("%.1f", p.EffModel*100),
-				fmt.Sprintf("%.1f", p.EffModelCond*100),
-				fmt.Sprintf("%.1f", p.EffSim*100),
-				fmt.Sprintf("%.3f", p.VSim),
-				fmt.Sprintf("%.2f", p.Err*100),
-			})
-		}
 		out += fmt.Sprintf("%s (max err %.2f%%)\n", c.Name, c.MaxErr*100)
-		out += table([]string{"I(A)", "Vout(V)", "model(%)", "model-cond(%)", "sim(%)", "V_sim", "err(pp)"}, rows)
+		out += fig8Table.Text(c.rows())
 	}
 	return out
+}
+
+// WriteCSV emits fig8.csv with one row per (case, point).
+func (r *Fig8Result) WriteCSV(w *report.Writer) error {
+	var rows []fig8Row
+	for _, c := range r.Cases {
+		rows = append(rows, c.rows()...)
+	}
+	return fig8Table.WriteCSV(w, rows)
 }

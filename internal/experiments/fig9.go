@@ -8,6 +8,7 @@ import (
 	"ivory/internal/dynamic"
 	"ivory/internal/numeric"
 	"ivory/internal/parallel"
+	"ivory/internal/report"
 	"ivory/internal/sc"
 	"ivory/internal/spice"
 	"ivory/internal/topology"
@@ -166,25 +167,39 @@ func (b *fig9Bench) inCycle(res *Fig9Result) error {
 	return nil
 }
 
+// waveform describes the cycle-by-cycle samples, indexed, for the text
+// excerpt and fig9_waveform.csv.
+func (r *Fig9Result) waveform() *report.Table[int] {
+	return &report.Table[int]{Name: "fig9_waveform", CSVDigits: 10, Columns: []report.Column[int]{
+		{Text: "t(us)", CSV: "t_s", Value: func(k int) any { return r.CycleTimes[k] }, Scale: 1e6, Verb: "%.2f"},
+		{Text: "model(V)", CSV: "v_model", Value: func(k int) any { return r.CycleModel[k] }, Verb: "%.4f"},
+		{Text: "sim(V)", CSV: "v_sim", Value: func(k int) any { return r.CycleSim[k] }, Verb: "%.4f"},
+	}}
+}
+
+// fig9Summary describes fig9_summary.csv, one row of headline errors.
+var fig9Summary = report.Table[*Fig9Result]{Name: "fig9_summary", CSVDigits: 10, Columns: []report.Column[*Fig9Result]{
+	{CSV: "cycle_rmse_v", Value: func(r *Fig9Result) any { return r.CycleRMSE }},
+	{CSV: "cycle_maxerr_v", Value: func(r *Fig9Result) any { return r.CycleMaxErr }},
+	{CSV: "incycle_model_v", Value: func(r *Fig9Result) any { return r.InCycleRippleModel }},
+	{CSV: "incycle_sim_v", Value: func(r *Fig9Result) any { return r.InCycleRippleSim }},
+}}
+
 // Format renders the validation summary plus a waveform excerpt.
 func (r *Fig9Result) Format() string {
 	out := "Fig. 9 — transient response validation\n"
 	out += fmt.Sprintf("(a) cycle-by-cycle vs simulation: RMSE %.2f mV, max err %.2f mV over %d cycles\n",
 		r.CycleRMSE*1e3, r.CycleMaxErr*1e3, len(r.CycleTimes))
-	step := len(r.CycleTimes) / 12
-	if step < 1 {
-		step = 1
-	}
-	rows := [][]string{}
-	for k := 0; k < len(r.CycleTimes); k += step {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.2f", r.CycleTimes[k]*1e6),
-			fmt.Sprintf("%.4f", r.CycleModel[k]),
-			fmt.Sprintf("%.4f", r.CycleSim[k]),
-		})
-	}
-	out += table([]string{"t(us)", "model(V)", "sim(V)"}, rows)
+	out += r.waveform().Text(excerpt(len(r.CycleTimes), 12))
 	out += fmt.Sprintf("(b) in-cycle ripple at 217 MHz: model %.3f mV vs sim %.3f mV (err %.1f%%)\n",
 		r.InCycleRippleModel*1e3, r.InCycleRippleSim*1e3, r.InCycleErr*100)
 	return out
+}
+
+// WriteCSV emits fig9_waveform.csv and fig9_summary.csv.
+func (r *Fig9Result) WriteCSV(w *report.Writer) error {
+	if err := r.waveform().WriteCSV(w, upTo(len(r.CycleTimes))); err != nil {
+		return err
+	}
+	return fig9Summary.WriteCSV(w, []*Fig9Result{r})
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ivory/internal/report"
 	"ivory/internal/sc"
 	"ivory/internal/tech"
 	"ivory/internal/topology"
@@ -64,20 +65,28 @@ func Gears() (*GearsResult, error) {
 	}, nil
 }
 
+// table describes the envelope, indexed by output voltage, for its text
+// table and gears.csv.
+func (r *GearsResult) table() *report.Table[int] {
+	return &report.Table[int]{Name: "gears", CSVDigits: 10, Columns: []report.Column[int]{
+		{Text: "Vout(V)", CSV: "vout_v", Value: func(i int) any { return r.VOut[i] }, Verb: "%.3f"},
+		{Text: "eff(%)", CSV: "efficiency", Value: func(i int) any { return r.Envelope[i] }, Scale: 100, Verb: "%.1f"},
+		{Text: "gear", Value: func(i int) any { return r.GearNames[r.Gear[i]] }},
+		{CSV: "gear_index", Value: func(i int) any { return r.Gear[i] }},
+	}}
+}
+
 // Format renders the envelope.
 func (r *GearsResult) Format() string {
-	rows := make([][]string, 0, len(r.VOut))
-	for i := range r.VOut {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.3f", r.VOut[i]),
-			fmt.Sprintf("%.1f", r.Envelope[i]*100),
-			r.GearNames[r.Gear[i]],
-		})
-	}
 	out := "Extension — reconfigurable (gear-shifting) SC converter envelope\n"
-	out += table([]string{"Vout(V)", "eff(%)", "gear"}, rows)
+	out += r.table().Text(upTo(len(r.VOut)))
 	for _, s := range r.ShiftV {
 		out += fmt.Sprintf("gear shift at ~%.2f V\n", s)
 	}
 	return out
+}
+
+// WriteCSV emits gears.csv.
+func (r *GearsResult) WriteCSV(w *report.Writer) error {
+	return r.table().WriteCSV(w, upTo(len(r.VOut)))
 }

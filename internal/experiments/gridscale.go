@@ -6,6 +6,7 @@ import (
 
 	"ivory/internal/grid"
 	"ivory/internal/parallel"
+	"ivory/internal/report"
 )
 
 // GridScaleRow is one distribution count's geometric grid analysis.
@@ -92,19 +93,20 @@ func GridScaleRun(ctx context.Context, opt TransientOptions) (*GridScaleResult, 
 	return res, nil
 }
 
+// gridScaleTable describes the study for its text table and gridscale.csv.
+var gridScaleTable = report.Table[GridScaleRow]{Name: "gridscale", CSVDigits: 10, Columns: []report.Column[GridScaleRow]{
+	{Text: "IVRs", CSV: "n_ivrs", Value: func(r GridScaleRow) any { return r.N }},
+	{Text: "worst R_eff(Ω)", CSV: "r_eff_ohm", Value: func(r GridScaleRow) any { return r.REff }, Verb: "%.4f"},
+	{Text: "vs centralized", CSV: "ratio_vs_centralized", Value: func(r GridScaleRow) any { return r.Ratio }, Verb: "%.2f"},
+	{Text: "1/N ref", CSV: "inv_n", Value: func(r GridScaleRow) any { return r.InvN }, Verb: "%.2f"},
+	{Text: "placements", Value: func(r GridScaleRow) any { return r.Taps }},
+}}
+
 // Format renders the study.
 func (r *GridScaleResult) Format() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.N),
-			fmt.Sprintf("%.4f", row.REff),
-			fmt.Sprintf("%.2f", row.Ratio),
-			fmt.Sprintf("%.2f", row.InvN),
-			fmt.Sprintf("%v", row.Taps),
-		})
-	}
 	return fmt.Sprintf("Extension — grid-resistance scaling with IVR distribution (%dx%d mesh, %.0f mΩ/link)\n",
-		r.MeshW, r.MeshH, r.RTile*1e3) +
-		table([]string{"IVRs", "worst R_eff(Ω)", "vs centralized", "1/N ref", "placements"}, rows)
+		r.MeshW, r.MeshH, r.RTile*1e3) + gridScaleTable.Text(r.Rows)
 }
+
+// WriteCSV emits gridscale.csv.
+func (r *GridScaleResult) WriteCSV(w *report.Writer) error { return gridScaleTable.WriteCSV(w, r.Rows) }

@@ -37,44 +37,50 @@ func HybridRun(ctx context.Context, opt TransientOptions) (*HybridResult, error)
 	return &HybridResult{res}, nil
 }
 
+func cellInfeasible(c soc.Cell) bool { return c.Infeasible != "" }
+
+// hybridCells describes the evaluation grid for its text table, which
+// blanks infeasible cells, and hybrid_cells.csv, which keeps their zeros.
+var hybridCells = report.Table[soc.Cell]{Name: "hybrid_cells", Columns: []report.Column[soc.Cell]{
+	{Text: "domain", CSV: "domain", Value: func(c soc.Cell) any { return c.Domain }},
+	{Text: "rail", CSV: "rail", Value: func(c soc.Cell) any { return c.Rail.String() }},
+	{Text: "Vpp(mV)", Value: func(c soc.Cell) any { return c.NoiseVpp }, Absent: cellInfeasible, Scale: 1e3, Verb: "%.1f"},
+	{CSV: "vpp_v", Value: func(c soc.Cell) any { return c.NoiseVpp }},
+	{CSV: "worst_droop_v", Value: func(c soc.Cell) any { return c.WorstDroop }},
+	{Text: "margin(mV)", Value: func(c soc.Cell) any { return c.MarginV }, Absent: cellInfeasible, Scale: 1e3, Verb: "%.1f"},
+	{CSV: "margin_v", Value: func(c soc.Cell) any { return c.MarginV }},
+	{Text: "area(mm²)", Value: func(c soc.Cell) any { return c.AreaM2 }, Absent: cellInfeasible, Scale: 1e6, Verb: "%.2f"},
+	{CSV: "area_mm2", Value: func(c soc.Cell) any { return c.AreaM2 * 1e6 }},
+	{Text: "eff(%)", Value: func(c soc.Cell) any { return c.Efficiency }, Absent: cellInfeasible, Scale: 100, Verb: "%.1f"},
+	{CSV: "eff", Value: func(c soc.Cell) any { return c.Efficiency }},
+	{Text: "note", Value: func(c soc.Cell) any {
+		if cellInfeasible(c) {
+			return "infeasible: " + c.Infeasible
+		}
+		return ""
+	}},
+	{CSV: "infeasible", Value: func(c soc.Cell) any { return c.Infeasible }},
+}}
+
+// ranking describes the ranked assignments, indexed by rank, for their
+// text table and hybrid_rank.csv.
+func (r *HybridResult) ranking() *report.Table[int] {
+	return &report.Table[int]{Name: "hybrid_rank", Columns: []report.Column[int]{
+		{Text: "rank", CSV: "rank", Value: func(i int) any { return i + 1 }},
+		{Text: "assignment", CSV: "assignment", Value: func(i int) any { return r.Candidates[i].Key }},
+		{Text: "eff(%)", CSV: "eff", Value: func(i int) any { return r.Candidates[i].Efficiency }, Scale: 100, Verb: "%.2f"},
+		{Text: "area(mm²)", CSV: "area_mm2", Value: func(i int) any { return r.Candidates[i].AreaM2 * 1e6 }, Verb: "%.2f"},
+		{Text: "worst margin(mV)", CSV: "worst_margin_v", Value: func(i int) any { return r.Candidates[i].WorstMarginV }, Scale: 1e3, Verb: "%.1f"},
+	}}
+}
+
 // Format renders the cell grid and the ranked assignments.
 func (r *HybridResult) Format() string {
-	cellRows := make([][]string, 0, len(r.Cells))
-	for _, c := range r.Cells {
-		if c.Infeasible != "" {
-			cellRows = append(cellRows, []string{
-				c.Domain, c.Rail.String(), "-", "-", "-", "-", "infeasible: " + c.Infeasible,
-			})
-			continue
-		}
-		cellRows = append(cellRows, []string{
-			c.Domain,
-			c.Rail.String(),
-			fmt.Sprintf("%.1f", c.NoiseVpp*1e3),
-			fmt.Sprintf("%.1f", c.MarginV*1e3),
-			fmt.Sprintf("%.2f", c.AreaM2*1e6),
-			fmt.Sprintf("%.1f", c.Efficiency*100),
-			"",
-		})
-	}
-	candRows := make([][]string, 0, len(r.Candidates))
-	for i, c := range r.Candidates {
-		candRows = append(candRows, []string{
-			fmt.Sprintf("%d", i+1),
-			c.Key,
-			fmt.Sprintf("%.2f", c.Efficiency*100),
-			fmt.Sprintf("%.2f", c.AreaM2*1e6),
-			fmt.Sprintf("%.1f", c.WorstMarginV*1e3),
-		})
-	}
 	s := r.Stats
 	head := fmt.Sprintf(
 		"Extension — hybrid per-domain rail assignment (%s, %d domains, budget %.0f mm², %.0f µs @ %.0f ns)\n",
 		r.Floorplan, len(r.Cells)/len(r.Rails), r.AreaBudgetMM2, r.T*1e6, r.Dt*1e9)
-	return head +
-		table([]string{"domain", "rail", "Vpp(mV)", "margin(mV)", "area(mm²)", "eff(%)", "note"}, cellRows) +
-		"\n" +
-		table([]string{"rank", "assignment", "eff(%)", "area(mm²)", "worst margin(mV)"}, candRows) +
+	return head + hybridCells.Text(r.Cells) + "\n" + r.ranking().Text(upTo(len(r.Candidates))) +
 		fmt.Sprintf("\n%d cells (%d infeasible); %d assignments: %d ranked, %d rejected infeasible, %d over budget (%.2g/s)\n",
 			s.Cells, s.CellsInfeasible, s.Assignments, s.Ranked, s.RejectedInfeasible, s.RejectedArea, s.AssignmentsPerSec)
 }
@@ -82,34 +88,8 @@ func (r *HybridResult) Format() string {
 // WriteCSV emits hybrid_cells.csv (the evaluation grid) and
 // hybrid_rank.csv (the ranked assignments).
 func (r *HybridResult) WriteCSV(w *report.Writer) error {
-	cellRows := make([][]string, 0, len(r.Cells))
-	for _, c := range r.Cells {
-		cellRows = append(cellRows, []string{
-			c.Domain,
-			c.Rail.String(),
-			fmt.Sprintf("%g", c.NoiseVpp),
-			fmt.Sprintf("%g", c.WorstDroop),
-			fmt.Sprintf("%g", c.MarginV),
-			fmt.Sprintf("%g", c.AreaM2*1e6),
-			fmt.Sprintf("%g", c.Efficiency),
-			c.Infeasible,
-		})
-	}
-	if err := w.CSVStrings("hybrid_cells",
-		[]string{"domain", "rail", "vpp_v", "worst_droop_v", "margin_v", "area_mm2", "eff", "infeasible"},
-		cellRows); err != nil {
+	if err := hybridCells.WriteCSV(w, r.Cells); err != nil {
 		return err
 	}
-	candRows := make([][]string, 0, len(r.Candidates))
-	for i, c := range r.Candidates {
-		candRows = append(candRows, []string{
-			fmt.Sprintf("%d", i+1),
-			c.Key,
-			fmt.Sprintf("%g", c.Efficiency),
-			fmt.Sprintf("%g", c.AreaM2*1e6),
-			fmt.Sprintf("%g", c.WorstMarginV),
-		})
-	}
-	return w.CSVStrings("hybrid_rank",
-		[]string{"rank", "assignment", "eff", "area_mm2", "worst_margin_v"}, candRows)
+	return r.ranking().WriteCSV(w, upTo(len(r.Candidates)))
 }

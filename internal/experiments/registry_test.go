@@ -49,7 +49,7 @@ func TestFig11CSVFollowsRunConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := report.NewWriter(t.TempDir())
-	if err := (fig11Result{r}).WriteCSV(w); err != nil {
+	if err := r.writeFig11CSV(w); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(w.Written[0])

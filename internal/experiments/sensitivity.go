@@ -8,6 +8,7 @@ import (
 
 	"ivory/internal/core"
 	"ivory/internal/numeric"
+	"ivory/internal/report"
 	"ivory/internal/sc"
 	"ivory/internal/tech"
 )
@@ -200,22 +201,31 @@ func NodeSweepContext(ctx context.Context) (*NodeSweepResult, error) {
 	return out, nil
 }
 
+func nodeInfeasible(r NodeSweepRow) bool { return !r.Feasible }
+
+// nodeTable describes the sweep for its text table and nodes.csv, which
+// holds the feasible nodes only.
+var nodeTable = report.Table[NodeSweepRow]{Name: "nodes", Columns: []report.Column[NodeSweepRow]{
+	{Text: "node", CSV: "node", Value: func(r NodeSweepRow) any { return r.Node }},
+	{Text: "kind", CSV: "kind", Value: func(r NodeSweepRow) any { return r.Kind }, Absent: nodeInfeasible},
+	{Text: "eff(%)", CSV: "efficiency", Value: func(r NodeSweepRow) any { return r.Efficiency }, Absent: nodeInfeasible, Scale: 100, Verb: "%.1f"},
+	{Text: "area(mm2)", CSV: "area_mm2", Value: func(r NodeSweepRow) any { return r.AreaMM2 }, Absent: nodeInfeasible, Verb: "%.1f"},
+	{Text: "fsw(MHz)", CSV: "fsw_mhz", Value: func(r NodeSweepRow) any { return r.FSwMHz }, Absent: nodeInfeasible, Verb: "%.0f"},
+	{Text: "design", Value: func(r NodeSweepRow) any { return r.Label }, Absent: nodeInfeasible},
+}}
+
 // Format renders the sweep.
 func (r *NodeSweepResult) Format() string {
-	rows := make([][]string, 0, len(r.Rows))
+	return "Extension — best case-study design per technology node\n" + nodeTable.Text(r.Rows)
+}
+
+// WriteCSV emits nodes.csv.
+func (r *NodeSweepResult) WriteCSV(w *report.Writer) error {
+	var rows []NodeSweepRow
 	for _, row := range r.Rows {
-		if !row.Feasible {
-			rows = append(rows, []string{row.Node, "-", "-", "-", "-", "-"})
-			continue
+		if row.Feasible {
+			rows = append(rows, row)
 		}
-		rows = append(rows, []string{
-			row.Node, row.Kind,
-			fmt.Sprintf("%.1f", row.Efficiency*100),
-			fmt.Sprintf("%.1f", row.AreaMM2),
-			fmt.Sprintf("%.0f", row.FSwMHz),
-			row.Label,
-		})
 	}
-	return "Extension — best case-study design per technology node\n" +
-		table([]string{"node", "kind", "eff(%)", "area(mm2)", "fsw(MHz)", "design"}, rows)
+	return nodeTable.WriteCSV(w, rows)
 }

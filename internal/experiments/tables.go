@@ -7,6 +7,7 @@ import (
 	"ivory/internal/core"
 	"ivory/internal/pdn"
 	"ivory/internal/pds"
+	"ivory/internal/report"
 	"ivory/internal/workload"
 )
 
@@ -48,6 +49,12 @@ func NewCaseSystem() (*CaseSystem, error) {
 	return &CaseSystem{Spec: core.CaseStudySpec(caseNode), System: sys}, nil
 }
 
+// table1 describes Table 1's parameter-value rows.
+var table1 = report.Table[[2]string]{Columns: []report.Column[[2]string]{
+	{Text: "parameter", Value: func(r [2]string) any { return r[0] }},
+	{Text: "value", Value: func(r [2]string) any { return r[1] }},
+}}
+
 // Table1 formats the case-study input parameters (paper Table 1).
 func Table1() (string, error) {
 	cs, err := NewCaseSystem()
@@ -56,7 +63,7 @@ func Table1() (string, error) {
 	}
 	s := cs.Spec
 	sys := cs.System
-	rows := [][]string{
+	rows := [][2]string{
 		{"Max. area (mm2)", fmt.Sprintf("%.0f", s.AreaMax*1e6)},
 		{"Total average power (W)", fmt.Sprintf("%.0f", sys.TDPPerCore*float64(sys.Cores))},
 		{"Input / output (V)", fmt.Sprintf("%.1f / %.2f", s.VIn, s.VOut)},
@@ -67,7 +74,7 @@ func Table1() (string, error) {
 		{"Off-chip PDN R (mOhm)", fmt.Sprintf("%.2f", sys.Network.TotalR()*1e3)},
 		{"On-chip grid R (mOhm) / L (pH)", fmt.Sprintf("%.1f / %.0f", sys.GridR*1e3, sys.GridL*1e12)},
 	}
-	return "Table 1 — case-study input parameters\n" + table([]string{"parameter", "value"}, rows), nil
+	return "Table 1 — case-study input parameters\n" + table1.Text(rows), nil
 }
 
 // Table2Context runs the design-space exploration across 1/2/4 distributed

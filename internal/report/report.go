@@ -1,15 +1,140 @@
-// Package report writes experiment data as CSV files, the plot-ready
-// companion to the text tables cmd/ivory-exp prints: one file per figure,
-// one row per data point, ready for any plotting tool.
+// Package report renders experiment results. A Table describes a result's
+// rows once: per column, its text and CSV headers, its value, and how the
+// text table scales and formats it. The same description renders the
+// aligned text table cmd/ivory-exp prints and the plot-ready CSV file (one
+// file per figure, one row per data point), so the two cannot drift apart.
 package report
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 )
+
+// Column is one column of a Table over rows of type R.
+type Column[R any] struct {
+	// Text and CSV are the column's headers in the text table and in the
+	// CSV file. An empty header leaves the column out of that rendering.
+	Text, CSV string
+	// Value returns the row's cell: a float64, int, string or
+	// time.Duration. Any other value renders as fmt's %v.
+	Value func(R) any
+	// Absent, if set, reports the rows whose cell is absent: "-" in the
+	// text table, empty in the CSV.
+	Absent func(R) bool
+	// Scale multiplies a float64 cell in the text table (0 means 1) and
+	// Verb formats it there ("%g" when empty). The CSV holds the unscaled
+	// value. A time.Duration prints as its String in text and as seconds in
+	// the CSV.
+	Scale float64
+	Verb  string
+}
+
+// Table describes the rows of one result for both renderings. The rows
+// themselves are passed to each renderer, since a text table may show an
+// excerpt or a subset of the rows its CSV holds.
+type Table[R any] struct {
+	// Name is the CSV file name; the .csv suffix is added.
+	Name    string
+	Columns []Column[R]
+	// CSVDigits is the number of significant digits of CSV floats; 0 means
+	// the shortest form that reads back exactly.
+	CSVDigits int
+}
+
+// Text renders rows as an aligned text table under the text headers.
+func (t *Table[R]) Text(rows []R) string {
+	return layout(t.cells(rows, func(c Column[R]) string { return c.Text }, Column[R].text))
+}
+
+// WriteCSV writes rows to Name.csv in w's directory under the CSV headers.
+func (t *Table[R]) WriteCSV(w *Writer, rows []R) error {
+	prec := -1
+	if t.CSVDigits > 0 {
+		prec = t.CSVDigits
+	}
+	header, cells := t.cells(rows, func(c Column[R]) string { return c.CSV },
+		func(_ Column[R], v any) string { return csvCell(v, prec) })
+	return w.write(t.Name+".csv", header, cells)
+}
+
+// cells renders rows in the columns that head names, each cell by cell
+// (nil for an absent one).
+func (t *Table[R]) cells(rows []R, head func(Column[R]) string, cell func(Column[R], any) string) ([]string, [][]string) {
+	var cols []Column[R]
+	var header []string
+	for _, c := range t.Columns {
+		if h := head(c); h != "" {
+			cols = append(cols, c)
+			header = append(header, h)
+		}
+	}
+	out := make([][]string, len(rows))
+	for k, r := range rows {
+		out[k] = make([]string, len(cols))
+		for i, c := range cols {
+			var v any
+			if c.Absent == nil || !c.Absent(r) {
+				v = c.Value(r)
+			}
+			out[k][i] = cell(c, v)
+		}
+	}
+	return header, out
+}
+
+func (c Column[R]) text(v any) string {
+	switch v := v.(type) {
+	case nil:
+		return "-"
+	case float64:
+		return fmt.Sprintf(cmp.Or(c.Verb, "%g"), v*cmp.Or(c.Scale, 1))
+	case time.Duration:
+		return v.String()
+	default:
+		return fmt.Sprint(v)
+	}
+}
+
+func csvCell(v any, prec int) string {
+	switch v := v.(type) {
+	case nil:
+		return ""
+	case float64:
+		return strconv.FormatFloat(v, 'g', prec, 64)
+	case time.Duration:
+		return strconv.FormatFloat(v.Seconds(), 'g', prec, 64)
+	default:
+		return fmt.Sprint(v)
+	}
+}
+
+// layout aligns cells under header, two spaces between columns.
+func layout(header []string, rows [][]string) string {
+	widths := make([]int, len(header))
+	for _, r := range append([][]string{header}, rows...) {
+		for i, c := range r {
+			widths[i] = max(widths[i], len(c))
+		}
+	}
+	var b strings.Builder
+	for _, r := range append([][]string{header}, rows...) {
+		for i, c := range r {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
 // Writer emits CSV files into a directory (created on first use).
 type Writer struct {
@@ -22,59 +147,28 @@ type Writer struct {
 // NewWriter returns a Writer rooted at dir.
 func NewWriter(dir string) *Writer { return &Writer{Dir: dir} }
 
-// CSV writes rows of float64 columns under the given header. The file name
-// gets a .csv suffix if missing.
-func (w *Writer) CSV(name string, header []string, rows [][]float64) error {
-	srows := make([][]string, len(rows))
-	for i, r := range rows {
-		s := make([]string, len(r))
-		for j, v := range r {
-			s[j] = strconv.FormatFloat(v, 'g', 10, 64)
-		}
-		srows[i] = s
-	}
-	return w.CSVStrings(name, header, srows)
-}
-
-// CSVStrings writes pre-formatted rows.
-func (w *Writer) CSVStrings(name string, header []string, rows [][]string) error {
+// write writes the CSV file name of rows under header; every row must be
+// as wide as the header.
+func (w *Writer) write(name string, header []string, rows [][]string) error {
 	if w.Dir == "" {
 		return fmt.Errorf("report: writer has no directory")
 	}
-	if err := os.MkdirAll(w.Dir, 0o755); err != nil {
-		return fmt.Errorf("report: creating %s: %w", w.Dir, err)
-	}
-	if !strings.HasSuffix(name, ".csv") {
-		name += ".csv"
-	}
-	path := filepath.Join(w.Dir, name)
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(escape(c))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(header)
 	for _, r := range rows {
 		if len(r) != len(header) {
 			return fmt.Errorf("report: %s: row width %d != header %d", name, len(r), len(header))
 		}
-		writeRow(r)
 	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	var b bytes.Buffer
+	if err := csv.NewWriter(&b).WriteAll(append([][]string{header}, rows...)); err != nil {
+		return fmt.Errorf("report: %s: %w", name, err)
+	}
+	if err := os.MkdirAll(w.Dir, 0o755); err != nil {
+		return fmt.Errorf("report: creating %s: %w", w.Dir, err)
+	}
+	path := filepath.Join(w.Dir, name)
+	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("report: writing %s: %w", path, err)
 	}
 	w.Written = append(w.Written, path)
 	return nil
-}
-
-func escape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }

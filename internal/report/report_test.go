@@ -3,52 +3,87 @@ package report
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 )
 
-func TestCSVRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	w := NewWriter(dir)
-	err := w.CSV("data", []string{"a", "b"}, [][]float64{{1, 2}, {3.5, -4}})
+type row struct {
+	name string
+	v    float64
+	d    time.Duration
+	ok   bool
+}
+
+// testTable has a text-only column (note), a CSV-only column (d_s), a
+// scaled column and an absent cell where ok is false.
+var testTable = Table[row]{Name: "data", Columns: []Column[row]{
+	{Text: "name", CSV: "name", Value: func(r row) any { return r.name }},
+	{Text: "v(m)", CSV: "v", Value: func(r row) any { return r.v }, Absent: func(r row) bool { return !r.ok }, Scale: 1e3, Verb: "%.1fm"},
+	{Text: "t", Value: func(r row) any { return r.d }},
+	{CSV: "d_s", Value: func(r row) any { return r.d }},
+	{Text: "note", Value: func(r row) any { return len(r.name) }},
+}}
+
+var testRows = []row{
+	{name: "a", v: 0.0125, d: 1500 * time.Microsecond, ok: true},
+	{name: `has,comma "q"`, v: 2, d: 2 * time.Second},
+}
+
+func readCSV(t *testing.T, w *Writer, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(w.Dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "data.csv"))
-	if err != nil {
+	return string(raw)
+}
+
+func TestTableText(t *testing.T) {
+	want := "" +
+		"name           v(m)   t      note\n" +
+		"a              12.5m  1.5ms  1   \n" +
+		`has,comma "q"  -      2s     13  ` + "\n"
+	if got := testTable.Text(testRows); got != want {
+		t.Errorf("text table:\n%q\nwant\n%q", got, want)
+	}
+}
+
+func TestTableCSV(t *testing.T) {
+	w := NewWriter(t.TempDir())
+	if err := testTable.WriteCSV(w, testRows); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 3 || lines[0] != "a,b" || lines[1] != "1,2" {
-		t.Errorf("unexpected content: %q", string(raw))
+	want := "name,v,d_s\n" +
+		"a,0.0125,0.0015\n" +
+		`"has,comma ""q""",,2` + "\n"
+	if got := readCSV(t, w, "data.csv"); got != want {
+		t.Errorf("data.csv:\n%q\nwant\n%q", got, want)
 	}
-	if len(w.Written) != 1 {
+	if len(w.Written) != 1 || filepath.Base(w.Written[0]) != "data.csv" {
 		t.Errorf("written paths: %v", w.Written)
 	}
 }
 
-func TestCSVStringsEscaping(t *testing.T) {
-	dir := t.TempDir()
-	w := NewWriter(dir)
-	err := w.CSVStrings("x.csv", []string{"name", "note"},
-		[][]string{{`has,comma`, `has "quote"`}})
-	if err != nil {
+func TestTableCSVDigits(t *testing.T) {
+	tbl := Table[float64]{Name: "x", CSVDigits: 3, Columns: []Column[float64]{
+		{CSV: "v", Value: func(v float64) any { return v }},
+	}}
+	w := NewWriter(t.TempDir())
+	if err := tbl.WriteCSV(w, []float64{1.0 / 3, 2}); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := os.ReadFile(filepath.Join(dir, "x.csv"))
-	want := `"has,comma","has ""quote"""`
-	if !strings.Contains(string(raw), want) {
-		t.Errorf("escaping wrong: %q", string(raw))
+	if got := readCSV(t, w, "x.csv"); got != "v\n0.333\n2\n" {
+		t.Errorf("x.csv = %q", got)
 	}
 }
 
-func TestCSVErrors(t *testing.T) {
+func TestWriterErrors(t *testing.T) {
 	w := &Writer{}
-	if err := w.CSV("x", []string{"a"}, nil); err == nil {
+	if err := testTable.WriteCSV(w, testRows); err == nil {
 		t.Error("missing directory must fail")
 	}
 	w = NewWriter(t.TempDir())
-	if err := w.CSV("x", []string{"a", "b"}, [][]float64{{1}}); err == nil {
-		t.Error("ragged row must fail")
+	if err := w.write("x.csv", []string{"a", "b"}, [][]string{{"1"}}); err == nil {
+		t.Error("a row narrower than its header must fail")
 	}
 }
