@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
 	"ivory/internal/numeric"
+	"ivory/internal/report"
 )
 
 // TestFig4SpeedupShape times each frequency point as the best of three
@@ -228,6 +230,28 @@ func TestFig12AreaTradeoff(t *testing.T) {
 		if numeric.ApproxEqual(p.AreaMM2, 20, 0) {
 			if p.EffSC <= p.EffBuck {
 				t.Errorf("at 20 mm2 SC should beat buck: %.3f vs %.3f", p.EffSC, p.EffBuck)
+			}
+		}
+	}
+	// An infeasible family is an empty cell in fig12.csv, not its -1
+	// sentinel read as an efficiency.
+	w := report.NewWriter(t.TempDir())
+	if err := r.WriteCSV(w); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(w.Written[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != len(r.Points)+1 {
+		t.Fatalf("fig12.csv has %d lines for %d points", len(lines), len(r.Points))
+	}
+	for i, p := range r.Points {
+		cells := strings.Split(lines[i+1], ",")
+		for j, eff := range []float64{p.EffSC, p.EffBuck, p.EffLDO} {
+			if (eff < 0) != (cells[j+1] == "") {
+				t.Errorf("fig12.csv row %q: efficiency %g in column %d", lines[i+1], eff, j+1)
 			}
 		}
 	}

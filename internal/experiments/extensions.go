@@ -41,7 +41,7 @@ func TwoStageContext(ctx context.Context) (*TwoStageResult, error) {
 }
 
 // twoStageTable describes twostage.csv; core renders the text table.
-var twoStageTable = report.Table[core.TwoStageRow]{Name: "twostage", CSVDigits: 10, Columns: []report.Column[core.TwoStageRow]{
+var twoStageTable = report.Table[core.TwoStageRow]{Name: "twostage", Columns: []report.Column[core.TwoStageRow]{
 	{CSV: "vmid_v", Value: func(r core.TwoStageRow) any { return r.VMid }},
 	{CSV: "stage1_eff", Value: func(r core.TwoStageRow) any { return r.Stage1Eff }},
 	{CSV: "stage2_eff", Value: func(r core.TwoStageRow) any { return r.Stage2Eff }},
@@ -203,7 +203,7 @@ func settleTimeDown(tr *dynamic.Trace, tStep, target, tol float64) float64 {
 }
 
 // dvfsTable describes the DVFS periods for their text table and dvfs.csv.
-var dvfsTable = report.Table[DVFSRow]{Name: "dvfs", CSVDigits: 10, Columns: []report.Column[DVFSRow]{
+var dvfsTable = report.Table[DVFSRow]{Name: "dvfs", Columns: []report.Column[DVFSRow]{
 	{Text: "period(us)", CSV: "period_us", Value: func(r DVFSRow) any { return r.PeriodUS }, Verb: "%.1f"},
 	{Text: "energy saving(%)", CSV: "saving_pct", Value: func(r DVFSRow) any { return r.EnergySavingPct }, Verb: "%.1f"},
 	{Text: "low-V residency(%)", CSV: "residency_pct", Value: func(r DVFSRow) any { return r.ResidencyPct }, Verb: "%.1f"},

@@ -292,7 +292,7 @@ func (r *Fig10Result) fig11Configs() []string {
 // fig11Table describes the CFD waveforms, indexed by sample: time plus one
 // column per configuration, for Fig 11's excerpt and fig11.csv.
 func (r *Fig10Result) fig11Table(configs []string) *report.Table[int] {
-	t := &report.Table[int]{Name: "fig11", CSVDigits: 10, Columns: []report.Column[int]{
+	t := &report.Table[int]{Name: "fig11", Columns: []report.Column[int]{
 		{Text: "t(us)", CSV: "t_s", Value: func(k int) any { return r.CFDTimes[k] }, Scale: 1e6, Verb: "%.2f"},
 	}}
 	for _, cfg := range configs {

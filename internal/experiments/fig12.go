@@ -80,14 +80,11 @@ func Fig12Run(ctx context.Context, opt TransientOptions) (*Fig12Result, error) {
 }
 
 // fig12Table describes the area sweep for Fig 12's text table and fig12.csv.
-var fig12Table = report.Table[Fig12Point]{Name: "fig12", CSVDigits: 10, Columns: []report.Column[Fig12Point]{
+var fig12Table = report.Table[Fig12Point]{Name: "fig12", Columns: []report.Column[Fig12Point]{
 	{Text: "area(mm2)", CSV: "area_mm2", Value: func(p Fig12Point) any { return p.AreaMM2 }, Verb: "%.0f"},
-	{Text: "SC(%)", Value: func(p Fig12Point) any { return p.EffSC }, Absent: func(p Fig12Point) bool { return p.EffSC < 0 }, Scale: 100, Verb: "%.1f"},
-	{Text: "buck(%)", Value: func(p Fig12Point) any { return p.EffBuck }, Absent: func(p Fig12Point) bool { return p.EffBuck < 0 }, Scale: 100, Verb: "%.1f"},
-	{Text: "LDO(%)", Value: func(p Fig12Point) any { return p.EffLDO }, Absent: func(p Fig12Point) bool { return p.EffLDO < 0 }, Scale: 100, Verb: "%.1f"},
-	{CSV: "eff_sc", Value: func(p Fig12Point) any { return p.EffSC }},
-	{CSV: "eff_buck", Value: func(p Fig12Point) any { return p.EffBuck }},
-	{CSV: "eff_ldo", Value: func(p Fig12Point) any { return p.EffLDO }},
+	{Text: "SC(%)", CSV: "eff_sc", Value: func(p Fig12Point) any { return p.EffSC }, Absent: func(p Fig12Point) bool { return p.EffSC < 0 }, Scale: 100, Verb: "%.1f"},
+	{Text: "buck(%)", CSV: "eff_buck", Value: func(p Fig12Point) any { return p.EffBuck }, Absent: func(p Fig12Point) bool { return p.EffBuck < 0 }, Scale: 100, Verb: "%.1f"},
+	{Text: "LDO(%)", CSV: "eff_ldo", Value: func(p Fig12Point) any { return p.EffLDO }, Absent: func(p Fig12Point) bool { return p.EffLDO < 0 }, Scale: 100, Verb: "%.1f"},
 }}
 
 // Format renders the trade-off table.

@@ -121,7 +121,7 @@ func fig4Row(fsw, T float64) (Fig4Row, error) {
 }
 
 // fig4Table describes Fig 4's rows for its text table and fig4.csv.
-var fig4Table = report.Table[Fig4Row]{Name: "fig4", CSVDigits: 10, Columns: []report.Column[Fig4Row]{
+var fig4Table = report.Table[Fig4Row]{Name: "fig4", Columns: []report.Column[Fig4Row]{
 	{Text: "fsw(MHz)", CSV: "fsw_hz", Value: func(r Fig4Row) any { return r.FSw }, Scale: 1e-6, Verb: "%.0f"},
 	{Text: "t_spice", CSV: "t_sim_s", Value: func(r Fig4Row) any { return r.TSpice }},
 	{Text: "t_model", CSV: "t_model_s", Value: func(r Fig4Row) any { return r.TModel }},

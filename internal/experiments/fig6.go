@@ -120,7 +120,7 @@ func Fig6() (*Fig6Result, error) {
 // table describes Fig 6's tones, indexed into Tones and AnalyticAdvantage,
 // for its text table and fig6.csv.
 func (r *Fig6Result) table() *report.Table[int] {
-	return &report.Table[int]{Name: "fig6", CSVDigits: 10, Columns: []report.Column[int]{
+	return &report.Table[int]{Name: "fig6", Columns: []report.Column[int]{
 		{Text: "tone(MHz)", CSV: "tone_hz", Value: func(i int) any { return r.Tones[i].Freq }, Scale: 1e-6, Verb: "%.0f"},
 		{Text: "conv(mV)", CSV: "amp_converter_v", Value: func(i int) any { return r.Tones[i].AmpConverter }, Scale: 1e3, Verb: "%.3f"},
 		{Text: "cap(mV)", CSV: "amp_cap_v", Value: func(i int) any { return r.Tones[i].AmpBareCap }, Scale: 1e3, Verb: "%.3f"},

@@ -170,7 +170,7 @@ func (b *fig9Bench) inCycle(res *Fig9Result) error {
 // waveform describes the cycle-by-cycle samples, indexed, for the text
 // excerpt and fig9_waveform.csv.
 func (r *Fig9Result) waveform() *report.Table[int] {
-	return &report.Table[int]{Name: "fig9_waveform", CSVDigits: 10, Columns: []report.Column[int]{
+	return &report.Table[int]{Name: "fig9_waveform", Columns: []report.Column[int]{
 		{Text: "t(us)", CSV: "t_s", Value: func(k int) any { return r.CycleTimes[k] }, Scale: 1e6, Verb: "%.2f"},
 		{Text: "model(V)", CSV: "v_model", Value: func(k int) any { return r.CycleModel[k] }, Verb: "%.4f"},
 		{Text: "sim(V)", CSV: "v_sim", Value: func(k int) any { return r.CycleSim[k] }, Verb: "%.4f"},
@@ -178,7 +178,7 @@ func (r *Fig9Result) waveform() *report.Table[int] {
 }
 
 // fig9Summary describes fig9_summary.csv, one row of headline errors.
-var fig9Summary = report.Table[*Fig9Result]{Name: "fig9_summary", CSVDigits: 10, Columns: []report.Column[*Fig9Result]{
+var fig9Summary = report.Table[*Fig9Result]{Name: "fig9_summary", Columns: []report.Column[*Fig9Result]{
 	{CSV: "cycle_rmse_v", Value: func(r *Fig9Result) any { return r.CycleRMSE }},
 	{CSV: "cycle_maxerr_v", Value: func(r *Fig9Result) any { return r.CycleMaxErr }},
 	{CSV: "incycle_model_v", Value: func(r *Fig9Result) any { return r.InCycleRippleModel }},

@@ -68,7 +68,7 @@ func Gears() (*GearsResult, error) {
 // table describes the envelope, indexed by output voltage, for its text
 // table and gears.csv.
 func (r *GearsResult) table() *report.Table[int] {
-	return &report.Table[int]{Name: "gears", CSVDigits: 10, Columns: []report.Column[int]{
+	return &report.Table[int]{Name: "gears", Columns: []report.Column[int]{
 		{Text: "Vout(V)", CSV: "vout_v", Value: func(i int) any { return r.VOut[i] }, Verb: "%.3f"},
 		{Text: "eff(%)", CSV: "efficiency", Value: func(i int) any { return r.Envelope[i] }, Scale: 100, Verb: "%.1f"},
 		{Text: "gear", Value: func(i int) any { return r.GearNames[r.Gear[i]] }},

@@ -94,7 +94,7 @@ func GridScaleRun(ctx context.Context, opt TransientOptions) (*GridScaleResult, 
 }
 
 // gridScaleTable describes the study for its text table and gridscale.csv.
-var gridScaleTable = report.Table[GridScaleRow]{Name: "gridscale", CSVDigits: 10, Columns: []report.Column[GridScaleRow]{
+var gridScaleTable = report.Table[GridScaleRow]{Name: "gridscale", Columns: []report.Column[GridScaleRow]{
 	{Text: "IVRs", CSV: "n_ivrs", Value: func(r GridScaleRow) any { return r.N }},
 	{Text: "worst R_eff(Ω)", CSV: "r_eff_ohm", Value: func(r GridScaleRow) any { return r.REff }, Verb: "%.4f"},
 	{Text: "vs centralized", CSV: "ratio_vs_centralized", Value: func(r GridScaleRow) any { return r.Ratio }, Verb: "%.2f"},

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Column is one column of a Table over rows of type R.
@@ -30,8 +31,8 @@ type Column[R any] struct {
 	Absent func(R) bool
 	// Scale multiplies a float64 cell in the text table (0 means 1) and
 	// Verb formats it there ("%g" when empty). The CSV holds the unscaled
-	// value. A time.Duration prints as its String in text and as seconds in
-	// the CSV.
+	// value in its shortest form that reads back exactly. A time.Duration
+	// prints as its String in text and as seconds in the CSV.
 	Scale float64
 	Verb  string
 }
@@ -43,9 +44,6 @@ type Table[R any] struct {
 	// Name is the CSV file name; the .csv suffix is added.
 	Name    string
 	Columns []Column[R]
-	// CSVDigits is the number of significant digits of CSV floats; 0 means
-	// the shortest form that reads back exactly.
-	CSVDigits int
 }
 
 // Text renders rows as an aligned text table under the text headers.
@@ -55,12 +53,7 @@ func (t *Table[R]) Text(rows []R) string {
 
 // WriteCSV writes rows to Name.csv in w's directory under the CSV headers.
 func (t *Table[R]) WriteCSV(w *Writer, rows []R) error {
-	prec := -1
-	if t.CSVDigits > 0 {
-		prec = t.CSVDigits
-	}
-	header, cells := t.cells(rows, func(c Column[R]) string { return c.CSV },
-		func(_ Column[R], v any) string { return csvCell(v, prec) })
+	header, cells := t.cells(rows, func(c Column[R]) string { return c.CSV }, Column[R].csv)
 	return w.write(t.Name+".csv", header, cells)
 }
 
@@ -102,36 +95,39 @@ func (c Column[R]) text(v any) string {
 	}
 }
 
-func csvCell(v any, prec int) string {
+func (Column[R]) csv(v any) string {
 	switch v := v.(type) {
 	case nil:
 		return ""
 	case float64:
-		return strconv.FormatFloat(v, 'g', prec, 64)
+		return strconv.FormatFloat(v, 'g', -1, 64)
 	case time.Duration:
-		return strconv.FormatFloat(v.Seconds(), 'g', prec, 64)
+		return strconv.FormatFloat(v.Seconds(), 'g', -1, 64)
 	default:
 		return fmt.Sprint(v)
 	}
 }
 
-// layout aligns cells under header, two spaces between columns.
+// layout aligns cells under header, two spaces between columns. Widths
+// count runes, and no line ends in spaces.
 func layout(header []string, rows [][]string) string {
+	rows = append([][]string{header}, rows...)
 	widths := make([]int, len(header))
-	for _, r := range append([][]string{header}, rows...) {
+	for _, r := range rows {
 		for i, c := range r {
-			widths[i] = max(widths[i], len(c))
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
 	}
 	var b strings.Builder
-	for _, r := range append([][]string{header}, rows...) {
+	for _, r := range rows {
+		var line strings.Builder
 		for i, c := range r {
 			if i > 0 {
-				b.WriteString("  ")
+				line.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			line.WriteString(c + strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 		}
-		b.WriteByte('\n')
+		b.WriteString(strings.TrimRight(line.String(), " ") + "\n")
 	}
 	return b.String()
 }

@@ -15,17 +15,18 @@ type row struct {
 }
 
 // testTable has a text-only column (note), a CSV-only column (d_s), a
-// scaled column and an absent cell where ok is false.
+// scaled column with a non-ASCII header and an absent cell where ok is
+// false.
 var testTable = Table[row]{Name: "data", Columns: []Column[row]{
 	{Text: "name", CSV: "name", Value: func(r row) any { return r.name }},
-	{Text: "v(m)", CSV: "v", Value: func(r row) any { return r.v }, Absent: func(r row) bool { return !r.ok }, Scale: 1e3, Verb: "%.1fm"},
+	{Text: "v(mΩ)", CSV: "v_ohm", Value: func(r row) any { return r.v }, Absent: func(r row) bool { return !r.ok }, Scale: 1e3, Verb: "%.1fm"},
 	{Text: "t", Value: func(r row) any { return r.d }},
 	{CSV: "d_s", Value: func(r row) any { return r.d }},
 	{Text: "note", Value: func(r row) any { return len(r.name) }},
 }}
 
 var testRows = []row{
-	{name: "a", v: 0.0125, d: 1500 * time.Microsecond, ok: true},
+	{name: "a", v: 0.1 / 3, d: 1500 * time.Microsecond, ok: true},
 	{name: `has,comma "q"`, v: 2, d: 2 * time.Second},
 }
 
@@ -38,42 +39,34 @@ func readCSV(t *testing.T, w *Writer, name string) string {
 	return string(raw)
 }
 
+// TestTableText: columns are as wide as their widest cell in runes (the
+// Ω header is five), absent cells print "-", and no line ends in spaces.
 func TestTableText(t *testing.T) {
 	want := "" +
-		"name           v(m)   t      note\n" +
-		"a              12.5m  1.5ms  1   \n" +
-		`has,comma "q"  -      2s     13  ` + "\n"
+		"name           v(mΩ)  t      note\n" +
+		"a              33.3m  1.5ms  1\n" +
+		`has,comma "q"  -      2s     13` + "\n"
 	if got := testTable.Text(testRows); got != want {
 		t.Errorf("text table:\n%q\nwant\n%q", got, want)
 	}
 }
 
+// TestTableCSV: CSV cells hold unscaled floats in their shortest exact
+// form and durations in seconds; absent cells are empty and a cell with a
+// comma or quote is quoted.
 func TestTableCSV(t *testing.T) {
 	w := NewWriter(t.TempDir())
 	if err := testTable.WriteCSV(w, testRows); err != nil {
 		t.Fatal(err)
 	}
-	want := "name,v,d_s\n" +
-		"a,0.0125,0.0015\n" +
+	want := "name,v_ohm,d_s\n" +
+		"a,0.03333333333333333,0.0015\n" +
 		`"has,comma ""q""",,2` + "\n"
 	if got := readCSV(t, w, "data.csv"); got != want {
 		t.Errorf("data.csv:\n%q\nwant\n%q", got, want)
 	}
 	if len(w.Written) != 1 || filepath.Base(w.Written[0]) != "data.csv" {
 		t.Errorf("written paths: %v", w.Written)
-	}
-}
-
-func TestTableCSVDigits(t *testing.T) {
-	tbl := Table[float64]{Name: "x", CSVDigits: 3, Columns: []Column[float64]{
-		{CSV: "v", Value: func(v float64) any { return v }},
-	}}
-	w := NewWriter(t.TempDir())
-	if err := tbl.WriteCSV(w, []float64{1.0 / 3, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := readCSV(t, w, "x.csv"); got != "v\n0.333\n2\n" {
-		t.Errorf("x.csv = %q", got)
 	}
 }
 
