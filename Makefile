@@ -144,9 +144,16 @@ smoke-cluster:
 	./scripts/cluster_smoke.sh
 
 # Regenerate every paper table/figure plus the extension studies, with
-# plot-ready CSVs under results/data/.
+# plot-ready CSVs under results/data/. stdout goes to a temporary file that
+# replaces results/experiments.txt only when every experiment succeeded, so
+# a failed or cancelled run exits non-zero and leaves the record as it was
+# (a pipe into tee would report tee's status instead).
 experiments:
-	$(GO) run ./cmd/ivory-exp -outdir results/data all | tee results/experiments.txt
+	@mkdir -p results
+	$(GO) run ./cmd/ivory-exp -outdir results/data all > results/experiments.txt.tmp; \
+	status=$$?; cat results/experiments.txt.tmp; \
+	if [ $$status -ne 0 ]; then rm -f results/experiments.txt.tmp; exit $$status; fi
+	mv results/experiments.txt.tmp results/experiments.txt
 
 examples:
 	$(GO) run ./examples/quickstart

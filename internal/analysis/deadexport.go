@@ -21,7 +21,7 @@ import (
 // a different types.Object in every package that imports it. A reference
 // from inside the declaration's own body (recursion) does not count, and
 // a method whose name matches a method of any interface in the program
-// (String, Error, WriteCSV, ...) counts as used, since it may be called
+// (String, Error, ...) counts as used, since it may be called
 // only through that interface.
 var DeadExport = &Analyzer{
 	Name:    "deadexport",

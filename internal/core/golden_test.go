@@ -113,7 +113,9 @@ func TestExploreGoldenDigest(t *testing.T) {
 // TestExploreInvariantsOverGoldenSpecs checks physics invariants on every
 // accepted candidate of the generated specs, under both search strategies:
 // each loss term is finite and non-negative, the efficiency is the power
-// balance POut/(POut + ΣLoss), 0 < η ≤ 1, and the die area fits the budget.
+// balance POut/(POut + ΣLoss), 0 < η ≤ 1, the die area fits the budget,
+// and the switching frequency stays under the spec's bound (1 GHz when the
+// spec leaves it 0).
 func TestExploreInvariantsOverGoldenSpecs(t *testing.T) {
 	checked := 0
 	for i, base := range goldenSpecs(300) {
@@ -123,6 +125,10 @@ func TestExploreInvariantsOverGoldenSpecs(t *testing.T) {
 			res, err := Explore(spec)
 			if err != nil {
 				continue
+			}
+			norm, err := spec.Normalized()
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, c := range res.Candidates {
 				m := c.Metrics
@@ -144,6 +150,9 @@ func TestExploreInvariantsOverGoldenSpecs(t *testing.T) {
 				}
 				if m.AreaDie > spec.AreaMax {
 					t.Fatalf("%s: die area %v over the %v budget", where, m.AreaDie, spec.AreaMax)
+				}
+				if m.FSw > norm.FSwMax {
+					t.Fatalf("%s: f_sw %v over the %v bound", where, m.FSw, norm.FSwMax)
 				}
 				checked++
 			}

@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Figs. 4, 6-13 and Tables 1-2). Each experiment is a function
-// returning a self-describing result with a Format method; the cmd/ivory-exp
-// binary prints them and the root-level benchmarks time them. Seeds are
-// fixed so runs are reproducible.
+// evaluation (Figs. 4, 6-13 and Tables 1-2) and the extension studies.
+// Each experiment is a function returning a result; the result describes
+// its rows once as a report.Table, from which its text table (Format) and
+// its CSV files (WriteCSV) are both rendered. All lists the experiments
+// with their renderers: cmd/ivory-exp prints and writes them, and the
+// root-level benchmarks time the runners. Seeds are fixed so runs are
+// reproducible.
 //
 // Absolute numbers differ from the paper — the baseline is this repo's own
 // MNA simulator rather than Cadence, devices come from the built-in

@@ -260,7 +260,7 @@ func (r *Fig10Result) Format() string {
 	out := "Fig. 10 — voltage-noise statistics per benchmark and VR configuration\n"
 	out += fig10Table.Text(r.Cells)
 	out += "\nWorst-case noise range per configuration:\n"
-	for _, n := range r.configsOrDefault() {
+	for _, n := range r.Configs {
 		name := pds.Delivery{IVRs: n}.Name()
 		out += fmt.Sprintf("  %-22s %.1f mV (worst droop %.1f mV)\n",
 			name, r.NoiseByConfig[name]*1e3, r.DroopByConfig[name]*1e3)
@@ -271,19 +271,10 @@ func (r *Fig10Result) Format() string {
 // WriteCSV emits fig10.csv (box stats).
 func (r *Fig10Result) WriteCSV(w *report.Writer) error { return fig10Table.WriteCSV(w, r.Cells) }
 
-// configsOrDefault returns the run's configuration list, falling back to
-// the case-study set for results built before the field existed.
-func (r *Fig10Result) configsOrDefault() []int {
-	if len(r.Configs) > 0 {
-		return r.Configs
-	}
-	return noiseConfigs
-}
-
 // fig11Configs returns the names of the run's configurations, in order.
 func (r *Fig10Result) fig11Configs() []string {
 	var configs []string
-	for _, n := range r.configsOrDefault() {
+	for _, n := range r.Configs {
 		configs = append(configs, pds.Delivery{IVRs: n}.Name())
 	}
 	return configs

@@ -1,8 +1,10 @@
 // Package report renders experiment results. A Table describes a result's
-// rows once: per column, its text and CSV headers, its value, and how the
-// text table scales and formats it. The same description renders the
-// aligned text table cmd/ivory-exp prints and the plot-ready CSV file (one
-// file per figure, one row per data point), so the two cannot drift apart.
+// rows once: per column, its text and CSV headers, its value, which rows
+// leave it absent, and how the text table scales and formats it. The same
+// description renders the aligned text table cmd/ivory-exp prints (Text)
+// and the plot-ready CSV file, one row per data point (WriteCSV), so the
+// two cannot drift apart. CSV floats print in the shortest form that reads
+// back exactly.
 package report
 
 import (
